@@ -5,15 +5,13 @@ populations.
 The map is the column-stochastic matrix nearest the identity in Frobenius
 norm that carries a source distribution onto a target distribution. Since
 the objective is squared distance from the identity, the solution is the
-Euclidean projection of the identity onto the feasible polytope. The
-primary scheme is Dykstra's alternating projections between the affine
-constraint set (column sums and the transport equation) and the
-nonnegative orthant; when the solution sits on a badly conditioned face
-(e.g. source shares near zero) that iteration can stall, so a
-finite-termination fallback projects exactly by reducing to least-distance
-programming and solving the resulting nonnegative least squares with the
-classic active-set method. The problem is tiny (n*n variables with n = 6),
-so no external solver is needed.
+Euclidean projection of the identity onto the feasible polytope, solved
+exactly in finitely many steps: the equalities (column sums and the
+transport equation) are eliminated, the remaining least-distance problem
+reduces to one nonnegative least squares solve (Lawson-Hanson), and the
+active set it identifies is re-solved as an equality-constrained
+projection. The result carries its own optimality certificate. The problem
+is tiny (n*n variables with n = 6), so no external solver is needed.
 """
 
 from __future__ import annotations
@@ -23,8 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# the optimality certificate a solution must pass
+KKT_TOL = 1e-6
+FEAS_TOL = 1e-9
+
+
 class CalibrationSolveError(RuntimeError):
-    """The projection iteration failed to reach the requested residual."""
+    """The projection failed its optimality certificate."""
 
 
 @dataclass(frozen=True)
@@ -33,13 +36,18 @@ class CalibrationMap:
 
     Every column sums to 1, all entries are nonnegative, and
     matrix @ source == target to solver tolerance. `objective` is the
-    Frobenius distance of the matrix from the identity.
+    Frobenius distance of the matrix from the identity; it never exceeds
+    `rank_one_benchmark`, that of the matrix whose columns all equal the
+    target. `feasibility` and `kkt_residual` certify the projection.
     """
 
     matrix: np.ndarray
     source: np.ndarray
     target: np.ndarray
     objective: float
+    feasibility: float
+    kkt_residual: float
+    rank_one_benchmark: float
 
     def __post_init__(self):
         self.matrix.flags.writeable = False
@@ -49,6 +57,8 @@ def _check_probability(name, vec, tol=1e-6):
     v = np.asarray(vec, dtype=np.float64)
     if v.ndim != 1 or len(v) < 2:
         raise ValueError(f"{name} must be a vector of length >= 2")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has non-finite entries")
     if np.any(v < 0):
         raise ValueError(f"{name} has negative entries")
     if abs(v.sum() - 1.0) > tol:
@@ -66,32 +76,6 @@ def _affine_system(u, v):
         m[n + i, i * n : (i + 1) * n] = u
     b = np.concatenate([np.ones(n), v])
     return m, b
-
-
-def _kkt_residual(x, z, m, b):
-    """First-order optimality residual for min ||x - z||^2 on {Mx=b, x>=0}.
-
-    Multipliers for the equality constraints are fit by least squares on
-    the components away from the nonnegativity bound; the residual is the
-    worst of stationarity on free components, sign violations of the bound
-    multipliers, and primal feasibility. The free/active split is tried at
-    several thresholds and the best certificate wins, since near-degenerate
-    solutions can park entries a hair above zero.
-    """
-    g = x - z
-    feasibility = float(np.abs(m @ x - b).max())
-    best = np.inf
-    for free_tol in (1e-10, 1e-8, 1e-6):
-        free = x > free_tol
-        if not np.any(free):
-            best = min(best, feasibility)
-            continue
-        lam, *_ = np.linalg.lstsq(m[:, free].T, -g[free], rcond=None)
-        mu = g + m.T @ lam
-        stationarity = float(np.abs(mu[free]).max())
-        bound_sign = float(max(0.0, -(mu[~free].min())) if np.any(~free) else 0.0)
-        best = min(best, max(stationarity, bound_sign, feasibility))
-    return best
 
 
 def _nnls(a, f, max_iterations=500):
@@ -182,27 +166,39 @@ def _kkt_residual_with_multipliers(x, z, m, b, mu):
     return max(stationarity, complementarity, feasibility)
 
 
-def solve_calibration_map(
-    u_source,
-    u_target,
-    kkt_tol: float = 1e-6,
-    feas_tol: float = 1e-9,
-    max_iterations: int = 100_000,
-) -> CalibrationMap:
+def _resolve_on_face(z, m, b, act):
+    """Project z onto {x : M x = b, x[act] = 0} and recover the multipliers.
+
+    Active entries become exact zeros, since bound multipliers as large as
+    1/share would magnify any roundoff left there. The step onto the face
+    is solved on the free columns, not on their Gram matrix, so columns of
+    tiny shares keep their conditioning unsquared.
+    """
+    mf = m[:, ~act]
+    step, *_ = np.linalg.lstsq(mf, mf @ z[~act] - b, rcond=None)
+    lam, *_ = np.linalg.lstsq(mf.T, step, rcond=None)
+    x = np.zeros_like(z)
+    x[~act] = z[~act] - step
+    mu = np.where(act, x - z + m.T @ lam, 0.0)
+    # clamp roundoff negatives; a wrong active set still fails the certificate
+    return np.maximum(x, 0.0), np.maximum(mu, 0.0)
+
+
+def solve_calibration_map(u_source, u_target) -> CalibrationMap:
     """Find the column-stochastic matrix nearest the identity mapping
     `u_source` to `u_target`.
 
-    Both inputs must be probability vectors of equal length (nonnegative,
-    summing to 1 within 1e-6). The rank-one matrix with every column equal
-    to `u_target` is always feasible, so a solution exists; the returned
-    objective never exceeds that benchmark.
+    Both inputs must be probability vectors of equal length (finite,
+    nonnegative, summing to 1 within 1e-6). The rank-one matrix with every
+    column equal to `u_target` is always feasible, so a solution exists; the
+    returned objective never exceeds that benchmark.
 
-    Dykstra's alternating projections of the identity onto the
-    intersection of the affine constraints and the nonnegative orthant run
-    until the first-order optimality residual drops below `kkt_tol` and
-    affine feasibility below `feas_tol`; if the iteration stalls (the rate
-    degrades on badly conditioned faces), the exact least-distance
-    projection takes over and the same optimality checks are applied.
+    The identity is projected exactly onto the feasible polytope: the
+    least-distance reduction to nonnegative least squares finds the active
+    set of zero entries, the equality-constrained projection on the
+    remaining entries fixes the point, and the bound multipliers of the
+    active entries certify optimality. The map is returned only when affine
+    feasibility is within `FEAS_TOL` and the KKT residual within `KKT_TOL`.
 
     Source shares below 1e-5 of the largest share are snapped to exact
     zero (and the source renormalized): such columns constrain the map
@@ -218,58 +214,18 @@ def solve_calibration_map(
     n = len(u)
 
     m, b = _affine_system(u, v)
-    # projection onto {Mx = b}: x - M^T (M M^T)^+ (M x - b); the Gram matrix
-    # is rank deficient by one (total mass is counted by both families)
-    gram_pinv = np.linalg.pinv(m @ m.T)
-
-    def proj_affine(x):
-        return x - m.T @ (gram_pinv @ (m @ x - b))
-
-    # aim well below the contract gates first; accept contract level only
-    # when the face geometry is too degenerate for better
-    strict_feas = min(feas_tol, 1e-11)
-    strict_kkt = min(kkt_tol, 1e-8)
-
-    def residuals(x):
-        return float(np.abs(m @ x - b).max()), _kkt_residual(x, z, m, b)
-
     z = np.eye(n).ravel()
-    x = z.copy()
-    p = np.zeros_like(z)
-    q = np.zeros_like(z)
-    check_every = 10
-    budget = min(5_000, max_iterations)  # past this, the exact path is cheaper
-    done = False
-    for it in range(1, budget + 1):
-        y = proj_affine(x + p)
-        p = x + p - y
-        x_new = np.maximum(y + q, 0.0)
-        q = y + q - x_new
-        x = x_new
-        if it % check_every == 0 or it == budget:
-            # feasibility is cheap; only then pay for the optimality check
-            if float(np.abs(m @ x - b).max()) <= strict_feas:
-                if _kkt_residual(x, z, m, b) <= strict_kkt:
-                    done = True
-                    break
-    if not done:
-        candidates = [(x, residuals(x))]
-        try:
-            exact, mu = _project_exact(z, m, b)
-            kkt_exact = _kkt_residual_with_multipliers(exact, z, m, b, mu)
-            candidates.append((exact, (float(np.abs(m @ exact - b).max()), kkt_exact)))
-        except CalibrationSolveError:
-            pass
-        x, (feas, kkt) = min(candidates, key=lambda c: max(*c[1]))
-        if feas > feas_tol or kkt > kkt_tol:
-            raise CalibrationSolveError(
-                f"projection stalled: feasibility {feas:.3e}, KKT residual {kkt:.3e}"
-            )
+    _, mu = _project_exact(z, m, b)
+    x, mu = _resolve_on_face(z, m, b, mu > 0)
+    feas = float(np.abs(m @ x - b).max())
+    kkt = _kkt_residual_with_multipliers(x, z, m, b, mu)
+    if feas > FEAS_TOL or kkt > KKT_TOL:
+        raise CalibrationSolveError(
+            f"projection fails its certificate: feasibility {feas:.3e}, KKT residual {kkt:.3e}"
+        )
 
     a = x.reshape(n, n)
-    # clamp projection residue and make column sums exactly one
-    a[(a < 0) & (a > -1e-12)] = 0.0
-    a = a / a.sum(axis=0, keepdims=True)
+    a = a / a.sum(axis=0, keepdims=True)  # make column sums exactly one
     objective = float(np.linalg.norm(a - np.eye(n)))
 
     benchmark = float(np.linalg.norm(np.outer(v, np.ones(n)) - np.eye(n)))
@@ -277,7 +233,10 @@ def solve_calibration_map(
         raise CalibrationSolveError(
             f"objective {objective:.6g} exceeds the rank-one benchmark {benchmark:.6g}"
         )
-    return CalibrationMap(matrix=a, source=u, target=v, objective=objective)
+    return CalibrationMap(
+        matrix=a, source=u, target=v, objective=objective,
+        feasibility=feas, kkt_residual=kkt, rank_one_benchmark=benchmark,
+    )
 
 
 def apply_calibration_map(cmap: CalibrationMap, p) -> np.ndarray:

@@ -27,8 +27,6 @@ from .table import N_RACES, RACE_NAMES, ContingencyTable, PredictionTable, RaceC
 PREDICTIONS_HEADER = ["surname", "geoid", "count"] + [f"p_{n}" for n in RACE_NAMES]
 CALIB_MAP_HEADER = ["race"] + list(RACE_NAMES)
 
-THREADS_ENV = "RAKETAB_THREADS"
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
@@ -50,19 +48,6 @@ def _atomic(path, write_fn):
     tmp = f"{path}.tmp"
     write_fn(tmp)
     os.replace(tmp, path)
-
-
-def _thread_cap():
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"{THREADS_ENV} must be at least 1, got {cap}")
-    return cap
 
 
 class _Run:
@@ -96,7 +81,6 @@ class _Run:
             "seed": self.flags.get("seed"),
             "inputs": self.inputs,
             "outputs": sorted(self.outputs, key=lambda o: o["path"]),
-            "threads": _thread_cap(),
             "info": self.info,
         }
 
@@ -304,12 +288,14 @@ def cmd_calib_map(args):
                 w.writerow([RACE_NAMES[i]] + [_fmt(x) for x in cmap.matrix[i]])
 
     run.write("calibration_map.csv", write)
-    run.info["objective"] = cmap.objective
+    for key in ("objective", "feasibility", "kkt_residual", "rank_one_benchmark"):
+        run.info[key] = getattr(cmap, key)
     run.finish()
     return EXIT_OK
 
 
 def _read_calib_matrix(path) -> np.ndarray:
+    """A calibration matrix CSV: finite, nonnegative, columns summing to 1."""
     fh, reader = ingest._open_reader(path, CALIB_MAP_HEADER)
     rows = []
     with fh:
@@ -319,7 +305,12 @@ def _read_calib_matrix(path) -> np.ndarray:
             rows.append([float(x) for x in row[1:]])
     if len(rows) != N_RACES:
         raise ingest.ParseError(f"{path}: expected {N_RACES} matrix rows")
-    return np.array(rows)
+    matrix = np.array(rows)
+    if not np.all(np.isfinite(matrix)) or np.any(matrix < 0):
+        raise ingest.ParseError(f"{path}: matrix entries must be finite and nonnegative")
+    if np.abs(matrix.sum(axis=0) - 1.0).max() > 1e-6:
+        raise ingest.ParseError(f"{path}: matrix columns must sum to 1")
+    return matrix
 
 
 def cmd_subsample(args):
@@ -521,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _thread_cap()  # validate up front
         return args.func(args)
     except (raking.NonConvergenceError, calibmap.CalibrationSolveError) as exc:
         _emit_error(exc, EXIT_NONCONVERGENCE)

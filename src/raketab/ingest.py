@@ -531,6 +531,8 @@ def parse_race_margin(path) -> np.ndarray:
     if unknown:
         raise ParseError(f"{path}: unknown race keys {sorted(unknown)}")
     vec = np.array([float(dist.get(name, 0.0)) for name in RACE_NAMES])
+    if not np.all(np.isfinite(vec)):
+        raise ParseError(f"{path}: non-finite race share")
     if np.any(vec < 0):
         raise ParseError(f"{path}: negative race share")
     total = vec.sum()

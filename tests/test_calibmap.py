@@ -137,6 +137,13 @@ class TestSolve:
              [0.008, 0.013, 0.204, 0.029, 0.728, 0.018]),
             ([0.022, 0.018, 0.201, 0.024, 0.730, 0.005],
              [0.008, 0.005, 0.195, 0.012, 0.767, 0.013]),
+            # a share just above the snapping threshold gives bound
+            # multipliers near 1/share, which magnify entry roundoff in the
+            # complementarity term unless active entries are exactly zero
+            ([0.37367083276035284, 0.0680133829186332, 0.2892324552399705,
+              6.372264235646214e-06, 0.26893828299445793, 0.00013867382234979752],
+             [1.9280127908174952e-06, 0.0012087802052332625, 0.9636137137099644,
+              1.4661193944101516e-10, 0.034141720407900845, 0.0010338575174985772]),
         ]
         for u, v in pairs:
             u = np.array(u) / np.sum(u)
@@ -145,6 +152,8 @@ class TestSolve:
             np.testing.assert_allclose(cmap.matrix.sum(axis=0), np.ones(6), atol=1e-8)
             np.testing.assert_allclose(cmap.matrix @ cmap.source, v, atol=1e-8)
             assert cmap.matrix.min() >= 0.0
+            assert cmap.feasibility <= 1e-9 and cmap.kkt_residual <= 1e-6
+            assert cmap.objective <= cmap.rank_one_benchmark + 1e-6
 
     def test_tiny_share_snapped_to_zero(self):
         # a one-in-ten-million share is treated as zero; its column is then
@@ -162,6 +171,10 @@ class TestSolve:
             solve_calibration_map([0.5, 0.5], [-0.1, 1.1])
         with pytest.raises(ValueError):
             solve_calibration_map([0.5, 0.5], [0.3, 0.3, 0.4])
+        with pytest.raises(ValueError, match="u_source"):
+            solve_calibration_map([np.nan, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="u_target"):
+            solve_calibration_map([0.5, 0.5], [np.inf, 0.5])
 
 
 class TestApply:
@@ -201,3 +214,7 @@ class TestApply:
             apply_calibration_map(cmap, [0.7, 0.2])
         with pytest.raises(ValueError):
             apply_calibration_map(cmap, [0.2, 0.2, 0.6])
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_calibration_map(cmap, [np.nan, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_calibration_map(cmap, [-np.inf, np.inf])

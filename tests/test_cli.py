@@ -196,6 +196,24 @@ class TestCalibMapCli:
         rows = read_csv(out / "calibration_map.csv")
         matrix = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
         np.testing.assert_allclose(matrix, np.eye(6), atol=1e-8)
+        info = read_json(out / "manifest.json")["info"]
+        assert info["objective"] <= 1e-8
+        assert info["feasibility"] <= 1e-9 and info["kkt_residual"] <= 1e-6
+        benchmark = np.linalg.norm(np.outer(list(dist.values()), np.ones(6)) - np.eye(6))
+        assert info["rank_one_benchmark"] == pytest.approx(benchmark, rel=1e-12)
+
+    def test_non_finite_share_exits_2(self, tmp_path, capsys):
+        margin = tmp_path / "m.json"
+        margin.write_text(
+            '{"race_distribution": {"aian": NaN, "api": 0.1, "black": 0.2,'
+            ' "hispanic": 0.15, "white": 0.45, "other": 0.1}}'
+        )
+        code = run_cli(
+            "calib-map", "--source", margin, "--target", margin, "--out-dir", tmp_path / "cm"
+        )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError" and "non-finite" in err["message"]
 
     def test_evaluate_applies_calibration_map(self, tmp_path):
         fix = synth_fixture(tmp_path, seed=13)
@@ -214,6 +232,27 @@ class TestCalibMapCli:
             "--preds", pred / "predictions.csv",
             "--calib-map", cm / "calibration_map.csv", "--out-dir", ev,
         ) == 0
+
+    @pytest.mark.parametrize("entry", ["nan", "-0.5", "0.5"])
+    def test_evaluate_rejects_invalid_calibration_map(self, tmp_path, capsys, entry):
+        fix = synth_fixture(tmp_path, seed=13)
+        pred = predict_dir(tmp_path, fix)
+        cm = tmp_path / "cm.csv"
+        rows = [",".join(["race", "aian", "api", "black", "hispanic", "white", "other"])]
+        for i, race in enumerate(["aian", "api", "black", "hispanic", "white", "other"]):
+            row = ["1.0" if i == j else "0.0" for j in range(6)]
+            if i == 0:
+                row[0] = entry
+            rows.append(",".join([race] + row))
+        cm.write_text("\n".join(rows) + "\n")
+        ev = tmp_path / "ev"
+        code = run_cli(
+            "evaluate", "--truth-table", fix / "table.csv",
+            "--preds", pred / "predictions.csv", "--calib-map", cm, "--out-dir", ev,
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+        assert not (ev / "summary.json").exists()
 
 
 class TestSubsampleCli:
@@ -309,20 +348,6 @@ class TestErrors:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NonConvergenceError"
-
-    def test_thread_cap_validation(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("RAKETAB_THREADS", "zero")
-        code = run_cli(
-            "synth", "--surnames", 4, "--geos", 3, "--seed", 1,
-            "--out-dir", tmp_path / "o",
-        )
-        assert code == 2
-        assert "RAKETAB_THREADS" in json.loads(capsys.readouterr().err)["message"]
-
-    def test_thread_cap_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RAKETAB_THREADS", "2")
-        fix = synth_fixture(tmp_path, seed=1)
-        assert read_json(fix / "manifest.json")["threads"] == 2
 
 
 class TestAdjustment:

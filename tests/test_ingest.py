@@ -405,6 +405,10 @@ class TestRoundTrips:
         path.write_text('{"race_distribution": {"klingon": 1.0}}')
         with pytest.raises(ParseError, match="unknown race"):
             parse_race_margin(path)
+        for bad in ("NaN", "Infinity"):
+            path.write_text(f'{{"race_distribution": {{"aian": {bad}, "api": 1.0}}}}')
+            with pytest.raises(ParseError, match="non-finite"):
+                parse_race_margin(path)
 
     def test_region_map(self, tmp_path):
         path = tmp_path / "r.csv"
