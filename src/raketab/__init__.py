@@ -14,6 +14,7 @@ from .table import (
     RACE_NAMES,
     build_table,
     conditional_race,
+    index_cells,
 )
 from .bisg import (
     BisgFactors,
@@ -87,6 +88,7 @@ __all__ = [
     "conditional_race",
     "fit_factors",
     "generate",
+    "index_cells",
     "kl_divergence",
     "kuiper",
     "margin_gap",

@@ -16,11 +16,13 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .table import (
-    AxisLabels,
     N_RACES,
     ContingencyTable,
     PredictionTable,
     _as_race_vector,
+    _check_finite_nonnegative,
+    compact_labels,
+    index_cells,
 )
 
 
@@ -29,12 +31,14 @@ class MissingFactorError(LookupError):
 
 
 def _validate_conditionals(name, table):
-    for label, vec in table.items():
-        s = vec.sum()
-        if np.any(vec < 0):
-            raise ValueError(f"{name}[{label!r}] has negative entries")
-        if abs(s - 1.0) > 1e-9:
-            raise ValueError(f"{name}[{label!r}] sums to {s!r}, expected 1")
+    mat = np.array(list(table.values()), dtype=np.float64).reshape(len(table), N_RACES)
+    sums = mat.sum(axis=1)
+    bad = ~np.isfinite(mat).all(axis=1) | (mat < 0).any(axis=1) | ~(np.abs(sums - 1.0) <= 1e-9)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        label = list(table)[i]
+        _check_finite_nonnegative(mat[i], f"entries in {name}[{label!r}]")
+        raise ValueError(f"{name}[{label!r}] sums to {sums[i]!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -62,13 +66,14 @@ class BisgFactors:
 
     def __post_init__(self):
         prior = _as_race_vector(self.race_prior, name="race_prior")
-        if np.any(prior < 0):
-            raise ValueError("race_prior has negative entries")
+        _check_finite_nonnegative(prior, "race_prior entry")
         if abs(prior.sum() - 1.0) > 1e-9:
             raise ValueError(f"race_prior sums to {prior.sum()!r}, expected 1")
         object.__setattr__(self, "race_prior", prior)
         _validate_conditionals("race_given_geo", self.race_given_geo)
         _validate_conditionals("race_given_surname", self.race_given_surname)
+        for name, counts in (("geo_counts", self.geo_counts), ("surname_counts", self.surname_counts)):
+            _check_finite_nonnegative(list((counts or {}).values()), f"entry in {name}")
 
     def total(self) -> float:
         """Population total recovered from the geolocation counts."""
@@ -86,8 +91,7 @@ class VoterAdjustment:
 
     def __post_init__(self):
         w = _as_race_vector(self.weight, name="adjustment weight")
-        if np.any(w < 0):
-            raise ValueError("adjustment weights must be nonnegative")
+        _check_finite_nonnegative(w, "adjustment weight")
         if not np.any(w > 0):
             raise ValueError("adjustment weights are all zero")
         object.__setattr__(self, "weight", w)
@@ -163,30 +167,26 @@ def bisg_counts(factors: BisgFactors, support) -> tuple[PredictionTable, list]:
     inv_totals = np.zeros(N_RACES)
     inv_totals[live] = 1.0 / race_totals[live]
 
-    rejects = []
-    keep = []
-    for s, g in sorted(set(support)):
-        if g not in factors.race_given_geo:
-            rejects.append((s, g, "missing geolocation factor"))
-        elif s not in factors.race_given_surname:
-            rejects.append((s, g, "missing surname factor"))
-        else:
-            keep.append((s, g))
-    if not keep:
+    pairs = set(support)
+    if not pairs:
+        raise ValueError("no predictable cells in support")
+    labels, index, _ = index_cells([s for s, _ in pairs], [g for _, g in pairs])
+    has_s = np.array([s in factors.race_given_surname for s in labels.surnames])[index[:, 0]]
+    has_g = np.array([g in factors.race_given_geo for g in labels.geolocations])[index[:, 1]]
+    rejects = sorted(
+        [(*key, "missing geolocation factor") for key in labels.pairs(index[~has_g])]
+        + [(*key, "missing surname factor") for key in labels.pairs(index[has_g & ~has_s])]
+    )
+    if not np.any(has_s & has_g):
         raise ValueError("no predictable cells in support")
 
-    surnames = sorted({s for s, _ in keep})
-    geos = sorted({g for _, g in keep})
-    s_pos = {s: i for i, s in enumerate(surnames)}
-    g_pos = {g: i for i, g in enumerate(geos)}
+    labels, index = compact_labels(labels, index[has_s & has_g])
     x_sr = np.array(
-        [factors.race_given_surname[s] * factors.surname_counts[s] for s in surnames]
+        [factors.race_given_surname[s] * factors.surname_counts[s] for s in labels.surnames]
     )
-    x_gr = np.array([factors.race_given_geo[g] * factors.geo_counts[g] for g in geos])
-    index = np.array([(s_pos[s], g_pos[g]) for s, g in keep], dtype=np.int64)
+    x_gr = np.array([factors.race_given_geo[g] * factors.geo_counts[g] for g in labels.geolocations])
     values = x_gr[index[:, 1]] * x_sr[index[:, 0]] * inv_totals
-    table = PredictionTable._from_sorted_arrays(AxisLabels(surnames, geos), index, values)
-    return table, rejects
+    return PredictionTable(labels, index, values), rejects
 
 
 def posterior(race_given_geo, race_given_surname, race_prior, weight=None) -> np.ndarray:
@@ -244,7 +244,7 @@ def voter_adjustment(cps_race_given_voter, census_race_prior_18plus) -> VoterAdj
     for name, v in (("cps distribution", cps), ("census prior", prior)):
         if np.any(v < 0):
             raise ValueError(f"{name} has negative entries")
-        if abs(v.sum() - 1.0) > 1e-6:
+        if not abs(v.sum() - 1.0) <= 1e-6:
             raise ValueError(f"{name} sums to {v.sum()!r}, expected 1")
     bad = (cps > 0) & (prior == 0)
     if np.any(bad):
@@ -301,41 +301,37 @@ def weighted_counts(
         raise ValueError(f"unknown method {method!r}")
     weight = adjustment.weight if adjustment is not None else None
 
-    keys = []
-    weights = []
-    for (s, g), w in sorted(cell_totals.items()):
-        if w < 0:
-            raise ValueError(f"negative cell total at {(s, g)}")
-        if w > 0:
-            keys.append((s, g))
-            weights.append(float(w))
-    if not keys:
+    if not cell_totals:
+        raise ValueError("no predictable cells")
+    keys = list(cell_totals)
+    labels, index, rows = index_cells([s for s, _ in keys], [g for _, g in keys])
+    w_arr = np.zeros(len(index))
+    w_arr[rows] = np.fromiter(cell_totals.values(), dtype=np.float64, count=len(keys))
+    bad = np.nonzero(~np.isfinite(w_arr) | (w_arr < 0))[0]
+    if len(bad):
+        what = "negative" if w_arr[bad[0]] < 0 else "non-finite"
+        raise ValueError(f"{what} cell total at {labels.pairs(index[bad[:1]])[0]}")
+    index, w_arr = index[w_arr > 0], w_arr[w_arr > 0]
+    if not len(index):
         raise ValueError("no predictable cells")
 
-    surnames = sorted({s for s, _ in keys})
-    geos = sorted({g for _, g in keys})
-    rs, rs_ok = _factor_matrix(factors.race_given_surname, surnames)
-    rg, rg_ok = _factor_matrix(factors.race_given_geo, geos)
-    s_pos = {s: i for i, s in enumerate(surnames)}
-    g_pos = {g: i for i, g in enumerate(geos)}
-    s_code = np.array([s_pos[s] for s, _ in keys])
-    g_code = np.array([g_pos[g] for _, g in keys])
-    w_arr = np.array(weights)
+    rs, rs_ok = _factor_matrix(factors.race_given_surname, labels.surnames)
+    rg, rg_ok = _factor_matrix(factors.race_given_geo, labels.geolocations)
+    s_code, g_code = index[:, 0], index[:, 1]
 
-    rejects = []
-    n = len(keys)
+    def flagged(mask, reason):
+        return [(*key, reason) for key in labels.pairs(index[mask])]
+
     if method == "surname-only":
         ok = rs_ok[s_code]
         num = rs[s_code].copy()
-        for i in np.nonzero(~ok)[0]:
-            rejects.append((*keys[i], "missing surname factor"))
+        rejects = flagged(~ok, "missing surname factor")
         if weight is not None:
             num *= weight
     elif method == "geo-only":
         ok = rg_ok[g_code]
         num = rg[g_code].copy()
-        for i in np.nonzero(~ok)[0]:
-            rejects.append((*keys[i], "missing geolocation factor"))
+        rejects = flagged(~ok, "missing geolocation factor")
         if weight is not None:
             num *= weight
     else:
@@ -343,43 +339,30 @@ def weighted_counts(
         has_s = rs_ok[s_code]
         prior = factors.race_prior
         live = prior > 0
-        num = np.zeros((n, N_RACES))
+        num = np.zeros((len(index), N_RACES))
         num[:, live] = rg[g_code][:, live] * rs[s_code][:, live] / prior[live]
         fallback = has_g & ~has_s
         num[fallback] = rg[g_code[fallback]]
         if weight is not None:
             num *= weight
         ok = has_g & (has_s | surname_fallback)
-        for i in np.nonzero(~has_g)[0]:
-            rejects.append((*keys[i], "missing geolocation factor"))
-        for i in np.nonzero(fallback)[0]:
-            if surname_fallback:
-                rejects.append(
-                    (*keys[i], "missing surname factor; used geolocation baseline")
-                )
-            else:
-                rejects.append((*keys[i], "missing surname factor"))
+        rejects = flagged(~has_g, "missing geolocation factor") + flagged(
+            fallback,
+            "missing surname factor; used geolocation baseline"
+            if surname_fallback
+            else "missing surname factor",
+        )
     if not np.any(ok):
         raise ValueError("no predictable cells")
 
     sums = num.sum(axis=1)
     dead = ok & (sums <= 0)
     if np.any(dead):
-        raise ValueError(f"no admissible race for cell {keys[int(np.nonzero(dead)[0][0])]}")
+        raise ValueError(f"no admissible race for cell {labels.pairs(index[dead])[0]}")
 
     rejects.sort()
-    kept = np.nonzero(ok)[0]
-    kept_keys = [keys[i] for i in kept]
-    out_surnames = sorted({s for s, _ in kept_keys})
-    out_geos = sorted({g for _, g in kept_keys})
-    os_pos = {s: i for i, s in enumerate(out_surnames)}
-    og_pos = {g: i for i, g in enumerate(out_geos)}
-    index = np.array([(os_pos[s], og_pos[g]) for s, g in kept_keys], dtype=np.int64)
-    values = (w_arr[kept] / sums[kept])[:, None] * num[kept]
-    table = PredictionTable._from_sorted_arrays(
-        AxisLabels(out_surnames, out_geos), index, values
-    )
-    return table, rejects
+    values = (w_arr[ok] / sums[ok])[:, None] * num[ok]
+    return PredictionTable(*compact_labels(labels, index[ok]), values), rejects
 
 
 def _factor_matrix(factor_map, labels):

@@ -86,7 +86,7 @@ class _Run:
 
         def dump(tmp):
             with open(tmp, "w") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
+                json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
                 fh.write("\n")
 
         _atomic(os.path.join(self.out_dir, "manifest.json"), dump)
@@ -115,7 +115,7 @@ def _load_occupancy(args, run):
     if getattr(args, "table", None):
         run.track_input(args.table)
         table = ingest.parse_table(args.table)
-        return {key: float(vec.sum()) for key, vec in table.items()}
+        return dict(zip(table.support(), table.cell_sums.tolist()))
     run.track_input(args.voters)
     mapping = ingest.MAPPINGS[args.mapping]
     records = ingest.parse_voter_file(args.voters, mapping)
@@ -159,25 +159,19 @@ def _write_predictions(run, name, table: PredictionTable):
 
 
 def _read_predictions(path):
-    """Returns (conditionals {(s,g): 6-vector}, counts {(s,g): float})."""
-    conds, counts = {}, {}
-    fh, reader = ingest._open_reader(path, PREDICTIONS_HEADER)
-    with fh:
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(PREDICTIONS_HEADER):
-                raise ingest.ParseError(f"{path}:{line}: expected {len(PREDICTIONS_HEADER)} fields")
-            key = (row[0], row[1])
-            if key in conds:
-                raise ingest.ParseError(f"{path}:{line}: duplicate cell {key}")
-            count = float(row[2])
-            vec = np.array([float(x) for x in row[3:]])
-            if count < 0 or np.any(vec < 0):
-                raise ingest.ParseError(f"{path}:{line}: negative value")
-            counts[key] = count
-            conds[key] = vec
-    if not conds:
-        raise ingest.ParseError(f"{path}: no data rows")
-    return conds, counts
+    """A predictions CSV on a sorted cell index: (labels, index, counts, conds).
+
+    Each row's conditionals must sum to 1 (within 1e-6), or be all zero
+    when its count is zero.
+    """
+    labels, index, values, lines = ingest._read_cells(path, PREDICTIONS_HEADER)
+    counts, conds = values[:, 0], values[:, 1:]
+    sums = conds.sum(axis=1)
+    bad = ~((np.abs(sums - 1.0) <= 1e-6) | ((counts == 0) & (sums == 0)))
+    if np.any(bad):
+        line, row = min(zip(lines[bad], np.nonzero(bad)[0]))
+        raise ingest.ParseError(f"{path}:{line}: conditionals sum to {float(sums[row])!r}, expected 1")
+    return labels, index, counts, conds
 
 
 def _write_rejects(run, rejects):
@@ -231,18 +225,16 @@ def cmd_predict(args):
 def cmd_rake(args):
     run = _Run("rake", args, args.out_dir)
     run.track_input(args.base)
-    conds, counts = _read_predictions(args.base)
+    labels, index, counts, conds = _read_predictions(args.base)
     run.track_input(args.race_margin)
     distribution = ingest.parse_race_margin(args.race_margin)
 
-    cells = {
-        key: counts[key] * conds[key] for key in conds if counts[key] > 0
-    }
-    base = PredictionTable.from_label_cells(cells)
-    total = sum(counts.values())
+    live = counts > 0
+    base = PredictionTable(labels, index[live], counts[live, None] * conds[live])
     # renormalize so the race targets sum exactly to the cell-target total
     distribution = distribution / distribution.sum()
-    targets = raking.MarginSet(distribution * total, counts)
+    cell_targets = dict(zip(base.support(), counts[live].tolist()))
+    targets = raking.MarginSet(distribution * sum(counts.tolist()), cell_targets)
     config = raking.RakingConfig(tolerance=args.tol, max_iterations=args.max_iters)
     result = raking.rake(base, targets, config)
 
@@ -256,13 +248,13 @@ def cmd_rake(args):
             "theta_r": {RACE_NAMES[r]: clean(result.theta_r[r]) for r in range(N_RACES)},
             "theta_sg": [
                 {"surname": s, "geoid": g, "theta": clean(t)}
-                for (s, g), t in sorted(result.theta_sg.items())
+                for (s, g), t in zip(result.table.support(), result.theta_sg)
             ],
             "iterations": result.iterations,
             "final_margin_gap": result.final_margin_gap,
         }
         with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
     run.write("theta.json", write_theta)
@@ -333,29 +325,24 @@ def cmd_evaluate(args):
     run = _Run("evaluate", args, args.out_dir)
     truth = _load_truth(args, run)
     run.track_input(args.preds)
-    conds, _ = _read_predictions(args.preds)
+    labels, index, _, conds = _read_predictions(args.preds)
 
     matrix = None
     if args.calib_map:
         run.track_input(args.calib_map)
         matrix = _read_calib_matrix(args.calib_map)
 
-    cells = {}
-    missing = []
-    for key, vec in truth.items():
-        w = vec.sum()
-        if w <= 0:
-            continue
-        cond = conds.get(key)
-        if cond is None:
-            missing.append(key)
-            continue
-        if matrix is not None:
-            cond = matrix @ cond
-        cells[key] = w * cond
-    if missing:
+    occupied = truth.cell_sums > 0
+    rows = PredictionTable(labels, index, conds).locate(truth)[occupied]
+    if np.any(rows < 0):
+        missing = truth.labels.pairs(truth.cell_index[occupied][rows < 0])
         raise ValueError(f"predictions missing for {len(missing)} truth cells, e.g. {missing[:3]}")
-    pred = PredictionTable.from_label_cells(cells)
+    cond = conds[rows]
+    if matrix is not None:
+        cond = np.array([matrix @ c for c in cond])
+    pred = PredictionTable(
+        truth.labels, truth.cell_index[occupied], truth.cell_sums[occupied, None] * cond
+    )
 
     region_map = None
     if args.region_map:

@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .table import N_RACES, RACE_NAMES, ContingencyTable, RaceCategory
+from .table import N_RACES, RACE_NAMES, ContingencyTable, RaceCategory, index_cells
 
 SURNAME_FACTORS_HEADER = [
     "surname", "count",
@@ -165,6 +165,101 @@ def _open_reader(path, header):
     return fh, reader
 
 
+def _read_cells(path, header):
+    """Read a (surname, geoid, numbers...) CSV onto a sorted cell index.
+
+    Surnames are uppercased and stripped, geoids stripped. A short row, a
+    non-numeric, non-finite or negative number, or a repeated cell is a
+    ParseError naming the file and line. Returns (labels, index, values,
+    lines): the numbers of each cell in index order, and each cell's line.
+    """
+    surnames, geoids, rows = [], [], []
+    fh, reader = _open_reader(path, header)
+    with fh:
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{line}: expected {len(header)} fields")
+            try:
+                rows.append([float(x) for x in row[2:]])
+            except ValueError:
+                raise ParseError(f"{path}:{line}: non-numeric value")
+            surnames.append(row[0].strip().upper())
+            geoids.append(row[1].strip())
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    values = np.array(rows)
+    for bad, what in (
+        (~np.isfinite(values).all(axis=1), "non-finite value"),
+        ((values < 0).any(axis=1), "negative value"),
+    ):
+        if np.any(bad):
+            raise ParseError(f"{path}:{np.argmax(bad) + 2}: {what}")
+    labels, index, cell_of_row = index_cells(surnames, geoids)
+    if len(index) < len(rows):
+        first = np.zeros(len(rows), dtype=bool)
+        first[np.unique(cell_of_row, return_index=True)[1]] = True
+        dup = int(np.argmin(first))
+        raise ParseError(f"{path}:{dup + 2}: duplicate cell {(surnames[dup], geoids[dup])}")
+    out = np.empty_like(values)
+    out[cell_of_row] = values
+    lines = np.empty(len(rows), dtype=np.int64)
+    lines[cell_of_row] = np.arange(2, len(rows) + 2)
+    return labels, index, out, lines
+
+
+def _parse_factors(path, header, kind, clean_label, bad_sum):
+    """The row loop of the factor parsers: label -> P(r|label) and count.
+
+    A row is rejected when it is short, has an empty label, a non-numeric,
+    non-finite or negative field, or when `bad_sum(label, s)` names a
+    reason its entries' sum s is unusable. Accepted rows are divided by s.
+    A duplicate label, no data rows or more than 10% rejected rows is a
+    ParseError.
+    """
+    probs: dict[str, np.ndarray] = {}
+    counts: dict[str, float] = {}
+    rejects = RejectReport()
+    fh, reader = _open_reader(path, header)
+    with fh:
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                rejects.add(line, f"expected {len(header)} fields, got {len(row)}")
+                continue
+            label = clean_label(row[0])
+            if not label:
+                rejects.add(line, f"empty {header[0]}")
+                continue
+            if label in probs:
+                raise ParseError(f"{path}:{line}: duplicate {kind} {label!r}")
+            try:
+                count = float(row[1])
+                vec = np.array([float(x) for x in row[2:]], dtype=np.float64)
+            except ValueError:
+                rejects.add(line, "non-numeric field")
+                continue
+            s = vec.sum()
+            if not (np.isfinite(count) and np.all(np.isfinite(vec))):
+                reason = "non-finite field"
+            elif count < 0 or np.any(vec < 0):
+                reason = "negative value"
+            else:
+                reason = bad_sum(label, s)
+            if reason:
+                rejects.add(line, reason)
+                continue
+            probs[label] = vec / s
+            counts[label] = count
+    total_rows = len(probs) + len(rejects)
+    if total_rows == 0:
+        raise ParseError(f"{path}: no data rows")
+    if len(rejects) > MAX_REJECT_FRACTION * total_rows:
+        raise ParseError(
+            f"{path}: {len(rejects)} of {total_rows} rows rejected "
+            f"(limit {MAX_REJECT_FRACTION:.0%})"
+        )
+    return probs, counts, rejects
+
+
 def parse_surname_factors(path):
     """Read per-surname race probabilities and surname populations.
 
@@ -178,46 +273,11 @@ def parse_surname_factors(path):
         probs: surname -> 6-vector P(r|s); counts: surname -> population;
         rejects: RejectReport of dropped rows.
     """
-    probs: dict[str, np.ndarray] = {}
-    counts: dict[str, float] = {}
-    rejects = RejectReport()
-    total_rows = 0
-    fh, reader = _open_reader(path, SURNAME_FACTORS_HEADER)
-    with fh:
-        for line, row in enumerate(reader, start=2):
-            total_rows += 1
-            if len(row) != len(SURNAME_FACTORS_HEADER):
-                rejects.add(line, f"expected {len(SURNAME_FACTORS_HEADER)} fields, got {len(row)}")
-                continue
-            surname = row[0].strip().upper()
-            if not surname:
-                rejects.add(line, "empty surname")
-                continue
-            try:
-                count = float(row[1])
-                vec = np.array([float(x) for x in row[2:]], dtype=np.float64)
-            except ValueError:
-                rejects.add(line, "non-numeric field")
-                continue
-            if count < 0 or np.any(vec < 0):
-                rejects.add(line, "negative value")
-                continue
-            s = vec.sum()
-            if not (PROB_SUM_WINDOW[0] <= s <= PROB_SUM_WINDOW[1]):
-                rejects.add(line, f"probabilities sum to {s:.6g}")
-                continue
-            if surname in probs:
-                raise ParseError(f"{path}:{line}: duplicate surname {surname!r}")
-            probs[surname] = vec / s
-            counts[surname] = count
-    if total_rows == 0:
-        raise ParseError(f"{path}: no data rows")
-    if len(rejects) > MAX_REJECT_FRACTION * total_rows:
-        raise ParseError(
-            f"{path}: {len(rejects)} of {total_rows} rows rejected "
-            f"(limit {MAX_REJECT_FRACTION:.0%})"
-        )
-    return probs, counts, rejects
+    lo, hi = PROB_SUM_WINDOW
+    return _parse_factors(
+        path, SURNAME_FACTORS_HEADER, "surname", lambda label: label.strip().upper(),
+        lambda _, s: None if lo <= s <= hi else f"probabilities sum to {s:.6g}",
+    )
 
 
 def parse_geo_factors(path):
@@ -225,42 +285,13 @@ def parse_geo_factors(path):
 
     Returns (probs, counts, rejects) where probs maps geoid -> P(r|g)
     computed from the race counts, and counts maps geoid -> the row's
-    population column. All-zero rows are rejected with their geoid; a
-    duplicate geoid is a hard error.
+    population column. All-zero rows are rejected with their geoid. More
+    than 10% rejected rows is a hard error, as is a duplicate geoid.
     """
-    probs: dict[str, np.ndarray] = {}
-    counts: dict[str, float] = {}
-    rejects = RejectReport()
-    fh, reader = _open_reader(path, GEO_FACTORS_HEADER)
-    with fh:
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(GEO_FACTORS_HEADER):
-                rejects.add(line, f"expected {len(GEO_FACTORS_HEADER)} fields, got {len(row)}")
-                continue
-            geoid = row[0].strip()
-            if not geoid:
-                rejects.add(line, "empty geoid")
-                continue
-            if geoid in probs:
-                raise ParseError(f"{path}:{line}: duplicate geolocation {geoid!r}")
-            try:
-                count = float(row[1])
-                vec = np.array([float(x) for x in row[2:]], dtype=np.float64)
-            except ValueError:
-                rejects.add(line, "non-numeric field")
-                continue
-            if count < 0 or np.any(vec < 0):
-                rejects.add(line, "negative value")
-                continue
-            row_total = vec.sum()
-            if row_total <= 0:
-                rejects.add(line, f"zero-total row for geoid {geoid}")
-                continue
-            probs[geoid] = vec / row_total
-            counts[geoid] = count
-    if not probs:
-        raise ParseError(f"{path}: no usable rows")
-    return probs, counts, rejects
+    return _parse_factors(
+        path, GEO_FACTORS_HEADER, "geolocation", str.strip,
+        lambda geoid, s: None if s > 0 else f"zero-total row for geoid {geoid}",
+    )
 
 
 def parse_voter_file(path, mapping: CategoryMapping):
@@ -491,32 +522,15 @@ def parse_table(path) -> ContingencyTable:
 
     Surnames are uppercased, matching the other canonical formats.
     """
-    cells: dict[tuple[str, str], np.ndarray] = {}
-    fh, reader = _open_reader(path, TABLE_HEADER)
-    with fh:
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(TABLE_HEADER):
-                raise ParseError(f"{path}:{line}: expected {len(TABLE_HEADER)} fields")
-            key = (row[0].strip().upper(), row[1].strip())
-            if key in cells:
-                raise ParseError(f"{path}:{line}: duplicate cell {key}")
-            try:
-                vec = np.array([float(x) for x in row[2:]], dtype=np.float64)
-            except ValueError:
-                raise ParseError(f"{path}:{line}: non-numeric count")
-            if np.any(vec < 0):
-                raise ParseError(f"{path}:{line}: negative count")
-            cells[key] = vec
-    if not cells:
-        raise ParseError(f"{path}: no data rows")
-    return ContingencyTable.from_label_cells(cells)
+    labels, index, values, _ = _read_cells(path, TABLE_HEADER)
+    return ContingencyTable(labels, index, values)
 
 
 def write_race_margin(path, distribution):
     vec = np.asarray(distribution, dtype=np.float64)
     payload = {"race_distribution": {RACE_NAMES[r]: float(vec[r]) for r in range(N_RACES)}}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

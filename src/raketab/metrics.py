@@ -112,18 +112,19 @@ class CellwiseReport:
                 w.writerow(["overall", "", fmt(l1), fmt(l2), fmt(nll)])
 
     def summary(self) -> dict:
+        """Overall and region aggregates; null where a population is empty."""
+
+        def entry(values):
+            return {
+                k: float(v) if np.isfinite(v) else None
+                for k, v in zip(("l1", "l2", "nll"), values)
+            }
+
         out = {}
         if self.overall is not None:
-            out["overall"] = {
-                "l1": float(self.overall[0]),
-                "l2": float(self.overall[1]),
-                "nll": float(self.overall[2]),
-            }
+            out["overall"] = entry(self.overall)
         if self.regions:
-            out["regions"] = {
-                name: {"l1": float(v[0]), "l2": float(v[1]), "nll": float(v[2])}
-                for name, v in self.regions.items()
-            }
+            out["regions"] = {name: entry(v) for name, v in self.regions.items()}
         return out
 
 
@@ -151,36 +152,29 @@ class CalibrationCurve:
                 w.writerow([repr(float(x)), repr(float(v))])
 
 
-def _check_labels(truth: ContingencyTable, pred: PredictionTable):
-    """Predictions must live on the truth's label universe."""
-    if set(pred.labels.geolocations) - set(truth.labels.geolocations):
-        raise ValueError("prediction has geolocations unknown to the truth table")
-    if set(pred.labels.surnames) - set(truth.labels.surnames):
-        raise ValueError("prediction has surnames unknown to the truth table")
+def _aligned(truth: ContingencyTable, pred: PredictionTable):
+    """Truth and prediction values on one list of cells, plus each cell's
+    truth geolocation index: the truth's cells in order (the prediction is
+    zero where it lacks one), then the prediction's cells the truth lacks.
 
-
-def _pred_margin_gr(truth, pred):
-    """Prediction's (g, r) margin indexed by the truth's geolocation order."""
-    out = np.zeros((truth.labels.n_g, N_RACES))
-    gpos = {g: i for i, g in enumerate(truth.labels.geolocations)}
-    pred_gr = pred.margin("gr")
-    for j, g in enumerate(pred.labels.geolocations):
-        out[gpos[g]] = pred_gr[j]
-    return out
-
-
-def _codes_in_truth(truth, pred):
-    """Prediction cell codes in the truth's label space, ascending.
-
-    Label maps are monotone (both label tuples are sorted), so the
-    prediction's lexicographic cell order is preserved.
+    Predictions must live on the truth's label universe.
     """
-    s_pos = {s: i for i, s in enumerate(truth.labels.surnames)}
-    g_pos = {g: i for i, g in enumerate(truth.labels.geolocations)}
-    s_map = np.array([s_pos[s] for s in pred.labels.surnames], dtype=np.int64)
-    g_map = np.array([g_pos[g] for g in pred.labels.geolocations], dtype=np.int64)
+    geo = truth.labels.positions("g", pred.labels.geolocations)
+    if np.any(geo < 0):
+        raise ValueError("prediction has geolocations unknown to the truth table")
+    if np.any(truth.labels.positions("s", pred.labels.surnames) < 0):
+        raise ValueError("prediction has surnames unknown to the truth table")
+    rows = truth.locate(pred)
+    found = rows >= 0
+    m = np.zeros_like(truth.cell_values)
+    m[rows[found]] = pred.cell_values[found]
+    if np.all(found):
+        return truth.cell_values, m, truth.cell_index[:, 1]
+    extra = pred.cell_values[~found]
     return (
-        s_map[pred.cell_index[:, 0]] * truth.labels.n_g + g_map[pred.cell_index[:, 1]]
+        np.vstack([truth.cell_values, np.zeros_like(extra)]),
+        np.vstack([m, extra]),
+        np.concatenate([truth.cell_index[:, 1], geo[pred.cell_index[~found, 1]]]),
     )
 
 
@@ -197,9 +191,10 @@ def subpop_report(
     """
     if orientation not in (ESTIMATE_MINUS_TRUTH, TRUTH_MINUS_ESTIMATE):
         raise ValueError(f"unknown orientation {orientation!r}")
-    _check_labels(truth, pred)
+    _, m_cells, gi = _aligned(truth, pred)
     x = truth.margin("gr")
-    m = _pred_margin_gr(truth, pred)
+    m = np.zeros_like(x)
+    np.add.at(m, gi, m_cells)
     sign = 1.0 if orientation == ESTIMATE_MINUS_TRUTH else -1.0
     abs_err = sign * (m - x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -230,18 +225,9 @@ def cellwise_report(
     formulas normalized by the region population. Empty geolocations
     report NaN.
     """
-    _check_labels(truth, pred)
+    x, m, gi = _aligned(truth, pred)
     geos = truth.labels.geolocations
     n_g = len(geos)
-
-    t_codes = truth.cell_codes()
-    p_codes = _codes_in_truth(truth, pred)
-    union = np.union1d(t_codes, p_codes)
-    x = np.zeros((len(union), N_RACES))
-    m = np.zeros((len(union), N_RACES))
-    x[np.searchsorted(union, t_codes)] = truth.cell_values
-    m[np.searchsorted(union, p_codes)] = pred.cell_values
-    gi = union % n_g
 
     d = x - m
     l1_num = np.bincount(gi, weights=np.abs(d).sum(axis=1), minlength=n_g)
@@ -300,24 +286,16 @@ def calibration_curve(
     from the origin. The Kuiper statistic is max minus min over the curve.
     """
     race = RaceCategory(race)
-    _check_labels(truth, pred)
+    _, m, _ = _aligned(truth, pred)
     t_sums = truth.cell_sums
     occupied = t_sums > 0
     if not np.any(occupied):
         raise ValueError("empty support: no occupied cells to calibrate")
-    t_codes = truth.cell_codes()[occupied]
-    p_codes = _codes_in_truth(truth, pred)
-    pos = np.searchsorted(p_codes, t_codes)
-    bad = (pos >= len(p_codes)) | (p_codes[np.minimum(pos, len(p_codes) - 1)] != t_codes)
-    m = pred.cell_values[np.minimum(pos, len(p_codes) - 1)]
+    m = m[: truth.n_cells][occupied]
     m_tot = m.sum(axis=1)
-    bad |= m_tot <= 0
+    bad = m_tot <= 0
     if np.any(bad):
-        code = int(t_codes[np.nonzero(bad)[0][0]])
-        key = (
-            truth.labels.surnames[code // truth.labels.n_g],
-            truth.labels.geolocations[code % truth.labels.n_g],
-        )
+        key = truth.labels.pairs(truth.cell_index[occupied][bad])[0]
         raise ValueError(f"missing prediction for occupied cell {key}")
 
     weights = t_sums[occupied]
@@ -355,5 +333,5 @@ def kuiper(curve) -> float:
 
 def write_summary_json(path, payload: dict):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

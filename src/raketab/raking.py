@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import MarginSet, N_RACES, PredictionTable
+from .table import MarginSet, N_RACES, PredictionTable, compact_labels
 
 
 class InfeasibleMarginError(ValueError):
@@ -51,12 +51,13 @@ class RakingResult:
 
     theta_r and theta_sg are the accumulated per-race and per-cell log
     scale factors, so table = base * exp(theta_r + theta_sg) cellwise on
-    the surviving support. Races zeroed by a zero target carry -inf.
+    the surviving support; theta_sg is aligned with `table.cell_index`.
+    Races zeroed by a zero target carry -inf.
     """
 
     table: PredictionTable
     theta_r: np.ndarray
-    theta_sg: dict
+    theta_sg: np.ndarray
     iterations: int
     final_margin_gap: float
 
@@ -69,10 +70,10 @@ def margin_gap(m: PredictionTable, targets: MarginSet) -> float:
         dev = np.abs(achieved - targets.race) / np.maximum(targets.race, 1.0)
         gap = float(dev.max())
     if targets.cell:
-        sums = dict(zip(m.support(), m.cell_sums))
-        for key, t in targets.cell.items():
-            a = sums.get(key, 0.0)
-            gap = max(gap, abs(a - t) / max(t, 1.0))
+        rows = m.locate(targets.cell)
+        t = np.fromiter(targets.cell.values(), dtype=np.float64, count=len(rows))
+        achieved = np.append(m.cell_sums, 0.0)[rows]  # row -1 reads the appended 0
+        gap = max(gap, float((np.abs(achieved - t) / np.maximum(t, 1.0)).max()))
     return gap
 
 
@@ -112,39 +113,36 @@ def rake(
     if targets.race is None:
         raise ValueError("raking requires a race margin target")
 
-    surnames = base.labels.surnames
-    geos = base.labels.geolocations
-    keys = [(surnames[si], geos[gi]) for si, gi in base.cell_index]
     values = base.cell_values.copy()
+    keys = list(targets.cell)
+    wanted = np.fromiter(targets.cell.values(), dtype=np.float64, count=len(keys))
+    rows = base.locate(keys)
+    found = rows >= 0
 
     # cells without a positive target are zeroed: the limit of scaling by 0
-    cell_targets = np.array([targets.cell.get(k, 0.0) for k in keys])
+    cell_targets = np.zeros(base.n_cells)
+    cell_targets[rows[found]] = wanted[found]
     values[cell_targets == 0] = 0.0
     race_targets = targets.race.copy()
     values[:, race_targets == 0] = 0.0
 
     # feasibility: positive targets need positive base mass under them
-    key_pos = {k: i for i, k in enumerate(keys)}
-    for key, t in targets.cell.items():
-        if t > 0:
-            pos = key_pos.get(key)
-            if pos is None:
-                raise InfeasibleMarginError(
-                    f"cell target {key} is positive but base has no such cell"
-                )
-            if values[pos].sum() <= 0:
-                raise InfeasibleMarginError(
-                    f"cell target {key} is positive but base mass there is zero"
-                )
+    mass = np.zeros(len(keys))
+    mass[found] = values[rows[found]].sum(axis=1)
+    infeasible = np.nonzero((wanted > 0) & (mass <= 0))[0]
+    if len(infeasible):
+        i = infeasible[0]
+        what = "base mass there is zero" if found[i] else "base has no such cell"
+        raise InfeasibleMarginError(f"cell target {keys[i]} is positive but {what}")
     race_mass = values.sum(axis=0)
-    for r in range(N_RACES):
-        if race_targets[r] > 0 and race_mass[r] <= 0:
-            raise InfeasibleMarginError(
-                f"race target {r} is positive but base has no mass in that race"
-            )
+    infeasible = np.nonzero((race_targets > 0) & (race_mass <= 0))[0]
+    if len(infeasible):
+        raise InfeasibleMarginError(
+            f"race target {infeasible[0]} is positive but base has no mass in that race"
+        )
 
     log_r = np.zeros(N_RACES)
-    log_sg = np.zeros(len(keys))
+    log_sg = np.zeros(base.n_cells)
     live_r = race_targets > 0
     live_c = cell_targets > 0
 
@@ -157,7 +155,7 @@ def rake(
 
     def sweep_cell():
         cur = values.sum(axis=1)
-        f = np.ones(len(keys))
+        f = np.ones(base.n_cells)
         f[live_c] = cell_targets[live_c] / cur[live_c]
         values[:] = values * f[:, None]
         log_sg[live_c] += np.log(f[live_c])
@@ -183,15 +181,13 @@ def rake(
         )
 
     keep = values.sum(axis=1) > 0
-    cells = {keys[i]: values[i] for i in range(len(keys)) if keep[i]}
-    table = PredictionTable.from_label_cells(cells)
+    table = PredictionTable(*compact_labels(base.labels, base.cell_index[keep]), values[keep])
     # races zeroed away (positive base mass, zero target) get theta = -inf
     theta_r = np.where(live_r | (race_mass == 0), log_r, -np.inf)
-    theta_sg = {keys[i]: float(log_sg[i]) for i in range(len(keys)) if keep[i]}
     return RakingResult(
         table=table,
         theta_r=theta_r,
-        theta_sg=theta_sg,
+        theta_sg=log_sg[keep],
         iterations=iterations,
         final_margin_gap=gap,
     )
@@ -208,14 +204,12 @@ def kl_divergence(m: PredictionTable, base: PredictionTable) -> float:
     base_total = base.total()
     if m_total <= 0 or base_total <= 0:
         raise ValueError("both tables need positive totals")
-    base_cells = dict(base.items())
-    acc = 0.0
-    for key, vec in m.items():
-        bvec = base_cells.get(key)
-        pos = vec > 0
-        if not np.any(pos):
-            continue
-        if bvec is None or np.any(bvec[pos] <= 0):
-            raise ValueError(f"absolute continuity violated at cell {key}")
-        acc += float(np.sum(vec[pos] * np.log(vec[pos] / bvec[pos])))
-    return acc - m_total + base_total
+    rows = base.locate(m)
+    occupied = m.cell_values > 0
+    b = np.where(rows[:, None] >= 0, base.cell_values[rows], 0.0)
+    bad = np.any(occupied & (b <= 0), axis=1)
+    if np.any(bad):
+        key = m.support()[int(np.nonzero(bad)[0][0])]
+        raise ValueError(f"absolute continuity violated at cell {key}")
+    x = m.cell_values[occupied]
+    return float(np.sum(x * np.log(x / b[occupied]))) - m_total + base_total

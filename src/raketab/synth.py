@@ -93,8 +93,7 @@ def generate(config: SynthConfig) -> ContingencyTable:
 
     labels = AxisLabels(_labels("S", n_s), _labels("g", n_g))
     si, gi = np.nonzero(cube.sum(axis=2) > 0)
-    index = np.column_stack([si, gi])
-    return ContingencyTable._from_sorted_arrays(labels, index, cube[si, gi])
+    return ContingencyTable(labels, np.column_stack([si, gi]), cube[si, gi])
 
 
 def split_factors_and_truth(table: ContingencyTable) -> tuple[BisgFactors, ContingencyTable]:

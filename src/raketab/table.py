@@ -36,6 +36,15 @@ RACE_LABELS = ("AIAN", "API", "Black", "Hispanic", "White", "Other")
 _AXES = ("s", "g", "r")
 
 
+def _check_finite_nonnegative(values, what):
+    """Raise ValueError unless every entry is finite and nonnegative."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"non-finite {what}")
+    if np.any(values < 0):
+        raise ValueError(f"negative {what}")
+
+
 def _as_race_vector(values, name="values"):
     vec = np.asarray(values, dtype=np.float64)
     if vec.shape != (N_RACES,):
@@ -44,15 +53,11 @@ def _as_race_vector(values, name="values"):
 
 
 class AxisLabels:
-    """Ordered surname and geolocation labels, plus an optional region grouping.
+    """Ordered surname and geolocation labels, unique within each axis."""
 
-    Labels are unique within each axis. `regions` maps a geolocation label to
-    the name of a coarser geographic group used by region-level metrics.
-    """
+    __slots__ = ("surnames", "geolocations", "_lookup")
 
-    __slots__ = ("surnames", "geolocations", "regions")
-
-    def __init__(self, surnames, geolocations, regions=None):
+    def __init__(self, surnames, geolocations):
         surnames = tuple(surnames)
         geolocations = tuple(geolocations)
         if len(surnames) < 1 or len(geolocations) < 1:
@@ -63,7 +68,22 @@ class AxisLabels:
             raise ValueError("duplicate geolocation labels")
         self.surnames = surnames
         self.geolocations = geolocations
-        self.regions = dict(regions) if regions else None
+        self._lookup = None
+
+    def positions(self, axis, labels) -> np.ndarray:
+        """Index of each label on axis "s" or "g"; -1 where the label is absent."""
+        if self._lookup is None:
+            self._lookup = {
+                name: {label: i for i, label in enumerate(ax)}
+                for name, ax in (("s", self.surnames), ("g", self.geolocations))
+            }
+        lookup = self._lookup[axis]
+        return np.array([lookup.get(label, -1) for label in labels], dtype=np.int64)
+
+    def pairs(self, index) -> list[tuple[str, str]]:
+        """(surname, geolocation) labels of each row of an (n, 2) cell index."""
+        surs, geos = self.surnames, self.geolocations
+        return [(surs[si], geos[gi]) for si, gi in np.asarray(index).tolist()]
 
     @property
     def n_s(self):
@@ -85,63 +105,83 @@ class AxisLabels:
         return f"AxisLabels(n_s={self.n_s}, n_g={self.n_g})"
 
 
+def index_cells(surnames, geolocations):
+    """Resolve labeled (surname, geolocation) pairs to a sorted cell index.
+
+    Returns (labels, index, rows): `labels` holds the sorted distinct
+    surnames and geolocations, `index` the sorted unique (n, 2) array of
+    (surname index, geolocation index) cells, and `rows[i]` the row of
+    index that the i-th input pair maps to. Repeated pairs share a row.
+    """
+    surnames, geolocations = list(surnames), list(geolocations)
+    labels = AxisLabels(sorted(set(surnames)), sorted(set(geolocations)))
+    codes = labels.positions("s", surnames) * labels.n_g + labels.positions("g", geolocations)
+    unique, rows = np.unique(codes, return_inverse=True)
+    return labels, np.column_stack(divmod(unique, labels.n_g)), rows
+
+
+def compact_labels(labels: AxisLabels, index):
+    """Drop the labels no cell uses and renumber `index` onto the rest.
+
+    Kept labels stay in their order, so a sorted index stays sorted.
+    """
+    used_s, si = np.unique(index[:, 0], return_inverse=True)
+    used_g, gi = np.unique(index[:, 1], return_inverse=True)
+    surs, geos = labels.surnames, labels.geolocations
+    kept = AxisLabels([surs[i] for i in used_s.tolist()], [geos[i] for i in used_g.tolist()])
+    return kept, np.column_stack([si, gi])
+
+
 class ContingencyTable:
     """Sparse nonnegative three-way table of counts over (s, g, r).
 
     Cells are keyed by (surname index, geolocation index) and hold a dense
-    6-vector of race counts. Counts may be fractional. Instances are
-    immutable: the backing arrays are marked read-only.
+    6-vector of race counts. `index` must be sorted and unique and lie in
+    the label ranges; `values` must be finite and nonnegative, one row per
+    cell. Counts may be fractional. Instances are immutable: the backing
+    arrays are marked read-only. An argument that already is a contiguous
+    int64 index or float64 values array is kept, not copied, and so is
+    marked read-only too.
     """
 
-    def __init__(self, labels: AxisLabels, cells: Mapping[tuple[int, int], Iterable[float]]):
-        keys = sorted(cells)
-        index = np.array(keys, dtype=np.int64).reshape(len(keys), 2)
-        values = np.asarray([cells[k] for k in keys], dtype=np.float64).reshape(
-            len(keys), N_RACES
-        )
-        self._init_from_arrays(labels, index, values)
-
-    def _init_from_arrays(self, labels, index, values):
+    def __init__(self, labels: AxisLabels, index, values):
+        index = np.ascontiguousarray(index, dtype=np.int64).reshape(-1, 2)
+        values = np.ascontiguousarray(values, dtype=np.float64).reshape(len(index), N_RACES)
         if len(index) and (
             index.min() < 0
             or index[:, 0].max() >= labels.n_s
             or index[:, 1].max() >= labels.n_g
         ):
             raise ValueError("cell index outside label ranges")
-        if np.any(values < 0):
-            bad = np.nonzero(np.any(values < 0, axis=1))[0][0]
-            raise ValueError(f"negative count in cell {tuple(index[bad])}")
+        codes = index[:, 0] * labels.n_g + index[:, 1]
+        if np.any(codes[1:] <= codes[:-1]):
+            raise ValueError("cell index must be sorted and unique")
+        # min and max see NaN and inf without a temporary per entry
+        if len(values) and not (values.min() >= 0 and values.max() < np.inf):
+            for bad, what in ((~np.isfinite(values), "non-finite"), (values < 0, "negative")):
+                if np.any(bad):
+                    key = labels.pairs(index[bad.any(axis=1)])[0]
+                    raise ValueError(f"{what} count in cell {key}")
+        for arr in (index, values, codes):
+            arr.flags.writeable = False
         self.labels = labels
         self._index = index
         self._values = values
-        self._index.flags.writeable = False
-        self._values.flags.writeable = False
-        self._pos = None  # built lazily for cell lookups
+        self._codes = codes
 
     @classmethod
-    def _from_sorted_arrays(cls, labels, index, values):
-        """Internal fast path: index must already be unique and sorted."""
-        table = cls.__new__(cls)
-        table._init_from_arrays(
-            labels,
-            np.ascontiguousarray(index, dtype=np.int64),
-            np.ascontiguousarray(values, dtype=np.float64),
-        )
-        return table
-
-    @classmethod
-    def from_label_cells(cls, cells: Mapping[tuple[str, str], Iterable[float]], regions=None):
+    def from_label_cells(cls, cells: Mapping[tuple[str, str], Iterable[float]]):
         """Build a table from cells keyed by (surname, geolocation) strings.
 
         Axis labels are the sorted distinct strings that appear.
         """
-        surnames = sorted({s for s, _ in cells})
-        geos = sorted({g for _, g in cells})
-        labels = AxisLabels(surnames, geos, regions=regions)
-        s_pos = {s: i for i, s in enumerate(surnames)}
-        g_pos = {g: i for i, g in enumerate(geos)}
-        indexed = {(s_pos[s], g_pos[g]): v for (s, g), v in cells.items()}
-        return cls(labels, indexed)
+        keys = list(cells)
+        labels, index, rows = index_cells([s for s, _ in keys], [g for _, g in keys])
+        values = np.zeros((len(index), N_RACES))
+        values[rows] = np.asarray(list(cells.values()), dtype=np.float64).reshape(
+            len(keys), N_RACES
+        )
+        return cls(labels, index, values)
 
     # raw views ---------------------------------------------------------
 
@@ -164,33 +204,37 @@ class ContingencyTable:
         """Per-cell totals x_{sg+}, aligned with `cell_index`."""
         return self._values.sum(axis=1)
 
+    def locate(self, cells) -> np.ndarray:
+        """Row of each given cell in this table, or -1 where it is absent.
+
+        `cells` is another table, whose cells are taken in its row order,
+        or an iterable of (surname, geolocation) label pairs.
+        """
+        if isinstance(cells, ContingencyTable):
+            si = self.labels.positions("s", cells.labels.surnames)[cells.cell_index[:, 0]]
+            gi = self.labels.positions("g", cells.labels.geolocations)[cells.cell_index[:, 1]]
+        else:
+            pairs = list(cells)
+            si = self.labels.positions("s", [s for s, _ in pairs])
+            gi = self.labels.positions("g", [g for _, g in pairs])
+        if not self.n_cells:
+            return np.full(len(si), -1, dtype=np.int64)
+        wanted = si * self.labels.n_g + gi
+        rows = np.minimum(np.searchsorted(self._codes, wanted), self.n_cells - 1)
+        found = (si >= 0) & (gi >= 0) & (self._codes[rows] == wanted)
+        return np.where(found, rows, -1)
+
     def cell(self, surname: str, geolocation: str) -> np.ndarray:
         """Race 6-vector at a labeled cell; zeros if the cell is absent."""
-        try:
-            si = self.labels.surnames.index(surname)
-            gi = self.labels.geolocations.index(geolocation)
-        except ValueError:
-            return np.zeros(N_RACES)
-        if self._pos is None:
-            self._pos = {tuple(k): i for i, k in enumerate(self._index.tolist())}
-        pos = self._pos.get((si, gi))
-        if pos is None:
-            return np.zeros(N_RACES)
-        return self._values[pos].copy()
+        row = self.locate([(surname, geolocation)])[0]
+        return self._values[row].copy() if row >= 0 else np.zeros(N_RACES)
 
     def support(self) -> list[tuple[str, str]]:
         """Labeled (surname, geolocation) keys of stored cells, sorted."""
-        surs, geos = self.labels.surnames, self.labels.geolocations
-        return [(surs[si], geos[gi]) for si, gi in self._index]
-
-    def cell_codes(self) -> np.ndarray:
-        """Flat codes s_idx * n_g + g_idx per cell, ascending (index is sorted)."""
-        return self._index[:, 0] * self.labels.n_g + self._index[:, 1]
+        return self.labels.pairs(self._index)
 
     def items(self) -> Iterator[tuple[tuple[str, str], np.ndarray]]:
-        surs, geos = self.labels.surnames, self.labels.geolocations
-        for (si, gi), vec in zip(self._index, self._values):
-            yield (surs[si], geos[gi]), vec
+        return zip(self.support(), self._values)
 
     # aggregates --------------------------------------------------------
 
@@ -277,13 +321,13 @@ class MarginSet:
     def __init__(self, race, cell: Mapping[tuple[str, str], float]):
         self.race = None if race is None else _as_race_vector(race, name="race margin")
         self.cell = {(str(s), str(g)): float(w) for (s, g), w in cell.items()}
-        if self.race is not None and np.any(self.race < 0):
-            raise ValueError("negative race-margin target")
-        if any(w < 0 for w in self.cell.values()):
-            raise ValueError("negative cell-margin target")
+        cell_values = np.fromiter(self.cell.values(), dtype=np.float64, count=len(self.cell))
+        if self.race is not None:
+            _check_finite_nonnegative(self.race, "race-margin target")
+        _check_finite_nonnegative(cell_values, "cell-margin target")
         if self.race is not None and self.cell:
             race_total = float(self.race.sum())
-            cell_total = sum(self.cell.values())
+            cell_total = float(cell_values.sum())
             scale = max(race_total, cell_total, 1e-300)
             if abs(race_total - cell_total) > 1e-9 * scale:
                 raise ValueError(
@@ -294,8 +338,7 @@ class MarginSet:
     @classmethod
     def from_table(cls, table: ContingencyTable) -> "MarginSet":
         """Targets equal to a table's own race and cell margins."""
-        cell = {key: float(vec.sum()) for key, vec in table.items()}
-        return cls(table.margin("r"), cell)
+        return cls(table.margin("r"), dict(zip(table.support(), table.cell_sums.tolist())))
 
     def __repr__(self):
         return f"MarginSet(race={self.race}, cells={len(self.cell)})"
@@ -343,8 +386,7 @@ def conditional_race(cell_values) -> np.ndarray:
     to 1 (within 1e-12).
     """
     vec = np.asarray(cell_values, dtype=np.float64)
-    if np.any(vec < 0):
-        raise ValueError("negative count in cell")
+    _check_finite_nonnegative(vec, "count in cell")
     s = vec.sum()
     if s <= 0:
         raise ValueError("empty cell conditional")

@@ -87,9 +87,7 @@ def test_c02_independence_exactness_at_scale():
         # conditional entropy, so the deviation metric is the excess over
         # the self-prediction value
         cw_self = rt.cellwise_report(
-            truth, PredictionTable._from_sorted_arrays(
-                truth.labels, truth.cell_index, truth.cell_values
-            )
+            truth, PredictionTable(truth.labels, truth.cell_index, truth.cell_values)
         )
         assert np.nanmax(np.abs(cw.nll - cw_self.nll)) < 1e-9
         race = RaceCategory(int(np.argmax(mix)))
@@ -157,8 +155,8 @@ def test_c05_parametric_form_identity():
         factors, totals, bisg_pred = self_fit_weighted(table)
         result = rt.rake(bisg_pred, rt.MarginSet.from_table(table))
         theta_r = result.theta_r
-        for key, vec in result.table.items():
-            recon = bisg_pred.cell(*key) * np.exp(theta_r + result.theta_sg[key])
+        for (key, vec), theta_sg in zip(result.table.items(), result.theta_sg):
+            recon = bisg_pred.cell(*key) * np.exp(theta_r + theta_sg)
             live = vec > 0
             np.testing.assert_allclose(recon[live], vec[live], rtol=1e-8)
     report("criterion 5: converged tables equal base times exp(theta) cellwise")

@@ -6,6 +6,7 @@ from raketab import (
     BisgFactors,
     ContingencyTable,
     MissingFactorError,
+    VoterAdjustment,
     baseline_geo_only,
     baseline_surname_only,
     bisg_counts,
@@ -276,6 +277,12 @@ class TestWeightedCounts:
         with pytest.raises(ValueError, match="negative cell total"):
             weighted_counts(factors, {("s1", "g1"): -1.0})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, f1_table, bad):
+        factors = fit_factors(f1_table)
+        with pytest.raises(ValueError, match=r"non-finite cell total at \('s1', 'g1'\)"):
+            weighted_counts(factors, {("s1", "g1"): bad, ("s2", "g1"): 1.0})
+
 
 class TestFactorValidation:
     def test_bad_conditional_sum_rejected(self):
@@ -291,3 +298,19 @@ class TestFactorValidation:
             BisgFactors(
                 race_given_geo={}, race_given_surname={}, race_prior=race6(0.5, 0.4)
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            BisgFactors(
+                race_given_geo={"g": race6(bad, 0.5)}, race_given_surname={}, race_prior=race6(1)
+            )
+        with pytest.raises(ValueError, match="non-finite race_prior"):
+            BisgFactors(race_given_geo={}, race_given_surname={}, race_prior=race6(bad, 1))
+        with pytest.raises(ValueError, match="non-finite entry in geo_counts"):
+            BisgFactors(
+                race_given_geo={"g": race6(1)}, race_given_surname={}, race_prior=race6(1),
+                geo_counts={"g": bad},
+            )
+        with pytest.raises(ValueError, match="non-finite adjustment weight"):
+            VoterAdjustment(race6(bad, 1))

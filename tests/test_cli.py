@@ -373,3 +373,110 @@ class TestAdjustment:
             tmp_path, fix, name="same", extra=("--adjust-cps", fix / "prior.json")
         )
         assert read_csv(plain / "predictions.csv") == read_csv(same / "predictions.csv")
+
+
+def exits_2_with_json_error(capsys, *args):
+    assert run_cli(*args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2
+    return err
+
+
+def replace_field(path, line, column, value):
+    """Rewrite one field of a CSV file in place (line 1 is the header)."""
+    rows = read_csv(path)
+    rows[line - 1][column] = value
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+class TestNonFiniteInput:
+    def test_nan_geo_factor_exits_2(self, tmp_path, capsys):
+        fix = synth_fixture(tmp_path)
+        replace_field(fix / "geo_factors.csv", 2, 4, "nan")
+        # one bad row of five geolocations is over the 10% reject cap
+        err = exits_2_with_json_error(
+            capsys, "predict",
+            "--surname-factors", fix / "surname_factors.csv",
+            "--geo-factors", fix / "geo_factors.csv", "--prior", fix / "prior.json",
+            "--table", fix / "table.csv", "--out-dir", tmp_path / "pred",
+        )
+        assert err["error"] == "ParseError" and "rejected" in err["message"]
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+    def test_inf_in_labeled_table_exits_2(self, tmp_path, capsys):
+        fix = synth_fixture(tmp_path)
+        replace_field(fix / "table.csv", 4, 3, "inf")
+        err = exits_2_with_json_error(
+            capsys, "fit-factors", "--table", fix / "table.csv", "--out-dir", tmp_path / "fit"
+        )
+        assert err["error"] == "ParseError"
+        assert err["message"].endswith("table.csv:4: non-finite value")
+        assert not (tmp_path / "fit" / "prior.json").exists()
+
+    def test_nan_prediction_exits_2_before_raking(self, tmp_path, capsys):
+        fix = synth_fixture(tmp_path)
+        pred = predict_dir(tmp_path, fix)
+        replace_field(pred / "predictions.csv", 3, 4, "nan")
+        err = exits_2_with_json_error(
+            capsys, "rake", "--base", pred / "predictions.csv",
+            "--race-margin", fix / "race_margin.json", "--out-dir", tmp_path / "raked",
+        )
+        assert err["error"] == "ParseError"
+        assert err["message"].endswith("predictions.csv:3: non-finite value")
+
+
+class TestPredictionRows:
+    def test_lowercase_surnames_match_uppercase_truth(self, tmp_path):
+        fix = synth_fixture(tmp_path)
+        pred = predict_dir(tmp_path, fix)
+        lower = tmp_path / "lower.csv"
+        rows = read_csv(pred / "predictions.csv")
+        with open(lower, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows[:1] + [[r[0].lower()] + r[1:] for r in rows[1:]])
+        for name, preds in (("upper", pred / "predictions.csv"), ("lower", lower)):
+            assert run_cli(
+                "evaluate", "--truth-table", fix / "table.csv",
+                "--preds", preds, "--out-dir", tmp_path / name,
+            ) == 0
+        for out in ("subpop.csv", "cellwise.csv", "calibration_curves.csv", "summary.json"):
+            assert (tmp_path / "upper" / out).read_bytes() == (tmp_path / "lower" / out).read_bytes()
+
+    def test_conditionals_must_sum_to_one(self, tmp_path, capsys):
+        fix = synth_fixture(tmp_path)
+        pred = predict_dir(tmp_path, fix)
+        path = pred / "predictions.csv"
+        rows = read_csv(path)
+        rows[2][3:] = ["0.5", "0", "0", "0", "0", "0"]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        err = exits_2_with_json_error(
+            capsys, "evaluate", "--truth-table", fix / "table.csv",
+            "--preds", path, "--out-dir", tmp_path / "ev",
+        )
+        assert err["error"] == "ParseError"
+        assert err["message"].endswith("predictions.csv:3: conditionals sum to 0.5, expected 1")
+
+
+class TestStrictJson:
+    def test_empty_region_is_null_in_summary(self, tmp_path):
+        fix = synth_fixture(tmp_path)
+        pred = predict_dir(tmp_path, fix)
+        regions = tmp_path / "regions.csv"
+        geoids = [row[0] for row in read_csv(fix / "geo_factors.csv")[1:]]
+        regions.write_text(
+            "geoid,region\n" + "".join(f"{g},west\n" for g in geoids) + "nowhere,ghost\n"
+        )
+        ev = tmp_path / "ev"
+        assert run_cli(
+            "evaluate", "--truth-table", fix / "table.csv", "--preds", pred / "predictions.csv",
+            "--region-map", regions, "--out-dir", ev,
+        ) == 0
+
+        def no_constants(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        summary = json.loads((ev / "summary.json").read_text(), parse_constant=no_constants)
+        regions_out = summary["cellwise"]["regions"]
+        assert regions_out["ghost"] == {"l1": None, "l2": None, "nll": None}
+        assert all(isinstance(v, float) for v in regions_out["west"].values())

@@ -121,10 +121,28 @@ class TestGeoFactors:
 
     def test_zero_total_rejected(self, tmp_path):
         f = tmp_path / "g.csv"
-        write_lines(f, [self.HEADER, "111,5,0,0,0,0,0,0", "222,4,0,0,1,0,3,0"])
+        # nine good rows keep the one reject within the 10% cap
+        good = [f"{g},4,0,0,1,0,3,0" for g in range(222, 231)]
+        write_lines(f, [self.HEADER, "111,5,0,0,0,0,0,0"] + good)
         probs, _, rejects = parse_geo_factors(f)
         assert "111" not in probs
         assert any("111" in reason for _, reason in rejects.rows)
+
+    def test_excessive_rejects_hard_error(self, tmp_path):
+        f = tmp_path / "g.csv"
+        good = [f"{g},4,0,0,1,0,3,0" for g in range(222, 230)]
+        bad = ["111,5,0,0,0,0,0,0", "112,5,nan,0,0,0,0,1"]
+        write_lines(f, [self.HEADER] + bad + good)
+        with pytest.raises(ParseError, match="2 of 10 rows rejected"):
+            parse_geo_factors(f)
+
+    def test_non_finite_field_rejected(self, tmp_path):
+        f = tmp_path / "g.csv"
+        good = [f"{g},4,0,0,1,0,3,0" for g in range(222, 231)]
+        write_lines(f, [self.HEADER, "111,inf,0,0,1,0,3,0"] + good)
+        probs, _, rejects = parse_geo_factors(f)
+        assert "111" not in probs
+        assert rejects.rows == [(2, "non-finite field")]
 
     def test_duplicate_geoid(self, tmp_path):
         f = tmp_path / "g.csv"

@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from raketab import (
     AxisLabels,
+    ContingencyTable,
     MarginSet,
     build_table,
     conditional_race,
 )
+from raketab.table import index_cells
 
 from conftest import race6
 
@@ -171,3 +173,62 @@ class TestImmutability:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             AxisLabels(["a", "a"], ["x"])
+
+
+labels_strategy = st.lists(
+    st.tuples(st.sampled_from(["b", "a", "d", "c"]), st.sampled_from(["y", "x", "z"])),
+    min_size=1,
+    max_size=15,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(labels_strategy, labels_strategy)
+def test_index_cells_and_locate_match_dict_reference(pairs, queries):
+    """index_cells and locate agree with a plain dict over label pairs, for
+    unsorted input, repeated pairs and absent surnames, geolocations or cells."""
+    labels, index, rows = index_cells([s for s, _ in pairs], [g for _, g in pairs])
+    assert labels.surnames == tuple(sorted({s for s, _ in pairs}))
+    assert labels.geolocations == tuple(sorted({g for _, g in pairs}))
+    reference = {key: i for i, key in enumerate(sorted(set(pairs)))}
+    assert labels.pairs(index) == sorted(reference)
+    assert rows.tolist() == [reference[key] for key in pairs]
+
+    table = ContingencyTable(labels, index, np.ones((len(index), 6)))
+    queries = queries + [("zz", "x"), ("a", "zz")]  # absent surname, absent geolocation
+    assert table.locate(queries).tolist() == [reference.get(key, -1) for key in queries]
+    other = ContingencyTable.from_label_cells({key: race6(1) for key in queries})
+    assert table.locate(other).tolist() == [reference.get(key, -1) for key in other.support()]
+    for key in queries:
+        expected = race6(1, 1, 1, 1, 1, 1) if key in reference else race6()
+        np.testing.assert_array_equal(table.cell(*key), expected)
+
+
+class TestConstructor:
+    LABELS = AxisLabels(["a", "b"], ["x", "y"])
+
+    def test_arrays_aligned_to_index(self):
+        table = ContingencyTable(self.LABELS, [[0, 1], [1, 0]], [race6(1), race6(0, 2)])
+        assert table.support() == [("a", "y"), ("b", "x")]
+        np.testing.assert_array_equal(table.cell("b", "x"), race6(0, 2))
+
+    def test_unsorted_or_repeated_index_rejected(self):
+        for index in ([[1, 0], [0, 1]], [[0, 1], [0, 1]]):
+            with pytest.raises(ValueError, match="sorted and unique"):
+                ContingencyTable(self.LABELS, index, [race6(1), race6(1)])
+
+    def test_index_outside_labels_rejected(self):
+        with pytest.raises(ValueError, match="outside label ranges"):
+            ContingencyTable(self.LABELS, [[0, 2]], [race6(1)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_count_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"count in cell \('b', 'x'\)"):
+            ContingencyTable(self.LABELS, [[0, 1], [1, 0]], [race6(1), race6(bad)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_margin_set_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite race-margin"):
+            MarginSet(race6(bad), {})
+        with pytest.raises(ValueError, match="non-finite cell-margin"):
+            MarginSet(None, {("a", "x"): bad})
