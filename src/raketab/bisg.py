@@ -277,7 +277,6 @@ def weighted_counts(
     cell_totals: Mapping[tuple[str, str], float],
     adjustment: Optional[VoterAdjustment] = None,
     method: str = "bisg",
-    surname_fallback: bool = True,
 ) -> tuple[PredictionTable, list]:
     """Weighted-estimator prediction table: cell total times p(r | s, g).
 
@@ -286,12 +285,11 @@ def weighted_counts(
     cell_totals : mapping (surname, geolocation) -> weight
         Number of people at each cell, typically x_{sg+} from a voter file.
     method : {"bisg", "geo-only", "surname-only"}
-        Conditional used per cell.
-    surname_fallback : bool
-        When True, a surname missing from the factors falls back to the
-        geolocation-only prediction and the cell is flagged in the rejects
-        report; this keeps the estimator's total weight intact. Cells with
-        a missing geolocation factor are always skipped and flagged.
+        Conditional used per cell. Under "bisg", a surname missing from
+        the factors falls back to the geolocation-only prediction and the
+        cell is flagged in the rejects report; this keeps the estimator's
+        total weight intact. Cells with a missing geolocation factor are
+        skipped and flagged.
 
     Returns
     -------
@@ -345,12 +343,9 @@ def weighted_counts(
         num[fallback] = rg[g_code[fallback]]
         if weight is not None:
             num *= weight
-        ok = has_g & (has_s | surname_fallback)
+        ok = has_g
         rejects = flagged(~has_g, "missing geolocation factor") + flagged(
-            fallback,
-            "missing surname factor; used geolocation baseline"
-            if surname_fallback
-            else "missing surname factor",
+            fallback, "missing surname factor; used geolocation baseline"
         )
     if not np.any(ok):
         raise ValueError("no predictable cells")

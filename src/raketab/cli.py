@@ -12,7 +12,6 @@ atomically (temp file + rename). Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -22,18 +21,11 @@ import numpy as np
 
 from . import bisg, calibmap, ingest, metrics, raking
 from .synth import SynthConfig, generate
-from .table import N_RACES, RACE_NAMES, ContingencyTable, PredictionTable, RaceCategory
-
-PREDICTIONS_HEADER = ["surname", "geoid", "count"] + [f"p_{n}" for n in RACE_NAMES]
-CALIB_MAP_HEADER = ["race"] + list(RACE_NAMES)
+from .table import N_RACES, ContingencyTable, PredictionTable, RaceCategory
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _sha256(path) -> str:
@@ -44,9 +36,9 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _atomic(path, write_fn):
+def _atomic(path, write_fn, *args):
     tmp = f"{path}.tmp"
-    write_fn(tmp)
+    write_fn(tmp, *args)
     os.replace(tmp, path)
 
 
@@ -68,9 +60,10 @@ class _Run:
         self.inputs.append({"path": str(path), "sha256": _sha256(path)})
         return path
 
-    def write(self, name, write_fn):
+    def write(self, name, write_fn, *args):
+        """Write output `name` atomically with write_fn(path, *args)."""
         path = os.path.join(self.out_dir, name)
-        _atomic(path, write_fn)
+        _atomic(path, write_fn, *args)
         self.outputs.append({"path": str(path), "sha256": _sha256(path)})
         return path
 
@@ -83,13 +76,7 @@ class _Run:
             "outputs": sorted(self.outputs, key=lambda o: o["path"]),
             "info": self.info,
         }
-
-        def dump(tmp):
-            with open(tmp, "w") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
-                fh.write("\n")
-
-        _atomic(os.path.join(self.out_dir, "manifest.json"), dump)
+        _atomic(os.path.join(self.out_dir, "manifest.json"), ingest.write_manifest, manifest)
 
 
 # shared input loading -----------------------------------------------------
@@ -129,12 +116,10 @@ def _load_factors(args, run) -> bisg.BisgFactors:
     run.track_input(args.prior)
     s_probs, s_counts, s_rejects = ingest.parse_surname_factors(args.surname_factors)
     g_probs, g_counts, g_rejects = ingest.parse_geo_factors(args.geo_factors)
-    if len(s_rejects):
-        run.write("surname_factor_rejects.csv", s_rejects.to_csv)
-        run.info["surname_factor_rejects"] = len(s_rejects)
-    if len(g_rejects):
-        run.write("geo_factor_rejects.csv", g_rejects.to_csv)
-        run.info["geo_factor_rejects"] = len(g_rejects)
+    for kind, rejects in (("surname", s_rejects), ("geo", g_rejects)):
+        if len(rejects):
+            run.write(f"{kind}_factor_rejects.csv", ingest.write_rejects, rejects)
+            run.info[f"{kind}_factor_rejects"] = len(rejects)
     prior = ingest.parse_race_margin(args.prior)
     return bisg.BisgFactors(
         race_given_geo=g_probs,
@@ -145,43 +130,15 @@ def _load_factors(args, run) -> bisg.BisgFactors:
     )
 
 
-def _write_predictions(run, name, table: PredictionTable):
-    def write(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(PREDICTIONS_HEADER)
-            for (s, g), vec in table.items():
-                tot = vec.sum()
-                cond = vec / tot if tot > 0 else np.zeros(N_RACES)
-                w.writerow([s, g, _fmt(tot)] + [_fmt(p) for p in cond])
-
-    return run.write(name, write)
-
-
-def _read_predictions(path):
-    """A predictions CSV on a sorted cell index: (labels, index, counts, conds).
-
-    Each row's conditionals must sum to 1 (within 1e-6), or be all zero
-    when its count is zero.
-    """
-    labels, index, values, lines = ingest._read_cells(path, PREDICTIONS_HEADER)
-    counts, conds = values[:, 0], values[:, 1:]
-    sums = conds.sum(axis=1)
-    bad = ~((np.abs(sums - 1.0) <= 1e-6) | ((counts == 0) & (sums == 0)))
-    if np.any(bad):
-        line, row = min(zip(lines[bad], np.nonzero(bad)[0]))
-        raise ingest.ParseError(f"{path}:{line}: conditionals sum to {float(sums[row])!r}, expected 1")
-    return labels, index, counts, conds
-
-
-def _write_rejects(run, rejects):
-    if not rejects:
-        return
-    report = ingest.RejectReport()
-    for i, (s, g, reason) in enumerate(rejects):
-        report.add(i + 1, f"{s},{g}: {reason}")
-    run.write("rejects.csv", report.to_csv)
-    run.info["rejected_cells"] = len(rejects)
+def _write_factors(run, factors):
+    run.write(
+        "surname_factors.csv",
+        ingest.write_surname_factors, factors.race_given_surname, factors.surname_counts,
+    )
+    run.write(
+        "geo_factors.csv", ingest.write_geo_factors, factors.race_given_geo, factors.geo_counts
+    )
+    run.write("prior.json", ingest.write_race_margin, factors.race_prior)
 
 
 # subcommands ---------------------------------------------------------------
@@ -191,15 +148,7 @@ def cmd_fit_factors(args):
     run = _Run("fit-factors", args, args.out_dir)
     table = _load_truth(args, run)
     factors = bisg.fit_factors(table)
-    run.write(
-        "surname_factors.csv",
-        lambda p: ingest.write_surname_factors(p, factors.race_given_surname, factors.surname_counts),
-    )
-    run.write(
-        "geo_factors.csv",
-        lambda p: ingest.write_geo_factors(p, factors.race_given_geo, factors.geo_counts),
-    )
-    run.write("prior.json", lambda p: ingest.write_race_margin(p, factors.race_prior))
+    _write_factors(run, factors)
     run.finish()
     return EXIT_OK
 
@@ -216,8 +165,11 @@ def cmd_predict(args):
     table, rejects = bisg.weighted_counts(
         factors, occupancy, adjustment=adjustment, method=args.method
     )
-    _write_predictions(run, "predictions.csv", table)
-    _write_rejects(run, rejects)
+    run.write("predictions.csv", ingest.write_predictions, table)
+    if rejects:
+        rows = [(i + 1, f"{s},{g}: {reason}") for i, (s, g, reason) in enumerate(rejects)]
+        run.write("rejects.csv", ingest.write_rejects, ingest.RejectReport(rows))
+        run.info["rejected_cells"] = len(rejects)
     run.finish()
     return EXIT_OK
 
@@ -225,7 +177,7 @@ def cmd_predict(args):
 def cmd_rake(args):
     run = _Run("rake", args, args.out_dir)
     run.track_input(args.base)
-    labels, index, counts, conds = _read_predictions(args.base)
+    labels, index, counts, conds = ingest.parse_predictions(args.base)
     run.track_input(args.race_margin)
     distribution = ingest.parse_race_margin(args.race_margin)
 
@@ -238,26 +190,9 @@ def cmd_rake(args):
     config = raking.RakingConfig(tolerance=args.tol, max_iterations=args.max_iters)
     result = raking.rake(base, targets, config)
 
-    _write_predictions(run, "raked.csv", result.table)
-
-    def write_theta(tmp):
-        def clean(x):
-            return float(x) if np.isfinite(x) else None
-
-        payload = {
-            "theta_r": {RACE_NAMES[r]: clean(result.theta_r[r]) for r in range(N_RACES)},
-            "theta_sg": [
-                {"surname": s, "geoid": g, "theta": clean(t)}
-                for (s, g), t in zip(result.table.support(), result.theta_sg)
-            ],
-            "iterations": result.iterations,
-            "final_margin_gap": result.final_margin_gap,
-        }
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-
-    run.write("theta.json", write_theta)
+    run.write("raked.csv", ingest.write_predictions, result.table)
+    run.write("theta.json", ingest.write_theta, result)
+    run.write("theta_sg.csv", ingest.write_theta_sg, result)
     run.info["iterations"] = result.iterations
     run.info["final_margin_gap"] = result.final_margin_gap
     run.finish()
@@ -272,37 +207,11 @@ def cmd_calib_map(args):
     v = ingest.parse_race_margin(args.target)
     cmap = calibmap.solve_calibration_map(u, v)
 
-    def write(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(CALIB_MAP_HEADER)
-            for i in range(N_RACES):
-                w.writerow([RACE_NAMES[i]] + [_fmt(x) for x in cmap.matrix[i]])
-
-    run.write("calibration_map.csv", write)
+    run.write("calibration_map.csv", ingest.write_calibration_map, cmap.matrix)
     for key in ("objective", "feasibility", "kkt_residual", "rank_one_benchmark"):
         run.info[key] = getattr(cmap, key)
     run.finish()
     return EXIT_OK
-
-
-def _read_calib_matrix(path) -> np.ndarray:
-    """A calibration matrix CSV: finite, nonnegative, columns summing to 1."""
-    fh, reader = ingest._open_reader(path, CALIB_MAP_HEADER)
-    rows = []
-    with fh:
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(CALIB_MAP_HEADER) or row[0] != RACE_NAMES[len(rows)]:
-                raise ingest.ParseError(f"{path}:{line}: malformed matrix row")
-            rows.append([float(x) for x in row[1:]])
-    if len(rows) != N_RACES:
-        raise ingest.ParseError(f"{path}: expected {N_RACES} matrix rows")
-    matrix = np.array(rows)
-    if not np.all(np.isfinite(matrix)) or np.any(matrix < 0):
-        raise ingest.ParseError(f"{path}: matrix entries must be finite and nonnegative")
-    if np.abs(matrix.sum(axis=0) - 1.0).max() > 1e-6:
-        raise ingest.ParseError(f"{path}: matrix columns must sum to 1")
-    return matrix
 
 
 def cmd_subsample(args):
@@ -315,7 +224,7 @@ def cmd_subsample(args):
     labeled = [r for r in records if r.active and r.race is not None]
     target = ingest.parse_race_margin(args.target)
     sample = ingest.subsample_to_margin(labeled, target, seed=args.seed)
-    run.write("subsampled.csv", lambda p: ingest.write_voter_file(p, sample))
+    run.write("subsampled.csv", ingest.write_voter_file, sample)
     run.info["sample_size"] = len(sample)
     run.finish()
     return EXIT_OK
@@ -325,12 +234,12 @@ def cmd_evaluate(args):
     run = _Run("evaluate", args, args.out_dir)
     truth = _load_truth(args, run)
     run.track_input(args.preds)
-    labels, index, _, conds = _read_predictions(args.preds)
+    labels, index, _, conds = ingest.parse_predictions(args.preds)
 
     matrix = None
     if args.calib_map:
         run.track_input(args.calib_map)
-        matrix = _read_calib_matrix(args.calib_map)
+        matrix = ingest.parse_calibration_map(args.calib_map)
 
     occupied = truth.cell_sums > 0
     rows = PredictionTable(labels, index, conds).locate(truth)[occupied]
@@ -353,28 +262,10 @@ def cmd_evaluate(args):
     cell = metrics.cellwise_report(truth, pred, region_map=region_map)
     curves = [metrics.calibration_curve(truth, pred, RaceCategory(r)) for r in range(N_RACES)]
 
-    run.write("subpop.csv", sub.to_csv)
-    run.write("cellwise.csv", cell.to_csv)
-
-    def write_curves(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["race", "cumulative_weight", "cumulative_miscalibration"])
-            for curve in curves:
-                for x, v in curve.points:
-                    w.writerow([RACE_NAMES[curve.race], _fmt(x), _fmt(v)])
-
-    run.write("calibration_curves.csv", write_curves)
-
-    summary = {
-        "subpopulation": sub.summary(),
-        "cellwise": cell.summary(),
-        "kuiper": {RACE_NAMES[c.race]: c.kuiper for c in curves},
-        # the other category is computed like the rest but called out,
-        # since reports often omit it
-        "kuiper_includes_other": True,
-    }
-    run.write("summary.json", lambda p: metrics.write_summary_json(p, summary))
+    run.write("subpop.csv", ingest.write_subpop, sub)
+    run.write("cellwise.csv", ingest.write_cellwise, cell)
+    run.write("calibration_curves.csv", ingest.write_calibration_curves, curves)
+    run.write("summary.json", ingest.write_summary, sub, cell, curves)
     run.finish()
     return EXIT_OK
 
@@ -393,20 +284,9 @@ def cmd_synth(args):
     )
     table = generate(config)
     factors = bisg.fit_factors(table)
-    run.write("table.csv", lambda p: ingest.write_table(p, table))
-    run.write(
-        "surname_factors.csv",
-        lambda p: ingest.write_surname_factors(p, factors.race_given_surname, factors.surname_counts),
-    )
-    run.write(
-        "geo_factors.csv",
-        lambda p: ingest.write_geo_factors(p, factors.race_given_geo, factors.geo_counts),
-    )
-    run.write("prior.json", lambda p: ingest.write_race_margin(p, factors.race_prior))
-    run.write(
-        "race_margin.json",
-        lambda p: ingest.write_race_margin(p, table.margin("r") / table.total()),
-    )
+    run.write("table.csv", ingest.write_table, table)
+    _write_factors(run, factors)
+    run.write("race_margin.json", ingest.write_race_margin, table.margin("r") / table.total())
     run.finish()
     return EXIT_OK
 

@@ -1,7 +1,11 @@
 """
-canonical on-disk formats and ingestion.
+canonical on-disk formats: the one module that reads and writes files.
 
-Formats (UTF-8 CSV with fixed headers, plus one JSON file):
+CSV files are UTF-8 with a fixed header and go through one CSV writer:
+labels, then floats as their shortest round-trip repr, and an empty field
+for a value with no finite result. JSON files go through one strict JSON
+writer (UTF-8, sorted keys, indent 2, trailing newline) that writes such a
+value as null. Inputs:
 
 * surname factors:  surname,count,p_aian,p_api,p_black,p_hispanic,p_white,p_other
 * geolocation factors:  geoid,count,aian,api,black,hispanic,white,other  (counts)
@@ -9,10 +13,21 @@ Formats (UTF-8 CSV with fixed headers, plus one JSON file):
 * labeled table:  surname,geoid,aian,api,black,hispanic,white,other  (counts)
 * race margin JSON:  {"race_distribution": {"aian": ..., ..., "other": ...}}
 * region map:  geoid,region
+* predictions and raked predictions:  surname,geoid,count,p_aian,...,p_other
+* calibration map:  race,aian,api,black,hispanic,white,other  (a row per race)
 
-Parsers are streaming and single-pass; malformed rows are collected into a
-reject report rather than aborting, except where a defect (duplicate keys,
-excessive reject rate) would corrupt downstream results.
+Outputs only (besides manifest.json):
+
+* theta.json:  {"theta_r": {race: log factor}, "iterations", "final_margin_gap"}
+* theta_sg.csv:  surname,geoid,theta  (one log cell factor per raked cell)
+* reject reports:  line,reason
+* subpop.csv:  geolocation,race,truth,estimate,error,relative_error
+* cellwise.csv:  level,name,l1,l2,nll  (geolocation, region and overall rows)
+* calibration_curves.csv:  race,cumulative_weight,cumulative_miscalibration
+* summary.json:  {"subpopulation", "cellwise", "kuiper", "kuiper_includes_other"}
+
+Parsers are single-pass; malformed factor rows go to a reject report, except
+where a defect (duplicate keys, excessive reject rate) would corrupt results.
 """
 
 from __future__ import annotations
@@ -34,6 +49,16 @@ GEO_FACTORS_HEADER = ["geoid", "count"] + list(RACE_NAMES)
 VOTER_FILE_HEADER = ["voter_id", "surname", "geoid", "race", "active"]
 TABLE_HEADER = ["surname", "geoid"] + list(RACE_NAMES)
 REGION_MAP_HEADER = ["geoid", "region"]
+PREDICTIONS_HEADER = ["surname", "geoid", "count"] + [f"p_{n}" for n in RACE_NAMES]
+CALIB_MAP_HEADER = ["race"] + list(RACE_NAMES)
+THETA_SG_HEADER = ["surname", "geoid", "theta"]
+REJECTS_HEADER = ["line", "reason"]
+SUBPOP_HEADER = ["geolocation", "race", "truth", "estimate", "error", "relative_error"]
+CELLWISE_HEADER = ["level", "name", "l1", "l2", "nll"]
+CURVES_HEADER = ["race", "cumulative_weight", "cumulative_miscalibration"]
+
+# rows per block of the CSV writer
+_CSV_BLOCK = 4096
 
 # a row whose probabilities sum inside this window is renormalized;
 # anything further off is rejected
@@ -56,13 +81,6 @@ class RejectReport:
 
     def __len__(self):
         return len(self.rows)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["line", "reason"])
-            for line, reason in self.rows:
-                w.writerow([line, reason])
 
 
 @dataclass(frozen=True)
@@ -468,53 +486,9 @@ def _largest_remainder(quotas_float):
     return base.astype(np.int64)
 
 
-# writers -----------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def write_surname_factors(path, probs, counts):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(SURNAME_FACTORS_HEADER)
-        for surname in sorted(probs):
-            w.writerow([surname, _fmt(counts[surname])] + [_fmt(p) for p in probs[surname]])
-
-
-def write_geo_factors(path, probs, counts):
-    # rows carry race counts: P(r|g) scaled back by the population column
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(GEO_FACTORS_HEADER)
-        for geoid in sorted(probs):
-            race_counts = probs[geoid] * counts[geoid]
-            w.writerow([geoid, _fmt(counts[geoid])] + [_fmt(c) for c in race_counts])
-
-
-def write_voter_file(path, records):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(VOTER_FILE_HEADER)
-        for rec in records:
-            w.writerow(
-                [
-                    rec.voter_id,
-                    rec.surname,
-                    rec.geolocation,
-                    "" if rec.race is None else RACE_NAMES[rec.race],
-                    "true" if rec.active else "false",
-                ]
-            )
-
-
-def write_table(path, table: ContingencyTable):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(TABLE_HEADER)
-        for (s, g), vec in table.items():
-            w.writerow([s, g] + [_fmt(x) for x in vec])
+# cell, margin, map and matrix readers -------------------------------------
 
 
 def parse_table(path) -> ContingencyTable:
@@ -526,12 +500,21 @@ def parse_table(path) -> ContingencyTable:
     return ContingencyTable(labels, index, values)
 
 
-def write_race_margin(path, distribution):
-    vec = np.asarray(distribution, dtype=np.float64)
-    payload = {"race_distribution": {RACE_NAMES[r]: float(vec[r]) for r in range(N_RACES)}}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def parse_predictions(path):
+    """A predictions or raked CSV on a sorted cell index: (labels, index,
+    counts, conds).
+
+    Each row's conditionals must sum to 1 (within 1e-6), or be all zero
+    when its count is zero.
+    """
+    labels, index, values, lines = _read_cells(path, PREDICTIONS_HEADER)
+    counts, conds = values[:, 0], values[:, 1:]
+    sums = conds.sum(axis=1)
+    bad = ~((np.abs(sums - 1.0) <= 1e-6) | ((counts == 0) & (sums == 0)))
+    if np.any(bad):
+        line, row = min(zip(lines[bad], np.nonzero(bad)[0]))
+        raise ParseError(f"{path}:{line}: conditionals sum to {float(sums[row])!r}, expected 1")
+    return labels, index, counts, conds
 
 
 def parse_race_margin(path) -> np.ndarray:
@@ -558,13 +541,198 @@ def parse_race_margin(path) -> np.ndarray:
 
 
 def parse_region_map(path) -> dict:
+    """Read geoid -> region. Both fields are stripped; a geoid repeated
+    after stripping is a ParseError."""
     regions: dict[str, str] = {}
     fh, reader = _open_reader(path, REGION_MAP_HEADER)
     with fh:
         for line, row in enumerate(reader, start=2):
             if len(row) != 2:
                 raise ParseError(f"{path}:{line}: expected 2 fields")
-            if row[0] in regions:
-                raise ParseError(f"{path}:{line}: duplicate geoid {row[0]!r}")
-            regions[row[0]] = row[1]
+            geoid, region = row[0].strip(), row[1].strip()
+            if geoid in regions:
+                raise ParseError(f"{path}:{line}: duplicate geoid {geoid!r}")
+            regions[geoid] = region
     return regions
+
+
+def parse_calibration_map(path) -> np.ndarray:
+    """A calibration matrix CSV: finite, nonnegative, columns summing to 1."""
+    fh, reader = _open_reader(path, CALIB_MAP_HEADER)
+    rows = []
+    with fh:
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(CALIB_MAP_HEADER) or row[0] != RACE_NAMES[len(rows)]:
+                raise ParseError(f"{path}:{line}: malformed matrix row")
+            rows.append([float(x) for x in row[1:]])
+    if len(rows) != N_RACES:
+        raise ParseError(f"{path}: expected {N_RACES} matrix rows")
+    matrix = np.array(rows)
+    if not np.all(np.isfinite(matrix)) or np.any(matrix < 0):
+        raise ParseError(f"{path}: matrix entries must be finite and nonnegative")
+    if np.abs(matrix.sum(axis=0) - 1.0).max() > 1e-6:
+        raise ParseError(f"{path}: matrix columns must sum to 1")
+    return matrix
+
+
+# writers -----------------------------------------------------------------
+
+
+def _write_csv(path, header, labels, values=None):
+    """The one CSV writer: `header`, then one row per entry.
+
+    A row is the entry of each column in `labels`, then the row of the
+    2-D float array `values`. csv writes Python floats as their repr; a
+    value with no finite result is an empty field. Rows are built in
+    blocks, so memory stays bounded by the block, not the file.
+    """
+    n = len(labels[0])
+    width = len(labels) + (0 if values is None else values.shape[1])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for lo in range(0, n, _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, n)
+            rows = np.empty((hi - lo, width), dtype=object)
+            for j, column in enumerate(labels):
+                rows[:, j] = column[lo:hi]
+            if values is not None:
+                block = values[lo:hi]
+                numbers = rows[:, len(labels):]
+                numbers[...] = block
+                numbers[~np.isfinite(block)] = ""
+            w.writerows(rows.tolist())
+
+
+def _write_json(path, payload):
+    """The one JSON writer: strict (no NaN or inf), sorted keys, indent 2."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def _cell_labels(table):
+    """The surname and geoid columns of a table's cells."""
+    labels, index = table.labels, table.cell_index
+    return [
+        np.array(labels.surnames, dtype=object)[index[:, 0]],
+        np.array(labels.geolocations, dtype=object)[index[:, 1]],
+    ]
+
+
+def _factor_rows(probs, counts):
+    keys = sorted(probs)
+    p = np.array([probs[k] for k in keys], dtype=np.float64).reshape(len(keys), N_RACES)
+    return keys, np.array([counts[k] for k in keys], dtype=np.float64), p
+
+
+def write_surname_factors(path, probs, counts):
+    keys, c, p = _factor_rows(probs, counts)
+    _write_csv(path, SURNAME_FACTORS_HEADER, [keys], np.column_stack([c, p]))
+
+
+def write_geo_factors(path, probs, counts):
+    # rows carry race counts: P(r|g) scaled back by the population column
+    keys, c, p = _factor_rows(probs, counts)
+    _write_csv(path, GEO_FACTORS_HEADER, [keys], np.column_stack([c, p * c[:, None]]))
+
+
+def write_voter_file(path, records):
+    _write_csv(path, VOTER_FILE_HEADER, [
+        [rec.voter_id for rec in records],
+        [rec.surname for rec in records],
+        [rec.geolocation for rec in records],
+        ["" if rec.race is None else RACE_NAMES[rec.race] for rec in records],
+        ["true" if rec.active else "false" for rec in records],
+    ])
+
+
+def write_table(path, table: ContingencyTable):
+    _write_csv(path, TABLE_HEADER, _cell_labels(table), table.cell_values)
+
+
+def write_predictions(path, table: ContingencyTable):
+    """Each cell's total and race conditionals (all zero for an empty cell)."""
+    values = np.column_stack([table.cell_sums, table.conditionals()[1]])
+    _write_csv(path, PREDICTIONS_HEADER, _cell_labels(table), values)
+
+
+def write_theta(path, result):
+    """theta.json of a RakingResult: theta_r (null where not finite), the
+    sweep count and the final margin gap."""
+    theta_r = [t if np.isfinite(t) else None for t in result.theta_r.tolist()]
+    _write_json(path, {
+        "theta_r": dict(zip(RACE_NAMES, theta_r)),
+        "iterations": result.iterations,
+        "final_margin_gap": result.final_margin_gap,
+    })
+
+
+def write_theta_sg(path, result):
+    """theta_sg.csv of a RakingResult: one log cell factor per raked cell."""
+    _write_csv(path, THETA_SG_HEADER, _cell_labels(result.table), result.theta_sg[:, None])
+
+
+def write_race_margin(path, distribution):
+    vec = np.asarray(distribution, dtype=np.float64)
+    _write_json(path, {"race_distribution": dict(zip(RACE_NAMES, vec.tolist()))})
+
+
+def write_calibration_map(path, matrix):
+    _write_csv(path, CALIB_MAP_HEADER, [RACE_NAMES], np.asarray(matrix, dtype=np.float64))
+
+
+def write_rejects(path, report: RejectReport):
+    rows = report.rows
+    _write_csv(path, REJECTS_HEADER, [[line for line, _ in rows], [reason for _, reason in rows]])
+
+
+def write_subpop(path, report):
+    """A SubpopReport: one row per (geolocation, race)."""
+    n_g = len(report.geolocations)
+    fields = (report.truth_counts, report.estimate_counts, report.abs_error, report.rel_error)
+    _write_csv(
+        path, SUBPOP_HEADER,
+        [np.repeat(np.array(report.geolocations, dtype=object), N_RACES), RACE_NAMES * n_g],
+        np.column_stack([f.ravel() for f in fields]),
+    )
+
+
+def write_cellwise(path, report):
+    """A CellwiseReport: geolocation rows, then sorted regions, then overall."""
+    regions = sorted(report.regions or {})
+    levels = ["geolocation"] * len(report.geolocations) + ["region"] * len(regions)
+    names = list(report.geolocations) + regions
+    values = [np.column_stack([report.l1, report.l2, report.nll])]
+    values += [np.array([report.regions[name] for name in regions]).reshape(-1, 3)]
+    if report.overall is not None:
+        levels.append("overall")
+        names.append("")
+        values.append(np.array([report.overall]))
+    _write_csv(path, CELLWISE_HEADER, [levels, names], np.vstack(values))
+
+
+def write_calibration_curves(path, curves):
+    """The points of each CalibrationCurve, origin first, one race after another."""
+    _write_csv(
+        path, CURVES_HEADER,
+        [[RACE_NAMES[c.race] for c in curves for _ in range(len(c.points))]],
+        np.vstack([c.points for c in curves]),
+    )
+
+
+def write_summary(path, subpop, cellwise, curves):
+    """summary.json of an evaluation: the report summaries and the Kuiper
+    statistic of each curve."""
+    _write_json(path, {
+        "subpopulation": subpop.summary(),
+        "cellwise": cellwise.summary(),
+        "kuiper": {RACE_NAMES[c.race]: c.kuiper for c in curves},
+        # the other category is computed like the rest but called out,
+        # since reports often omit it
+        "kuiper_includes_other": True,
+    })
+
+
+def write_manifest(path, manifest):
+    _write_json(path, manifest)

@@ -10,8 +10,6 @@ curve).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,6 +21,7 @@ from .table import (
     ContingencyTable,
     PredictionTable,
     RaceCategory,
+    sum_by_group,
 )
 
 # the log of a predicted conditional is floored here so that empirically
@@ -52,26 +51,6 @@ class SubpopReport:
     avg_error: np.ndarray
     orientation: str
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["geolocation", "race", "truth", "estimate", "error", "relative_error"]
-            )
-            for i, g in enumerate(self.geolocations):
-                for r in range(N_RACES):
-                    rel = self.rel_error[i, r]
-                    w.writerow(
-                        [
-                            g,
-                            RACE_NAMES[r],
-                            repr(float(self.truth_counts[i, r])),
-                            repr(float(self.estimate_counts[i, r])),
-                            repr(float(self.abs_error[i, r])),
-                            "" if np.isnan(rel) else repr(float(rel)),
-                        ]
-                    )
-
     def summary(self) -> dict:
         return {
             "orientation": self.orientation,
@@ -94,23 +73,6 @@ class CellwiseReport:
     regions: Optional[dict] = None  # region -> (l1, l2, nll)
     overall: Optional[tuple] = None
 
-    def to_csv(self, path):
-        def fmt(x):
-            return "" if np.isnan(x) else repr(float(x))
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["level", "name", "l1", "l2", "nll"])
-            for i, g in enumerate(self.geolocations):
-                w.writerow(["geolocation", g, fmt(self.l1[i]), fmt(self.l2[i]), fmt(self.nll[i])])
-            if self.regions:
-                for name in sorted(self.regions):
-                    l1, l2, nll = self.regions[name]
-                    w.writerow(["region", name, fmt(l1), fmt(l2), fmt(nll)])
-            if self.overall is not None:
-                l1, l2, nll = self.overall
-                w.writerow(["overall", "", fmt(l1), fmt(l2), fmt(nll)])
-
     def summary(self) -> dict:
         """Overall and region aggregates; null where a population is empty."""
 
@@ -132,24 +94,17 @@ class CellwiseReport:
 class CalibrationCurve:
     """Weighted cumulative miscalibration for one race category.
 
-    `points` is an ordered list of (cumulative weight fraction, cumulative
-    miscalibration), beginning at the origin. The Kuiper statistic is the
-    difference between the curve's maximum and minimum.
+    `points` is an (n + 1, 2) array of (cumulative weight fraction,
+    cumulative miscalibration) rows, the origin first. The Kuiper
+    statistic is the difference between the curve's maximum and minimum.
     """
 
     race: RaceCategory
-    points: list
+    points: np.ndarray
     kuiper: float
 
     def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.points])
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["cumulative_weight", "cumulative_miscalibration"])
-            for x, v in self.points:
-                w.writerow([repr(float(x)), repr(float(v))])
+        return self.points[:, 1]
 
 
 def _aligned(truth: ContingencyTable, pred: PredictionTable):
@@ -193,8 +148,7 @@ def subpop_report(
         raise ValueError(f"unknown orientation {orientation!r}")
     _, m_cells, gi = _aligned(truth, pred)
     x = truth.margin("gr")
-    m = np.zeros_like(x)
-    np.add.at(m, gi, m_cells)
+    m = sum_by_group(gi, m_cells, len(x))
     sign = 1.0 if orientation == ESTIMATE_MINUS_TRUTH else -1.0
     abs_err = sign * (m - x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -307,10 +261,10 @@ def calibration_curve(
     order = np.lexsort((idx[:, 1], idx[:, 0], probs))
     weights, probs, freqs = weights[order], probs[order], freqs[order]
     wtot = weights.sum()
-    cum_weight = np.cumsum(weights) / wtot
-    cum_miscal = np.cumsum(weights * (freqs - probs)) / wtot
-    points = [(0.0, 0.0)] + list(zip(cum_weight.tolist(), cum_miscal.tolist()))
-    values = np.concatenate([[0.0], cum_miscal])
+    points = np.zeros((len(weights) + 1, 2))
+    points[1:, 0] = np.cumsum(weights) / wtot
+    points[1:, 1] = np.cumsum(weights * (freqs - probs)) / wtot
+    values = points[:, 1]
     return CalibrationCurve(
         race=race, points=points, kuiper=float(values.max() - values.min())
     )
@@ -330,8 +284,3 @@ def kuiper(curve) -> float:
     values = np.concatenate([[0.0], values])
     return float(values.max() - values.min())
 
-
-def write_summary_json(path, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")

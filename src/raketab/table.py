@@ -120,6 +120,16 @@ def index_cells(surnames, geolocations):
     return labels, np.column_stack(divmod(unique, labels.n_g)), rows
 
 
+def sum_by_group(groups, values, n_groups) -> np.ndarray:
+    """(n_groups, k) sums of the rows of a (n, k) array by group index.
+
+    One bincount per column adds each group's rows in row order.
+    """
+    return np.column_stack(
+        [np.bincount(groups, weights=col, minlength=n_groups) for col in values.T]
+    )
+
+
 def compact_labels(labels: AxisLabels, index):
     """Drop the labels no cell uses and renumber `index` onto the rest.
 
@@ -271,13 +281,9 @@ class ContingencyTable:
             out[si, gi] = self.cell_sums
             return out
         if keep == ("s", "r"):
-            out = np.zeros((n_s, N_RACES))
-            np.add.at(out, si, self._values)
-            return out
+            return sum_by_group(si, self._values, n_s)
         if keep == ("g", "r"):
-            out = np.zeros((n_g, N_RACES))
-            np.add.at(out, gi, self._values)
-            return out
+            return sum_by_group(gi, self._values, n_g)
         if keep == ("s",):
             return np.bincount(si, weights=self.cell_sums, minlength=n_s)
         if keep == ("g",):

@@ -245,14 +245,6 @@ class TestWeightedCounts:
         pred, _ = weighted_counts(factors, totals)
         assert pred.total() == pytest.approx(5.0, rel=1e-12)
 
-    def test_fallback_can_be_disabled(self, f1_table):
-        factors = fit_factors(f1_table)
-        pred, rejects = weighted_counts(
-            factors, {("s1", "g1"): 3.0, ("sX", "g2"): 2.0}, surname_fallback=False
-        )
-        assert pred.total() == pytest.approx(3.0)
-        assert rejects == [("sX", "g2", "missing surname factor")]
-
     def test_missing_geo_skipped(self, f1_table):
         factors = fit_factors(f1_table)
         pred, rejects = weighted_counts(factors, {("s1", "g1"): 1.0, ("s1", "gX"): 1.0})

@@ -480,3 +480,25 @@ class TestStrictJson:
         regions_out = summary["cellwise"]["regions"]
         assert regions_out["ghost"] == {"l1": None, "l2": None, "nll": None}
         assert all(isinstance(v, float) for v in regions_out["west"].values())
+
+    def test_padded_region_map_geoids_match(self, tmp_path):
+        # a geoid written "g000 " names the same geolocation as "g000"
+        fix = synth_fixture(tmp_path)
+        pred = predict_dir(tmp_path, fix)
+        geoids = [row[0] for row in read_csv(fix / "geo_factors.csv")[1:]]
+        reports = {}
+        for name, pad in (("plain", ""), ("padded", " ")):
+            regions = tmp_path / f"{name}.csv"
+            regions.write_text(
+                "geoid,region\n" + "".join(f"{g}{pad},R{i % 2}{pad}\n" for i, g in enumerate(geoids)),
+                encoding="utf-8",
+            )
+            ev = tmp_path / name
+            assert run_cli(
+                "evaluate", "--truth-table", fix / "table.csv",
+                "--preds", pred / "predictions.csv", "--region-map", regions, "--out-dir", ev,
+            ) == 0
+            reports[name] = read_json(ev / "summary.json")["cellwise"]["regions"]
+        assert set(reports["padded"]) == {"R0", "R1"}
+        assert all(v is not None for r in reports["padded"].values() for v in r.values())
+        assert reports["padded"] == reports["plain"]

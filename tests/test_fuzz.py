@@ -1,0 +1,184 @@
+"""Parser fuzzing across the whole file edge.
+
+Each example mutates one row of one input of the golden pipeline (a
+non-finite or overflowing number, a negative zero, a BOM, a toggled line
+ending, a quoted comma, a duplicated row or a short row) and runs every
+subcommand that reads that file. The only allowed outcomes are exit 0
+with finite numbers in every CSV and strict JSON, or exit 2 with a single
+JSON error object on stderr.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import math
+import re
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from raketab.cli import main
+
+from test_golden import golden_outputs
+
+MUTATIONS = ("nan", "inf", "1e309", "-0", "bom", "crlf", "quoted_comma", "duplicate", "short")
+# columns that hold labels rather than numbers, by output header name
+LABEL_COLUMNS = {
+    "surname", "geoid", "voter_id", "race", "active", "level", "name",
+    "geolocation", "line", "reason",
+}
+
+
+INPUTS = (
+    "fixture/table.csv", "fixture/surname_factors.csv", "fixture/geo_factors.csv",
+    "fixture/prior.json", "fixture/race_margin.json", "preds/predictions.csv",
+    "cmap/calibration_map.csv", "regions.csv", "voters.csv",
+)
+
+
+def _commands(root, path, out):
+    """Every subcommand that reads the golden input named like `path`,
+    with `path` in its place."""
+    f = {Path(rel).stem: root / rel for rel in INPUTS}
+    f[path.stem] = path
+    voter_fit = root / "voters_fit"
+    predict = [
+        "predict", "--surname-factors", f["surname_factors"],
+        "--geo-factors", f["geo_factors"], "--prior", f["prior"], "--table", f["table"],
+    ]
+    evaluate = ["evaluate", "--truth-table", f["table"], "--preds", f["predictions"]]
+    cmds = {
+        "table": [["fit-factors", "--table", f["table"]], predict, evaluate],
+        "surname_factors": [predict],
+        "geo_factors": [predict],
+        "prior": [predict],
+        "race_margin": [
+            ["rake", "--base", f["predictions"], "--race-margin", f["race_margin"]],
+            ["calib-map", "--source", f["race_margin"], "--target", root / "target.json"],
+        ],
+        "predictions": [
+            ["rake", "--base", f["predictions"], "--race-margin", f["race_margin"]],
+            evaluate,
+        ],
+        "calibration_map": [evaluate + ["--calib-map", f["calibration_map"]]],
+        "regions": [evaluate + ["--region-map", f["regions"]]],
+        "voters": [
+            ["fit-factors", "--voters", f["voters"]],
+            ["predict", "--surname-factors", voter_fit / "surname_factors.csv",
+             "--geo-factors", voter_fit / "geo_factors.csv",
+             "--prior", voter_fit / "prior.json", "--voters", f["voters"]],
+            ["subsample", "--voters", f["voters"], "--target", root / "voter_target.json",
+             "--seed", 5],
+        ],
+    }[path.stem]
+    return [[str(a) for a in cmd] + ["--out-dir", str(out / str(i))] for i, cmd in enumerate(cmds)]
+
+
+# how each mutation spells its value in a CSV field and in a JSON number
+CSV_TOKENS = {"nan": "nan", "inf": "inf", "1e309": "1e309", "-0": "-0"}
+JSON_TOKENS = {"nan": "NaN", "inf": "Infinity", "1e309": "1e309", "-0": "-0",
+               "quoted_comma": '"1,0"'}
+
+
+def mutate(text, mutation, row, col, is_json=False):
+    """`text` with one data line changed by `mutation`; row and col pick
+    the line and the field. In JSON, the field is the line's first number."""
+    if mutation == "bom":
+        return "\ufeff" + text
+    lines = text.splitlines(keepends=True)
+    i = 1 + row % (len(lines) - 1)
+    body = lines[i].rstrip("\r\n")
+    end = lines[i][len(body):]
+    if mutation == "crlf":
+        lines[i] = body + ("\n" if end == "\r\n" else "\r\n")
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+    elif is_json and mutation == "short":
+        lines[i] = ""
+    elif is_json:
+        lines[i] = re.sub(r"-?\d[\d.eE+-]*", JSON_TOKENS[mutation], body, count=1) + end
+    else:
+        fields = next(csv.reader([body]))
+        j = col % len(fields)
+        if mutation == "short":
+            fields = fields[:-1]
+        elif mutation == "quoted_comma":
+            fields[j] += ",x"
+        else:
+            fields[j] = CSV_TOKENS[mutation]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=end).writerow(fields)
+        lines[i] = buf.getvalue()
+    return "".join(lines)
+
+
+def _check_outputs(out):
+    """Every CSV number finite (or an empty field) and every JSON strict."""
+
+    def no_constant(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    for path in sorted(out.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=no_constant)
+            continue
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        numeric = [j for j, h in enumerate(rows[0]) if h not in LABEL_COLUMNS]
+        for row in rows[1:]:
+            assert len(row) == len(rows[0]), (path.name, row)
+            for j in numeric:
+                assert row[j] == "" or math.isfinite(float(row[j])), (path.name, row)
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    golden_outputs(root)
+    return root
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    source=st.sampled_from(INPUTS),
+    mutation=st.sampled_from(MUTATIONS),
+    row=st.integers(0, 400),
+    col=st.integers(0, 10),
+)
+def test_mutated_input_exits_cleanly(golden_dir, source, mutation, row, col):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        original = golden_dir / source
+        path = tmp / original.name
+        path.write_text(
+            mutate(original.read_text(encoding="utf-8"), mutation, row, col,
+                   is_json=original.suffix == ".json"),
+            encoding="utf-8", newline="",
+        )
+        for argv in _commands(golden_dir, path, tmp / "out"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            out = Path(argv[-1])
+            if code == 0:
+                _check_outputs(out)
+            else:
+                assert code == 2, (argv[0], err.getvalue())
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1, err.getvalue()
+                payload = json.loads(lines[0])
+                assert payload["exit_code"] == 2 and payload["error"] and payload["message"]
+            shutil.rmtree(out, ignore_errors=True)
+
+
+def test_mutations_change_the_file():
+    text = "surname,geoid,a\r\nS1,g1,1.5\r\nS2,g2,2.5\r\n"
+    for mutation in MUTATIONS:
+        assert mutate(text, mutation, 0, 2) != text, mutation
+    assert mutate(text, "nan", 0, 2) == "surname,geoid,a\r\nS1,g1,nan\r\nS2,g2,2.5\r\n"
+    assert mutate(text, "quoted_comma", 1, 0) == 'surname,geoid,a\r\nS1,g1,1.5\r\n"S2,x",g2,2.5\r\n'
+    assert mutate(text, "short", 0, 0) == "surname,geoid,a\r\nS1,g1\r\nS2,g2,2.5\r\n"

@@ -3,13 +3,18 @@
 The rerun test in test_cli.py compares two runs of the same code, so it
 cannot notice a change that alters output bytes. This test pins the
 SHA-256 of every CSV and JSON output (manifests excepted, since they carry
-absolute paths) of the README round trip plus a calibration-map evaluation
-to digests recorded before the label-join refactor. A change that moves
-any output byte must update GOLDEN deliberately and say why.
+absolute paths) of the README round trip, a calibration-map evaluation and
+a voter-file path whose labels hold commas, quotes and non-ASCII letters.
+A change that moves any output byte must update GOLDEN deliberately and
+say why.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from raketab.cli import main
 
@@ -25,7 +30,10 @@ GOLDEN = {
     "fixture/table.csv": "78abb392ec2b13a0b92ebfeebfb23eedd887224ade7e5630b17ac2cde916ed2e",
     "preds/predictions.csv": "f4a7b0a000cb89f4ba34da3410875f6e2f7db218c8e8d12932fff9891a700d24",
     "raked/raked.csv": "1340d807f1d5c206198b8c1c69a8487ef5154eab7ee519d5d19235a983e2167c",
-    "raked/theta.json": "83fb63d56b71e33966da81276b0ab919d3f6af13c40bc053627e962e2a9c864f",
+    # per-cell theta moved from theta.json to theta_sg.csv, with the same
+    # values; theta.json keeps theta_r, iterations and final_margin_gap
+    "raked/theta.json": "606167add77020613351cee2fb3058b48ad6a813f772ecf4f5689b34c6a9adb6",
+    "raked/theta_sg.csv": "01a9495b14148480ff97f83494f5971c8ae7f34889e21815d7795a46c111ff6e",
     "report/calibration_curves.csv": "dabda8cc16a57b6d6eef8048c4fefc2c46ac574d4e8f1ac990938583086ded4d",
     "report/cellwise.csv": "7ac4dea78edac95f9a2addadf792d509407a810a5d27b30f989f5da9c865f8b6",
     "report/subpop.csv": "df84bd266ef34326dd063d5ce81b5874e60f2a3d79514c62ff485a04358b3268",
@@ -34,15 +42,46 @@ GOLDEN = {
     "report_cmap/cellwise.csv": "3b0de0820358979fe39c66229f4ef9c610b1fd0954f95b3f4d5ae58001fbd799",
     "report_cmap/subpop.csv": "7790aaa1bc5711b80b87522827e6d1c69dc75340943a4992b346b2ea8bd88ae7",
     "report_cmap/summary.json": "00e6fb123e8cb0f1fd59d0d9b350edd95d461e6b255179d92d9349ab30dd3c0a",
+    "voters_eval/calibration_curves.csv": "fdafe3c2b1c098912672ff43934b0d8264da27addad82b82efee5035b4b06801",
+    "voters_eval/cellwise.csv": "278d56d12f078109606e6e78ca3f3d2b38e6eee91dd4933b18ee1f59a21b86a5",
+    "voters_eval/subpop.csv": "aa407617aa02bc03272c2f4f6288cdc451ba024d210da7e1bebb43c7b02c69d3",
+    "voters_eval/summary.json": "876381f5ebefc0a213978fb0a2c63511dd259bb675e98ebe831ec67c365b379d",
+    "voters_fit/geo_factors.csv": "38b92806d6c9bf5d07cfeb254af7dce16e026c5fd0dc57940c669db70bf7a92e",
+    "voters_fit/prior.json": "831a0ef683fdbaf0b60416080b94b34e4a6955480931d2409930294fcbfc6ac8",
+    "voters_fit/surname_factors.csv": "eb191856b12c381cdfe25f220bb3a51a91ad48d0671c5a6af75222a5d7e50590",
+    "voters_pred/predictions.csv": "d900cb4c3df7243d76731ea513db8717fd6a68fd43b137b3e3cc1d6fd2fa0c07",
+    "voters_pred/rejects.csv": "028a8ace5e904f2cc203d99bf13deb7b2481099fd879667d2f6a0a67209001c7",
+    "voters_pred/surname_factor_rejects.csv": "da5da2041112bc8852c00b746af8ba644f328e27b7da4823a5a500be8378da0c",
+    "voters_sub/subsampled.csv": "5fba5bf9496f6cdfe64adf18e2591908b0bff4dc7f229b31b5609bce2ce032a4",
 }
+
+RACES = ("aian", "api", "black", "hispanic", "white", "other")
+# one surname and one geoid hold a comma and a quote, others non-ASCII
+# letters, so the digests pin CSV quoting and UTF-8 bytes
+SURNAMES = (
+    "ADAMS", "BAKER", 'O"NEIL, JR', "MÜLLER", "CHEN", "DIAZ",
+    "EVANS", "GARCÍA", "HALL", "KIM", "LOPEZ", "NGUYEN",
+)
+GEOIDS = ("g1", 'g"2,b', "g3", "gé4")
 
 
 def _run(*args):
     assert main([str(a) for a in args]) == 0
 
 
-def golden_outputs(root):
-    """Run the pipeline under `root`; return {relative path: sha256}."""
+def _write(path, text):
+    path.write_text(text, encoding="utf-8", newline="")
+
+
+def _csv_line(fields):
+    def quote(f):
+        return '"' + f.replace('"', '""') + '"' if any(c in f for c in ',"') else f
+
+    return ",".join(quote(f) for f in fields) + "\r\n"
+
+
+def table_outputs(root):
+    """The README round trip plus a calibration-map evaluation under `root`."""
     fix, pred, raked, report = (root / n for n in ("fixture", "preds", "raked", "report"))
     _run(
         "synth", "--surnames", 20, "--geos", 6, "--dependence", 0.7,
@@ -64,7 +103,7 @@ def golden_outputs(root):
     )
 
     target = root / "target.json"
-    target.write_text(json.dumps({"race_distribution": {
+    _write(target, json.dumps({"race_distribution": {
         "aian": 0.02, "api": 0.08, "black": 0.25, "hispanic": 0.2,
         "white": 0.4, "other": 0.05}}))
     _run(
@@ -72,11 +111,9 @@ def golden_outputs(root):
         "--out-dir", root / "cmap",
     )
     geoids = sorted(line.split(",")[0] for line in
-                    (fix / "geo_factors.csv").read_text().splitlines()[1:])
+                    (fix / "geo_factors.csv").read_text(encoding="utf-8").splitlines()[1:])
     regions = root / "regions.csv"
-    regions.write_text(
-        "geoid,region\n" + "".join(f"{g},R{i % 2}\n" for i, g in enumerate(geoids))
-    )
+    _write(regions, "geoid,region\n" + "".join(f"{g},R{i % 2}\n" for i, g in enumerate(geoids)))
     _run(
         "evaluate", "--truth-table", fix / "table.csv",
         "--preds", pred / "predictions.csv",
@@ -84,6 +121,61 @@ def golden_outputs(root):
         "--region-map", regions, "--out-dir", root / "report_cmap",
     )
 
+
+def voter_outputs(root):
+    """The voter-file path under `root`: fit, predict with factor rejects
+    and a missing surname, evaluate with a region map, and subsample."""
+    voters = root / "voters.csv"
+    lines = [_csv_line(["voter_id", "surname", "geoid", "race", "active"])]
+    for i in range(300):
+        race = "" if i % 17 == 5 else RACES[(5 * i + i // 12) % 6]
+        active = "false" if i % 13 == 4 else "true"
+        lines.append(_csv_line(
+            [f"v{i:03d}", SURNAMES[i % 12], GEOIDS[(i + i // 12) % 4], race, active]
+        ))
+    _write(voters, "".join(lines))
+    fit, pred = root / "voters_fit", root / "voters_pred"
+    _run("fit-factors", "--voters", voters, "--out-dir", fit)
+
+    # KIM is dropped and LOPEZ's probabilities sum to 0.6: one factor-file
+    # reject, and two surnames predicted from their geolocation alone
+    factor_lines = (fit / "surname_factors.csv").read_text(encoding="utf-8").splitlines(True)
+    kept = [
+        "LOPEZ,5.0,0.5,0.1,0.0,0.0,0.0,0.0\r\n" if line.startswith("LOPEZ,") else line
+        for line in factor_lines if not line.startswith("KIM,")
+    ]
+    factors = root / "surname_factors_bad.csv"
+    _write(factors, "".join(kept))
+    _run(
+        "predict", "--surname-factors", factors,
+        "--geo-factors", fit / "geo_factors.csv", "--prior", fit / "prior.json",
+        "--voters", voters, "--out-dir", pred,
+    )
+
+    regions = root / "voter_regions.csv"
+    _write(regions, "".join(_csv_line(row) for row in [
+        ["geoid", "region"], ["g1", 'Nord, "A"'], ['g"2,b', "Süd"],
+        ["g3", "Süd"], ["gé4", 'Nord, "A"'],
+    ]))
+    _run(
+        "evaluate", "--truth-voters", voters, "--preds", pred / "predictions.csv",
+        "--region-map", regions, "--out-dir", root / "voters_eval",
+    )
+
+    target = root / "voter_target.json"
+    _write(target, json.dumps({"race_distribution": {
+        "aian": 0.1, "api": 0.1, "black": 0.2, "hispanic": 0.2,
+        "white": 0.3, "other": 0.1}}))
+    _run(
+        "subsample", "--voters", voters, "--target", target, "--seed", 5,
+        "--out-dir", root / "voters_sub",
+    )
+
+
+def golden_outputs(root):
+    """Run every pinned pipeline under `root`; return {relative path: sha256}."""
+    table_outputs(root)
+    voter_outputs(root)
     digests = {}
     for path in sorted(root.glob("*/*")):
         if path.suffix in (".csv", ".json") and path.name != "manifest.json":
@@ -94,3 +186,16 @@ def golden_outputs(root):
 
 def test_outputs_match_recorded_digests(tmp_path):
     assert golden_outputs(tmp_path) == GOLDEN
+
+
+def test_pipeline_names_utf8_for_every_file(tmp_path):
+    """Every subcommand exits 0 when an open without an encoding is an error."""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    code = "import pathlib, sys, test_golden; test_golden.golden_outputs(pathlib.Path(sys.argv[1]))"
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", code, str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

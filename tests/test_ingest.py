@@ -432,3 +432,11 @@ class TestRoundTrips:
         path = tmp_path / "r.csv"
         write_lines(path, ["geoid,region", "g1,north", "g2,south"])
         assert parse_region_map(path) == {"g1": "north", "g2": "south"}
+
+    def test_region_map_strips_fields(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_lines(path, ["geoid,region", "g1 , north", " g2,south "])
+        assert parse_region_map(path) == {"g1": "north", "g2": "south"}
+        write_lines(path, ["geoid,region", "g1,north", "g1 ,south"])
+        with pytest.raises(ParseError, match="duplicate geoid 'g1'"):
+            parse_region_map(path)

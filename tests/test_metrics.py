@@ -15,6 +15,7 @@ from raketab import (
     subpop_report,
     weighted_counts,
 )
+from raketab.ingest import write_calibration_curves, write_cellwise, write_subpop
 from raketab.metrics import ESTIMATE_MINUS_TRUTH, TRUTH_MINUS_ESTIMATE
 
 from conftest import race6
@@ -83,7 +84,7 @@ class TestSubpopReport:
     def test_csv_roundtrip(self, f1_table, tmp_path):
         report = subpop_report(f1_table, as_prediction(f1_table))
         path = tmp_path / "subpop.csv"
-        report.to_csv(path)
+        write_subpop(path, report)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["geolocation", "race", "truth", "estimate", "error", "relative_error"]
@@ -153,7 +154,7 @@ class TestCellwiseReport:
             f1_table, as_prediction(f1_table), region_map={"g1": "r", "g2": "r"}
         )
         path = tmp_path / "cellwise.csv"
-        report.to_csv(path)
+        write_cellwise(path, report)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["level", "name", "l1", "l2", "nll"]
@@ -180,7 +181,8 @@ class TestCalibrationCurve:
 
     def test_curve_starts_at_origin(self, f1_table):
         curve = calibration_curve(f1_table, as_prediction(f1_table), RaceCategory.API)
-        assert curve.points[0] == (0.0, 0.0)
+        assert curve.points.shape == (f1_table.n_cells + 1, 2)
+        assert tuple(curve.points[0]) == (0.0, 0.0)
 
     def test_zero_weight_cells_ignored(self):
         cells = {("a", "g"): race6(0.4, 0.6), ("b", "g"): race6(0.6, 0.4)}
@@ -211,12 +213,13 @@ class TestCalibrationCurve:
 
     def test_csv(self, f1_table, tmp_path):
         curve = calibration_curve(f1_table, as_prediction(f1_table), RaceCategory.AIAN)
-        path = tmp_path / "curve.csv"
-        curve.to_csv(path)
-        with open(path, newline="") as fh:
+        path = tmp_path / "curves.csv"
+        write_calibration_curves(path, [curve])
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["cumulative_weight", "cumulative_miscalibration"]
+        assert rows[0] == ["race", "cumulative_weight", "cumulative_miscalibration"]
         assert len(rows) == 1 + len(curve.points)
+        assert [[float(x) for x in row[1:]] for row in rows[1:]] == curve.points.tolist()
 
 
 class TestKuiper:

@@ -115,6 +115,12 @@ def test_margin_consistency_property(entries):
     total = table.total()
     for axes in ("s", "g", "r", "sg", "sr", "gr"):
         assert table.margin(axes).sum() == pytest.approx(total, rel=1e-12, abs=1e-12)
+    # the two-way race margins equal a loop adding cells in cell order
+    for axes, (axis, n) in (("sr", (0, table.labels.n_s)), ("gr", (1, table.labels.n_g))):
+        ref = np.zeros((n, 6))
+        for key, vec in zip(table.cell_index, table.cell_values):
+            ref[key[axis]] += vec
+        assert np.array_equal(table.margin(axes), ref)
 
 
 class TestConditionalRace:
