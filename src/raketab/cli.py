@@ -4,7 +4,8 @@ batch command-line interface.
 Subcommands cover the full offline pipeline: fit factors, predict, rake,
 solve/apply calibration maps, subsample a voter file, evaluate predictions,
 and generate synthetic fixtures. Every run writes a manifest.json recording
-the command, flags, input digests, and output digests; outputs are written
+the command, flags, input and output digests, seconds spent parsing,
+writing, digesting and computing, and versions; outputs are written
 atomically (temp file + rename). Exit codes: 0 success, 2 input error,
 3 non-convergence.
 """
@@ -15,11 +16,13 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
+import time
 
 import numpy as np
 
-from . import bisg, calibmap, ingest, metrics, raking
+from . import __version__, bisg, calibmap, ingest, metrics, raking
 from .synth import SynthConfig, generate
 from .table import N_RACES, ContingencyTable, PredictionTable, RaceCategory
 
@@ -43,9 +46,10 @@ def _atomic(path, write_fn, *args):
 
 
 class _Run:
-    """Collects inputs, outputs, and run info for the manifest."""
+    """Collects inputs, outputs, timings and run info for the manifest."""
 
     def __init__(self, command, args, out_dir):
+        self.start = time.perf_counter()
         self.command = command
         self.flags = {
             k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None
@@ -54,20 +58,30 @@ class _Run:
         self.inputs = []
         self.outputs = []
         self.info = {}
+        self.timings = {"parse_s": 0.0, "write_s": 0.0, "digest_s": 0.0}
         os.makedirs(out_dir, exist_ok=True)
 
-    def track_input(self, path):
-        self.inputs.append({"path": str(path), "sha256": _sha256(path)})
-        return path
+    def _timed(self, key, fn, *args):
+        start = time.perf_counter()
+        result = fn(*args)
+        self.timings[key] += time.perf_counter() - start
+        return result
+
+    def read(self, path, parse_fn, *args):
+        """Digest input `path` and return parse_fn(path, *args)."""
+        self.inputs.append({"path": str(path), "sha256": self._timed("digest_s", _sha256, path)})
+        return self._timed("parse_s", parse_fn, path, *args)
 
     def write(self, name, write_fn, *args):
         """Write output `name` atomically with write_fn(path, *args)."""
         path = os.path.join(self.out_dir, name)
-        _atomic(path, write_fn, *args)
-        self.outputs.append({"path": str(path), "sha256": _sha256(path)})
+        self._timed("write_s", _atomic, path, write_fn, *args)
+        self.outputs.append({"path": str(path), "sha256": self._timed("digest_s", _sha256, path)})
         return path
 
     def finish(self):
+        # compute is the rest of the run, up to the manifest
+        elapsed = time.perf_counter() - self.start
         manifest = {
             "command": self.command,
             "flags": {k: str(v) for k, v in self.flags.items()},
@@ -75,6 +89,9 @@ class _Run:
             "inputs": self.inputs,
             "outputs": sorted(self.outputs, key=lambda o: o["path"]),
             "info": self.info,
+            "timings": dict(self.timings, compute_s=elapsed - sum(self.timings.values())),
+            "versions": {"raketab": __version__, "numpy": np.__version__,
+                         "python": platform.python_version()},
         }
         _atomic(os.path.join(self.out_dir, "manifest.json"), ingest.write_manifest, manifest)
 
@@ -85,12 +102,9 @@ class _Run:
 def _load_truth(args, run) -> ContingencyTable:
     if getattr(args, "table", None) or getattr(args, "truth_table", None):
         path = getattr(args, "table", None) or args.truth_table
-        run.track_input(path)
-        return ingest.parse_table(path)
+        return run.read(path, ingest.parse_table)
     voters = getattr(args, "voters", None) or args.truth_voters
-    run.track_input(voters)
-    mapping = ingest.MAPPINGS[args.mapping]
-    records = ingest.parse_voter_file(voters, mapping)
+    records = run.read(voters, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
     table, _ = ingest.aggregate_voters(records, require_race=True)
     if table is None:
         raise ValueError("no labeled records in voter file")
@@ -100,27 +114,21 @@ def _load_truth(args, run) -> ContingencyTable:
 def _load_occupancy(args, run):
     """Cell totals to predict for: from a table CSV or a voter file."""
     if getattr(args, "table", None):
-        run.track_input(args.table)
-        table = ingest.parse_table(args.table)
+        table = run.read(args.table, ingest.parse_table)
         return dict(zip(table.support(), table.cell_sums.tolist()))
-    run.track_input(args.voters)
-    mapping = ingest.MAPPINGS[args.mapping]
-    records = ingest.parse_voter_file(args.voters, mapping)
+    records = run.read(args.voters, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
     _, occupancy = ingest.aggregate_voters(records, require_race=False)
     return occupancy
 
 
 def _load_factors(args, run) -> bisg.BisgFactors:
-    run.track_input(args.surname_factors)
-    run.track_input(args.geo_factors)
-    run.track_input(args.prior)
-    s_probs, s_counts, s_rejects = ingest.parse_surname_factors(args.surname_factors)
-    g_probs, g_counts, g_rejects = ingest.parse_geo_factors(args.geo_factors)
+    s_probs, s_counts, s_rejects = run.read(args.surname_factors, ingest.parse_surname_factors)
+    g_probs, g_counts, g_rejects = run.read(args.geo_factors, ingest.parse_geo_factors)
+    prior = run.read(args.prior, ingest.parse_race_margin)
     for kind, rejects in (("surname", s_rejects), ("geo", g_rejects)):
         if len(rejects):
             run.write(f"{kind}_factor_rejects.csv", ingest.write_rejects, rejects)
             run.info[f"{kind}_factor_rejects"] = len(rejects)
-    prior = ingest.parse_race_margin(args.prior)
     return bisg.BisgFactors(
         race_given_geo=g_probs,
         race_given_surname=s_probs,
@@ -159,8 +167,7 @@ def cmd_predict(args):
     occupancy = _load_occupancy(args, run)
     adjustment = None
     if args.adjust_cps:
-        run.track_input(args.adjust_cps)
-        cps = ingest.parse_race_margin(args.adjust_cps)
+        cps = run.read(args.adjust_cps, ingest.parse_race_margin)
         adjustment = bisg.voter_adjustment(cps, factors.race_prior)
     table, rejects = bisg.weighted_counts(
         factors, occupancy, adjustment=adjustment, method=args.method
@@ -176,10 +183,8 @@ def cmd_predict(args):
 
 def cmd_rake(args):
     run = _Run("rake", args, args.out_dir)
-    run.track_input(args.base)
-    labels, index, counts, conds = ingest.parse_predictions(args.base)
-    run.track_input(args.race_margin)
-    distribution = ingest.parse_race_margin(args.race_margin)
+    labels, index, counts, conds = run.read(args.base, ingest.parse_predictions)
+    distribution = run.read(args.race_margin, ingest.parse_race_margin)
 
     live = counts > 0
     base = PredictionTable(labels, index[live], counts[live, None] * conds[live])
@@ -201,10 +206,8 @@ def cmd_rake(args):
 
 def cmd_calib_map(args):
     run = _Run("calib-map", args, args.out_dir)
-    run.track_input(args.source)
-    run.track_input(args.target)
-    u = ingest.parse_race_margin(args.source)
-    v = ingest.parse_race_margin(args.target)
+    u = run.read(args.source, ingest.parse_race_margin)
+    v = run.read(args.target, ingest.parse_race_margin)
     cmap = calibmap.solve_calibration_map(u, v)
 
     run.write("calibration_map.csv", ingest.write_calibration_map, cmap.matrix)
@@ -216,13 +219,10 @@ def cmd_calib_map(args):
 
 def cmd_subsample(args):
     run = _Run("subsample", args, args.out_dir)
-    run.track_input(args.voters)
-    run.track_input(args.target)
-    mapping = ingest.MAPPINGS[args.mapping]
-    records = ingest.parse_voter_file(args.voters, mapping)
+    records = run.read(args.voters, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
+    target = run.read(args.target, ingest.parse_race_margin)
     # the test-set convention: drop inactive and unanswered records first
     labeled = [r for r in records if r.active and r.race is not None]
-    target = ingest.parse_race_margin(args.target)
     sample = ingest.subsample_to_margin(labeled, target, seed=args.seed)
     run.write("subsampled.csv", ingest.write_voter_file, sample)
     run.info["sample_size"] = len(sample)
@@ -233,13 +233,11 @@ def cmd_subsample(args):
 def cmd_evaluate(args):
     run = _Run("evaluate", args, args.out_dir)
     truth = _load_truth(args, run)
-    run.track_input(args.preds)
-    labels, index, _, conds = ingest.parse_predictions(args.preds)
+    labels, index, _, conds = run.read(args.preds, ingest.parse_predictions)
 
     matrix = None
     if args.calib_map:
-        run.track_input(args.calib_map)
-        matrix = ingest.parse_calibration_map(args.calib_map)
+        matrix = run.read(args.calib_map, ingest.parse_calibration_map)
 
     occupied = truth.cell_sums > 0
     rows = PredictionTable(labels, index, conds).locate(truth)[occupied]
@@ -255,8 +253,7 @@ def cmd_evaluate(args):
 
     region_map = None
     if args.region_map:
-        run.track_input(args.region_map)
-        region_map = ingest.parse_region_map(args.region_map)
+        region_map = run.read(args.region_map, ingest.parse_region_map)
 
     sub = metrics.subpop_report(truth, pred)
     cell = metrics.cellwise_report(truth, pred, region_map=region_map)

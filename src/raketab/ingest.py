@@ -1,11 +1,12 @@
 """
 canonical on-disk formats: the one module that reads and writes files.
 
-CSV files are UTF-8 with a fixed header and go through one CSV writer:
-labels, then floats as their shortest round-trip repr, and an empty field
-for a value with no finite result. JSON files go through one strict JSON
-writer (UTF-8, sorted keys, indent 2, trailing newline) that writes such a
-value as null. Inputs:
+CSV files are UTF-8 with a fixed header (a leading byte-order mark is
+ignored on input) and go through one CSV writer: labels quoted as
+csv.writer quotes them, then floats as their shortest round-trip repr, and
+an empty field for a value with no finite result. JSON files go through
+one strict JSON writer (UTF-8, sorted keys, indent 2, trailing newline)
+that writes such a value as null. Inputs:
 
 * surname factors:  surname,count,p_aian,p_api,p_black,p_hispanic,p_white,p_other
 * geolocation factors:  geoid,count,aian,api,black,hispanic,white,other  (counts)
@@ -26,15 +27,23 @@ Outputs only (besides manifest.json):
 * calibration_curves.csv:  race,cumulative_weight,cumulative_miscalibration
 * summary.json:  {"subpopulation", "cellwise", "kuiper", "kuiper_includes_other"}
 
-Parsers are single-pass; malformed factor rows go to a reject report, except
-where a defect (duplicate keys, excessive reject rate) would corrupt results.
+Cell files (tables, predictions, raked predictions) are read by one
+np.loadtxt pass with csv quoting: a blank line, a row with too few or too
+many fields, and a number that is not plain decimal text (float() reads
+"1_000" and non-ASCII digits; this reader does not) are input errors naming
+the file and line. The other parsers go row by row: malformed factor rows
+go to a reject report, except where a defect (duplicate keys, excessive
+reject rate) would corrupt results.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
+import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Mapping, Optional
 
 import numpy as np
@@ -170,7 +179,7 @@ MAPPINGS = {
 
 
 def _open_reader(path, header):
-    fh = open(path, newline="", encoding="utf-8")
+    fh = open(path, newline="", encoding="utf-8-sig")
     reader = csv.reader(fh)
     try:
         got = next(reader)
@@ -183,29 +192,57 @@ def _open_reader(path, header):
     return fh, reader
 
 
-def _read_cells(path, header):
-    """Read a (surname, geoid, numbers...) CSV onto a sorted cell index.
-
-    Surnames are uppercased and stripped, geoids stripped. A short row, a
-    non-numeric, non-finite or negative number, or a repeated cell is a
-    ParseError naming the file and line. Returns (labels, index, values,
-    lines): the numbers of each cell in index order, and each cell's line.
-    """
-    surnames, geoids, rows = [], [], []
+def _raise_bad_row(path, header, bad=None):
+    """Raise the ParseError naming the first row of a cell file that is
+    blank, has the wrong number of fields, or is data row `bad` (0-based),
+    which holds a value np.loadtxt could not convert. Values are not read."""
     fh, reader = _open_reader(path, header)
     with fh:
-        for line, row in enumerate(reader, start=2):
+        for i, row in enumerate(reader):
             if len(row) != len(header):
-                raise ParseError(f"{path}:{line}: expected {len(header)} fields")
-            try:
-                rows.append([float(x) for x in row[2:]])
-            except ValueError:
-                raise ParseError(f"{path}:{line}: non-numeric value")
-            surnames.append(row[0].strip().upper())
-            geoids.append(row[1].strip())
-    if not rows:
+                raise ParseError(f"{path}:{i + 2}: expected {len(header)} fields, got {len(row)}")
+            if i == bad:
+                raise ParseError(f"{path}:{i + 2}: non-numeric value")
+
+
+def _line_ends_meet(path):
+    """Whether two line ends meet other than as one CRLF: a blank line, which
+    np.loadtxt skips, or a line break in a quoted field (the scan decides)."""
+    text = np.fromfile(path, dtype=np.uint8)
+    ends = np.flatnonzero((text == 10) | (text == 13))
+    first = ends[:-1][np.diff(ends) == 1]
+    return bool(np.any((text[first] != 13) | (text[first + 1] != 10)))
+
+
+def _read_cells(path, header):
+    """Read a cell file (surname, geoid, numbers...) onto a sorted cell index.
+
+    Surnames are uppercased and stripped, geoids stripped. Besides the row
+    errors of the module docstring, a non-finite or negative number or a
+    repeated cell is a ParseError naming the file and line. Returns
+    (labels, index, values, lines): the numbers of each cell in index
+    order, and each cell's line.
+    """
+    dtype = [("s", object), ("g", object), ("v", np.float64, (len(header) - 2,))]
+    fh, _ = _open_reader(path, header)
+    try:
+        # the rows after the header, split into lines as csv splits them;
+        # a file with no rows is named below, not warned about
+        with fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cells = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except ValueError as exc:
+        # numpy names the 0-based data row of a value it cannot convert
+        bad = re.search(r"at row (\d+), column", str(exc))
+        _raise_bad_row(path, header, bad and int(bad[1]))
+        raise ParseError(f"{path}: {exc}") from None
+    if _line_ends_meet(path):
+        _raise_bad_row(path, header)
+    if not len(cells):
         raise ParseError(f"{path}: no data rows")
-    values = np.array(rows)
+    surnames = [s.strip().upper() for s in cells["s"].tolist()]
+    geoids = [g.strip() for g in cells["g"].tolist()]
+    values, n = cells["v"], len(cells)
     for bad, what in (
         (~np.isfinite(values).all(axis=1), "non-finite value"),
         ((values < 0).any(axis=1), "negative value"),
@@ -213,15 +250,15 @@ def _read_cells(path, header):
         if np.any(bad):
             raise ParseError(f"{path}:{np.argmax(bad) + 2}: {what}")
     labels, index, cell_of_row = index_cells(surnames, geoids)
-    if len(index) < len(rows):
-        first = np.zeros(len(rows), dtype=bool)
+    if len(index) < n:
+        first = np.zeros(n, dtype=bool)
         first[np.unique(cell_of_row, return_index=True)[1]] = True
         dup = int(np.argmin(first))
         raise ParseError(f"{path}:{dup + 2}: duplicate cell {(surnames[dup], geoids[dup])}")
-    out = np.empty_like(values)
+    out = np.empty(values.shape)
     out[cell_of_row] = values
-    lines = np.empty(len(rows), dtype=np.int64)
-    lines[cell_of_row] = np.arange(2, len(rows) + 2)
+    lines = np.empty(n, dtype=np.int64)
+    lines[cell_of_row] = np.arange(2, n + 2)
     return labels, index, out, lines
 
 
@@ -486,8 +523,6 @@ def _largest_remainder(quotas_float):
     return base.astype(np.int64)
 
 
-
-
 # cell, margin, map and matrix readers -------------------------------------
 
 
@@ -578,30 +613,39 @@ def parse_calibration_map(path) -> np.ndarray:
 # writers -----------------------------------------------------------------
 
 
+def _fields(column):
+    """Each entry of `column` as csv writes it inside a row of two or more
+    fields: csv quotes each distinct entry once."""
+    # writerow returns what its file's write returns: here, the row's text
+    row_text = csv.writer(SimpleNamespace(write=str)).writerow
+    text = {x: row_text([x, ""])[:-3] for x in set(column)}
+    return [text[x] for x in column]
+
+
 def _write_csv(path, header, labels, values=None):
     """The one CSV writer: `header`, then one row per entry.
 
     A row is the entry of each column in `labels`, then the row of the
-    2-D float array `values`. csv writes Python floats as their repr; a
-    value with no finite result is an empty field. Rows are built in
-    blocks, so memory stays bounded by the block, not the file.
+    2-D float array `values`, and has two or more fields. The bytes are
+    those of csv.writer: labels quoted by csv itself, floats as their
+    repr, rows ending in CRLF. A value with no finite result is an empty
+    field. Rows are built column by column in blocks, so memory stays
+    bounded by the block, not the file.
     """
     n = len(labels[0])
-    width = len(labels) + (0 if values is None else values.shape[1])
+    columns = [_fields(column) for column in labels]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
+        fh.write(",".join(_fields(header)) + "\r\n")
         for lo in range(0, n, _CSV_BLOCK):
             hi = min(lo + _CSV_BLOCK, n)
-            rows = np.empty((hi - lo, width), dtype=object)
-            for j, column in enumerate(labels):
-                rows[:, j] = column[lo:hi]
+            block = [column[lo:hi] for column in columns]
             if values is not None:
-                block = values[lo:hi]
-                numbers = rows[:, len(labels):]
-                numbers[...] = block
-                numbers[~np.isfinite(block)] = ""
-            w.writerows(rows.tolist())
+                for column in values[lo:hi].T:
+                    text = list(map(repr, column.tolist()))
+                    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+                        text[i] = ""
+                    block.append(text)
+            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def _write_json(path, payload):

@@ -325,6 +325,26 @@ class TestDeterminism:
         for entry in manifest["outputs"]:
             assert len(entry["sha256"]) == 64
 
+    def test_manifest_layer_split_and_versions(self, tmp_path):
+        import platform
+
+        import raketab
+
+        fix = synth_fixture(tmp_path, seed=3)
+        pred = predict_dir(tmp_path, fix)
+        manifest = read_json(pred / "manifest.json")
+        assert [i["path"].rsplit("/", 1)[-1] for i in manifest["inputs"]] == [
+            "surname_factors.csv", "geo_factors.csv", "prior.json", "table.csv",
+        ]
+        timings = manifest["timings"]
+        assert set(timings) == {"parse_s", "write_s", "digest_s", "compute_s"}
+        assert all(np.isfinite(t) and t >= 0 for t in timings.values())
+        assert timings["parse_s"] > 0 and timings["write_s"] > 0 and timings["digest_s"] > 0
+        assert manifest["versions"] == {
+            "raketab": raketab.__version__, "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
+
 
 class TestErrors:
     def test_missing_input_gives_error_json_and_exit_2(self, tmp_path, capsys):

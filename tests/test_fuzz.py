@@ -2,10 +2,10 @@
 
 Each example mutates one row of one input of the golden pipeline (a
 non-finite or overflowing number, a negative zero, a BOM, a toggled line
-ending, a quoted comma, a duplicated row or a short row) and runs every
-subcommand that reads that file. The only allowed outcomes are exit 0
-with finite numbers in every CSV and strict JSON, or exit 2 with a single
-JSON error object on stderr.
+ending, a quoted comma, a duplicated row, a short or long row, or a blank
+line) and runs every subcommand that reads that file. The only allowed
+outcomes are exit 0 with finite numbers in every CSV and strict JSON, or
+exit 2 with a single JSON error object on stderr.
 """
 
 import contextlib
@@ -25,7 +25,10 @@ from raketab.cli import main
 
 from test_golden import golden_outputs
 
-MUTATIONS = ("nan", "inf", "1e309", "-0", "bom", "crlf", "quoted_comma", "duplicate", "short")
+MUTATIONS = (
+    "nan", "inf", "1e309", "-0", "bom", "crlf", "quoted_comma", "duplicate", "short", "long",
+    "blank",
+)
 # columns that hold labels rather than numbers, by output header name
 LABEL_COLUMNS = {
     "surname", "geoid", "voter_id", "race", "active", "level", "name",
@@ -97,8 +100,12 @@ def mutate(text, mutation, row, col, is_json=False):
         lines[i] = body + ("\n" if end == "\r\n" else "\r\n")
     elif mutation == "duplicate":
         lines.insert(i, lines[i])
+    elif mutation == "blank":
+        lines.insert(i, end or "\n")
     elif is_json and mutation == "short":
         lines[i] = ""
+    elif is_json and mutation == "long":
+        lines[i] = body + " 0" + end
     elif is_json:
         lines[i] = re.sub(r"-?\d[\d.eE+-]*", JSON_TOKENS[mutation], body, count=1) + end
     else:
@@ -106,6 +113,8 @@ def mutate(text, mutation, row, col, is_json=False):
         j = col % len(fields)
         if mutation == "short":
             fields = fields[:-1]
+        elif mutation == "long":
+            fields.append(fields[j])
         elif mutation == "quoted_comma":
             fields[j] += ",x"
         else:
@@ -182,3 +191,5 @@ def test_mutations_change_the_file():
     assert mutate(text, "nan", 0, 2) == "surname,geoid,a\r\nS1,g1,nan\r\nS2,g2,2.5\r\n"
     assert mutate(text, "quoted_comma", 1, 0) == 'surname,geoid,a\r\nS1,g1,1.5\r\n"S2,x",g2,2.5\r\n'
     assert mutate(text, "short", 0, 0) == "surname,geoid,a\r\nS1,g1\r\nS2,g2,2.5\r\n"
+    assert mutate(text, "long", 1, 2) == "surname,geoid,a\r\nS1,g1,1.5\r\nS2,g2,2.5,2.5\r\n"
+    assert mutate(text, "blank", 1, 0) == "surname,geoid,a\r\nS1,g1,1.5\r\n\r\nS2,g2,2.5\r\n"

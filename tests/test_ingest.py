@@ -1,8 +1,15 @@
+import csv
+import io
+import math
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from raketab import RaceCategory
+from raketab import ContingencyTable, RaceCategory, ingest
 from raketab.ingest import (
     CANONICAL_MAPPING,
     CPS_ORIGINS,
@@ -10,10 +17,12 @@ from raketab.ingest import (
     FLORIDA_MAPPING,
     NORTH_CAROLINA_MAPPING,
     ParseError,
+    RejectReport,
     VoterRecord,
     aggregate_voters,
     map_cps_categories,
     parse_geo_factors,
+    parse_predictions,
     parse_race_margin,
     parse_region_map,
     parse_surname_factors,
@@ -440,3 +449,238 @@ class TestRoundTrips:
         write_lines(path, ["geoid,region", "g1,north", "g1 ,south"])
         with pytest.raises(ParseError, match="duplicate geoid 'g1'"):
             parse_region_map(path)
+
+
+# the two cell formats share one reader; a row maker gives a valid data
+# row of each from a surname, a geoid and one number
+CELL_FORMATS = {
+    "table": (
+        parse_table, "surname,geoid,aian,api,black,hispanic,white,other",
+        lambda s, g, x: [s, g, x, "1", "0", "0", "2", "0"],
+    ),
+    "predictions": (
+        parse_predictions, "surname,geoid,count,p_aian,p_api,p_black,p_hispanic,p_white,p_other",
+        lambda s, g, x: [s, g, x, "0.25", "0", "0", "0.75", "0", "0"],
+    ),
+}
+
+
+class TestCellFiles:
+    """The reader of labeled tables, predictions and raked files."""
+
+    @staticmethod
+    def write(path, header, rows, end="\n"):
+        path.write_text(end.join([header] + rows) + end, encoding="utf-8", newline="")
+
+    @pytest.fixture(params=sorted(CELL_FORMATS))
+    def fmt(self, request):
+        return CELL_FORMATS[request.param]
+
+    def good_rows(self, make, n=4):
+        return [",".join(make(f"S{i}", f"g{i}", "3")) for i in range(n)]
+
+    @pytest.mark.parametrize("change, line", [
+        ("short", 3), ("long", 4), ("blank", 3), ("blank", 6), ("trailing_blank", 6),
+        ("whitespace", 4),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, fmt, change, line):
+        parse, header, make = fmt
+        rows = self.good_rows(make)
+        i = line - 2
+        if change == "short":
+            rows[i] = rows[i].rsplit(",", 1)[0]
+        elif change == "long":
+            rows[i] += ",0"
+        elif change in ("blank", "trailing_blank"):
+            rows.insert(i, "")
+        else:
+            rows[i] = "   "
+        path = tmp_path / "cells.csv"
+        self.write(path, header, rows)
+        width = len(header.split(","))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:{line}: expected {width} fields"):
+            parse(path)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_blank_line_names_its_line_with_any_ending(self, tmp_path, fmt, end):
+        parse, header, make = fmt
+        rows = self.good_rows(make)
+        rows.insert(1, "")
+        path = tmp_path / "cells.csv"
+        self.write(path, header, rows, end=end)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:3: expected"):
+            parse(path)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_blank_lines_only(self, tmp_path, fmt, end):
+        parse, header, _ = fmt
+        path = tmp_path / "cells.csv"
+        self.write(path, header, ["", ""], end=end)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:2: expected"):
+            parse(path)
+
+    def test_first_defect_in_file_order(self, tmp_path, fmt):
+        # a non-numeric field on line 3 comes before a blank line 5
+        parse, header, make = fmt
+        rows = self.good_rows(make)
+        rows[1] = ",".join(make("S1", "g1", "x"))
+        rows.insert(3, "")
+        path = tmp_path / "cells.csv"
+        self.write(path, header, rows)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:3: non-numeric value"):
+            parse(path)
+
+    @pytest.mark.parametrize("bad", ["x", "", " ", "1..5", "0x10"])
+    def test_non_numeric_field_names_its_line(self, tmp_path, fmt, bad):
+        parse, header, make = fmt
+        rows = self.good_rows(make, n=6)
+        rows[4] = ",".join(make("S4", "g4", bad))
+        path = tmp_path / "cells.csv"
+        self.write(path, header, rows)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:6: non-numeric value"):
+            parse(path)
+
+    def test_line_counts_records_not_physical_lines(self, tmp_path, fmt):
+        # a quoted label holding a line break and a blank line is one record
+        parse, header, make = fmt
+        rows = self.good_rows(make)
+        rows[0] = ",".join(['"A\n\nB"'] + make("S0", "g0", "3")[1:])
+        rows[2] = rows[2].rsplit(",", 1)[0]
+        path = tmp_path / "cells.csv"
+        self.write(path, header, rows)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:4: expected"):
+            parse(path)
+
+    def test_quoting_comments_and_crlf_read_as_csv(self, tmp_path, fmt):
+        parse, header, make = fmt
+        rows = [
+            make('"o\'neil, ""jr"""', "g#1", '"1.5"'),
+            make("#lee", '"g,2"', " 2 "),
+            make("kim#", "g3", "1e3"),
+            make('"a\r\nb\rc"', "g4", "+.5"),
+        ]
+        path = tmp_path / "cells.csv"
+        self.write(path, header, [",".join(r) for r in rows], end="\r\n")
+        got = parse(path)
+        labels, index = (got.labels, got.cell_index) if fmt[0] is parse_table else got[:2]
+        values = got.cell_values if fmt[0] is parse_table else got[2][:, None]
+        pairs = labels.pairs(index)
+        expected = {}
+        with path.open(newline="", encoding="utf-8") as fh:
+            for row in list(csv.reader(fh))[1:]:
+                expected[(row[0].strip().upper(), row[1].strip())] = float(row[2])
+        assert pairs == sorted(expected)
+        assert values[:, 0].tolist() == [expected[p] for p in pairs]
+
+    def test_underscore_and_non_ascii_digits_rejected(self, tmp_path, fmt):
+        # float() reads "1_000" and Arabic-Indic digits; the cell reader
+        # takes plain decimal text only
+        parse, header, make = fmt
+        for bad in ("1_000", "١"):
+            rows = self.good_rows(make)
+            rows[1] = ",".join(make("S1", "g1", bad))
+            path = tmp_path / "cells.csv"
+            self.write(path, header, rows)
+            with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:3: non-numeric value"):
+                parse(path)
+
+    # the file is rewritten by every example
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(
+        st.tuples(
+            # below the largest float, so rounding to 4 digits stays finite
+            st.floats(min_value=0, max_value=1e300),
+            st.sampled_from(["{!r}", " {!r} ", '"{!r}"', "{:.3e}", "{:E}", "+{!r}"]),
+        ),
+        min_size=1, max_size=20,
+    ))
+    def test_numbers_match_float(self, tmp_path, numbers):
+        texts = [spelling.format(x) for x, spelling in numbers]
+        path = tmp_path / "t.csv"
+        self.write(path, CELL_FORMATS["table"][1],
+                   [f"S{i:03d},g,{t},0,0,0,0,0" for i, t in enumerate(texts)])
+        got = parse_table(path).cell_values[:, 0]
+        expected = [float(next(csv.reader([t]))[0]) for t in texts]
+        assert np.array_equal(got.view(np.int64), np.array(expected).view(np.int64))
+
+
+LABEL_TEXT = st.text(st.sampled_from('ab ,"\n\r;#éÜ中\t'), max_size=6) | st.sampled_from(
+    ["", " ", " lead", "trail ", '"', '""', ",", "\r\n", "\n", "\r"]
+)
+FLOAT_VALUES = st.floats() | st.sampled_from([
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e-05, 0.0001, 1e16,
+    9999999999999998.0, 1.7976931348623157e308,
+])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_labels=st.integers(1, 3), n_values=st.integers(0, 3), n_rows=st.integers(0, 12),
+    block=st.integers(1, 5), data=st.data(),
+)
+def test_csv_writer_matches_csv_module(n_labels, n_values, n_rows, block, data):
+    """_write_csv writes the bytes of csv.writer given the same rows, with
+    an empty field for each value that is not finite."""
+    if n_labels + n_values < 2:
+        n_values = 1
+    labels = [data.draw(st.lists(LABEL_TEXT, min_size=n_rows, max_size=n_rows))
+              for _ in range(n_labels)]
+    header = [f"c{j}" for j in range(n_labels + n_values)]
+    values = None
+    if n_values:
+        values = np.array(
+            data.draw(st.lists(FLOAT_VALUES, min_size=n_rows * n_values, max_size=n_rows * n_values)),
+            dtype=np.float64,
+        ).reshape(n_rows, n_values)
+    expected = io.StringIO(newline="")
+    w = csv.writer(expected)
+    w.writerow(header)
+    for i in range(n_rows):
+        numbers = [] if values is None else values[i].tolist()
+        w.writerow([c[i] for c in labels] + [x if math.isfinite(x) else "" for x in numbers])
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_CSV_BLOCK", block)
+        path = Path(tmp) / "out.csv"
+        ingest._write_csv(path, header, labels, values)
+        got = path.read_bytes().decode("utf-8")
+    assert got.split("\r\n") == expected.getvalue().split("\r\n")
+
+
+BOM_INPUTS = {
+    "table": (parse_table, ["surname,geoid,aian,api,black,hispanic,white,other",
+                            "lee,g1,1,0,2,0,3,0", "kim,g2,0,1,0,0,0,4"]),
+    "predictions": (parse_predictions, [
+        "surname,geoid,count,p_aian,p_api,p_black,p_hispanic,p_white,p_other",
+        "LEE,g1,6,0.5,0,0.5,0,0,0", "KIM,g2,5,0,0.2,0,0,0.8,0"]),
+    "surname factors": (parse_surname_factors, [TestSurnameFactors.HEADER,
+                                                "SMITH,100,0.0,0.0,0.2,0.0,0.8,0.0"]),
+    "geo factors": (parse_geo_factors, [TestGeoFactors.HEADER, "12086,100,1,5,20,60,12,2"]),
+    "region map": (parse_region_map, ["geoid,region", "g1,north", "g2,south"]),
+    "voter file": (lambda path: parse_voter_file(path, CANONICAL_MAPPING), [
+        TestVoterFile.HEADER, "1,Diaz,g1,hispanic,true", "2,Lee,g2,,false"]),
+}
+
+
+def _comparable(parsed):
+    """Parser results as plain values that compare with ==."""
+    if isinstance(parsed, ContingencyTable):
+        return parsed.labels, parsed.cell_index.tolist(), parsed.cell_values.tolist()
+    if isinstance(parsed, tuple):
+        return [_comparable(p) for p in parsed]
+    if isinstance(parsed, np.ndarray):
+        return parsed.tolist()
+    if isinstance(parsed, dict):
+        return {k: _comparable(v) for k, v in parsed.items()}
+    if isinstance(parsed, RejectReport):
+        return parsed.rows
+    return parsed
+
+
+@pytest.mark.parametrize("kind", sorted(BOM_INPUTS))
+def test_byte_order_mark_is_ignored(tmp_path, kind):
+    parse, lines = BOM_INPUTS[kind]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_lines(plain, lines)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert _comparable(parse(marked)) == _comparable(parse(plain))
