@@ -5,7 +5,7 @@ Subcommands cover the full offline pipeline: fit factors, predict, rake,
 solve/apply calibration maps, subsample a voter file, evaluate predictions,
 and generate synthetic fixtures. Every run writes a manifest.json recording
 the command, flags, input and output digests, seconds spent parsing,
-writing, digesting and computing, and versions; outputs are written
+writing, digesting and computing, peak RSS, and versions; outputs are written
 atomically (temp file + rename). Exit codes: 0 success, 2 input error,
 3 non-convergence.
 """
@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import sys
 import time
 
@@ -82,13 +83,14 @@ class _Run:
     def finish(self):
         # compute is the rest of the run, up to the manifest
         elapsed = time.perf_counter() - self.start
+        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
         manifest = {
             "command": self.command,
             "flags": {k: str(v) for k, v in self.flags.items()},
             "seed": self.flags.get("seed"),
             "inputs": self.inputs,
             "outputs": sorted(self.outputs, key=lambda o: o["path"]),
-            "info": self.info,
+            "info": dict(self.info, peak_rss_mb=peak_kib / 1024),
             "timings": dict(self.timings, compute_s=elapsed - sum(self.timings.values())),
             "versions": {"raketab": __version__, "numpy": np.__version__,
                          "python": platform.python_version()},
@@ -200,6 +202,7 @@ def cmd_rake(args):
     run.write("theta_sg.csv", ingest.write_theta_sg, result)
     run.info["iterations"] = result.iterations
     run.info["final_margin_gap"] = result.final_margin_gap
+    run.info["gap_history"] = list(result.gap_history)
     run.finish()
     return EXIT_OK
 
@@ -326,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True, help="predictions CSV to rake")
     p.add_argument("--race-margin", required=True, help="race distribution JSON")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=10_000)
+    p.add_argument("--max-iters", type=int, default=100, help="cap on Newton steps")
     add_out(p)
     p.set_defaults(func=cmd_rake)
 
@@ -387,6 +390,8 @@ def main(argv=None) -> int:
 
 def _emit_error(exc, code):
     payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+    if isinstance(exc, raking.NonConvergenceError):
+        payload.update(vars(exc))  # margin_gap, worst_race, last_gaps
     json.dump(payload, sys.stderr)
     sys.stderr.write("\n")
 

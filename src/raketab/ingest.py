@@ -703,7 +703,7 @@ def write_predictions(path, table: ContingencyTable):
 
 def write_theta(path, result):
     """theta.json of a RakingResult: theta_r (null where not finite), the
-    sweep count and the final margin gap."""
+    Newton step count and the final margin gap."""
     theta_r = [t if np.isfinite(t) else None for t in result.theta_r.tolist()]
     _write_json(path, {
         "theta_r": dict(zip(RACE_NAMES, theta_r)),

@@ -1,15 +1,16 @@
 """
-iterative proportional fitting of count-scale predictions to a race margin
-and a (surname, geolocation) cell margin.
+exact raking of count-scale predictions to a race margin and a
+(surname, geolocation) cell margin.
 
-Each sweep rescales every race slice to its target total and then every
-(s, g) cell to its target total, repeating until the worst margin deviation
-falls below tolerance. The fixed point is the unique table of the form
-base * exp(theta_r + theta_sg) matching both margin families, and it
-minimizes generalized KL divergence to the base among all margin-feasible
-tables. The race-by-geolocation margin is deliberately not fitted: it is
-not observable for the populations this targets, so the model carries no
-term for it.
+The fit is the table base * exp(theta_r + theta_sg) matching both margin
+families: the KL-minimal margin-feasible table, to which iterative
+proportional fitting converges (Darroch & Ratcliff 1972). With the cell
+margin x_sg imposed it is m_sgr = x_sg b_sgr e^theta_r / sum_r' b_sgr'
+e^theta_r', where the six theta_r minimize the convex dual F(theta) =
+sum_sg x_sg log sum_r b_sgr e^theta_r - sum_r T_r theta_r, whose gradient
+is the race-margin gap M - T; Newton's method solves it in a few steps.
+The race-by-geolocation margin is deliberately not fitted: it is not
+observable for the populations this targets, so the model has no term for it.
 """
 
 from __future__ import annotations
@@ -18,25 +19,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import MarginSet, N_RACES, PredictionTable, compact_labels
+from .table import RACE_NAMES, MarginSet, N_RACES, PredictionTable, compact_labels
 
 
 class InfeasibleMarginError(ValueError):
-    """A positive margin target has no base mass to scale."""
+    """No table on the base's support meets the margin targets."""
 
 
 class NonConvergenceError(RuntimeError):
-    """Raking failed to reach tolerance within the iteration cap."""
+    """Raking missed tolerance; carries the gap, the worst race and its last gaps."""
 
-    def __init__(self, message, margin_gap):
+    def __init__(self, message, margin_gap, worst_race=None, last_gaps=()):
         super().__init__(message)
         self.margin_gap = margin_gap
+        self.worst_race = worst_race
+        self.last_gaps = list(last_gaps)
 
 
 @dataclass(frozen=True)
 class RakingConfig:
     tolerance: float = 1e-10
-    max_iterations: int = 10_000
+    max_iterations: int = 100
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -49,10 +52,11 @@ class RakingConfig:
 class RakingResult:
     """Converged prediction table with the fitted log-scale parameters.
 
-    theta_r and theta_sg are the accumulated per-race and per-cell log
-    scale factors, so table = base * exp(theta_r + theta_sg) cellwise on
-    the surviving support; theta_sg is aligned with `table.cell_index`.
-    Races zeroed by a zero target carry -inf.
+    table = base * exp(theta_r + theta_sg) cellwise on the surviving
+    support; theta_sg is aligned with `table.cell_index`. theta_r sums to
+    0 over the races with a positive target; a race zeroed by a zero
+    target carries -inf. `iterations` counts Newton steps, and
+    `gap_history` holds the race-margin gap at the start and after each.
     """
 
     table: PredictionTable
@@ -60,6 +64,7 @@ class RakingResult:
     theta_sg: np.ndarray
     iterations: int
     final_margin_gap: float
+    gap_history: tuple
 
 
 def margin_gap(m: PredictionTable, targets: MarginSet) -> float:
@@ -81,7 +86,6 @@ def rake(
     base: PredictionTable,
     targets: MarginSet,
     config: RakingConfig = RakingConfig(),
-    order: str = "race-first",
 ) -> RakingResult:
     """Fit a base prediction table to race and cell margin targets.
 
@@ -89,27 +93,21 @@ def rake(
     ----------
     base : PredictionTable
         Nonnegative starting table. Cells absent from the targets, or with
-        a zero target, are zeroed before iteration; zero base cells stay
-        exactly zero throughout.
+        a zero target, are zeroed; zero base cells stay exactly zero.
     targets : MarginSet
-        Race 6-vector and per-(surname, geolocation) totals. Every positive
-        target must be backed by positive base mass.
+        Race 6-vector and per-(surname, geolocation) totals. The targets of
+        every set of races must be backed by cell targets that support them.
     config : RakingConfig
-        Convergence tolerance on the margin gap and the sweep cap.
-    order : {"race-first", "cell-first"}
-        Which margin family is rescaled first within a sweep. The fixed
-        point does not depend on this.
+        Convergence tolerance on the margin gap and the Newton step cap.
 
     Raises
     ------
     InfeasibleMarginError
-        If a positive target has no base mass under it.
+        If no table on the base's support meets the targets.
     NonConvergenceError
-        If the margin gap is still above tolerance after the sweep cap;
-        carries the final gap.
+        If the margin gap is above tolerance after the step cap, or when no
+        step makes progress; carries the gap, the worst race and its last gaps.
     """
-    if order not in ("race-first", "cell-first"):
-        raise ValueError(f"unknown sweep order {order!r}")
     if targets.race is None:
         raise ValueError("raking requires a race margin target")
 
@@ -120,11 +118,11 @@ def rake(
     found = rows >= 0
 
     # cells without a positive target are zeroed: the limit of scaling by 0
-    cell_targets = np.zeros(base.n_cells)
-    cell_targets[rows[found]] = wanted[found]
-    values[cell_targets == 0] = 0.0
-    race_targets = targets.race.copy()
-    values[:, race_targets == 0] = 0.0
+    x = np.zeros(base.n_cells)
+    x[rows[found]] = wanted[found]
+    values[x == 0] = 0.0
+    t = targets.race.copy()
+    values[:, t == 0] = 0.0
 
     # feasibility: positive targets need positive base mass under them
     mass = np.zeros(len(keys))
@@ -135,61 +133,98 @@ def rake(
         what = "base mass there is zero" if found[i] else "base has no such cell"
         raise InfeasibleMarginError(f"cell target {keys[i]} is positive but {what}")
     race_mass = values.sum(axis=0)
-    infeasible = np.nonzero((race_targets > 0) & (race_mass <= 0))[0]
+    infeasible = np.nonzero((t > 0) & (race_mass <= 0))[0]
     if len(infeasible):
         raise InfeasibleMarginError(
             f"race target {infeasible[0]} is positive but base has no mass in that race"
         )
-
-    log_r = np.zeros(N_RACES)
-    log_sg = np.zeros(base.n_cells)
-    live_r = race_targets > 0
-    live_c = cell_targets > 0
-
-    def sweep_race():
-        cur = values.sum(axis=0)
-        f = np.ones(N_RACES)
-        f[live_r] = race_targets[live_r] / cur[live_r]
-        values[:] = values * f
-        log_r[live_r] += np.log(f[live_r])
-
-    def sweep_cell():
-        cur = values.sum(axis=1)
-        f = np.ones(base.n_cells)
-        f[live_c] = cell_targets[live_c] / cur[live_c]
-        values[:] = values * f[:, None]
-        log_sg[live_c] += np.log(f[live_c])
-
-    sweeps = (sweep_race, sweep_cell) if order == "race-first" else (sweep_cell, sweep_race)
-
-    gap = np.inf
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        for do_sweep in sweeps:
-            do_sweep()
-        # gap over both families, relative to max(target, 1)
-        race_dev = np.abs(values.sum(axis=0) - race_targets) / np.maximum(race_targets, 1.0)
-        cell_dev = np.abs(values.sum(axis=1) - cell_targets) / np.maximum(cell_targets, 1.0)
-        gap = float(max(race_dev.max(), cell_dev.max() if len(cell_dev) else 0.0))
-        if gap <= config.tolerance:
-            break
-    else:
-        raise NonConvergenceError(
-            f"margin gap {gap:.3e} after {config.max_iterations} sweeps "
-            f"(tolerance {config.tolerance:.1e})",
-            margin_gap=gap,
+    # and Gale's supply-demand condition: the targets of every set R of
+    # races sum to at most the cell targets of the cells supporting R
+    bits = 1 << np.arange(N_RACES)
+    subsets = np.arange(1 << N_RACES)
+    supply = np.bincount((values > 0) @ bits, weights=x, minlength=len(subsets))
+    demand = ((subsets[:, None] & bits) > 0) @ t
+    shortfall = demand - ((subsets[:, None] & subsets) > 0) @ supply
+    worst = int(np.argmax(shortfall))  # the first holds no race with a zero target
+    if shortfall[worst] > 1e-9 * t.sum():
+        other = int(bits @ (t > 0)) & ~worst
+        raise InfeasibleMarginError(
+            f"race targets of {[n for n, b in zip(RACE_NAMES, bits) if worst & b]} sum to "
+            f"{demand[worst]:.6g} but the cells whose base supports them hold "
+            f"{demand[worst] - shortfall[worst]:.6g} (shortfall {shortfall[worst]:.6g}); "
+            f"the other cells support only {[n for n, b in zip(RACE_NAMES, bits) if other & b]}"
         )
 
-    keep = values.sum(axis=1) > 0
-    table = PredictionTable(*compact_labels(base.labels, base.cell_index[keep]), values[keep])
-    # races zeroed away (positive base mass, zero target) get theta = -inf
-    theta_r = np.where(live_r | (race_mass == 0), log_r, -np.inf)
+    live_r, live_c = t > 0, x > 0
+    scale = np.maximum(t, 1.0)
+    work = np.empty_like(values)
+
+    def evaluate(theta):
+        """Fill work with b e^theta; return cell sums, x / sums, F and M."""
+        with np.errstate(all="ignore"):  # an overflowing trial step ends with F not finite
+            np.multiply(values, np.exp(theta), out=work)
+            sums = work.sum(axis=1)
+            ratio = np.divide(x, sums, out=np.zeros_like(sums), where=live_c)
+            logs = np.log(sums, out=np.zeros_like(sums), where=live_c)
+            return sums, ratio, x @ logs - t @ theta, work.T @ ratio
+
+    theta = np.zeros(N_RACES)
+    sums, ratio, objective, achieved = evaluate(theta)
+    devs = [np.abs(achieved - t) / scale]
+    steps = 0
+    while devs[-1].max() > config.tolerance and steps < config.max_iterations:
+        # the Hessian diag(M) - sum_sg x_sg p_sg p_sg^T is the Laplacian of
+        # the off-diagonal part of C = sum_sg (x_sg / sums_sg^2) w_sg w_sg^T;
+        # so built, its rows sum to 0 and lstsq drops the gauge direction
+        work *= np.sqrt(np.divide(ratio, sums, out=np.zeros_like(sums), where=live_c))[:, None]
+        c = (work.T @ work)[np.ix_(live_r, live_r)]
+        np.fill_diagonal(c, 0.0)
+        grad = achieved - t
+        step = np.zeros(N_RACES)
+        step[live_r] = np.linalg.lstsq(np.diag(c.sum(axis=1)) - c, -grad[live_r], rcond=1e-12)[0]
+        for halving in range(40):
+            alpha = 0.5**halving
+            trial = evaluate(theta + alpha * step)
+            dev = np.abs(trial[3] - t) / scale
+            # Armijo, or a halved gap where F's decrease falls below rounding
+            if np.isfinite(trial[2]) and (
+                trial[2] <= objective + 1e-4 * alpha * (grad @ step)
+                or dev.max() <= devs[-1].max() / 2
+            ):
+                break
+        else:  # no progress along the step: restore work for theta and stop
+            evaluate(theta)
+            break
+        theta = theta + alpha * step
+        sums, ratio, objective, achieved = trial
+        devs.append(dev)
+        steps += 1
+
+    np.multiply(work, ratio[:, None], out=work)
+    del values
+    cell_dev = np.abs(work.sum(axis=1) - x) / np.maximum(x, 1.0)
+    gap = float(np.max(cell_dev, initial=devs[-1].max()))
+    if gap > config.tolerance:
+        worst = int(np.argmax(devs[-1]))
+        last = [float(d[worst]) for d in devs[-5:]]
+        raise NonConvergenceError(
+            f"margin gap {gap:.3e} after {steps} of at most {config.max_iterations} Newton "
+            f"steps (tolerance {config.tolerance:.1e}); worst race {RACE_NAMES[worst]}, "
+            f"its last gaps {', '.join(f'{g:.3e}' for g in last)}",
+            margin_gap=gap, worst_race=RACE_NAMES[worst], last_gaps=last,
+        )
+
     return RakingResult(
-        table=table,
-        theta_r=theta_r,
-        theta_sg=log_sg[keep],
-        iterations=iterations,
+        table=PredictionTable(
+            *compact_labels(base.labels, base.cell_index[live_c]),
+            work if live_c.all() else work[live_c],
+        ),
+        # races zeroed away (positive base mass, zero target) get theta = -inf
+        theta_r=np.where(live_r | (race_mass == 0), theta, -np.inf),
+        theta_sg=np.log(ratio[live_c]),
+        iterations=steps,
         final_margin_gap=gap,
+        gap_history=tuple(float(d.max()) for d in devs),
     )
 
 

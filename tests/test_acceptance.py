@@ -107,7 +107,8 @@ def test_c03_raking_exact_margins_and_bisg_gap():
         factors, totals, bisg_pred = self_fit_weighted(table)
         result = rt.rake(bisg_pred, rt.MarginSet.from_table(table))
         assert result.final_margin_gap <= 1e-10
-        assert result.iterations <= 10_000
+        # Newton converges in a few steps; the sweeps it replaced needed dozens
+        assert result.iterations <= 10
         x_r = table.margin("r")
         live = x_r > 0
         raked_rel = np.max(np.abs(result.table.margin("r") - x_r)[live] / x_r[live])

@@ -56,6 +56,12 @@ class TestPipeline:
         ) == 0
         theta = read_json(raked / "theta.json")
         assert theta["final_margin_gap"] <= 1e-10
+        info = read_json(raked / "manifest.json")["info"]
+        # the race-margin gap at the start and after each Newton step
+        history = info["gap_history"]
+        assert len(history) == info["iterations"] + 1 == theta["iterations"] + 1
+        assert history[0] > 1e-10 >= info["final_margin_gap"] >= history[-1]
+        assert info["peak_rss_mb"] > 0
 
         ev = tmp_path / "eval"
         assert run_cli(
@@ -86,7 +92,7 @@ class TestPipeline:
         for value in summary["kuiper"].values():
             assert value < 1e-9
 
-    def test_rake_fixed_point_records_one_sweep(self, tmp_path):
+    def test_rake_fixed_point_records_no_step(self, tmp_path):
         fix = synth_fixture(tmp_path, seed=7)
         pred = predict_dir(tmp_path, fix)
         raked1 = tmp_path / "raked1"
@@ -94,15 +100,15 @@ class TestPipeline:
             "rake", "--base", pred / "predictions.csv",
             "--race-margin", fix / "race_margin.json", "--out-dir", raked1,
         ) == 0
-        # raking the already-raked output is a fixed point: one sweep and
-        # numerically unchanged values
+        # raking the already-raked output is a fixed point: no Newton step
+        # and numerically unchanged values
         raked2 = tmp_path / "raked2"
         assert run_cli(
             "rake", "--base", raked1 / "raked.csv",
             "--race-margin", fix / "race_margin.json", "--out-dir", raked2,
         ) == 0
         manifest = read_json(raked2 / "manifest.json")
-        assert manifest["info"]["iterations"] == 1
+        assert manifest["info"]["iterations"] == 0
         rows1, rows2 = read_csv(raked1 / "raked.csv"), read_csv(raked2 / "raked.csv")
         assert len(rows1) == len(rows2)
         for r1, r2 in zip(rows1[1:], rows2[1:]):
@@ -340,6 +346,7 @@ class TestDeterminism:
         assert set(timings) == {"parse_s", "write_s", "digest_s", "compute_s"}
         assert all(np.isfinite(t) and t >= 0 for t in timings.values())
         assert timings["parse_s"] > 0 and timings["write_s"] > 0 and timings["digest_s"] > 0
+        assert manifest["info"]["peak_rss_mb"] > 0
         assert manifest["versions"] == {
             "raketab": raketab.__version__, "numpy": np.__version__,
             "python": platform.python_version(),
@@ -368,6 +375,31 @@ class TestErrors:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NonConvergenceError"
+        # the diagnostics: the gap, the worst race and its gap at the start
+        # and after the one step allowed
+        assert err["margin_gap"] > 1e-14
+        assert err["worst_race"] in ("aian", "api", "black", "hispanic", "white", "other")
+        assert err["worst_race"] in err["message"]
+        assert len(err["last_gaps"]) == 2 and err["last_gaps"][-1] <= err["margin_gap"]
+
+    def test_unreachable_race_margin_exits_2(self, tmp_path, capsys):
+        # cell a supports only aian and cell b only api, so no table meets
+        # 3 aian and 1 api with 2 people in each cell
+        base = tmp_path / "base.csv"
+        base.write_text(
+            "surname,geoid,count,p_aian,p_api,p_black,p_hispanic,p_white,p_other\n"
+            "A,x,2,1,0,0,0,0,0\nB,x,2,0,1,0,0,0,0\n"
+        )
+        margin = tmp_path / "margin.json"
+        margin.write_text(json.dumps({"race_distribution": {
+            "aian": 0.75, "api": 0.25, "black": 0, "hispanic": 0, "white": 0, "other": 0}}))
+        err = exits_2_with_json_error(
+            capsys, "rake", "--base", base, "--race-margin", margin,
+            "--out-dir", tmp_path / "raked",
+        )
+        assert err["error"] == "InfeasibleMarginError"
+        assert "aian" in err["message"] and "api" in err["message"]
+        assert not (tmp_path / "raked" / "raked.csv").exists()
 
 
 class TestAdjustment:

@@ -18,20 +18,30 @@ from raketab import (
 from conftest import race6
 
 
-def dumb_ipf(cells, race_targets, cell_targets, sweeps):
-    """Scalar-loop fitting oracle, independent of the library implementation."""
+def dumb_ipf(cells, race_targets, cell_targets, sweeps, order="race-first"):
+    """Scalar-loop iterative proportional fitting, independent of the
+    library implementation: each sweep rescales every race slice and then
+    every cell to its target, or the cells first with order="cell-first"."""
     work = {k: np.array(v, dtype=float) for k, v in cells.items()}
-    for _ in range(sweeps):
+
+    def sweep_race():
         for r in range(6):
             cur = sum(v[r] for v in work.values())
             if race_targets[r] > 0 and cur > 0:
                 f = race_targets[r] / cur
                 for v in work.values():
                     v[r] *= f
+
+    def sweep_cell():
         for k, v in work.items():
             cur = v.sum()
             if cell_targets.get(k, 0.0) > 0 and cur > 0:
                 v *= cell_targets[k] / cur
+
+    sweeps_in_order = (sweep_race, sweep_cell) if order == "race-first" else (sweep_cell, sweep_race)
+    for _ in range(sweeps):
+        for do_sweep in sweeps_in_order:
+            do_sweep()
     return work
 
 
@@ -72,10 +82,11 @@ def f1_bisg_base(f1_table):
 
 
 class TestRake:
-    def test_fixed_point_single_sweep(self, f1_table):
+    def test_fixed_point_takes_no_step(self, f1_table):
         base = f1_bisg_base(f1_table)
         result = rake(base, MarginSet.from_table(base))
-        assert result.iterations == 1
+        assert result.iterations == 0
+        assert len(result.gap_history) == 1 and result.gap_history[0] <= 1e-10
         np.testing.assert_allclose(result.table.cell_values, base.cell_values, rtol=1e-12)
         np.testing.assert_array_equal(result.theta_r[:2], [0.0, 0.0])
         assert all(v == 0.0 for v in result.theta_sg)
@@ -121,11 +132,15 @@ class TestRake:
         np.testing.assert_allclose(result.table.margin("r")[:2], [18, 22], rtol=1e-9)
 
     def test_sweep_order_invariance(self, f1_table):
+        # the fixed point of the sweeps does not depend on their order, and
+        # the Newton fit is that fixed point
         base = f1_bisg_base(f1_table)
         targets = MarginSet.from_table(f1_table)
-        r1 = rake(base, targets, order="race-first")
-        r2 = rake(base, targets, order="cell-first")
-        np.testing.assert_allclose(r1.table.cell_values, r2.table.cell_values, rtol=1e-8)
+        result = rake(base, targets)
+        for order in ("race-first", "cell-first"):
+            oracle = dumb_ipf(dict(base.items()), targets.race, targets.cell, 3000, order)
+            for key, vec in result.table.items():
+                np.testing.assert_allclose(vec, oracle[key], rtol=1e-8)
 
     def test_zero_base_cells_stay_zero(self):
         base = PredictionTable.from_label_cells(
@@ -155,12 +170,39 @@ class TestRake:
         with pytest.raises(InfeasibleMarginError, match="race target"):
             rake(base, MarginSet(race6(1, 1), {("a", "x"): 2.0}))
 
+    def test_infeasible_support_pattern(self):
+        # each race has base mass, but cell a supports only race 0 and
+        # cell b only race 1, so race 0 can get at most cell a's 2
+        base = PredictionTable.from_label_cells(
+            {("a", "x"): race6(1, 0), ("b", "x"): race6(0, 1)}
+        )
+        targets = MarginSet(race6(3, 1), {("a", "x"): 2.0, ("b", "x"): 2.0})
+        with pytest.raises(InfeasibleMarginError, match=r"\['aian'\].*shortfall 1\b.*\['api'\]"):
+            rake(base, targets)
+
+    def test_tight_support_pattern_converges(self):
+        # race 0 needs all of cell a (Gale's condition holds with
+        # equality), so the fit lies on the boundary of the support and
+        # theta_r diverges; it must still reach tolerance within the cap
+        base = PredictionTable.from_label_cells(
+            {("a", "x"): race6(1, 1), ("b", "x"): race6(0, 1)}
+        )
+        targets = MarginSet(race6(2, 2), {("a", "x"): 2.0, ("b", "x"): 2.0})
+        result = rake(base, targets)
+        assert result.iterations <= RakingConfig().max_iterations
+        assert result.final_margin_gap <= 1e-10
+        np.testing.assert_allclose(result.table.cell("a", "x")[:2], [2, 0], atol=1e-9)
+
     def test_nonconvergence_carries_gap(self, f1_table):
         base = f1_bisg_base(f1_table)
         targets = MarginSet.from_table(f1_table)
         with pytest.raises(NonConvergenceError) as err:
-            rake(base, targets, RakingConfig(tolerance=1e-14, max_iterations=2))
-        assert err.value.margin_gap > 0
+            rake(base, targets, RakingConfig(tolerance=1e-14, max_iterations=1))
+        assert err.value.margin_gap > 1e-14
+        assert err.value.worst_race in ("aian", "api")
+        # the worst race's gap at the start and after the one step
+        assert len(err.value.last_gaps) == 2
+        assert err.value.last_gaps[1] < err.value.last_gaps[0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -190,6 +232,8 @@ def test_rake_contract_on_random_tables(seed):
     race_targets[:3] = shares * total
     result = rake(base, MarginSet(race_targets, cell_targets))
     np.testing.assert_allclose(result.table.margin("r"), race_targets, atol=1e-8)
+    # the gauge: theta_r sums to 0 over the races with a positive target
+    assert abs(result.theta_r[:3].sum()) <= 1e-9 * np.abs(result.theta_r[:3]).max()
     for (key, vec), theta_sg in zip(result.table.items(), result.theta_sg):
         assert vec.sum() == pytest.approx(cell_targets[key], rel=1e-8)
         recon = base.cell(*key) * np.exp(result.theta_r + theta_sg)
