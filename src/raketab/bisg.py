@@ -15,15 +15,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .table import (
-    N_RACES,
-    ContingencyTable,
-    PredictionTable,
-    _as_race_vector,
-    _check_finite_nonnegative,
-    compact_labels,
-    index_cells,
-)
+from .table import N_RACES, ContingencyTable, MarginSet, PredictionTable, compact_labels
+from .table import _as_race_vector, _check_cells, _check_finite_nonnegative, index_cells
 
 
 class MissingFactorError(LookupError):
@@ -107,36 +100,16 @@ def fit_factors(labeled: ContingencyTable) -> BisgFactors:
     total = labeled.total()
     if total <= 0:
         raise ValueError("cannot fit factors on a table with zero total")
-    gr = labeled.margin("gr")
-    sr = labeled.margin("sr")
-    g_tot = gr.sum(axis=1)
-    s_tot = sr.sum(axis=1)
-    race_given_geo = {
-        g: gr[i] / g_tot[i]
-        for i, g in enumerate(labeled.labels.geolocations)
-        if g_tot[i] > 0
-    }
-    race_given_surname = {
-        s: sr[i] / s_tot[i]
-        for i, s in enumerate(labeled.labels.surnames)
-        if s_tot[i] > 0
-    }
-    geo_counts = {
-        g: float(g_tot[i])
-        for i, g in enumerate(labeled.labels.geolocations)
-        if g_tot[i] > 0
-    }
-    surname_counts = {
-        s: float(s_tot[i])
-        for i, s in enumerate(labeled.labels.surnames)
-        if s_tot[i] > 0
-    }
+    gr, sr = labeled.margin("gr"), labeled.margin("sr")
+    g_tot, s_tot = gr.sum(axis=1), sr.sum(axis=1)
+    geos = [(g, i) for i, g in enumerate(labeled.labels.geolocations) if g_tot[i] > 0]
+    surs = [(s, i) for i, s in enumerate(labeled.labels.surnames) if s_tot[i] > 0]
     return BisgFactors(
-        race_given_geo=race_given_geo,
-        race_given_surname=race_given_surname,
+        race_given_geo={g: gr[i] / g_tot[i] for g, i in geos},
+        race_given_surname={s: sr[i] / s_tot[i] for s, i in surs},
         race_prior=labeled.margin("r") / total,
-        geo_counts=geo_counts,
-        surname_counts=surname_counts,
+        geo_counts={g: float(g_tot[i]) for g, i in geos},
+        surname_counts={s: float(s_tot[i]) for s, i in surs},
     )
 
 
@@ -274,7 +247,7 @@ def baseline_surname_only(factors: BisgFactors, surname: str) -> np.ndarray:
 
 def weighted_counts(
     factors: BisgFactors,
-    cell_totals: Mapping[tuple[str, str], float],
+    cell_totals: MarginSet | Mapping[tuple[str, str], float],
     adjustment: Optional[VoterAdjustment] = None,
     method: str = "bisg",
 ) -> tuple[PredictionTable, list]:
@@ -282,8 +255,11 @@ def weighted_counts(
 
     Parameters
     ----------
-    cell_totals : mapping (surname, geolocation) -> weight
-        Number of people at each cell, typically x_{sg+} from a voter file.
+    cell_totals : MarginSet, or mapping (surname, geolocation) -> weight
+        Number of people at each cell, typically x_{sg+} from a voter file:
+        the cell part of a MarginSet (its race part is ignored), or a
+        mapping, whose labels are resolved once here and sorted. The result
+        keeps the order of the labels.
     method : {"bisg", "geo-only", "surname-only"}
         Conditional used per cell. Under "bisg", a surname missing from
         the factors falls back to the geolocation-only prediction and the
@@ -297,18 +273,17 @@ def weighted_counts(
     """
     if method not in ("bisg", "geo-only", "surname-only"):
         raise ValueError(f"unknown method {method!r}")
-    weight = adjustment.weight if adjustment is not None else None
 
-    if not cell_totals:
+    if isinstance(cell_totals, MarginSet):
+        labels, index, w_arr = cell_totals.labels, cell_totals.cell_index, cell_totals.totals
+    elif not cell_totals:
         raise ValueError("no predictable cells")
-    keys = list(cell_totals)
-    labels, index, rows = index_cells([s for s, _ in keys], [g for _, g in keys])
-    w_arr = np.zeros(len(index))
-    w_arr[rows] = np.fromiter(cell_totals.values(), dtype=np.float64, count=len(keys))
-    bad = np.nonzero(~np.isfinite(w_arr) | (w_arr < 0))[0]
-    if len(bad):
-        what = "negative" if w_arr[bad[0]] < 0 else "non-finite"
-        raise ValueError(f"{what} cell total at {labels.pairs(index[bad[:1]])[0]}")
+    else:
+        keys = list(cell_totals)
+        labels, index, rows = index_cells([s for s, _ in keys], [g for _, g in keys])
+        w_arr = np.zeros(len(index))
+        w_arr[rows] = np.fromiter(cell_totals.values(), dtype=np.float64, count=len(keys))
+        _check_cells(labels, index, w_arr, "cell total at")
     index, w_arr = index[w_arr > 0], w_arr[w_arr > 0]
     if not len(index):
         raise ValueError("no predictable cells")
@@ -322,16 +297,12 @@ def weighted_counts(
 
     if method == "surname-only":
         ok = rs_ok[s_code]
-        num = rs[s_code].copy()
+        num = rs[s_code]
         rejects = flagged(~ok, "missing surname factor")
-        if weight is not None:
-            num *= weight
     elif method == "geo-only":
         ok = rg_ok[g_code]
-        num = rg[g_code].copy()
+        num = rg[g_code]
         rejects = flagged(~ok, "missing geolocation factor")
-        if weight is not None:
-            num *= weight
     else:
         has_g = rg_ok[g_code]
         has_s = rs_ok[s_code]
@@ -341,12 +312,12 @@ def weighted_counts(
         num[:, live] = rg[g_code][:, live] * rs[s_code][:, live] / prior[live]
         fallback = has_g & ~has_s
         num[fallback] = rg[g_code[fallback]]
-        if weight is not None:
-            num *= weight
         ok = has_g
         rejects = flagged(~has_g, "missing geolocation factor") + flagged(
             fallback, "missing surname factor; used geolocation baseline"
         )
+    if adjustment is not None:
+        num *= adjustment.weight
     if not np.any(ok):
         raise ValueError("no predictable cells")
 
@@ -362,11 +333,6 @@ def weighted_counts(
 
 def _factor_matrix(factor_map, labels):
     """Stack per-label factor vectors; the mask flags labels with a factor."""
-    out = np.zeros((len(labels), N_RACES))
-    ok = np.zeros(len(labels), dtype=bool)
-    for i, label in enumerate(labels):
-        vec = factor_map.get(label)
-        if vec is not None:
-            out[i] = vec
-            ok[i] = True
-    return out, ok
+    ok = np.array([label in factor_map for label in labels], dtype=bool)
+    zero = np.zeros(N_RACES)
+    return np.array([factor_map.get(label, zero) for label in labels]).reshape(-1, N_RACES), ok

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, bisg, calibmap, ingest, metrics, raking
 from .synth import SynthConfig, generate
-from .table import N_RACES, ContingencyTable, PredictionTable, RaceCategory
+from .table import N_RACES, ContingencyTable, MarginSet, PredictionTable, RaceCategory
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -117,7 +117,7 @@ def _load_occupancy(args, run):
     """Cell totals to predict for: from a table CSV or a voter file."""
     if getattr(args, "table", None):
         table = run.read(args.table, ingest.parse_table)
-        return dict(zip(table.support(), table.cell_sums.tolist()))
+        return MarginSet(None, table.labels, table.cell_index, table.cell_sums)
     records = run.read(args.voters, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
     _, occupancy = ingest.aggregate_voters(records, require_race=False)
     return occupancy
@@ -192,8 +192,7 @@ def cmd_rake(args):
     base = PredictionTable(labels, index[live], counts[live, None] * conds[live])
     # renormalize so the race targets sum exactly to the cell-target total
     distribution = distribution / distribution.sum()
-    cell_targets = dict(zip(base.support(), counts[live].tolist()))
-    targets = raking.MarginSet(distribution * sum(counts.tolist()), cell_targets)
+    targets = MarginSet(distribution * sum(counts.tolist()), labels, base.cell_index, counts[live])
     config = raking.RakingConfig(tolerance=args.tol, max_iterations=args.max_iters)
     result = raking.rake(base, targets, config)
 
@@ -203,6 +202,10 @@ def cmd_rake(args):
     run.info["iterations"] = result.iterations
     run.info["final_margin_gap"] = result.final_margin_gap
     run.info["gap_history"] = list(result.gap_history)
+    run.info["feasibility_slack"] = result.feasibility_slack
+    run.info["tightest_races"] = list(result.tightest_races)
+    run.info["cells_in"] = len(counts)
+    run.info["cells_out"] = result.table.n_cells
     run.finish()
     return EXIT_OK
 
@@ -249,7 +252,7 @@ def cmd_evaluate(args):
         raise ValueError(f"predictions missing for {len(missing)} truth cells, e.g. {missing[:3]}")
     cond = conds[rows]
     if matrix is not None:
-        cond = np.array([matrix @ c for c in cond])
+        cond = np.matmul(matrix, cond[:, :, None])[:, :, 0]
     pred = PredictionTable(
         truth.labels, truth.cell_index[occupied], truth.cell_sums[occupied, None] * cond
     )

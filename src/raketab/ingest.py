@@ -48,7 +48,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .table import N_RACES, RACE_NAMES, ContingencyTable, RaceCategory, index_cells
+from .table import N_RACES, RACE_NAMES, ContingencyTable, MarginSet, RaceCategory
+from .table import compact_labels, index_cells
 
 SURNAME_FACTORS_HEADER = [
     "surname", "count",
@@ -448,27 +449,24 @@ def aggregate_voters(records, require_race: bool):
 
     Returns
     -------
-    (ContingencyTable or None, dict)
+    (ContingencyTable or None, MarginSet)
         The labeled table (None when nothing is labeled) and the
-        occupancy map (surname, geolocation) -> count.
+        occupancy count of each (surname, geolocation) cell, with no race part.
     """
-    cells: dict[tuple[str, str], np.ndarray] = {}
-    occupancy: dict[tuple[str, str], float] = {}
-    for rec in records:
-        if require_race and not (rec.active and rec.race is not None):
-            continue
-        key = (rec.surname, rec.geolocation)
-        occupancy[key] = occupancy.get(key, 0.0) + 1.0
-        if rec.race is not None:
-            vec = cells.get(key)
-            if vec is None:
-                vec = np.zeros(N_RACES)
-                cells[key] = vec
-            vec[rec.race] += 1.0
-    if not occupancy:
+    records = [r for r in records if not require_race or (r.active and r.race is not None)]
+    if not records:
         raise ValueError("no records to aggregate")
-    table = ContingencyTable.from_label_cells(cells) if cells else None
-    return table, occupancy
+    surnames, geoids = [r.surname for r in records], [r.geolocation for r in records]
+    labels, index, rows = index_cells(surnames, geoids)
+    occupancy = MarginSet(None, labels, index, np.bincount(rows, minlength=len(index)))
+    races = np.array([-1 if r.race is None else int(r.race) for r in records])
+    labeled = races >= 0
+    if not labeled.any():
+        return None, occupancy
+    codes = rows[labeled] * N_RACES + races[labeled]
+    values = np.bincount(codes, minlength=len(index) * N_RACES).reshape(-1, N_RACES)
+    keep = values.sum(axis=1) > 0
+    return ContingencyTable(*compact_labels(labels, index[keep]), values[keep]), occupancy
 
 
 def subsample_to_margin(records, target, seed: int):

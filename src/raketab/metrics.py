@@ -15,14 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .table import (
-    N_RACES,
-    RACE_NAMES,
-    ContingencyTable,
-    PredictionTable,
-    RaceCategory,
-    sum_by_group,
-)
+from .table import N_RACES, RACE_NAMES, ContingencyTable, PredictionTable, RaceCategory
+from .table import sum_by_group
 
 # the log of a predicted conditional is floored here so that empirically
 # occupied cells with a zero prediction stay finite
@@ -255,10 +249,9 @@ def calibration_curve(
     weights = t_sums[occupied]
     probs = m[:, race] / m_tot
     freqs = truth.cell_values[occupied, race] / weights
-    # ascending by predicted probability; ties fall back to the cells'
-    # lexicographic (surname, geolocation) order for reproducible curves
-    idx = truth.cell_index[occupied]
-    order = np.lexsort((idx[:, 1], idx[:, 0], probs))
+    # ascending by predicted probability; a stable sort leaves ties in the
+    # sorted cell index's (surname, geolocation) order for reproducible curves
+    order = np.argsort(probs, kind="stable")
     weights, probs, freqs = weights[order], probs[order], freqs[order]
     wtot = weights.sum()
     points = np.zeros((len(weights) + 1, 2))

@@ -57,6 +57,10 @@ class RakingResult:
     0 over the races with a positive target; a race zeroed by a zero
     target carries -inf. `iterations` counts Newton steps, and
     `gap_history` holds the race-margin gap at the start and after each.
+    `feasibility_slack` is the least, over nonempty proper sets R of the
+    races with a positive target, of (cell targets of the cells whose base
+    supports R) - (targets of R), relative to the race-target total, and
+    `tightest_races` is that R; with under two such races both are empty.
     """
 
     table: PredictionTable
@@ -65,6 +69,8 @@ class RakingResult:
     iterations: int
     final_margin_gap: float
     gap_history: tuple
+    feasibility_slack: float | None
+    tightest_races: tuple
 
 
 def margin_gap(m: PredictionTable, targets: MarginSet) -> float:
@@ -74,10 +80,9 @@ def margin_gap(m: PredictionTable, targets: MarginSet) -> float:
         achieved = m.margin("r")
         dev = np.abs(achieved - targets.race) / np.maximum(targets.race, 1.0)
         gap = float(dev.max())
-    if targets.cell:
-        rows = m.locate(targets.cell)
-        t = np.fromiter(targets.cell.values(), dtype=np.float64, count=len(rows))
-        achieved = np.append(m.cell_sums, 0.0)[rows]  # row -1 reads the appended 0
+    if len(targets.totals):
+        t = targets.totals
+        achieved = np.append(m.cell_sums, 0.0)[m.locate(targets)]  # row -1 reads the appended 0
         gap = max(gap, float((np.abs(achieved - t) / np.maximum(t, 1.0)).max()))
     return gap
 
@@ -112,26 +117,25 @@ def rake(
         raise ValueError("raking requires a race margin target")
 
     values = base.cell_values.copy()
-    keys = list(targets.cell)
-    wanted = np.fromiter(targets.cell.values(), dtype=np.float64, count=len(keys))
-    rows = base.locate(keys)
+    rows = base.locate(targets)
     found = rows >= 0
 
     # cells without a positive target are zeroed: the limit of scaling by 0
     x = np.zeros(base.n_cells)
-    x[rows[found]] = wanted[found]
+    x[rows[found]] = targets.totals[found]
     values[x == 0] = 0.0
     t = targets.race.copy()
     values[:, t == 0] = 0.0
 
     # feasibility: positive targets need positive base mass under them
-    mass = np.zeros(len(keys))
+    mass = np.zeros(len(rows))
     mass[found] = values[rows[found]].sum(axis=1)
-    infeasible = np.nonzero((wanted > 0) & (mass <= 0))[0]
+    infeasible = np.nonzero((targets.totals > 0) & (mass <= 0))[0]
     if len(infeasible):
         i = infeasible[0]
+        key = targets.labels.pairs(targets.cell_index[i : i + 1])[0]
         what = "base mass there is zero" if found[i] else "base has no such cell"
-        raise InfeasibleMarginError(f"cell target {keys[i]} is positive but {what}")
+        raise InfeasibleMarginError(f"cell target {key} is positive but {what}")
     race_mass = values.sum(axis=0)
     infeasible = np.nonzero((t > 0) & (race_mass <= 0))[0]
     if len(infeasible):
@@ -145,15 +149,22 @@ def rake(
     supply = np.bincount((values > 0) @ bits, weights=x, minlength=len(subsets))
     demand = ((subsets[:, None] & bits) > 0) @ t
     shortfall = demand - ((subsets[:, None] & subsets) > 0) @ supply
+
+    def races(subset):
+        return [n for n, b in zip(RACE_NAMES, bits) if subset & b]
+
     worst = int(np.argmax(shortfall))  # the first holds no race with a zero target
+    live = int(bits @ (t > 0))
     if shortfall[worst] > 1e-9 * t.sum():
-        other = int(bits @ (t > 0)) & ~worst
         raise InfeasibleMarginError(
-            f"race targets of {[n for n, b in zip(RACE_NAMES, bits) if worst & b]} sum to "
+            f"race targets of {races(worst)} sum to "
             f"{demand[worst]:.6g} but the cells whose base supports them hold "
             f"{demand[worst] - shortfall[worst]:.6g} (shortfall {shortfall[worst]:.6g}); "
-            f"the other cells support only {[n for n, b in zip(RACE_NAMES, bits) if other & b]}"
+            f"the other cells support only {races(live & ~worst)}"
         )
+    # the nonempty proper subsets of the live races; the full set has no slack
+    proper = np.nonzero(((subsets & ~live) == 0) & (subsets > 0) & (subsets < live))[0]
+    tightest = int(proper[np.argmax(shortfall[proper])]) if len(proper) else 0
 
     live_r, live_c = t > 0, x > 0
     scale = np.maximum(t, 1.0)
@@ -225,6 +236,8 @@ def rake(
         iterations=steps,
         final_margin_gap=gap,
         gap_history=tuple(float(d.max()) for d in devs),
+        feasibility_slack=float(-shortfall[tightest] / t.sum()) if tightest else None,
+        tightest_races=tuple(races(tightest)),
     )
 
 

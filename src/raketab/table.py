@@ -142,6 +142,28 @@ def compact_labels(labels: AxisLabels, index):
     return kept, np.column_stack([si, gi])
 
 
+def _check_cells(labels: AxisLabels, index, values, what) -> np.ndarray:
+    """Check an (n, 2) int64 index against its labels (in range, sorted,
+    unique) and its per-cell values (finite, nonnegative, an error naming
+    the first bad cell after `what`); return the codes s * n_g + g."""
+    if len(index) and (
+        index.min() < 0
+        or index[:, 0].max() >= labels.n_s
+        or index[:, 1].max() >= labels.n_g
+    ):
+        raise ValueError("cell index outside label ranges")
+    codes = index[:, 0] * labels.n_g + index[:, 1]
+    if np.any(codes[1:] <= codes[:-1]):
+        raise ValueError("cell index must be sorted and unique")
+    # min and max see NaN and inf without a temporary per entry
+    if len(values) and not (values.min() >= 0 and values.max() < np.inf):
+        for bad, kind in ((~np.isfinite(values), "non-finite"), (values < 0, "negative")):
+            if np.any(bad):
+                key = labels.pairs(index[bad.reshape(len(index), -1).any(axis=1)])[0]
+                raise ValueError(f"{kind} {what} {key}")
+    return codes
+
+
 class ContingencyTable:
     """Sparse nonnegative three-way table of counts over (s, g, r).
 
@@ -157,21 +179,7 @@ class ContingencyTable:
     def __init__(self, labels: AxisLabels, index, values):
         index = np.ascontiguousarray(index, dtype=np.int64).reshape(-1, 2)
         values = np.ascontiguousarray(values, dtype=np.float64).reshape(len(index), N_RACES)
-        if len(index) and (
-            index.min() < 0
-            or index[:, 0].max() >= labels.n_s
-            or index[:, 1].max() >= labels.n_g
-        ):
-            raise ValueError("cell index outside label ranges")
-        codes = index[:, 0] * labels.n_g + index[:, 1]
-        if np.any(codes[1:] <= codes[:-1]):
-            raise ValueError("cell index must be sorted and unique")
-        # min and max see NaN and inf without a temporary per entry
-        if len(values) and not (values.min() >= 0 and values.max() < np.inf):
-            for bad, what in ((~np.isfinite(values), "non-finite"), (values < 0, "negative")):
-                if np.any(bad):
-                    key = labels.pairs(index[bad.any(axis=1)])[0]
-                    raise ValueError(f"{what} count in cell {key}")
+        codes = _check_cells(labels, index, values, "count in cell")
         for arr in (index, values, codes):
             arr.flags.writeable = False
         self.labels = labels
@@ -217,12 +225,16 @@ class ContingencyTable:
     def locate(self, cells) -> np.ndarray:
         """Row of each given cell in this table, or -1 where it is absent.
 
-        `cells` is another table, whose cells are taken in its row order,
-        or an iterable of (surname, geolocation) label pairs.
+        `cells` is another table or a MarginSet, anything with `labels` and
+        a `cell_index`, whose cells are taken in its row order, or an
+        iterable of (surname, geolocation) label pairs.
         """
-        if isinstance(cells, ContingencyTable):
-            si = self.labels.positions("s", cells.labels.surnames)[cells.cell_index[:, 0]]
-            gi = self.labels.positions("g", cells.labels.geolocations)[cells.cell_index[:, 1]]
+        if hasattr(cells, "cell_index"):
+            index = cells.cell_index
+            si = gi = index[:, 0]
+            if len(index):  # an empty cell family carries no labels
+                si = self.labels.positions("s", cells.labels.surnames)[index[:, 0]]
+                gi = self.labels.positions("g", cells.labels.geolocations)[index[:, 1]]
         else:
             pairs = list(cells)
             si = self.labels.positions("s", [s for s, _ in pairs])
@@ -316,38 +328,59 @@ class PredictionTable(ContingencyTable):
 class MarginSet:
     """Raking targets: a race-margin 6-vector and per-cell (s, g) totals.
 
-    When both families are given they must be consistent: the race targets
-    and the cell targets sum to the same grand total (relative tolerance
-    1e-9). Either family may be absent (race None, or an empty cell map)
-    for partial target sets, e.g. when only measuring margin gaps.
+    The cell totals are a table with one column: `labels`, a sorted unique
+    (n, 2) `cell_index` and the float `totals` aligned with it, checked as
+    a ContingencyTable checks its cells and marked read-only. When both
+    families are given they must sum to the same grand total (relative
+    tolerance 1e-9). Either may be absent (race None; labels None and no
+    cells) for partial target sets, e.g. when only measuring margin gaps.
     """
 
-    __slots__ = ("race", "cell")
+    __slots__ = ("race", "labels", "cell_index", "totals")
 
-    def __init__(self, race, cell: Mapping[tuple[str, str], float]):
+    def __init__(self, race, labels: AxisLabels | None = None, index=(), totals=()):
         self.race = None if race is None else _as_race_vector(race, name="race margin")
-        self.cell = {(str(s), str(g)): float(w) for (s, g), w in cell.items()}
-        cell_values = np.fromiter(self.cell.values(), dtype=np.float64, count=len(self.cell))
+        self.labels = labels
+        self.cell_index = index = np.ascontiguousarray(index, dtype=np.int64).reshape(-1, 2)
+        self.totals = totals = np.ascontiguousarray(totals, dtype=np.float64).reshape(len(index))
         if self.race is not None:
             _check_finite_nonnegative(self.race, "race-margin target")
-        _check_finite_nonnegative(cell_values, "cell-margin target")
-        if self.race is not None and self.cell:
-            race_total = float(self.race.sum())
-            cell_total = float(cell_values.sum())
-            scale = max(race_total, cell_total, 1e-300)
-            if abs(race_total - cell_total) > 1e-9 * scale:
+        if len(index):
+            if labels is None:
+                raise ValueError("cell targets need labels")
+            _check_cells(labels, index, totals, "cell-margin target at")
+        if self.race is not None and len(index):
+            race_total, cell_total = float(self.race.sum()), float(totals.sum())
+            if abs(race_total - cell_total) > 1e-9 * max(race_total, cell_total, 1e-300):
                 raise ValueError(
                     "inconsistent targets: race margin sums to "
                     f"{race_total!r} but cell margins sum to {cell_total!r}"
                 )
+        index.flags.writeable = totals.flags.writeable = False
 
     @classmethod
     def from_table(cls, table: ContingencyTable) -> "MarginSet":
         """Targets equal to a table's own race and cell margins."""
-        return cls(table.margin("r"), dict(zip(table.support(), table.cell_sums.tolist())))
+        return cls(table.margin("r"), table.labels, table.cell_index, table.cell_sums)
+
+    @classmethod
+    def from_cells(cls, race, cells: Mapping[tuple[str, str], float]) -> "MarginSet":
+        """Targets from cell totals keyed by (surname, geolocation) strings."""
+        if not cells:
+            return cls(race)
+        labels, index, rows = index_cells([str(s) for s, _ in cells], [str(g) for _, g in cells])
+        totals = np.zeros(len(index))
+        totals[rows] = np.fromiter(cells.values(), dtype=np.float64, count=len(rows))
+        return cls(race, labels, index, totals)
+
+    @property
+    def cell(self) -> dict:
+        """The cell totals keyed by (surname, geolocation), built on each call."""
+        pairs = [] if self.labels is None else self.labels.pairs(self.cell_index)
+        return dict(zip(pairs, self.totals.tolist()))
 
     def __repr__(self):
-        return f"MarginSet(race={self.race}, cells={len(self.cell)})"
+        return f"MarginSet(race={self.race}, cells={len(self.totals)})"
 
 
 def build_table(records) -> ContingencyTable:
@@ -366,23 +399,17 @@ def build_table(records) -> ContingencyTable:
         On an empty record list, an empty surname/geolocation string, or a
         negative weight (the message names the offending record index).
     """
-    cells: dict[tuple[str, str], np.ndarray] = {}
-    n = 0
+    records = list(records)
     for i, (surname, geo, weights) in enumerate(records):
         if not surname or not geo:
             raise ValueError(f"record {i}: empty surname or geolocation")
-        vec = _as_race_vector(weights, name=f"record {i} weights")
-        if np.any(vec < 0):
+        if np.any(_as_race_vector(weights, name=f"record {i} weights") < 0):
             raise ValueError(f"record {i}: negative weight")
-        key = (surname, geo)
-        if key in cells:
-            cells[key] = cells[key] + vec
-        else:
-            cells[key] = vec
-        n += 1
-    if n == 0:
+    if not records:
         raise ValueError("empty table")
-    return ContingencyTable.from_label_cells(cells)
+    labels, index, rows = index_cells([r[0] for r in records], [r[1] for r in records])
+    weights = np.array([r[2] for r in records], dtype=np.float64)
+    return ContingencyTable(labels, index, sum_by_group(rows, weights, len(index)))
 
 
 def conditional_race(cell_values) -> np.ndarray:

@@ -139,7 +139,7 @@ def test_c04_kl_minimality_against_grid():
         base_table = PredictionTable.from_label_cells(
             {k: np.concatenate([v, np.zeros(4)]) for k, v in base.items()}
         )
-        result = rt.rake(base_table, rt.MarginSet(race_targets, cell_targets))
+        result = rt.rake(base_table, rt.MarginSet.from_cells(race_targets, cell_targets))
         kl_raked = rt.kl_divergence(result.table, base_table)
         kl_grid = grid_kl_min(base, cell_targets, race_targets[0], step=1e-3)
         assert kl_raked <= kl_grid + 2e-3
@@ -213,7 +213,7 @@ def test_c07_raking_beats_plain_estimator():
             {key: vec * scale for key, vec in table.items()}
         )
         totals = {key: float(vec.sum()) for key, vec in truth.items()}
-        targets = rt.MarginSet(truth.margin("r"), totals)
+        targets = rt.MarginSet.from_cells(truth.margin("r"), totals)
         bisg_pred, _ = rt.weighted_counts(factors, totals)
         raked = rt.rake(bisg_pred, targets).table
         mae_bisg = np.abs(rt.subpop_report(truth, bisg_pred).abs_error).mean()

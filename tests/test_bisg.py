@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from raketab import (
     BisgFactors,
     ContingencyTable,
+    MarginSet,
     MissingFactorError,
     VoterAdjustment,
     baseline_geo_only,
@@ -96,6 +97,17 @@ class TestBisgCounts:
         np.testing.assert_allclose(pred.margin("gr"), f1_table.margin("gr"), rtol=1e-12)
         np.testing.assert_allclose(pred.margin("sr"), f1_table.margin("sr"), rtol=1e-12)
         assert np.max(np.abs(pred.margin("sg") - f1_table.margin("sg"))) > 0.1
+
+    def test_margin_set_totals_match_mapping(self, f1_table):
+        factors = fit_factors(f1_table)
+        totals = {key: float(vec.sum()) for key, vec in f1_table.items()}
+        want, _ = weighted_counts(factors, totals)
+        got, _ = weighted_counts(factors, MarginSet.from_table(f1_table))
+        assert got.labels == want.labels
+        np.testing.assert_array_equal(got.cell_index, want.cell_index)
+        np.testing.assert_array_equal(got.cell_values, want.cell_values)
+        with pytest.raises(ValueError, match="no predictable cells"):
+            weighted_counts(factors, MarginSet(None))
 
     def test_weighted_estimator_margin_not_inherited(self, f1_table):
         # normalizing per cell breaks the exact-margin identity: the

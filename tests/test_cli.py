@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from raketab import RACE_NAMES
 from raketab.cli import main
 
 
@@ -62,6 +63,15 @@ class TestPipeline:
         assert len(history) == info["iterations"] + 1 == theta["iterations"] + 1
         assert history[0] > 1e-10 >= info["final_margin_gap"] >= history[-1]
         assert info["peak_rss_mb"] > 0
+        # every base cell has a positive target and keeps its mass
+        rows = (pred / "predictions.csv").read_text(encoding="utf-8").count("\n") - 1
+        assert info["cells_in"] == info["cells_out"] == rows
+        # every base cell supports every race, so a set R of races has all
+        # of the cell targets behind it and slack 1 - share(R): at the
+        # uniform race mix the tightest sets are five races, at 1/6
+        assert info["feasibility_slack"] == pytest.approx(1 / 6, rel=1e-9)
+        assert len(info["tightest_races"]) == 5
+        assert set(info["tightest_races"]) < set(RACE_NAMES)
 
         ev = tmp_path / "eval"
         assert run_cli(

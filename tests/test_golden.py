@@ -16,6 +16,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import raketab as rt
 from raketab.cli import main
 
 GOLDEN = {
@@ -201,3 +204,47 @@ def test_pipeline_names_utf8_for_every_file(tmp_path):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+# SHA-256 of the in-memory library chain on a small multinomial synth table
+LIBRARY_CHAIN = "ec5655789645f77d2822eec5a39e14270d26e88d9a13737e72f4bf9209793c71"
+
+
+def library_chain_digest(cell_totals):
+    """Digest every array of fit_factors -> weighted_counts -> rake to the
+    table's own margins -> the three reports; `cell_totals(table)` is what
+    is handed to weighted_counts."""
+    table = rt.generate(rt.SynthConfig(
+        n_s=40, n_g=15, race_mix=np.array([0.02, 0.08, 0.2, 0.25, 0.4, 0.05]),
+        dependence=0.5, total_population=3000, seed=9, multinomial=True,
+    ))
+    factors = rt.fit_factors(table)
+    pred, rejects = rt.weighted_counts(factors, cell_totals(table))
+    result = rt.rake(pred, rt.MarginSet.from_table(table))
+    raked = result.table
+    sub = rt.subpop_report(table, raked)
+    cell = rt.cellwise_report(table, raked)
+    curves = [rt.calibration_curve(table, raked, rt.RaceCategory(r)) for r in range(6)]
+    assert rejects == []
+    h = hashlib.sha256()
+    for arr in (
+        pred.cell_index, pred.cell_values, raked.cell_index, raked.cell_values,
+        result.theta_r, result.theta_sg, sub.truth_counts, sub.estimate_counts,
+        sub.abs_error, sub.rel_error, sub.mad, sub.avg_error, cell.l1, cell.l2, cell.nll,
+        np.array(cell.overall), *(c.points for c in curves),
+    ):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(repr([c.kuiper for c in curves]).encode())
+    return h.hexdigest()
+
+
+def test_library_chain_matches_recorded_digest():
+    digest = library_chain_digest(
+        lambda table: {key: float(vec.sum()) for key, vec in table.items()}
+    )
+    assert digest == LIBRARY_CHAIN
+
+
+def test_library_chain_with_margin_set_totals():
+    """The table's MarginSet handed to weighted_counts gives the same bytes."""
+    assert library_chain_digest(rt.MarginSet.from_table) == LIBRARY_CHAIN

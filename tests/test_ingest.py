@@ -254,7 +254,7 @@ class TestAggregate:
                 VoterRecord("3", "A", "g", RaceCategory.WHITE, True)]
         table, occupancy = aggregate_voters(recs, require_race=True)
         assert table.cell("A", "g")[RaceCategory.WHITE] == 3
-        assert occupancy[("A", "g")] == 3
+        assert occupancy.cell[("A", "g")] == 3
 
     def test_require_race_filters(self):
         recs = [
@@ -263,9 +263,9 @@ class TestAggregate:
             VoterRecord("3", "A", "g", None, True),
         ]
         table, occupancy = aggregate_voters(recs, require_race=True)
-        assert occupancy[("A", "g")] == 1
+        assert occupancy.cell[("A", "g")] == 1
         table2, occupancy2 = aggregate_voters(recs, require_race=False)
-        assert occupancy2[("A", "g")] == 3
+        assert occupancy2.cell[("A", "g")] == 3
         assert table2.cell("A", "g").sum() == 2  # the race-missing one has no race mass
 
     def test_f1_multiset(self, f1_records, f1_table):

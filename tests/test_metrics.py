@@ -211,6 +211,27 @@ class TestCalibrationCurve:
         curve = calibration_curve(truth, pred, RaceCategory.AIAN)
         np.testing.assert_allclose(curve.values(), [0.0, 0.25, 0.0], atol=1e-12)
 
+    def test_ties_follow_surname_then_geolocation(self):
+        # few distinct conditionals, so most cells tie; the order must be
+        # (probability, surname index, geolocation index), as a lexsort gives
+        rng = np.random.default_rng(3)
+        cells = {(f"s{i}", f"g{j}"): rng.integers(0, 4, size=6).astype(float) + 0.5
+                 for i in range(7) for j in range(5)}
+        choices = rng.integers(1, 3, size=(3, 6)).astype(float)
+        truth = ContingencyTable.from_label_cells(cells)
+        pred = PredictionTable.from_label_cells(
+            {key: choices[rng.integers(0, 3)] for key in cells}
+        )
+        for race in RaceCategory:
+            probs = pred.cell_values[:, race] / pred.cell_sums
+            idx = truth.cell_index
+            order = np.lexsort((idx[:, 1], idx[:, 0], probs))
+            w = truth.cell_sums[order]
+            gaps = truth.cell_values[order, race] / w - probs[order]
+            want = np.cumsum(w * gaps) / w.sum()
+            got = calibration_curve(truth, pred, race)
+            np.testing.assert_array_equal(got.values()[1:], want)
+
     def test_csv(self, f1_table, tmp_path):
         curve = calibration_curve(f1_table, as_prediction(f1_table), RaceCategory.AIAN)
         path = tmp_path / "curves.csv"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raketab import (
+    AxisLabels,
     InfeasibleMarginError,
     MarginSet,
     NonConvergenceError,
@@ -108,7 +109,7 @@ class TestRake:
         base = f1_bisg_base(f1_table)
         race_targets = race6(20, 20)
         cell_targets = {key: float(v.sum()) for key, v in f1_table.items()}
-        result = rake(base, MarginSet(race_targets, cell_targets))
+        result = rake(base, MarginSet.from_cells(race_targets, cell_targets))
         assert abs(result.table.margin("r")[0] - 20) <= 1e-10 * 20
         np.testing.assert_allclose(result.table.cell_sums, f1_table.cell_sums, rtol=1e-10)
         oracle = dumb_ipf(dict(base.items()), race_targets, cell_targets, sweeps=3000)
@@ -127,7 +128,7 @@ class TestRake:
 
     def test_statewide_unbiasedness(self, f1_table):
         base = f1_bisg_base(f1_table)
-        targets = MarginSet(race6(18, 22), {k: float(v.sum()) for k, v in f1_table.items()})
+        targets = MarginSet.from_cells(race6(18, 22), {k: float(v.sum()) for k, v in f1_table.items()})
         result = rake(base, targets)
         np.testing.assert_allclose(result.table.margin("r")[:2], [18, 22], rtol=1e-9)
 
@@ -146,16 +147,19 @@ class TestRake:
         base = PredictionTable.from_label_cells(
             {("a", "x"): race6(2, 0), ("b", "x"): race6(1, 3)}
         )
-        targets = MarginSet(race6(3, 3), {("a", "x"): 2.0, ("b", "x"): 4.0})
+        targets = MarginSet.from_cells(race6(3, 3), {("a", "x"): 2.0, ("b", "x"): 4.0})
         result = rake(base, targets)
         assert result.table.cell("a", "x")[1] == 0.0
         np.testing.assert_allclose(result.table.margin("r")[:2], [3, 3], rtol=1e-9)
+        # only cell b supports api: it holds 4 of the 6 against a target of 3
+        assert result.tightest_races == ("api",)
+        assert result.feasibility_slack == pytest.approx(1 / 6, rel=1e-12)
 
     def test_zero_target_cell_zeroed(self):
         base = PredictionTable.from_label_cells(
             {("a", "x"): race6(2, 1), ("b", "x"): race6(1, 3)}
         )
-        targets = MarginSet(race6(2, 2), {("a", "x"): 4.0, ("b", "x"): 0.0})
+        targets = MarginSet.from_cells(race6(2, 2), {("a", "x"): 4.0, ("b", "x"): 0.0})
         result = rake(base, targets)
         np.testing.assert_array_equal(result.table.cell("b", "x"), np.zeros(6))
         assert result.table.cell("a", "x").sum() == pytest.approx(4.0, rel=1e-9)
@@ -163,12 +167,12 @@ class TestRake:
     def test_infeasible_cell_target(self):
         base = PredictionTable.from_label_cells({("a", "x"): race6(2, 1)})
         with pytest.raises(InfeasibleMarginError, match="cell target"):
-            rake(base, MarginSet(race6(2, 2), {("a", "x"): 2.0, ("b", "x"): 2.0}))
+            rake(base, MarginSet.from_cells(race6(2, 2), {("a", "x"): 2.0, ("b", "x"): 2.0}))
 
     def test_infeasible_race_target(self):
         base = PredictionTable.from_label_cells({("a", "x"): race6(2, 0)})
         with pytest.raises(InfeasibleMarginError, match="race target"):
-            rake(base, MarginSet(race6(1, 1), {("a", "x"): 2.0}))
+            rake(base, MarginSet.from_cells(race6(1, 1), {("a", "x"): 2.0}))
 
     def test_infeasible_support_pattern(self):
         # each race has base mass, but cell a supports only race 0 and
@@ -176,7 +180,7 @@ class TestRake:
         base = PredictionTable.from_label_cells(
             {("a", "x"): race6(1, 0), ("b", "x"): race6(0, 1)}
         )
-        targets = MarginSet(race6(3, 1), {("a", "x"): 2.0, ("b", "x"): 2.0})
+        targets = MarginSet.from_cells(race6(3, 1), {("a", "x"): 2.0, ("b", "x"): 2.0})
         with pytest.raises(InfeasibleMarginError, match=r"\['aian'\].*shortfall 1\b.*\['api'\]"):
             rake(base, targets)
 
@@ -187,11 +191,12 @@ class TestRake:
         base = PredictionTable.from_label_cells(
             {("a", "x"): race6(1, 1), ("b", "x"): race6(0, 1)}
         )
-        targets = MarginSet(race6(2, 2), {("a", "x"): 2.0, ("b", "x"): 2.0})
+        targets = MarginSet.from_cells(race6(2, 2), {("a", "x"): 2.0, ("b", "x"): 2.0})
         result = rake(base, targets)
         assert result.iterations <= RakingConfig().max_iterations
         assert result.final_margin_gap <= 1e-10
         np.testing.assert_allclose(result.table.cell("a", "x")[:2], [2, 0], atol=1e-9)
+        assert result.tightest_races == ("aian",) and result.feasibility_slack == 0.0
 
     def test_nonconvergence_carries_gap(self, f1_table):
         base = f1_bisg_base(f1_table)
@@ -230,7 +235,7 @@ def test_rake_contract_on_random_tables(seed):
     shares = rng.dirichlet(np.ones(3))
     race_targets = np.zeros(6)
     race_targets[:3] = shares * total
-    result = rake(base, MarginSet(race_targets, cell_targets))
+    result = rake(base, MarginSet.from_cells(race_targets, cell_targets))
     np.testing.assert_allclose(result.table.margin("r"), race_targets, atol=1e-8)
     # the gauge: theta_r sums to 0 over the races with a positive target
     assert abs(result.theta_r[:3].sum()) <= 1e-9 * np.abs(result.theta_r[:3]).max()
@@ -240,6 +245,62 @@ def test_rake_contract_on_random_tables(seed):
         live = vec > 0
         np.testing.assert_allclose(recon[live], vec[live], rtol=1e-8)
     assert kl_divergence(result.table, base) >= -1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_array_targets_rake_like_mapping_targets(seed):
+    # the same cell targets as a label mapping and as arrays on labels of
+    # another order, with labels no cell uses, cells the base lacks and
+    # zero targets, on a base whose labels are not sorted
+    rng = np.random.default_rng(seed)
+    surs = [f"s{i}" for i in rng.permutation(int(rng.integers(2, 6)))]
+    geos = [f"g{j}" for j in rng.permutation(int(rng.integers(2, 5)))]
+    grid = [(i, j) for i in range(len(surs)) for j in range(len(geos))]
+    kept = sorted(grid[k] for k in rng.choice(len(grid), size=len(grid) - 1, replace=False))
+    values = np.zeros((len(kept), 6))
+    values[:, :3] = rng.uniform(0.05, 1.0, size=(len(kept), 3))
+    base = PredictionTable(AxisLabels(surs, geos), kept, values)
+
+    cells = {(surs[i], geos[j]): float(rng.uniform(0.5, 2.0)) for i, j in kept}
+    cells[next(iter(cells))] = 0.0
+    cells[("s9", geos[0])] = 0.0  # neither the surname nor the cell is in the base
+    cells.update({(surs[i], geos[j]): 0.0 for i, j in grid if (i, j) not in kept})
+    total = sum(cells.values())
+    race = np.zeros(6)
+    race[:3] = rng.dirichlet(np.ones(3)) * total
+
+    labels = AxisLabels(
+        [s for s in rng.permutation(surs + ["s9", "s10"]).tolist()],
+        [g for g in rng.permutation(geos + ["g9"]).tolist()],
+    )
+    spos = {s: i for i, s in enumerate(labels.surnames)}
+    gpos = {g: i for i, g in enumerate(labels.geolocations)}
+    index = np.array([(spos[s], gpos[g]) for s, g in cells])
+    order = np.argsort(index[:, 0] * labels.n_g + index[:, 1])
+    arrays = MarginSet(race, labels, index[order], np.array(list(cells.values()))[order])
+    mapped = MarginSet.from_cells(race, cells)
+    assert arrays.cell == {key: cells[key] for key in arrays.cell} and len(arrays.cell) == len(cells)
+
+    outcomes = []
+    for targets in (mapped, arrays):
+        try:
+            outcomes.append(rake(base, targets))
+        except InfeasibleMarginError as exc:
+            outcomes.append(str(exc))
+    first, second = outcomes
+    if isinstance(first, str):
+        assert first == second
+        return
+    assert first.table.labels == second.table.labels
+    for name in ("cell_index", "cell_values"):
+        np.testing.assert_array_equal(getattr(first.table, name), getattr(second.table, name))
+    np.testing.assert_array_equal(first.theta_r, second.theta_r)
+    np.testing.assert_array_equal(first.theta_sg, second.theta_sg)
+    for name in ("iterations", "final_margin_gap", "gap_history", "feasibility_slack",
+                 "tightest_races"):
+        assert getattr(first, name) == getattr(second, name)
+    assert margin_gap(first.table, mapped) == margin_gap(first.table, arrays)
 
 
 class TestKlDivergence:
@@ -279,7 +340,7 @@ class TestKlDivergence:
         base_table = PredictionTable.from_label_cells(
             {k: np.concatenate([v, np.zeros(4)]) for k, v in base.items()}
         )
-        result = rake(base_table, MarginSet(race_targets, cell_targets))
+        result = rake(base_table, MarginSet.from_cells(race_targets, cell_targets))
         kl_raked = kl_divergence(result.table, base_table)
         kl_best = grid_kl_min(base, cell_targets, race_targets[0], step=1e-3)
         assert kl_raked <= kl_best + 2e-3
@@ -296,9 +357,9 @@ class TestMarginGap:
         cells = {k: v.copy() for k, v in f1_table.items()}
         cells[("s1", "g1")][0] += 4  # race-0 total now 21
         m = PredictionTable.from_label_cells(cells)
-        gap = margin_gap(m, MarginSet(race6(20, 23), {}))
+        gap = margin_gap(m, MarginSet.from_cells(race6(20, 23), {}))
         assert gap == pytest.approx(0.05, rel=1e-9)
 
     def test_empty_targets(self, f1_table):
         base = PredictionTable.from_label_cells(dict(f1_table.items()))
-        assert margin_gap(base, MarginSet(None, {})) == 0.0
+        assert margin_gap(base, MarginSet.from_cells(None, {})) == 0.0

@@ -152,21 +152,35 @@ class TestConditionalRace:
 
 class TestMarginSet:
     def test_consistent_targets_accepted(self):
-        ms = MarginSet(race6(3, 1), {("a", "x"): 2.0, ("b", "x"): 2.0})
+        ms = MarginSet.from_cells(race6(3, 1), {("a", "x"): 2.0, ("b", "x"): 2.0})
         assert ms.race.sum() == 4.0
 
     def test_inconsistent_targets_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            MarginSet(race6(3, 2), {("a", "x"): 2.0})
+            MarginSet.from_cells(race6(3, 2), {("a", "x"): 2.0})
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            MarginSet(race6(-1, 1), {("a", "x"): 0.0})
+            MarginSet.from_cells(race6(-1, 1), {("a", "x"): 0.0})
 
     def test_from_table_matches_margins(self, f1_table):
         ms = MarginSet.from_table(f1_table)
         np.testing.assert_allclose(ms.race, f1_table.margin("r"))
         assert ms.cell[("s1", "g1")] == 10.0
+        assert ms.cell == dict(zip(f1_table.support(), f1_table.cell_sums.tolist()))
+        assert ms.labels is f1_table.labels
+        assert np.shares_memory(ms.cell_index, f1_table.cell_index)  # a view, not a copy
+
+    def test_from_cells_resolves_labels_once(self):
+        ms = MarginSet.from_cells(race6(3, 1), {("b", "x"): 2.0, ("a", "y"): 2.0})
+        assert ms.labels == AxisLabels(["a", "b"], ["x", "y"])
+        assert ms.cell_index.tolist() == [[0, 1], [1, 0]]
+        assert ms.cell == {("a", "y"): 2.0, ("b", "x"): 2.0}
+        assert not ms.totals.flags.writeable and not ms.cell_index.flags.writeable
+
+    def test_empty_cell_family(self):
+        ms = MarginSet.from_cells(race6(1), {})
+        assert ms.labels is None and ms.cell == {} and len(ms.totals) == 0
 
 
 class TestImmutability:
@@ -235,6 +249,17 @@ class TestConstructor:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_margin_set_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite race-margin"):
-            MarginSet(race6(bad), {})
+            MarginSet.from_cells(race6(bad), {})
         with pytest.raises(ValueError, match="non-finite cell-margin"):
-            MarginSet(None, {("a", "x"): bad})
+            MarginSet.from_cells(None, {("a", "x"): bad})
+
+    def test_margin_set_checks_cells_like_a_table(self):
+        for index in ([[1, 0], [0, 1]], [[0, 1], [0, 1]]):
+            with pytest.raises(ValueError, match="sorted and unique"):
+                MarginSet(None, self.LABELS, index, [1.0, 1.0])
+        with pytest.raises(ValueError, match="outside label ranges"):
+            MarginSet(None, self.LABELS, [[0, 2]], [1.0])
+        with pytest.raises(ValueError, match=r"negative cell-margin target at \('b', 'x'\)"):
+            MarginSet(None, self.LABELS, [[0, 1], [1, 0]], [1.0, -1.0])
+        with pytest.raises(ValueError, match="need labels"):
+            MarginSet(None, None, [[0, 1]], [1.0])
