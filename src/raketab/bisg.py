@@ -11,27 +11,17 @@ which isolates the error contributed by the independence assumption itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .table import N_RACES, ContingencyTable, MarginSet, PredictionTable, compact_labels
+from .table import N_RACES, AxisLabels, ContingencyTable, MarginSet, PredictionTable, compact_labels
 from .table import _as_race_vector, _check_cells, _check_finite_nonnegative, index_cells
 
 
 class MissingFactorError(LookupError):
     """A queried surname or geolocation has no fitted factor."""
-
-
-def _validate_conditionals(name, table):
-    mat = np.array(list(table.values()), dtype=np.float64).reshape(len(table), N_RACES)
-    sums = mat.sum(axis=1)
-    bad = ~np.isfinite(mat).all(axis=1) | (mat < 0).any(axis=1) | ~(np.abs(sums - 1.0) <= 1e-9)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        label = list(table)[i]
-        _check_finite_nonnegative(mat[i], f"entries in {name}[{label!r}]")
-        raise ValueError(f"{name}[{label!r}] sums to {sums[i]!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -40,39 +30,59 @@ class BisgFactors:
 
     Attributes
     ----------
-    race_given_geo : dict
-        geolocation -> P(r | g), a 6-vector summing to 1.
-    race_given_surname : dict
-        surname -> P(r | s), a 6-vector summing to 1.
+    labels : AxisLabels
+        The factor surnames and geolocations, in the order of the arrays.
+    race_given_surname, race_given_geo : numpy array
+        (n_s, 6) and (n_g, 6): row i is P(r | the i-th label), summing to 1.
     race_prior : numpy array
         P(r), a 6-vector summing to 1.
-    geo_counts, surname_counts : dict, optional
-        Axis populations x_{+g+} and x_{s++}; required to recover
+    surname_counts, geo_counts : numpy array
+        Axis populations x_{s++} (n_s,) and x_{+g+} (n_g,), which recover
         count-scale margins for `bisg_counts`.
+
+    Each array is checked (shape; finite, nonnegative, rows summing to 1
+    within 1e-9) and marked read-only, without a copy when it already is
+    a contiguous float64 array.
     """
 
-    race_given_geo: Mapping[str, np.ndarray]
-    race_given_surname: Mapping[str, np.ndarray]
+    labels: AxisLabels
+    race_given_surname: np.ndarray
+    race_given_geo: np.ndarray
     race_prior: np.ndarray
-    geo_counts: Optional[Mapping[str, float]] = None
-    surname_counts: Optional[Mapping[str, float]] = None
+    surname_counts: np.ndarray
+    geo_counts: np.ndarray
 
     def __post_init__(self):
         prior = _as_race_vector(self.race_prior, name="race_prior")
         _check_finite_nonnegative(prior, "race_prior entry")
         if abs(prior.sum() - 1.0) > 1e-9:
             raise ValueError(f"race_prior sums to {prior.sum()!r}, expected 1")
-        object.__setattr__(self, "race_prior", prior)
-        _validate_conditionals("race_given_geo", self.race_given_geo)
-        _validate_conditionals("race_given_surname", self.race_given_surname)
-        for name, counts in (("geo_counts", self.geo_counts), ("surname_counts", self.surname_counts)):
-            _check_finite_nonnegative(list((counts or {}).values()), f"entry in {name}")
+        n_s, n_g = self.labels.n_s, self.labels.n_g
+        for name, shape in (
+            ("race_prior", (N_RACES,)), ("race_given_geo", (n_g, N_RACES)),
+            ("race_given_surname", (n_s, N_RACES)), ("geo_counts", (n_g,)),
+            ("surname_counts", (n_s,)),
+        ):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            if arr.ndim == 1:
+                _check_finite_nonnegative(arr, f"entry in {name}")
+            else:
+                # a row with a non-finite entry has a sum that is not 1
+                sums = arr.sum(axis=1)
+                bad = (arr < 0).any(axis=1) | ~(np.abs(sums - 1.0) <= 1e-9)
+                if np.any(bad):
+                    i = int(np.argmax(bad))
+                    names = self.labels.surnames if "surname" in name else self.labels.geolocations
+                    _check_finite_nonnegative(arr[i], f"entries in {name}[{names[i]!r}]")
+                    raise ValueError(f"{name}[{names[i]!r}] sums to {sums[i]!r}, expected 1")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def total(self) -> float:
         """Population total recovered from the geolocation counts."""
-        if self.geo_counts is None:
-            raise ValueError("factors carry no geolocation counts")
-        return float(sum(self.geo_counts.values()))
+        return float(sum(self.geo_counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -95,21 +105,22 @@ def fit_factors(labeled: ContingencyTable) -> BisgFactors:
 
     P(r|g) and P(r|s) are the normalized geolocation and surname margins;
     P(r) is the normalized race margin. Geolocations and surnames with zero
-    mass are omitted from the factor maps.
+    mass are omitted from the factors.
     """
     total = labeled.total()
     if total <= 0:
         raise ValueError("cannot fit factors on a table with zero total")
     gr, sr = labeled.margin("gr"), labeled.margin("sr")
     g_tot, s_tot = gr.sum(axis=1), sr.sum(axis=1)
-    geos = [(g, i) for i, g in enumerate(labeled.labels.geolocations) if g_tot[i] > 0]
-    surs = [(s, i) for i, s in enumerate(labeled.labels.surnames) if s_tot[i] > 0]
+    g_keep, s_keep = g_tot > 0, s_tot > 0
+    surnames, geos = labeled.labels.surnames, labeled.labels.geolocations
     return BisgFactors(
-        race_given_geo={g: gr[i] / g_tot[i] for g, i in geos},
-        race_given_surname={s: sr[i] / s_tot[i] for s, i in surs},
+        labels=AxisLabels(compress(surnames, s_keep), compress(geos, g_keep)),
+        race_given_surname=sr[s_keep] / s_tot[s_keep, None],
+        race_given_geo=gr[g_keep] / g_tot[g_keep, None],
         race_prior=labeled.margin("r") / total,
-        geo_counts={g: float(g_tot[i]) for g, i in geos},
-        surname_counts={s: float(s_tot[i]) for s, i in surs},
+        surname_counts=s_tot[s_keep],
+        geo_counts=g_tot[g_keep],
     )
 
 
@@ -123,7 +134,6 @@ def bisg_counts(factors: BisgFactors, support) -> tuple[PredictionTable, list]:
     Parameters
     ----------
     factors : BisgFactors
-        Must include `geo_counts` and `surname_counts`.
     support : iterable of (surname, geolocation)
         Cells to predict.
 
@@ -133,8 +143,6 @@ def bisg_counts(factors: BisgFactors, support) -> tuple[PredictionTable, list]:
         Cells whose surname or geolocation has no factor are skipped and
         listed in the rejects report.
     """
-    if factors.geo_counts is None or factors.surname_counts is None:
-        raise ValueError("bisg_counts requires geolocation and surname counts")
     race_totals = factors.race_prior * factors.total()
     live = race_totals > 0
     inv_totals = np.zeros(N_RACES)
@@ -144,22 +152,30 @@ def bisg_counts(factors: BisgFactors, support) -> tuple[PredictionTable, list]:
     if not pairs:
         raise ValueError("no predictable cells in support")
     labels, index, _ = index_cells([s for s, _ in pairs], [g for _, g in pairs])
-    has_s = np.array([s in factors.race_given_surname for s in labels.surnames])[index[:, 0]]
-    has_g = np.array([g in factors.race_given_geo for g in labels.geolocations])[index[:, 1]]
+    s_row = factors.labels.positions("s", labels.surnames)[index[:, 0]]
+    g_row = factors.labels.positions("g", labels.geolocations)[index[:, 1]]
+    has_s, has_g = s_row >= 0, g_row >= 0
     rejects = sorted(
         [(*key, "missing geolocation factor") for key in labels.pairs(index[~has_g])]
         + [(*key, "missing surname factor") for key in labels.pairs(index[has_g & ~has_s])]
     )
-    if not np.any(has_s & has_g):
+    ok = has_s & has_g
+    if not np.any(ok):
         raise ValueError("no predictable cells in support")
 
-    labels, index = compact_labels(labels, index[has_s & has_g])
-    x_sr = np.array(
-        [factors.race_given_surname[s] * factors.surname_counts[s] for s in labels.surnames]
-    )
-    x_gr = np.array([factors.race_given_geo[g] * factors.geo_counts[g] for g in labels.geolocations])
-    values = x_gr[index[:, 1]] * x_sr[index[:, 0]] * inv_totals
-    return PredictionTable(labels, index, values), rejects
+    x_sr = factors.race_given_surname * factors.surname_counts[:, None]
+    x_gr = factors.race_given_geo * factors.geo_counts[:, None]
+    values = x_gr[g_row[ok]] * x_sr[s_row[ok]] * inv_totals
+    return PredictionTable(*compact_labels(labels, index[ok]), values), rejects
+
+
+def _factor(factors: BisgFactors, axis, label) -> np.ndarray:
+    """P(r | label) of one surname (axis "s") or geolocation (axis "g")."""
+    row = int(factors.labels.positions(axis, [label])[0])
+    if row < 0:
+        kind = "surname" if axis == "s" else "geolocation"
+        raise MissingFactorError(f"label not in factors: {kind} {label!r}")
+    return (factors.race_given_surname if axis == "s" else factors.race_given_geo)[row]
 
 
 def posterior(race_given_geo, race_given_surname, race_prior, weight=None) -> np.ndarray:
@@ -195,12 +211,8 @@ def bisg_probability(
     by the adjustment weight before renormalizing, which restricts the
     prediction to the registered-voter population.
     """
-    rg = factors.race_given_geo.get(geolocation)
-    rs = factors.race_given_surname.get(surname)
-    if rg is None:
-        raise MissingFactorError(f"label not in factors: geolocation {geolocation!r}")
-    if rs is None:
-        raise MissingFactorError(f"label not in factors: surname {surname!r}")
+    rg = _factor(factors, "g", geolocation)
+    rs = _factor(factors, "s", surname)
     weight = adjustment.weight if adjustment is not None else None
     return posterior(rg, rs, factors.race_prior, weight=weight)
 
@@ -231,18 +243,12 @@ def voter_adjustment(cps_race_given_voter, census_race_prior_18plus) -> VoterAdj
 
 def baseline_geo_only(factors: BisgFactors, geolocation: str) -> np.ndarray:
     """The geolocation-only prediction P(r | g)."""
-    rg = factors.race_given_geo.get(geolocation)
-    if rg is None:
-        raise MissingFactorError(f"label not in factors: geolocation {geolocation!r}")
-    return rg.copy()
+    return _factor(factors, "g", geolocation).copy()
 
 
 def baseline_surname_only(factors: BisgFactors, surname: str) -> np.ndarray:
     """The surname-only prediction P(r | s)."""
-    rs = factors.race_given_surname.get(surname)
-    if rs is None:
-        raise MissingFactorError(f"label not in factors: surname {surname!r}")
-    return rs.copy()
+    return _factor(factors, "s", surname).copy()
 
 
 def weighted_counts(
@@ -288,24 +294,23 @@ def weighted_counts(
     if not len(index):
         raise ValueError("no predictable cells")
 
-    rs, rs_ok = _factor_matrix(factors.race_given_surname, labels.surnames)
-    rg, rg_ok = _factor_matrix(factors.race_given_geo, labels.geolocations)
+    # each label's factor row; -1 (no factor) reads the last row: masked below
+    s_row = factors.labels.positions("s", labels.surnames)
+    g_row = factors.labels.positions("g", labels.geolocations)
+    rs, rg = factors.race_given_surname[s_row], factors.race_given_geo[g_row]
     s_code, g_code = index[:, 0], index[:, 1]
+    has_s, has_g = s_row[s_code] >= 0, g_row[g_code] >= 0
 
     def flagged(mask, reason):
         return [(*key, reason) for key in labels.pairs(index[mask])]
 
     if method == "surname-only":
-        ok = rs_ok[s_code]
-        num = rs[s_code]
+        ok, num = has_s, rs[s_code]
         rejects = flagged(~ok, "missing surname factor")
     elif method == "geo-only":
-        ok = rg_ok[g_code]
-        num = rg[g_code]
+        ok, num = has_g, rg[g_code]
         rejects = flagged(~ok, "missing geolocation factor")
     else:
-        has_g = rg_ok[g_code]
-        has_s = rs_ok[s_code]
         prior = factors.race_prior
         live = prior > 0
         num = np.zeros((len(index), N_RACES))
@@ -330,9 +335,3 @@ def weighted_counts(
     values = (w_arr[ok] / sums[ok])[:, None] * num[ok]
     return PredictionTable(*compact_labels(labels, index[ok]), values), rejects
 
-
-def _factor_matrix(factor_map, labels):
-    """Stack per-label factor vectors; the mask flags labels with a factor."""
-    ok = np.array([label in factor_map for label in labels], dtype=bool)
-    zero = np.zeros(N_RACES)
-    return np.array([factor_map.get(label, zero) for label in labels]).reshape(-1, N_RACES), ok

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, bisg, calibmap, ingest, metrics, raking
 from .synth import SynthConfig, generate
-from .table import N_RACES, ContingencyTable, MarginSet, PredictionTable, RaceCategory
+from .table import N_RACES, AxisLabels, ContingencyTable, MarginSet, PredictionTable, RaceCategory
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -124,30 +124,26 @@ def _load_occupancy(args, run):
 
 
 def _load_factors(args, run) -> bisg.BisgFactors:
-    s_probs, s_counts, s_rejects = run.read(args.surname_factors, ingest.parse_surname_factors)
-    g_probs, g_counts, g_rejects = run.read(args.geo_factors, ingest.parse_geo_factors)
+    surnames, s_values, s_rejects = run.read(args.surname_factors, ingest.parse_surname_factors)
+    geoids, g_values, g_rejects = run.read(args.geo_factors, ingest.parse_geo_factors)
     prior = run.read(args.prior, ingest.parse_race_margin)
     for kind, rejects in (("surname", s_rejects), ("geo", g_rejects)):
         if len(rejects):
             run.write(f"{kind}_factor_rejects.csv", ingest.write_rejects, rejects)
             run.info[f"{kind}_factor_rejects"] = len(rejects)
+    # values hold each label's count, then P(r | label)
     return bisg.BisgFactors(
-        race_given_geo=g_probs,
-        race_given_surname=s_probs,
-        race_prior=prior,
-        geo_counts=g_counts,
-        surname_counts=s_counts,
+        AxisLabels(surnames, geoids), s_values[:, 1:], g_values[:, 1:], prior,
+        s_values[:, 0], g_values[:, 0],
     )
 
 
 def _write_factors(run, factors):
-    run.write(
-        "surname_factors.csv",
-        ingest.write_surname_factors, factors.race_given_surname, factors.surname_counts,
-    )
-    run.write(
-        "geo_factors.csv", ingest.write_geo_factors, factors.race_given_geo, factors.geo_counts
-    )
+    s, g = factors.labels.surnames, factors.labels.geolocations
+    run.write("surname_factors.csv", ingest.write_surname_factors,
+              dict(zip(s, factors.race_given_surname)), dict(zip(s, factors.surname_counts)))
+    run.write("geo_factors.csv", ingest.write_geo_factors,
+              dict(zip(g, factors.race_given_geo)), dict(zip(g, factors.geo_counts)))
     run.write("prior.json", ingest.write_race_margin, factors.race_prior)
 
 
@@ -179,6 +175,9 @@ def cmd_predict(args):
         rows = [(i + 1, f"{s},{g}: {reason}") for i, (s, g, reason) in enumerate(rejects)]
         run.write("rejects.csv", ingest.write_rejects, ingest.RejectReport(rows))
         run.info["rejected_cells"] = len(rejects)
+    run.info["factor_labels"] = {"surname": factors.labels.n_s, "geo": factors.labels.n_g}
+    run.info["cells_in"] = len(occupancy.totals)
+    run.info["cells_out"] = table.n_cells
     run.finish()
     return EXIT_OK
 

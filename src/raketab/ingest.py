@@ -31,9 +31,10 @@ Cell files (tables, predictions, raked predictions) are read by one
 np.loadtxt pass with csv quoting: a blank line, a row with too few or too
 many fields, and a number that is not plain decimal text (float() reads
 "1_000" and non-ASCII digits; this reader does not) are input errors naming
-the file and line. The other parsers go row by row: malformed factor rows
-go to a reject report, except where a defect (duplicate keys, excessive
-reject rate) would corrupt results.
+the file and line. Factor files are read by a csv loop that only splits
+rows and converts numbers with float(), then checked as arrays: malformed
+rows go to a reject report, except where a defect (a repeated label, an
+excessive reject rate) would corrupt results. Other parsers go row by row.
 """
 
 from __future__ import annotations
@@ -85,9 +86,6 @@ class RejectReport:
     """Rows dropped during parsing, with 1-based line numbers."""
 
     rows: list = field(default_factory=list)
-
-    def add(self, line: int, reason: str):
-        self.rows.append((line, reason))
 
     def __len__(self):
         return len(self.rows)
@@ -263,49 +261,54 @@ def _read_cells(path, header):
     return labels, index, out, lines
 
 
-def _parse_factors(path, header, kind, clean_label, bad_sum):
-    """The row loop of the factor parsers: label -> P(r|label) and count.
+def _parse_factors(path, header, kind, clean_label, sum_ok, sum_reason):
+    """The factor parsers: (labels, values, rejects), the accepted labels in
+    file order, their (n, 7) counts and P(r|label), and the RejectReport.
 
-    A row is rejected when it is short, has an empty label, a non-numeric,
-    non-finite or negative field, or when `bad_sum(label, s)` names a
-    reason its entries' sum s is unusable. Accepted rows are divided by s.
-    A duplicate label, no data rows or more than 10% rejected rows is a
-    ParseError.
+    The row loop rejects a short or long row, an empty label or a
+    non-numeric field. Vectorised rules then reject, in this order, a
+    non-finite field, a negative value, or a sum s of the race entries that
+    fails `sum_ok(s)` (the reason is `sum_reason(label, s)`); accepted rows
+    are divided by s. A label repeating that of an earlier accepted row, no
+    data rows or more than 10% rejected rows is a ParseError.
     """
-    probs: dict[str, np.ndarray] = {}
-    counts: dict[str, float] = {}
-    rejects = RejectReport()
+    lines, labels, numbers, non_numeric, rejects = [], [], [], [], []
     fh, reader = _open_reader(path, header)
     with fh:
         for line, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                rejects.add(line, f"expected {len(header)} fields, got {len(row)}")
+                rejects.append((line, f"expected {len(header)} fields, got {len(row)}"))
                 continue
             label = clean_label(row[0])
             if not label:
-                rejects.add(line, f"empty {header[0]}")
+                rejects.append((line, f"empty {header[0]}"))
                 continue
-            if label in probs:
-                raise ParseError(f"{path}:{line}: duplicate {kind} {label!r}")
             try:
-                count = float(row[1])
-                vec = np.array([float(x) for x in row[2:]], dtype=np.float64)
+                numbers.append(list(map(float, row[1:])))
             except ValueError:
-                rejects.add(line, "non-numeric field")
-                continue
-            s = vec.sum()
-            if not (np.isfinite(count) and np.all(np.isfinite(vec))):
-                reason = "non-finite field"
-            elif count < 0 or np.any(vec < 0):
-                reason = "negative value"
-            else:
-                reason = bad_sum(label, s)
-            if reason:
-                rejects.add(line, reason)
-                continue
-            probs[label] = vec / s
-            counts[label] = count
-    total_rows = len(probs) + len(rejects)
+                numbers.append([np.nan] * (len(header) - 1))
+                non_numeric.append(len(lines))
+            lines.append(line)
+            labels.append(label)
+    values = np.array(numbers, dtype=np.float64).reshape(len(lines), len(header) - 1)
+    sums = values[:, 1:].sum(axis=1)
+    reasons = np.empty(len(lines), dtype=object)
+    for i in np.flatnonzero(~sum_ok(sums)).tolist():
+        reasons[i] = sum_reason(labels[i], sums[i])
+    # a later rule overwrites an earlier one: a row's reason is the first it breaks
+    reasons[(values < 0).any(axis=1)] = "negative value"
+    reasons[~np.isfinite(values).all(axis=1)] = "non-finite field"
+    reasons[non_numeric] = "non-numeric field"  # their numbers are NaN
+    accepted = np.equal(reasons, None)
+
+    seen = set()
+    for line, label, ok in zip(lines, labels, accepted.tolist()):
+        if label in seen:
+            raise ParseError(f"{path}:{line}: duplicate {kind} {label!r}")
+        if ok:
+            seen.add(label)
+    total_rows = len(lines) + len(rejects)
+    rejects = sorted(rejects + list(zip(np.array(lines)[~accepted].tolist(), reasons[~accepted])))
     if total_rows == 0:
         raise ParseError(f"{path}: no data rows")
     if len(rejects) > MAX_REJECT_FRACTION * total_rows:
@@ -313,7 +316,9 @@ def _parse_factors(path, header, kind, clean_label, bad_sum):
             f"{path}: {len(rejects)} of {total_rows} rows rejected "
             f"(limit {MAX_REJECT_FRACTION:.0%})"
         )
-    return probs, counts, rejects
+    values = values[accepted]
+    values[:, 1:] /= sums[accepted, None]
+    return np.array(labels, dtype=object)[accepted].tolist(), values, RejectReport(rejects)
 
 
 def parse_surname_factors(path):
@@ -322,31 +327,27 @@ def parse_surname_factors(path):
     Probabilities are renormalized when their sum lies in [0.98, 1.02] and
     the row is rejected otherwise. Surnames are uppercased and stripped.
     More than 10% rejected rows is a hard error, as is a duplicate surname.
-
-    Returns
-    -------
-    (probs, counts, rejects)
-        probs: surname -> 6-vector P(r|s); counts: surname -> population;
-        rejects: RejectReport of dropped rows.
+    Returns (surnames, values, rejects): the accepted surnames in file
+    order, their (n, 7) population and P(r|s), and the rows rejected.
     """
     lo, hi = PROB_SUM_WINDOW
     return _parse_factors(
         path, SURNAME_FACTORS_HEADER, "surname", lambda label: label.strip().upper(),
-        lambda _, s: None if lo <= s <= hi else f"probabilities sum to {s:.6g}",
+        lambda s: (lo <= s) & (s <= hi), lambda _, s: f"probabilities sum to {s:.6g}",
     )
 
 
 def parse_geo_factors(path):
     """Read per-geolocation race counts.
 
-    Returns (probs, counts, rejects) where probs maps geoid -> P(r|g)
-    computed from the race counts, and counts maps geoid -> the row's
-    population column. All-zero rows are rejected with their geoid. More
+    Returns (geoids, values, rejects): the accepted geoids in file order,
+    and per geoid the row's population column followed by P(r|g) computed
+    from the race counts. All-zero rows are rejected with their geoid. More
     than 10% rejected rows is a hard error, as is a duplicate geoid.
     """
     return _parse_factors(
         path, GEO_FACTORS_HEADER, "geolocation", str.strip,
-        lambda geoid, s: None if s > 0 else f"zero-total row for geoid {geoid}",
+        lambda s: s > 0, lambda geoid, _: f"zero-total row for geoid {geoid}",
     )
 
 

@@ -257,7 +257,7 @@ def kl_divergence(m: PredictionTable, base: PredictionTable) -> float:
     b = np.where(rows[:, None] >= 0, base.cell_values[rows], 0.0)
     bad = np.any(occupied & (b <= 0), axis=1)
     if np.any(bad):
-        key = m.support()[int(np.nonzero(bad)[0][0])]
+        key = m.labels.pairs(m.cell_index[bad][:1])[0]
         raise ValueError(f"absolute continuity violated at cell {key}")
     x = m.cell_values[occupied]
     return float(np.sum(x * np.log(x / b[occupied]))) - m_total + base_total

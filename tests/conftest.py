@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from raketab import ContingencyTable
+from raketab import AxisLabels, BisgFactors, ContingencyTable
 
 # hand-checkable 2x2x2 dependence fixture used across modules: two active
 # race categories (indices 0 and 1), cells chosen so the two-way margins
@@ -16,6 +16,15 @@ F1_CELLS = {
 
 def race6(a=0.0, b=0.0, c=0.0, d=0.0, e=0.0, f=0.0):
     return np.array([a, b, c, d, e, f], dtype=np.float64)
+
+
+def one_cell_factors(race_given_surname, race_given_geo, race_prior, geo_count=1.0):
+    """Factors for one surname "s" and one geolocation "g", each of
+    population 1 unless `geo_count` says otherwise."""
+    return BisgFactors(
+        AxisLabels(["s"], ["g"]), [race_given_surname], [race_given_geo], race_prior,
+        [1.0], [geo_count],
+    )
 
 
 @pytest.fixture

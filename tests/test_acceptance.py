@@ -18,7 +18,7 @@ from raketab.table import PredictionTable
 from test_calibmap import grid_objective_2cat, grid_objective_3cat
 from test_raking import grid_kl_min
 
-from conftest import race6
+from conftest import one_cell_factors, race6
 
 
 def report(label, elapsed=None, budget=None):
@@ -297,21 +297,15 @@ def test_c09_pipeline_determinism(tmp_path):
 
 def test_c10_voter_population_adjustment():
     prior = race6(0.25, 0.15, 0.2, 0.1, 0.25, 0.05)
-    factors = rt.BisgFactors(
-        race_given_geo={"g": race6(0.3, 0.25, 0.15, 0.1, 0.15, 0.05)},
-        race_given_surname={"s": race6(0.2, 0.2, 0.25, 0.1, 0.2, 0.05)},
-        race_prior=prior,
+    factors = one_cell_factors(
+        race6(0.2, 0.2, 0.25, 0.1, 0.2, 0.05), race6(0.3, 0.25, 0.15, 0.1, 0.15, 0.05), prior
     )
     identity = rt.voter_adjustment(prior, prior)
     plain = rt.bisg_probability(factors, "s", "g")
     adjusted = rt.bisg_probability(factors, "s", "g", adjustment=identity)
     np.testing.assert_array_equal(plain, adjusted)
 
-    flat = rt.BisgFactors(
-        race_given_geo={"g": race6(0.5, 0.5)},
-        race_given_surname={"s": race6(0.5, 0.5)},
-        race_prior=race6(0.5, 0.5),
-    )
+    flat = one_cell_factors(race6(0.5, 0.5), race6(0.5, 0.5), race6(0.5, 0.5))
     adj = rt.voter_adjustment(race6(0.6, 0.4), race6(0.5, 0.5))
     shifted = rt.bisg_probability(flat, "s", "g", adjustment=adj)
     np.testing.assert_allclose(shifted[:2], [0.6, 0.4], atol=1e-12)

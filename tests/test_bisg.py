@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raketab import (
+    AxisLabels,
     BisgFactors,
     ContingencyTable,
     MarginSet,
@@ -18,13 +19,13 @@ from raketab import (
 )
 from raketab.bisg import posterior
 
-from conftest import race6
+from conftest import one_cell_factors, race6
 
 
 class TestFitFactors:
     def test_f1_geo_conditional(self, f1_table):
         factors = fit_factors(f1_table)
-        np.testing.assert_allclose(factors.race_given_geo["g1"], race6(0.55, 0.45))
+        np.testing.assert_allclose(baseline_geo_only(factors, "g1"), race6(0.55, 0.45))
 
     def test_f1_prior(self, f1_table):
         factors = fit_factors(f1_table)
@@ -33,8 +34,8 @@ class TestFitFactors:
     def test_single_cell_concentration(self):
         table = ContingencyTable.from_label_cells({("s1", "g1"): race6(5)})
         factors = fit_factors(table)
-        np.testing.assert_allclose(factors.race_given_geo["g1"], race6(1))
-        np.testing.assert_allclose(factors.race_given_surname["s1"], race6(1))
+        np.testing.assert_allclose(baseline_geo_only(factors, "g1"), race6(1))
+        np.testing.assert_allclose(baseline_surname_only(factors, "s1"), race6(1))
         np.testing.assert_allclose(factors.race_prior, race6(1))
 
     def test_zero_mass_labels_omitted(self):
@@ -42,13 +43,13 @@ class TestFitFactors:
             {("s1", "g1"): race6(5), ("s2", "g2"): race6()}
         )
         factors = fit_factors(table)
-        assert "s2" not in factors.race_given_surname
-        assert "g2" not in factors.race_given_geo
+        assert factors.labels == AxisLabels(["s1"], ["g1"])
 
     def test_counts_recorded(self, f1_table):
         factors = fit_factors(f1_table)
-        assert factors.surname_counts == {"s1": 15.0, "s2": 25.0}
-        assert factors.geo_counts == {"g1": 20.0, "g2": 20.0}
+        assert factors.labels == AxisLabels(["s1", "s2"], ["g1", "g2"])
+        assert factors.surname_counts.tolist() == [15.0, 25.0]
+        assert factors.geo_counts.tolist() == [20.0, 20.0]
         assert factors.total() == 40.0
 
 
@@ -130,22 +131,14 @@ class TestBisgProbability:
     def test_adjustment_reweights(self):
         # flat factors give a (0.5, 0.5) posterior; weights (1.2, 0.8)
         # shift it to (0.6, 0.4)
-        factors = BisgFactors(
-            race_given_geo={"g": race6(0.5, 0.5)},
-            race_given_surname={"s": race6(0.5, 0.5)},
-            race_prior=race6(0.5, 0.5),
-        )
+        factors = one_cell_factors(race6(0.5, 0.5), race6(0.5, 0.5), race6(0.5, 0.5))
         adj = voter_adjustment(race6(0.6, 0.4), race6(0.5, 0.5))
         out = bisg_probability(factors, "s", "g", adjustment=adj)
         np.testing.assert_allclose(out[:2], [0.6, 0.4], atol=1e-12)
 
     def test_uninformative_cell_returns_prior(self):
         prior = race6(0.3, 0.2, 0.1, 0.15, 0.2, 0.05)
-        factors = BisgFactors(
-            race_given_geo={"g": prior.copy()},
-            race_given_surname={"s": prior.copy()},
-            race_prior=prior.copy(),
-        )
+        factors = one_cell_factors(prior.copy(), prior.copy(), prior.copy())
         np.testing.assert_allclose(
             bisg_probability(factors, "s", "g"), prior, rtol=1e-12
         )
@@ -156,11 +149,7 @@ class TestBisgProbability:
             bisg_probability(factors, "sX", "g1")
 
     def test_all_zero_numerator(self):
-        factors = BisgFactors(
-            race_given_geo={"g": race6(1, 0)},
-            race_given_surname={"s": race6(0, 1)},
-            race_prior=race6(0.5, 0.5),
-        )
+        factors = one_cell_factors(race6(0, 1), race6(1, 0), race6(0.5, 0.5))
         with pytest.raises(ValueError, match="no admissible race"):
             bisg_probability(factors, "s", "g")
 
@@ -290,31 +279,29 @@ class TestWeightedCounts:
 
 class TestFactorValidation:
     def test_bad_conditional_sum_rejected(self):
-        with pytest.raises(ValueError, match="sums to"):
-            BisgFactors(
-                race_given_geo={"g": race6(0.5, 0.4)},
-                race_given_surname={},
-                race_prior=race6(1),
-            )
+        with pytest.raises(ValueError, match=r"race_given_geo\['g'\] sums to"):
+            one_cell_factors(race6(1), race6(0.5, 0.4), race6(1))
 
     def test_bad_prior_rejected(self):
         with pytest.raises(ValueError, match="race_prior"):
-            BisgFactors(
-                race_given_geo={}, race_given_surname={}, race_prior=race6(0.5, 0.4)
-            )
+            one_cell_factors(race6(1), race6(1), race6(0.5, 0.4))
+
+    def test_arrays_must_match_labels(self):
+        with pytest.raises(ValueError, match=r"race_given_surname must have shape \(1, 6\)"):
+            BisgFactors(AxisLabels(["s"], ["g"]), [race6(1)] * 2, [race6(1)], race6(1), [1], [1])
+        with pytest.raises(ValueError, match=r"geo_counts must have shape \(1,\)"):
+            BisgFactors(AxisLabels(["s"], ["g"]), [race6(1)], [race6(1)], race6(1), [1], [])
+        factors = one_cell_factors(race6(1), race6(1), race6(1))
+        with pytest.raises(ValueError, match="read-only"):
+            factors.race_given_geo[0, 0] = 0.5
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_inputs_rejected(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            BisgFactors(
-                race_given_geo={"g": race6(bad, 0.5)}, race_given_surname={}, race_prior=race6(1)
-            )
+        with pytest.raises(ValueError, match=r"non-finite entries in race_given_geo\['g'\]"):
+            one_cell_factors(race6(1), race6(bad, 0.5), race6(1))
         with pytest.raises(ValueError, match="non-finite race_prior"):
-            BisgFactors(race_given_geo={}, race_given_surname={}, race_prior=race6(bad, 1))
+            one_cell_factors(race6(1), race6(1), race6(bad, 1))
         with pytest.raises(ValueError, match="non-finite entry in geo_counts"):
-            BisgFactors(
-                race_given_geo={"g": race6(1)}, race_given_surname={}, race_prior=race6(1),
-                geo_counts={"g": bad},
-            )
+            one_cell_factors(race6(1), race6(1), race6(1), geo_count=bad)
         with pytest.raises(ValueError, match="non-finite adjustment weight"):
             VoterAdjustment(race6(bad, 1))

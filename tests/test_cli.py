@@ -49,6 +49,10 @@ class TestPipeline:
     def test_full_chain_produces_reports(self, tmp_path):
         fix = synth_fixture(tmp_path)
         pred = predict_dir(tmp_path, fix)
+        info = read_json(pred / "manifest.json")["info"]
+        # every one of the 12 x 5 occupied cells has both factors
+        assert info["factor_labels"] == {"surname": 12, "geo": 5}
+        assert info["cells_in"] == info["cells_out"] == 60
 
         raked = tmp_path / "raked"
         assert run_cli(
@@ -197,6 +201,26 @@ class TestFitFactorsCli:
         assert (out / "surname_factor_rejects.csv").exists()
         manifest = read_json(out / "manifest.json")
         assert manifest["info"]["surname_factor_rejects"] == 1
+        assert manifest["info"]["factor_labels"] == {"surname": 12, "geo": 5}
+
+    def test_predict_counts_cells_and_factor_labels(self, tmp_path):
+        # without the last geolocation's factor row its 12 cells are skipped
+        fix = synth_fixture(tmp_path, seed=8)
+        geo = tmp_path / "gf.csv"
+        lines = (fix / "geo_factors.csv").read_text(encoding="utf-8").splitlines()
+        geo.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        out = tmp_path / "pred"
+        assert run_cli(
+            "predict", "--surname-factors", fix / "surname_factors.csv",
+            "--geo-factors", geo, "--prior", fix / "prior.json",
+            "--table", fix / "table.csv", "--out-dir", out,
+        ) == 0
+        info = read_json(out / "manifest.json")["info"]
+        assert info["factor_labels"] == {"surname": 12, "geo": 4}
+        assert info["cells_in"] == 60
+        assert info["cells_out"] == 48
+        assert info["rejected_cells"] == 12
+        assert len(read_csv(out / "predictions.csv")) == 49
 
 
 class TestCalibMapCli:

@@ -3,6 +3,7 @@ import io
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from raketab import ContingencyTable, RaceCategory, ingest
+from raketab.table import N_RACES
 from raketab.ingest import (
     CANONICAL_MAPPING,
     CPS_ORIGINS,
@@ -50,16 +52,18 @@ class TestSurnameFactors:
     def test_basic_row(self, tmp_path):
         f = tmp_path / "s.csv"
         write_lines(f, [self.HEADER, "SMITH,100,0.0,0.0,0.2,0.0,0.8,0.0"])
-        probs, counts, rejects = parse_surname_factors(f)
-        np.testing.assert_allclose(probs["SMITH"], race6(0, 0, 0.2, 0, 0.8))
-        assert counts["SMITH"] == 100.0
+        labels, values, rejects = parse_surname_factors(f)
+        assert labels == ["SMITH"]
+        np.testing.assert_allclose(values[0, 1:], race6(0, 0, 0.2, 0, 0.8))
+        assert values[0, 0] == 100.0
         assert len(rejects) == 0
 
     def test_renormalizes_near_one(self, tmp_path):
         f = tmp_path / "s.csv"
         write_lines(f, [self.HEADER, "lee,10,0.0,0.49,0.0,0.0,0.5,0.0"])
-        probs, _, rejects = parse_surname_factors(f)
-        assert probs["LEE"].sum() == pytest.approx(1.0, abs=1e-12)
+        labels, values, rejects = parse_surname_factors(f)
+        assert labels == ["LEE"]
+        assert values[0, 1:].sum() == pytest.approx(1.0, abs=1e-12)
         assert len(rejects) == 0
 
     def test_rejects_far_from_one(self, tmp_path):
@@ -92,8 +96,8 @@ class TestSurnameFactors:
                 "G20,1,0,1,0,0,0,0",
             ],
         )
-        probs, _, rejects = parse_surname_factors(f)
-        assert "BAD" not in probs and "WORSE" not in probs
+        labels, _, rejects = parse_surname_factors(f)
+        assert "BAD" not in labels and "WORSE" not in labels
         reasons = {line: reason for line, reason in rejects.rows}
         assert 3 in reasons and "sum" in reasons[3]
         assert 5 in reasons and "non-numeric" in reasons[5]
@@ -123,9 +127,10 @@ class TestGeoFactors:
     def test_basic_row(self, tmp_path):
         f = tmp_path / "g.csv"
         write_lines(f, [self.HEADER, "12086,100,1,5,20,60,12,2"])
-        probs, counts, rejects = parse_geo_factors(f)
-        assert probs["12086"][RaceCategory.HISPANIC] == pytest.approx(0.6)
-        assert counts["12086"] == 100.0
+        labels, values, rejects = parse_geo_factors(f)
+        assert labels == ["12086"]
+        assert values[0, 1 + RaceCategory.HISPANIC] == pytest.approx(0.6)
+        assert values[0, 0] == 100.0
         assert len(rejects) == 0
 
     def test_zero_total_rejected(self, tmp_path):
@@ -133,8 +138,8 @@ class TestGeoFactors:
         # nine good rows keep the one reject within the 10% cap
         good = [f"{g},4,0,0,1,0,3,0" for g in range(222, 231)]
         write_lines(f, [self.HEADER, "111,5,0,0,0,0,0,0"] + good)
-        probs, _, rejects = parse_geo_factors(f)
-        assert "111" not in probs
+        labels, _, rejects = parse_geo_factors(f)
+        assert "111" not in labels
         assert any("111" in reason for _, reason in rejects.rows)
 
     def test_excessive_rejects_hard_error(self, tmp_path):
@@ -149,8 +154,8 @@ class TestGeoFactors:
         f = tmp_path / "g.csv"
         good = [f"{g},4,0,0,1,0,3,0" for g in range(222, 231)]
         write_lines(f, [self.HEADER, "111,inf,0,0,1,0,3,0"] + good)
-        probs, _, rejects = parse_geo_factors(f)
-        assert "111" not in probs
+        labels, _, rejects = parse_geo_factors(f)
+        assert "111" not in labels
         assert rejects.rows == [(2, "non-finite field")]
 
     def test_duplicate_geoid(self, tmp_path):
@@ -158,6 +163,159 @@ class TestGeoFactors:
         write_lines(f, [self.HEADER, "1,4,0,0,1,0,3,0", "1,4,0,0,1,0,3,0"])
         with pytest.raises(ParseError, match="duplicate geolocation"):
             parse_geo_factors(f)
+
+
+# the factor parsers against the row-at-a-time loop they replace ----------
+
+
+def reference_parse_factors(path, header, kind, clean_label, bad_sum):
+    """A factor file read one row at a time with numpy per row: label ->
+    P(r|label) and count, the rules of the module docstring applied to each
+    row as it is read. The parser must agree with it row for row."""
+    probs, counts = {}, {}
+    rejects = RejectReport()
+    fh, reader = ingest._open_reader(path, header)
+    with fh:
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                rejects.rows.append((line, f"expected {len(header)} fields, got {len(row)}"))
+                continue
+            label = clean_label(row[0])
+            if not label:
+                rejects.rows.append((line, f"empty {header[0]}"))
+                continue
+            if label in probs:
+                raise ParseError(f"{path}:{line}: duplicate {kind} {label!r}")
+            try:
+                count = float(row[1])
+                vec = np.array([float(x) for x in row[2:]], dtype=np.float64)
+            except ValueError:
+                rejects.rows.append((line, "non-numeric field"))
+                continue
+            s = vec.sum()
+            if not (np.isfinite(count) and np.all(np.isfinite(vec))):
+                reason = "non-finite field"
+            elif count < 0 or np.any(vec < 0):
+                reason = "negative value"
+            else:
+                reason = bad_sum(label, s)
+            if reason:
+                rejects.rows.append((line, reason))
+                continue
+            probs[label] = vec / s
+            counts[label] = count
+    total_rows = len(probs) + len(rejects)
+    if total_rows == 0:
+        raise ParseError(f"{path}: no data rows")
+    if len(rejects) > ingest.MAX_REJECT_FRACTION * total_rows:
+        raise ParseError(
+            f"{path}: {len(rejects)} of {total_rows} rows rejected "
+            f"(limit {ingest.MAX_REJECT_FRACTION:.0%})"
+        )
+    labels = list(probs)
+    values = np.array([[counts[k], *probs[k]] for k in labels]).reshape(len(labels), N_RACES + 1)
+    return labels, values, rejects
+
+
+def reference_surname_factors(path):
+    lo, hi = ingest.PROB_SUM_WINDOW
+    return reference_parse_factors(
+        path, ingest.SURNAME_FACTORS_HEADER, "surname", lambda label: label.strip().upper(),
+        lambda _, s: None if lo <= s <= hi else f"probabilities sum to {s:.6g}",
+    )
+
+
+def reference_geo_factors(path):
+    return reference_parse_factors(
+        path, ingest.GEO_FACTORS_HEADER, "geolocation", str.strip,
+        lambda geoid, s: None if s > 0 else f"zero-total row for geoid {geoid}",
+    )
+
+
+FACTOR_KINDS = {
+    "surname": (parse_surname_factors, reference_surname_factors, ingest.SURNAME_FACTORS_HEADER),
+    "geo": (parse_geo_factors, reference_geo_factors, ingest.GEO_FACTORS_HEADER),
+}
+# a few labels that repeat, some of which cleaning maps onto each other,
+# among many that do not
+FACTOR_LABELS = st.sampled_from(["A", "a", " A ", "b ", "", "  ", 'x,"y']) | st.integers(
+    0, 10**6).map("L{}".format)
+FACTOR_FIELDS = st.sampled_from([
+    "0", "1", "-1", "-0.0", "0.5", "1e308", "5e-324", "nan", "inf", "-inf", "(S)", "", " 2 ", "x",
+]) | st.floats(min_value=0, max_value=1e6).map(repr)
+
+
+@st.composite
+def factor_rows(draw, kind):
+    """One data row of a factor file: mostly well formed, sometimes not."""
+    label = draw(FACTOR_LABELS)
+    shape = draw(st.sampled_from(["probs", "probs", "probs", "zero", "fields", "short", "long"]))
+    if shape == "short":
+        return [label] + [draw(FACTOR_FIELDS) for _ in range(draw(st.integers(0, 6)))]
+    if shape == "long":
+        return [label] + [draw(FACTOR_FIELDS) for _ in range(8)]
+    if shape == "fields":
+        return [label] + [draw(FACTOR_FIELDS) for _ in range(7)]
+    count = repr(draw(st.floats(min_value=0, max_value=1e6)))
+    if shape == "zero":
+        return [label, count] + ["0"] * N_RACES
+    weights = draw(st.lists(st.floats(min_value=0, max_value=1), min_size=N_RACES,
+                            max_size=N_RACES).filter(lambda w: sum(w) > 0))
+    # geo rows are counts; surname rows sum to `scale`, inside or outside
+    # the [0.98, 1.02] window
+    scale = 100.0 if kind == "geo" else draw(st.sampled_from([1.0, 0.97, 0.985, 1.0199, 1.03]))
+    return [label, count] + [repr(w / sum(weights) * scale) for w in weights]
+
+
+def _parsed(parse, path):
+    """A factor parser's result, or the text of the ParseError it raised."""
+    try:
+        labels, values, rejects = parse(path)
+    except ParseError as exc:
+        return str(exc)
+    return labels, values.shape, values.tobytes(), rejects.rows
+
+
+@pytest.mark.parametrize("kind", sorted(FACTOR_KINDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), crlf=st.booleans(), cap=st.sampled_from([0.10, 1.0]))
+def test_factor_parser_matches_row_loop(kind, data, crlf, cap):
+    """Same accepted labels, bit-identical counts and probabilities, same
+    reject rows and same ParseError text as the row loop, with the reject
+    cap as shipped and lifted."""
+    parse, reference, header = FACTOR_KINDS[kind]
+    rows = data.draw(st.lists(factor_rows(kind), max_size=25))
+    text = io.StringIO(newline="")
+    csv.writer(text, lineterminator="\r\n" if crlf else "\n").writerows([header, *rows])
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "MAX_REJECT_FRACTION", cap)
+        path = Path(tmp) / "factors.csv"
+        path.write_text(text.getvalue(), encoding="utf-8", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # sums that overflow
+            assert _parsed(parse, path) == _parsed(reference, path)
+
+
+@pytest.mark.parametrize("repeat, expected", [
+    # a label rejected first may come back and be accepted
+    ("A,1,0.5,0,0,0,0,0\nA,1,0,1,0,0,0,0\n", ["A"]),
+    # a label accepted first may not, even on a row that is itself rejected
+    ("A,1,0,1,0,0,0,0\na,1,x,0,0,0,0,0\n", "duplicate surname 'A'"),
+    ("A,1,0,1,0,0,0,0\nA,1,0.5,0,0,0,0,0\n", "duplicate surname 'A'"),
+    # a short row or an empty label is rejected before the duplicate rule
+    ("A,1,0,1,0,0,0,0\nA,1\n", ["A"]),
+])
+def test_factor_duplicate_rule(tmp_path, repeat, expected):
+    path = tmp_path / "s.csv"
+    path.write_text(TestSurnameFactors.HEADER + "\n" + repeat, encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "MAX_REJECT_FRACTION", 1.0)
+        got, want = _parsed(parse_surname_factors, path), _parsed(reference_surname_factors, path)
+    assert got == want
+    if isinstance(expected, list):
+        assert got[0] == expected
+    else:
+        assert got.endswith(f"s.csv:3: {expected}")
 
 
 class TestVoterFile:
@@ -371,29 +529,33 @@ class TestRoundTrips:
 
         factors = fit_factors(f1_table)
         path = tmp_path / "s.csv"
-        write_surname_factors(path, factors.race_given_surname, factors.surname_counts)
-        probs, counts, rejects = parse_surname_factors(path)
+        surnames = factors.labels.surnames
+        write_surname_factors(path, dict(zip(surnames, factors.race_given_surname)),
+                              dict(zip(surnames, factors.surname_counts)))
+        labels, values, rejects = parse_surname_factors(path)
         assert len(rejects) == 0
-        assert counts == {k.upper(): v for k, v in factors.surname_counts.items()}
-        for key, vec in factors.race_given_surname.items():
-            np.testing.assert_array_equal(probs[key.upper()], vec)
+        assert labels == [s.upper() for s in surnames]
+        np.testing.assert_array_equal(values[:, 0], factors.surname_counts)
+        np.testing.assert_array_equal(values[:, 1:], factors.race_given_surname)
         # a second write/parse cycle is the exact identity
-        write_surname_factors(path, probs, counts)
-        probs2, counts2, _ = parse_surname_factors(path)
-        assert counts2 == counts
-        for key, vec in probs.items():
-            np.testing.assert_array_equal(probs2[key], vec)
+        write_surname_factors(path, dict(zip(labels, values[:, 1:])),
+                              dict(zip(labels, values[:, 0])))
+        labels2, values2, _ = parse_surname_factors(path)
+        assert labels2 == labels
+        np.testing.assert_array_equal(values2, values)
 
     def test_geo_factors(self, tmp_path, f1_table):
         from raketab import fit_factors
 
         factors = fit_factors(f1_table)
         path = tmp_path / "g.csv"
-        write_geo_factors(path, factors.race_given_geo, factors.geo_counts)
-        probs, counts, _ = parse_geo_factors(path)
-        assert counts == factors.geo_counts
-        for key, vec in factors.race_given_geo.items():
-            np.testing.assert_allclose(probs[key], vec, rtol=1e-15)
+        geoids = factors.labels.geolocations
+        write_geo_factors(path, dict(zip(geoids, factors.race_given_geo)),
+                          dict(zip(geoids, factors.geo_counts)))
+        labels, values, _ = parse_geo_factors(path)
+        assert labels == list(geoids)
+        np.testing.assert_array_equal(values[:, 0], factors.geo_counts)
+        np.testing.assert_allclose(values[:, 1:], factors.race_given_geo, rtol=1e-15)
 
     def test_voter_file(self, tmp_path):
         records = [

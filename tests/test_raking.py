@@ -314,9 +314,10 @@ class TestKlDivergence:
         assert kl_divergence(m, b) == pytest.approx(2 * np.log(2) - 1, rel=1e-12)
 
     def test_absolute_continuity(self):
-        m = PredictionTable.from_label_cells({("a", "x"): race6(1, 1)})
-        b = PredictionTable.from_label_cells({("a", "x"): race6(1, 0)})
-        with pytest.raises(ValueError, match="absolute continuity"):
+        # the second cell of m, after one that is fine, is the one named
+        m = PredictionTable.from_label_cells({("a", "w"): race6(1), ("a", "x"): race6(1, 1)})
+        b = PredictionTable.from_label_cells({("a", "w"): race6(2), ("a", "x"): race6(1, 0)})
+        with pytest.raises(ValueError, match=r"absolute continuity violated at cell \('a', 'x'\)"):
             kl_divergence(m, b)
 
     def test_nonnegative_on_feasible_tables(self, f1_table):

@@ -4,6 +4,7 @@ import pytest
 from raketab import (
     MarginSet,
     SynthConfig,
+    baseline_geo_only,
     bisg_counts,
     fit_factors,
     generate,
@@ -107,7 +108,7 @@ class TestSplit:
     def test_returns_self_fit_factors_and_same_table(self, f1_table):
         factors, truth = split_factors_and_truth(f1_table)
         assert truth is f1_table
-        np.testing.assert_allclose(factors.race_given_geo["g1"], race6(0.55, 0.45))
+        np.testing.assert_allclose(baseline_geo_only(factors, "g1"), race6(0.55, 0.45))
 
     def test_independent_table_gives_zero_error_downstream(self):
         config = SynthConfig(
