@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__, bisg, calibmap, ingest, metrics, raking
 from .synth import SynthConfig, generate
-from .table import N_RACES, AxisLabels, ContingencyTable, MarginSet, PredictionTable, RaceCategory
+from .table import N_RACES, RACE_NAMES, AxisLabels, ContingencyTable, MarginSet, PredictionTable
+from .table import RaceCategory
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -42,8 +43,9 @@ def _sha256(path) -> str:
 
 def _atomic(path, write_fn, *args):
     tmp = f"{path}.tmp"
-    write_fn(tmp, *args)
+    result = write_fn(tmp, *args)
     os.replace(tmp, path)
+    return result
 
 
 class _Run:
@@ -74,11 +76,12 @@ class _Run:
         return self._timed("parse_s", parse_fn, path, *args)
 
     def write(self, name, write_fn, *args):
-        """Write output `name` atomically with write_fn(path, *args)."""
+        """Write output `name` atomically with write_fn(path, *args) and
+        return what write_fn returns."""
         path = os.path.join(self.out_dir, name)
-        self._timed("write_s", _atomic, path, write_fn, *args)
+        result = self._timed("write_s", _atomic, path, write_fn, *args)
         self.outputs.append({"path": str(path), "sha256": self._timed("digest_s", _sha256, path)})
-        return path
+        return result
 
     def finish(self):
         # compute is the rest of the run, up to the manifest
@@ -266,8 +269,11 @@ def cmd_evaluate(args):
 
     run.write("subpop.csv", ingest.write_subpop, sub)
     run.write("cellwise.csv", ingest.write_cellwise, cell)
-    run.write("calibration_curves.csv", ingest.write_calibration_curves, curves)
+    rows = run.write("calibration_curves.csv", ingest.write_calibration_curves, curves)
     run.write("summary.json", ingest.write_summary, sub, cell, curves)
+    run.info["cells_in"] = {"truth": truth.n_cells, "preds": len(index)}
+    run.info["cells_out"] = pred.n_cells
+    run.info["curve_points"] = {RACE_NAMES[c.race]: n for c, n in zip(curves, rows)}
     run.finish()
     return EXIT_OK
 

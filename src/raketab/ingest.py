@@ -25,6 +25,12 @@ Outputs only (besides manifest.json):
 * subpop.csv:  geolocation,race,truth,estimate,error,relative_error
 * cellwise.csv:  level,name,l1,l2,nll  (geolocation, region and overall rows)
 * calibration_curves.csv:  race,cumulative_weight,cumulative_miscalibration
+  (each race's `CalibrationCurve.outline()`: with K = CURVE_RESOLUTION =
+  4096, the origin, then per bin ceil(x * K) of cumulative weight x its
+  last point and its first maximum and minimum, a bin of at most 3 points
+  whole; at most 3K + 1 rows per race, all points of the full curve, whose
+  max - min is the Kuiper statistic; summary.json's kuiper comes from the
+  full curve)
 * summary.json:  {"subpopulation", "cellwise", "kuiper", "kuiper_includes_other"}
 
 Cell files (tables, predictions, raked predictions) are read by one
@@ -35,6 +41,8 @@ the file and line. Factor files are read by a csv loop that only splits
 rows and converts numbers with float(), then checked as arrays: malformed
 rows go to a reject report, except where a defect (a repeated label, an
 excessive reject rate) would corrupt results. Other parsers go row by row.
+A row that csv cannot split (a field over its size limit) is an input error
+naming the file and line.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import csv
 import json
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Mapping, Optional
@@ -177,26 +186,29 @@ MAPPINGS = {
 }
 
 
+@contextmanager
 def _open_reader(path, header):
-    fh = open(path, newline="", encoding="utf-8-sig")
-    reader = csv.reader(fh)
-    try:
-        got = next(reader)
-    except StopIteration:
-        fh.close()
-        raise ParseError(f"{path}: empty file, expected header {','.join(header)}")
-    if got != header:
-        fh.close()
-        raise ParseError(f"{path}: bad header {got!r}, expected {header!r}")
-    return fh, reader
+    """Open a CSV file and check its header; yields (file, csv reader) at the
+    first data row. A csv.Error inside the block, such as a field over csv's
+    size limit, becomes a ParseError naming the file and the line read last."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            got = next(reader, None)
+            if got is None:
+                raise ParseError(f"{path}: empty file, expected header {','.join(header)}")
+            if got != header:
+                raise ParseError(f"{path}: bad header {got!r}, expected {header!r}")
+            yield fh, reader
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _raise_bad_row(path, header, bad=None):
     """Raise the ParseError naming the first row of a cell file that is
     blank, has the wrong number of fields, or is data row `bad` (0-based),
     which holds a value np.loadtxt could not convert. Values are not read."""
-    fh, reader = _open_reader(path, header)
-    with fh:
+    with _open_reader(path, header) as (_, reader):
         for i, row in enumerate(reader):
             if len(row) != len(header):
                 raise ParseError(f"{path}:{i + 2}: expected {len(header)} fields, got {len(row)}")
@@ -223,18 +235,17 @@ def _read_cells(path, header):
     order, and each cell's line.
     """
     dtype = [("s", object), ("g", object), ("v", np.float64, (len(header) - 2,))]
-    fh, _ = _open_reader(path, header)
-    try:
+    with _open_reader(path, header) as (fh, _), warnings.catch_warnings():
         # the rows after the header, split into lines as csv splits them;
         # a file with no rows is named below, not warned about
-        with fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore")
+        try:
             cells = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
-    except ValueError as exc:
-        # numpy names the 0-based data row of a value it cannot convert
-        bad = re.search(r"at row (\d+), column", str(exc))
-        _raise_bad_row(path, header, bad and int(bad[1]))
-        raise ParseError(f"{path}: {exc}") from None
+        except ValueError as exc:
+            # numpy names the 0-based data row of a value it cannot convert
+            bad = re.search(r"at row (\d+), column", str(exc))
+            _raise_bad_row(path, header, bad and int(bad[1]))
+            raise ParseError(f"{path}: {exc}") from None
     if _line_ends_meet(path):
         _raise_bad_row(path, header)
     if not len(cells):
@@ -273,8 +284,7 @@ def _parse_factors(path, header, kind, clean_label, sum_ok, sum_reason):
     data rows or more than 10% rejected rows is a ParseError.
     """
     lines, labels, numbers, non_numeric, rejects = [], [], [], [], []
-    fh, reader = _open_reader(path, header)
-    with fh:
+    with _open_reader(path, header) as (_, reader):
         for line, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 rejects.append((line, f"expected {len(header)} fields, got {len(row)}"))
@@ -291,7 +301,9 @@ def _parse_factors(path, header, kind, clean_label, sum_ok, sum_reason):
             lines.append(line)
             labels.append(label)
     values = np.array(numbers, dtype=np.float64).reshape(len(lines), len(header) - 1)
-    sums = values[:, 1:].sum(axis=1)
+    # the rules below reject a row whose sum overflows or mixes inf and -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = values[:, 1:].sum(axis=1)
     reasons = np.empty(len(lines), dtype=object)
     for i in np.flatnonzero(~sum_ok(sums)).tolist():
         reasons[i] = sum_reason(labels[i], sums[i])
@@ -360,8 +372,7 @@ def parse_voter_file(path, mapping: CategoryMapping):
     """
     records: list[VoterRecord] = []
     seen: set[str] = set()
-    fh, reader = _open_reader(path, VOTER_FILE_HEADER)
-    with fh:
+    with _open_reader(path, VOTER_FILE_HEADER) as (_, reader):
         for line, row in enumerate(reader, start=2):
             if len(row) != len(VOTER_FILE_HEADER):
                 raise ParseError(
@@ -566,7 +577,8 @@ def parse_race_margin(path) -> np.ndarray:
         raise ParseError(f"{path}: non-finite race share")
     if np.any(vec < 0):
         raise ParseError(f"{path}: negative race share")
-    total = vec.sum()
+    with np.errstate(over="ignore"):  # a sum past the float range fails the test
+        total = float(vec.sum())
     if total <= 0:
         raise ParseError(f"{path}: race distribution sums to zero")
     if abs(total - 1.0) > 1e-6:
@@ -578,8 +590,7 @@ def parse_region_map(path) -> dict:
     """Read geoid -> region. Both fields are stripped; a geoid repeated
     after stripping is a ParseError."""
     regions: dict[str, str] = {}
-    fh, reader = _open_reader(path, REGION_MAP_HEADER)
-    with fh:
+    with _open_reader(path, REGION_MAP_HEADER) as (_, reader):
         for line, row in enumerate(reader, start=2):
             if len(row) != 2:
                 raise ParseError(f"{path}:{line}: expected 2 fields")
@@ -592,9 +603,8 @@ def parse_region_map(path) -> dict:
 
 def parse_calibration_map(path) -> np.ndarray:
     """A calibration matrix CSV: finite, nonnegative, columns summing to 1."""
-    fh, reader = _open_reader(path, CALIB_MAP_HEADER)
     rows = []
-    with fh:
+    with _open_reader(path, CALIB_MAP_HEADER) as (_, reader):
         for line, row in enumerate(reader, start=2):
             if len(row) != len(CALIB_MAP_HEADER) or row[0] != RACE_NAMES[len(rows)]:
                 raise ParseError(f"{path}:{line}: malformed matrix row")
@@ -604,7 +614,9 @@ def parse_calibration_map(path) -> np.ndarray:
     matrix = np.array(rows)
     if not np.all(np.isfinite(matrix)) or np.any(matrix < 0):
         raise ParseError(f"{path}: matrix entries must be finite and nonnegative")
-    if np.abs(matrix.sum(axis=0) - 1.0).max() > 1e-6:
+    with np.errstate(over="ignore"):  # a column sum past the float range fails the test
+        off = np.abs(matrix.sum(axis=0) - 1.0).max()
+    if off > 1e-6:
         raise ParseError(f"{path}: matrix columns must sum to 1")
     return matrix
 
@@ -756,12 +768,15 @@ def write_cellwise(path, report):
 
 
 def write_calibration_curves(path, curves):
-    """The points of each CalibrationCurve, origin first, one race after another."""
+    """The outline of each CalibrationCurve (see `CalibrationCurve.outline`),
+    origin first, one race after another. Returns the rows of each curve."""
+    outlines = [c.outline() for c in curves]
     _write_csv(
         path, CURVES_HEADER,
-        [[RACE_NAMES[c.race] for c in curves for _ in range(len(c.points))]],
-        np.vstack([c.points for c in curves]),
+        [[RACE_NAMES[c.race] for c, o in zip(curves, outlines) for _ in range(len(o))]],
+        np.vstack(outlines),
     )
+    return [len(o) for o in outlines]
 
 
 def write_summary(path, subpop, cellwise, curves):

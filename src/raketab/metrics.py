@@ -22,6 +22,9 @@ from .table import sum_by_group
 # occupied cells with a zero prediction stay finite
 NLL_PROB_FLOOR = 1e-12
 
+# bins of cumulative weight in a curve's outline, the rows a curve file keeps
+CURVE_RESOLUTION = 4096
+
 ESTIMATE_MINUS_TRUTH = "estimate-minus-truth"
 TRUTH_MINUS_ESTIMATE = "truth-minus-estimate"
 
@@ -100,14 +103,38 @@ class CalibrationCurve:
     def values(self) -> np.ndarray:
         return self.points[:, 1]
 
+    def outline(self) -> np.ndarray:
+        """The rows of `points` that a curve file keeps, in order.
+
+        With K = CURVE_RESOLUTION, a point of cumulative weight x lies in
+        bin k = ceil(x * K), clipped to 1..K. The outline is the origin,
+        then each bin's last point and its first maximum and first minimum
+        of the curve; a bin of at most 3 points is kept whole. That is at
+        most 3K + 1 rows, and their curve values have the same maximum and
+        minimum as the whole curve, so max - min is `kuiper` exactly.
+        """
+        x, y = self.points[1:, 0], self.points[1:, 1]
+        bins = np.clip(np.ceil(x * CURVE_RESOLUTION), 1, CURVE_RESOLUTION)
+        starts = np.flatnonzero(np.r_[True, bins[1:] != bins[:-1]])
+        sizes = np.diff(np.r_[starts, len(y)])
+        keep = np.repeat(sizes <= 3, sizes)
+        keep[starts + sizes - 1] = True
+        for extreme in (np.maximum, np.minimum):
+            hit = np.flatnonzero(y == np.repeat(extreme.reduceat(y, starts), sizes))
+            keep[hit[np.r_[True, bins[hit][1:] != bins[hit][:-1]]]] = True
+        return self.points[np.r_[True, keep]]
+
 
 def _aligned(truth: ContingencyTable, pred: PredictionTable):
     """Truth and prediction values on one list of cells, plus each cell's
     truth geolocation index: the truth's cells in order (the prediction is
     zero where it lacks one), then the prediction's cells the truth lacks.
+    A prediction on the truth's own labels and cells is used as it is.
 
     Predictions must live on the truth's label universe.
     """
+    if pred.labels == truth.labels and np.array_equal(pred.cell_index, truth.cell_index):
+        return truth.cell_values, pred.cell_values, truth.cell_index[:, 1]
     geo = truth.labels.positions("g", pred.labels.geolocations)
     if np.any(geo < 0):
         raise ValueError("prediction has geolocations unknown to the truth table")
@@ -220,6 +247,21 @@ def cellwise_report(
     )
 
 
+def _stable_order(a) -> np.ndarray:
+    """`np.argsort(a, kind="stable")` for a float array without NaN.
+
+    The default sort is the SIMD one; within each run of equal values
+    (0.0 and -0.0 are equal) its order is then made ascending by a second
+    sort on unique integer keys, so ties keep their original order.
+    """
+    order = np.argsort(a)
+    ranked = a[order]
+    runs = np.concatenate(([0], np.cumsum(ranked[1:] != ranked[:-1])))
+    if runs[-1] == len(a) - 1:  # no ties
+        return order
+    return order[np.argsort(runs * len(a) + order)]
+
+
 def calibration_curve(
     truth: ContingencyTable,
     pred: PredictionTable,
@@ -239,19 +281,19 @@ def calibration_curve(
     occupied = t_sums > 0
     if not np.any(occupied):
         raise ValueError("empty support: no occupied cells to calibrate")
-    m = m[: truth.n_cells][occupied]
-    m_tot = m.sum(axis=1)
+    m = m[: truth.n_cells]
+    m_tot = m.sum(axis=1)[occupied]
     bad = m_tot <= 0
     if np.any(bad):
         key = truth.labels.pairs(truth.cell_index[occupied][bad])[0]
         raise ValueError(f"missing prediction for occupied cell {key}")
 
     weights = t_sums[occupied]
-    probs = m[:, race] / m_tot
+    probs = m[occupied, race] / m_tot
     freqs = truth.cell_values[occupied, race] / weights
-    # ascending by predicted probability; a stable sort leaves ties in the
-    # sorted cell index's (surname, geolocation) order for reproducible curves
-    order = np.argsort(probs, kind="stable")
+    # ascending by predicted probability; ties stay in the sorted cell
+    # index's (surname, geolocation) order for reproducible curves
+    order = _stable_order(probs)
     weights, probs, freqs = weights[order], probs[order], freqs[order]
     wtot = weights.sum()
     points = np.zeros((len(weights) + 1, 2))

@@ -186,6 +186,7 @@ class ContingencyTable:
         self._index = index
         self._values = values
         self._codes = codes
+        self._sums = None
 
     @classmethod
     def from_label_cells(cls, cells: Mapping[tuple[str, str], Iterable[float]]):
@@ -219,8 +220,13 @@ class ContingencyTable:
 
     @property
     def cell_sums(self) -> np.ndarray:
-        """Per-cell totals x_{sg+}, aligned with `cell_index`."""
-        return self._values.sum(axis=1)
+        """Per-cell totals x_{sg+}, aligned with `cell_index`: computed on
+        first use, then kept read-only."""
+        if self._sums is None:
+            sums = self._values.sum(axis=1)
+            sums.flags.writeable = False
+            self._sums = sums
+        return self._sums
 
     def locate(self, cells) -> np.ndarray:
         """Row of each given cell in this table, or -1 where it is absent.

@@ -91,6 +91,14 @@ class TestPipeline:
         assert (ev / "subpop.csv").exists()
         assert (ev / "cellwise.csv").exists()
         assert (ev / "calibration_curves.csv").exists()
+        info = read_json(ev / "manifest.json")["info"]
+        assert info["cells_in"] == {"truth": 60, "preds": 60}
+        assert info["cells_out"] == 60
+        # 60 cells are too few for a bin of more than 3 points: whole curves
+        assert info["curve_points"] == {race: 61 for race in RACE_NAMES}
+        curve_rows = read_csv(ev / "calibration_curves.csv")[1:]
+        for race in RACE_NAMES:
+            assert sum(row[0] == race for row in curve_rows) == info["curve_points"][race]
 
     def test_independent_population_evaluates_clean(self, tmp_path):
         fix = synth_fixture(tmp_path, seed=4, dependence=0.0)
@@ -510,6 +518,51 @@ class TestNonFiniteInput:
         )
         assert err["error"] == "ParseError"
         assert err["message"].endswith("predictions.csv:3: non-finite value")
+
+
+class TestOversizedInput:
+    def predict_with_surname_factors(self, tmp_path, fix, row):
+        path = tmp_path / "sf.csv"
+        lines = (fix / "surname_factors.csv").read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines + [row]) + "\n", encoding="utf-8")
+        args = (
+            "predict", "--surname-factors", path,
+            "--geo-factors", fix / "geo_factors.csv", "--prior", fix / "prior.json",
+            "--table", fix / "table.csv", "--out-dir", tmp_path / "pred",
+        )
+        return path, args
+
+    def test_field_over_csv_limit_exits_2(self, tmp_path, capsys):
+        fix = synth_fixture(tmp_path)
+        # the 12 surnames of the fixture, then one longer than csv allows
+        path, args = self.predict_with_surname_factors(
+            tmp_path, fix, "A" * 200_000 + ",1,0.2,0.2,0.2,0.2,0.1,0.1"
+        )
+        err = exits_2_with_json_error(capsys, *args)
+        assert err["error"] == "ParseError"
+        assert err["message"] == f"{path}:14: field larger than field limit (131072)"
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+    def test_overflowing_factor_row_is_rejected_quietly(self, tmp_path, capsys):
+        fix = synth_fixture(tmp_path)
+        _, args = self.predict_with_surname_factors(tmp_path, fix, "BIG,1,1e308,1e308,0,0,0,0")
+        assert run_cli(*args) == 0
+        assert capsys.readouterr().err == ""
+        rejects = read_csv(tmp_path / "pred" / "surname_factor_rejects.csv")
+        assert rejects[1:] == [["14", "probabilities sum to inf"]]
+
+    def test_overflowing_calibration_map_exits_2(self, tmp_path, capsys):
+        fix = synth_fixture(tmp_path)
+        pred = predict_dir(tmp_path, fix)
+        cm = tmp_path / "cm.csv"
+        cm.write_text("race," + ",".join(RACE_NAMES) + "\n" + "".join(
+            f"{race},1e308,1e308,0,0,0,0\n" for race in RACE_NAMES
+        ))
+        err = exits_2_with_json_error(
+            capsys, "evaluate", "--truth-table", fix / "table.csv",
+            "--preds", pred / "predictions.csv", "--calib-map", cm, "--out-dir", tmp_path / "ev",
+        )
+        assert err["message"] == f"{cm}: matrix columns must sum to 1"
 
 
 class TestPredictionRows:

@@ -174,8 +174,7 @@ def reference_parse_factors(path, header, kind, clean_label, bad_sum):
     row as it is read. The parser must agree with it row for row."""
     probs, counts = {}, {}
     rejects = RejectReport()
-    fh, reader = ingest._open_reader(path, header)
-    with fh:
+    with ingest._open_reader(path, header) as (_, reader):
         for line, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 rejects.rows.append((line, f"expected {len(header)} fields, got {len(row)}"))
@@ -291,9 +290,10 @@ def test_factor_parser_matches_row_loop(kind, data, crlf, cap):
         mp.setattr(ingest, "MAX_REJECT_FRACTION", cap)
         path = Path(tmp) / "factors.csv"
         path.write_text(text.getvalue(), encoding="utf-8", newline="")
+        got = _parsed(parse, path)  # a RuntimeWarning here fails the test
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # sums that overflow
-            assert _parsed(parse, path) == _parsed(reference, path)
+            warnings.simplefilter("ignore", RuntimeWarning)  # the row loop's sums overflow
+            assert got == _parsed(reference, path)
 
 
 @pytest.mark.parametrize("repeat, expected", [
@@ -589,7 +589,11 @@ class TestRoundTrips:
     def test_race_margin_validation(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"race_distribution": {"aian": 0.5, "api": 0.4}}')
-        with pytest.raises(ParseError, match="sums to"):
+        with pytest.raises(ParseError, match="sums to 0.9$"):
+            parse_race_margin(path)
+        # an overflowing sum is rejected without a RuntimeWarning
+        path.write_text('{"race_distribution": {"aian": 1e308, "api": 1e308}}')
+        with pytest.raises(ParseError, match="sums to inf$"):
             parse_race_margin(path)
         path.write_text('{"race_distribution": {"klingon": 1.0}}')
         with pytest.raises(ParseError, match="unknown race"):

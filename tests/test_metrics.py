@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raketab import (
+    AxisLabels,
     ContingencyTable,
     PredictionTable,
     RaceCategory,
@@ -16,7 +17,14 @@ from raketab import (
     weighted_counts,
 )
 from raketab.ingest import write_calibration_curves, write_cellwise, write_subpop
-from raketab.metrics import ESTIMATE_MINUS_TRUTH, TRUTH_MINUS_ESTIMATE
+from raketab.metrics import (
+    CURVE_RESOLUTION,
+    CalibrationCurve,
+    ESTIMATE_MINUS_TRUTH,
+    TRUTH_MINUS_ESTIMATE,
+    _aligned,
+    _stable_order,
+)
 
 from conftest import race6
 
@@ -162,6 +170,52 @@ class TestCellwiseReport:
         assert levels == {"geolocation", "region", "overall"}
 
 
+class TestAlignment:
+    @staticmethod
+    def reports(truth, pred):
+        sub = subpop_report(truth, pred)
+        cell = cellwise_report(truth, pred, region_map={"g1": "r", "g2": "r", "g3": "q"})
+        curves = [calibration_curve(truth, pred, race).points for race in RaceCategory]
+        return [sub.estimate_counts, sub.abs_error, cell.l1, cell.l2, cell.nll,
+                np.array(cell.overall), *curves]
+
+    def test_identity_layout_matches_general_join(self):
+        # the truth has an empty cell ("c", "g3"), where the prediction is zero
+        rng = np.random.default_rng(8)
+        cells = {(s, g): rng.integers(0, 5, size=6) + 0.5 for s in "abc" for g in ("g1", "g2")}
+        cells[("c", "g3")] = race6()
+        truth = ContingencyTable.from_label_cells(cells)
+        pred_cells = {key: rng.random(6) + 0.1 for key in cells}
+        pred_cells[("c", "g3")] = race6()
+        pred = PredictionTable(truth.labels, truth.cell_index,
+                               [pred_cells[key] for key in truth.support()])
+        assert _aligned(truth, pred)[1] is pred.cell_values
+
+        # the same cells under labels in another order
+        surs, geos = truth.labels.surnames[::-1], truth.labels.geolocations[::-1]
+        relabelled = AxisLabels(surs, geos)
+        idx = np.array([[surs.index(s), geos.index(g)] for s, g in truth.support()])
+        order = np.lexsort((idx[:, 1], idx[:, 0]))
+        moved = PredictionTable(relabelled, idx[order], pred.cell_values[order])
+        # the occupied cells only, on the labels they use: the truth's
+        # labels are a superset
+        occupied = PredictionTable.from_label_cells(
+            {key: vec for key, vec in pred_cells.items() if key != ("c", "g3")}
+        )
+        want = self.reports(truth, pred)
+        for other in (moved, occupied):
+            assert _aligned(truth, other)[1] is not other.cell_values
+            for got, expected in zip(self.reports(truth, other), want):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_unknown_labels_still_rejected(self, f1_table):
+        # cells equal in position but under other labels take the general join
+        pred = PredictionTable(AxisLabels(["s1", "x"], ["g1", "g2"]), f1_table.cell_index,
+                               f1_table.cell_values)
+        with pytest.raises(ValueError, match="surnames unknown"):
+            subpop_report(f1_table, pred)
+
+
 class TestCalibrationCurve:
     def test_perfectly_calibrated_flat(self, f1_table):
         curve = calibration_curve(f1_table, as_prediction(f1_table), RaceCategory.AIAN)
@@ -232,6 +286,16 @@ class TestCalibrationCurve:
             got = calibration_curve(truth, pred, race)
             np.testing.assert_array_equal(got.values()[1:], want)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.sampled_from([0.0, -0.0, 0.25, 1 / 3, 0.5, 1.0, 1e-300, 5e-324]) | st.floats(-1, 1),
+        min_size=1, max_size=60,
+    ))
+    def test_order_is_the_stable_argsort(self, values):
+        # many ties, 0.0 against -0.0, and lists without a tie
+        a = np.array(values)
+        np.testing.assert_array_equal(_stable_order(a), np.argsort(a, kind="stable"))
+
     def test_csv(self, f1_table, tmp_path):
         curve = calibration_curve(f1_table, as_prediction(f1_table), RaceCategory.AIAN)
         path = tmp_path / "curves.csv"
@@ -239,8 +303,55 @@ class TestCalibrationCurve:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["race", "cumulative_weight", "cumulative_miscalibration"]
-        assert len(rows) == 1 + len(curve.points)
-        assert [[float(x) for x in row[1:]] for row in rows[1:]] == curve.points.tolist()
+        assert len(rows) == 1 + len(curve.outline())
+        assert [[float(x) for x in row[1:]] for row in rows[1:]] == curve.outline().tolist()
+        assert {row[0] for row in rows[1:]} == {"aian"}
+
+    def test_small_curve_outline_is_whole(self, f1_table):
+        # no bin of cumulative weight holds more than 3 points
+        curve = calibration_curve(f1_table, as_prediction(f1_table), RaceCategory.API)
+        np.testing.assert_array_equal(curve.outline(), curve.points)
+
+    @staticmethod
+    def bin_envelope(points):
+        """Per-bin (max, min) of the curve values, bins as `outline` makes them."""
+        x, y = points[1:, 0], points[1:, 1]
+        bins = np.clip(np.ceil(x * CURVE_RESOLUTION), 1, CURVE_RESOLUTION).astype(int)
+        hi = np.full(CURVE_RESOLUTION + 1, -np.inf)
+        lo = np.full(CURVE_RESOLUTION + 1, np.inf)
+        np.maximum.at(hi, bins, y)
+        np.minimum.at(lo, bins, y)
+        return hi, lo
+
+    def test_outline_is_bounded_and_keeps_extremes(self):
+        # 20,000 cells, more than 3K points: bins hold about 5 points each.
+        # Real curves from random tables, and a random walk whose extremes
+        # lie inside the curve rather than at its ends
+        rng = np.random.default_rng(5)
+        n_s, n_g = 200, 100
+        index = np.column_stack(np.divmod(np.arange(n_s * n_g), n_g))
+        truth = ContingencyTable(
+            AxisLabels([f"s{i:03d}" for i in range(n_s)], [f"g{j:03d}" for j in range(n_g)]),
+            index, rng.gamma(0.3, 10.0, size=(n_s * n_g, 6)) + 1e-3,
+        )
+        pred = PredictionTable(truth.labels, index, rng.gamma(1.0, 1.0, size=(n_s * n_g, 6)) + 1e-3)
+        curves = [calibration_curve(truth, pred, race) for race in RaceCategory]
+        walk = np.zeros((n_s * n_g + 1, 2))
+        walk[1:, 0] = np.arange(1, n_s * n_g + 1) / (n_s * n_g)
+        walk[1:, 1] = np.cumsum(rng.normal(size=n_s * n_g))
+        curves.append(CalibrationCurve(RaceCategory.AIAN, walk, kuiper(walk[1:, 1])))
+        for curve in curves:
+            outline = curve.outline()
+            assert len(curve.points) > 3 * CURVE_RESOLUTION + 1
+            assert len(outline) <= 3 * CURVE_RESOLUTION + 1
+            # every written row is a row of the curve, in the curve's order
+            rows = iter(curve.points.tolist())
+            assert all(any(row == point for point in rows) for row in outline.tolist())
+            assert outline[0].tolist() == [0.0, 0.0]
+            np.testing.assert_array_equal(outline[-1], curve.points[-1])
+            assert outline[:, 1].max() - outline[:, 1].min() == curve.kuiper
+            for got, want in zip(self.bin_envelope(outline), self.bin_envelope(curve.points)):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestKuiper:

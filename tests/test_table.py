@@ -189,6 +189,10 @@ class TestImmutability:
             f1_table.cell_values[0, 0] = 99.0
         with pytest.raises(ValueError):
             f1_table.cell_index[0, 0] = 1
+        # the cell totals are computed once and shared, so they are read-only too
+        assert f1_table.cell_sums is f1_table.cell_sums
+        with pytest.raises(ValueError):
+            f1_table.cell_sums[0] = 99.0
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
