@@ -290,7 +290,9 @@ def weighted_counts(
         w_arr = np.zeros(len(index))
         w_arr[rows] = np.fromiter(cell_totals.values(), dtype=np.float64, count=len(keys))
         _check_cells(labels, index, w_arr, "cell total at")
-    index, w_arr = index[w_arr > 0], w_arr[w_arr > 0]
+    positive = w_arr > 0
+    if not positive.all():
+        index, w_arr = index[positive], w_arr[positive]
     if not len(index):
         raise ValueError("no predictable cells")
 
@@ -313,8 +315,10 @@ def weighted_counts(
     else:
         prior = factors.race_prior
         live = prior > 0
-        num = np.zeros((len(index), N_RACES))
-        num[:, live] = rg[g_code][:, live] * rs[s_code][:, live] / prior[live]
+        num = rg.take(g_code, axis=0)
+        num *= rs.take(s_code, axis=0)
+        num /= np.where(live, prior, 1.0)
+        num[:, ~live] = 0.0  # a race absent from the prior is predicted for no cell
         fallback = has_g & ~has_s
         num[fallback] = rg[g_code[fallback]]
         ok = has_g
@@ -332,6 +336,8 @@ def weighted_counts(
         raise ValueError(f"no admissible race for cell {labels.pairs(index[dead])[0]}")
 
     rejects.sort()
-    values = (w_arr[ok] / sums[ok])[:, None] * num[ok]
-    return PredictionTable(*compact_labels(labels, index[ok]), values), rejects
+    if not ok.all():
+        index, w_arr, num, sums = index[ok], w_arr[ok], num[ok], sums[ok]
+    num *= (w_arr / sums)[:, None]
+    return PredictionTable(*compact_labels(labels, index), num), rejects
 

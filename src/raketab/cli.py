@@ -158,6 +158,8 @@ def cmd_fit_factors(args):
     table = _load_truth(args, run)
     factors = bisg.fit_factors(table)
     _write_factors(run, factors)
+    run.info["cells_in"] = table.n_cells
+    run.info["factor_labels"] = {"surname": factors.labels.n_s, "geo": factors.labels.n_g}
     run.finish()
     return EXIT_OK
 
@@ -233,6 +235,8 @@ def cmd_subsample(args):
     labeled = [r for r in records if r.active and r.race is not None]
     sample = ingest.subsample_to_margin(labeled, target, seed=args.seed)
     run.write("subsampled.csv", ingest.write_voter_file, sample)
+    run.info["records_in"] = len(records)
+    run.info["records_labeled"] = len(labeled)
     run.info["sample_size"] = len(sample)
     run.finish()
     return EXIT_OK

@@ -42,7 +42,9 @@ rows and converts numbers with float(), then checked as arrays: malformed
 rows go to a reject report, except where a defect (a repeated label, an
 excessive reject rate) would corrupt results. Other parsers go row by row.
 A row that csv cannot split (a field over its size limit) is an input error
-naming the file and line.
+naming the file and line, and so is a cell-file label over that limit or
+a surname that uppercasing takes over it, so that every label written to
+a factor file can be read back.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from types import SimpleNamespace
 from typing import Mapping, Optional
 
@@ -229,8 +232,9 @@ def _read_cells(path, header):
     """Read a cell file (surname, geoid, numbers...) onto a sorted cell index.
 
     Surnames are uppercased and stripped, geoids stripped. Besides the row
-    errors of the module docstring, a non-finite or negative number or a
-    repeated cell is a ParseError naming the file and line. Returns
+    errors of the module docstring, a label longer than csv's field-size
+    limit, a non-finite or negative number or a repeated cell is a
+    ParseError naming the file and line. Returns
     (labels, index, values, lines): the numbers of each cell in index
     order, and each cell's line.
     """
@@ -250,9 +254,22 @@ def _read_cells(path, header):
         _raise_bad_row(path, header)
     if not len(cells):
         raise ParseError(f"{path}: no data rows")
-    surnames = [s.strip().upper() for s in cells["s"].tolist()]
-    geoids = [g.strip() for g in cells["g"].tolist()]
+    raw_s, raw_g = cells["s"], cells["g"]
+    # each distinct raw label is cleaned once
+    clean_s = {s: s.strip().upper() for s in set(raw_s)}
+    clean_g = {g: g.strip() for g in set(raw_g)}
     values, n = cells["v"], len(cells)
+    # np.loadtxt has no field-size limit; the csv readers of the factor
+    # files written from these labels do, so a longer label, as read or
+    # as cleaned (uppercasing can lengthen it), stops here
+    limit = csv.field_size_limit()
+    if max(map(len, chain(clean_s, clean_s.values(), clean_g))) > limit:
+        line = next(
+            i + 2 for i, (s, g) in enumerate(zip(raw_s, raw_g))
+            if max(len(s), len(clean_s[s]), len(g)) > limit
+        )
+        raise ParseError(f"{path}:{line}: field larger than field limit ({limit})")
+    surnames, geoids = list(map(clean_s.get, raw_s)), list(map(clean_g.get, raw_g))
     for bad, what in (
         (~np.isfinite(values).all(axis=1), "non-finite value"),
         ((values < 0).any(axis=1), "negative value"),
@@ -368,10 +385,12 @@ def parse_voter_file(path, mapping: CategoryMapping):
 
     Inactive records and records with an unanswered race are kept but
     flagged; excluding them is a separate, explicit step (see
-    `aggregate_voters`). Duplicate voter ids are an error.
+    `aggregate_voters`). Duplicate voter ids are an error, and so is a
+    surname that uppercasing makes longer than csv's field-size limit.
     """
     records: list[VoterRecord] = []
     seen: set[str] = set()
+    limit = csv.field_size_limit()
     with _open_reader(path, VOTER_FILE_HEADER) as (_, reader):
         for line, row in enumerate(reader, start=2):
             if len(row) != len(VOTER_FILE_HEADER):
@@ -390,10 +409,13 @@ def parse_voter_file(path, mapping: CategoryMapping):
             else:
                 raise ParseError(f"{path}:{line}: bad active flag {active_str!r}")
             race = mapping.map_value(race_str)
+            surname = surname.strip().upper()
+            if len(surname) > limit:  # uppercasing can lengthen it past csv's limit
+                raise ParseError(f"{path}:{line}: field larger than field limit ({limit})")
             records.append(
                 VoterRecord(
                     voter_id=voter_id,
-                    surname=surname.strip().upper(),
+                    surname=surname,
                     geolocation=geoid.strip(),
                     race=race,
                     active=active,

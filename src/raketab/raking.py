@@ -225,10 +225,11 @@ def rake(
             margin_gap=gap, worst_race=RACE_NAMES[worst], last_gaps=last,
         )
 
+    kept = live_c.all()
     return RakingResult(
         table=PredictionTable(
-            *compact_labels(base.labels, base.cell_index[live_c]),
-            work if live_c.all() else work[live_c],
+            *compact_labels(base.labels, base.cell_index if kept else base.cell_index[live_c]),
+            work if kept else work[live_c],
         ),
         # races zeroed away (positive base mass, zero target) get theta = -inf
         theta_r=np.where(live_r | (race_mass == 0), theta, -np.inf),

@@ -10,6 +10,7 @@ share across threads.
 from __future__ import annotations
 
 from enum import IntEnum
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -55,7 +56,7 @@ def _as_race_vector(values, name="values"):
 class AxisLabels:
     """Ordered surname and geolocation labels, unique within each axis."""
 
-    __slots__ = ("surnames", "geolocations", "_lookup")
+    __slots__ = ("surnames", "geolocations", "_lookup", "_objects")
 
     def __init__(self, surnames, geolocations):
         surnames = tuple(surnames)
@@ -69,21 +70,35 @@ class AxisLabels:
         self.surnames = surnames
         self.geolocations = geolocations
         self._lookup = None
+        self._objects = None
 
     def positions(self, axis, labels) -> np.ndarray:
-        """Index of each label on axis "s" or "g"; -1 where the label is absent."""
+        """Index of each label on axis "s" or "g"; -1 where the label is absent.
+
+        `labels` is any iterable; the lookups run inside `map`, with no
+        Python-level call per label.
+        """
         if self._lookup is None:
             self._lookup = {
                 name: {label: i for i, label in enumerate(ax)}
                 for name, ax in (("s", self.surnames), ("g", self.geolocations))
             }
-        lookup = self._lookup[axis]
-        return np.array([lookup.get(label, -1) for label in labels], dtype=np.int64)
+        return np.fromiter(map(self._lookup[axis].get, labels, repeat(-1)), np.int64)
 
     def pairs(self, index) -> list[tuple[str, str]]:
-        """(surname, geolocation) labels of each row of an (n, 2) cell index."""
-        surs, geos = self.surnames, self.geolocations
-        return [(surs[si], geos[gi]) for si, gi in np.asarray(index).tolist()]
+        """(surname, geolocation) labels of each row of an (n, 2) cell index.
+
+        The labels' object arrays are built on first use and kept, so a
+        call costs O(rows) after that.
+        """
+        if self._objects is None:
+            self._objects = (
+                np.fromiter(self.surnames, object, self.n_s),
+                np.fromiter(self.geolocations, object, self.n_g),
+            )
+        index = np.asarray(index).reshape(-1, 2)
+        surs, geos = self._objects
+        return list(zip(surs[index[:, 0]].tolist(), geos[index[:, 1]].tolist()))
 
     @property
     def n_s(self):
@@ -116,7 +131,10 @@ def index_cells(surnames, geolocations):
     surnames, geolocations = list(surnames), list(geolocations)
     labels = AxisLabels(sorted(set(surnames)), sorted(set(geolocations)))
     codes = labels.positions("s", surnames) * labels.n_g + labels.positions("g", geolocations)
-    unique, rows = np.unique(codes, return_inverse=True)
+    if np.all(codes[1:] > codes[:-1]):  # already sorted and unique: each pair is its own row
+        unique, rows = codes, np.arange(len(codes))
+    else:
+        unique, rows = np.unique(codes, return_inverse=True)
     return labels, np.column_stack(divmod(unique, labels.n_g)), rows
 
 
@@ -133,13 +151,17 @@ def sum_by_group(groups, values, n_groups) -> np.ndarray:
 def compact_labels(labels: AxisLabels, index):
     """Drop the labels no cell uses and renumber `index` onto the rest.
 
-    Kept labels stay in their order, so a sorted index stays sorted.
+    Kept labels stay in their order, so a sorted index stays sorted. When
+    every label is used, `labels` and `index` come back unchanged.
     """
-    used_s, si = np.unique(index[:, 0], return_inverse=True)
-    used_g, gi = np.unique(index[:, 1], return_inverse=True)
-    surs, geos = labels.surnames, labels.geolocations
-    kept = AxisLabels([surs[i] for i in used_s.tolist()], [geos[i] for i in used_g.tolist()])
-    return kept, np.column_stack([si, gi])
+    used_s = np.bincount(index[:, 0], minlength=labels.n_s) > 0
+    used_g = np.bincount(index[:, 1], minlength=labels.n_g) > 0
+    if used_s.all() and used_g.all():
+        return labels, index
+    kept = AxisLabels(compress(labels.surnames, used_s), compress(labels.geolocations, used_g))
+    return kept, np.column_stack(
+        [(np.cumsum(used_s) - 1)[index[:, 0]], (np.cumsum(used_g) - 1)[index[:, 1]]]
+    )
 
 
 def _check_cells(labels: AxisLabels, index, values, what) -> np.ndarray:
@@ -233,10 +255,14 @@ class ContingencyTable:
 
         `cells` is another table or a MarginSet, anything with `labels` and
         a `cell_index`, whose cells are taken in its row order, or an
-        iterable of (surname, geolocation) label pairs.
+        iterable of (surname, geolocation) label pairs. Cells with this
+        table's labels and cell index map to 0, 1, ..., n_cells - 1 without
+        a search.
         """
         if hasattr(cells, "cell_index"):
             index = cells.cell_index
+            if cells.labels == self.labels and np.array_equal(index, self._index):
+                return np.arange(self.n_cells)
             si = gi = index[:, 0]
             if len(index):  # an empty cell family carries no labels
                 si = self.labels.positions("s", cells.labels.surnames)[index[:, 0]]
@@ -258,10 +284,20 @@ class ContingencyTable:
         return self._values[row].copy() if row >= 0 else np.zeros(N_RACES)
 
     def support(self) -> list[tuple[str, str]]:
-        """Labeled (surname, geolocation) keys of stored cells, sorted."""
+        """Labeled (surname, geolocation) keys of stored cells, sorted.
+
+        Builds one label tuple per cell, so array code should use `labels`
+        and `cell_index` instead; kept while `perfbench/workloads.py`
+        builds its mapping input from `items()`.
+        """
         return self.labels.pairs(self._index)
 
     def items(self) -> Iterator[tuple[tuple[str, str], np.ndarray]]:
+        """(label tuple, race 6-vector) of each stored cell, in index order.
+
+        Like `support`, builds one label tuple per cell (and a row view);
+        kept while `perfbench/workloads.py` uses it.
+        """
         return zip(self.support(), self._values)
 
     # aggregates --------------------------------------------------------
@@ -374,7 +410,9 @@ class MarginSet:
         """Targets from cell totals keyed by (surname, geolocation) strings."""
         if not cells:
             return cls(race)
-        labels, index, rows = index_cells([str(s) for s, _ in cells], [str(g) for _, g in cells])
+        labels, index, rows = index_cells(
+            map(str, [s for s, _ in cells]), map(str, [g for _, g in cells])
+        )
         totals = np.zeros(len(index))
         totals[rows] = np.fromiter(cells.values(), dtype=np.float64, count=len(rows))
         return cls(race, labels, index, totals)

@@ -80,6 +80,15 @@ class TestBisgCounts:
         pred, _ = bisg_counts(factors, f1_table.support())
         assert np.all(pred.cell_values[:, 2:] == 0)
 
+    def test_zero_prior_race_predicts_zero_against_conditionals(self):
+        # factors from another source may give a race mass in the
+        # conditionals that the prior does not have: it is still predicted 0
+        uniform = np.full(6, 1 / 6)
+        factors = one_cell_factors(uniform, uniform, race6(0.5, 0.5))
+        pred, _ = weighted_counts(factors, {("s", "g"): 3.0})
+        np.testing.assert_allclose(pred.cell_values, [race6(1.5, 1.5)], rtol=1e-15)
+        assert not np.signbit(pred.cell_values).any()
+
     def test_missing_labels_rejected_and_skipped(self, f1_table):
         factors = fit_factors(f1_table)
         pred, rejects = bisg_counts(

@@ -1,0 +1,89 @@
+"""The label joins make no Python-level call per cell.
+
+Each join runs under `sys.setprofile` on synth tables of 20 x 10 and
+200 x 100 cells, counting "call" events (Python functions, comprehensions
+included) and "c_call" events (builtins and C methods called from Python
+code). Calls made inside C, such as `map` calling `dict.get`, raise no
+event. A join that makes a fixed number of numpy passes gives the same
+counts at both sizes; a per-cell `dict.get`, lambda or method call makes
+them grow a hundredfold. The counts are deterministic: no timing is taken.
+`rake` is left out, because its Newton step count may differ by size.
+"""
+
+import gc
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from raketab import ContingencyTable, MarginSet, SynthConfig, fit_factors, generate
+from raketab import weighted_counts
+from raketab.table import compact_labels, index_cells
+
+SIZES = ((20, 10), (200, 100))
+
+
+def count_calls(fn):
+    """Run fn() under a profiler; return its (call, c_call) event counts.
+
+    The garbage collector is paused, since finalizers of other tests'
+    objects would otherwise run, and be counted, at any allocation.
+    """
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        counts[event] += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return counts["call"], counts["c_call"]
+
+
+def joins(n_s, n_g):
+    """Each measured join on an n_s x n_g synth table, as a no-argument call."""
+    table = generate(SynthConfig(n_s, n_g, np.full(6, 1 / 6), 0.5, 1e5, seed=3))
+    assert table.n_cells == n_s * n_g
+    factors = fit_factors(table)
+    margins = MarginSet.from_table(table)
+    keys = table.support()
+    totals = dict(zip(keys, table.cell_sums.tolist()))
+    cells = dict(zip(keys, table.cell_values))
+    surnames, geos = [s for s, _ in keys], [g for _, g in keys]
+    # a fixed shuffle with repeats takes the np.unique path of index_cells
+    order = np.random.default_rng(0).permutation(len(keys)).tolist() + [0, 1]
+    shuffled_s, shuffled_g = [surnames[i] for i in order], [geos[i] for i in order]
+    # every other cell: with an even n_g this drops the odd geolocations
+    half = table.cell_index[::2]
+    other = ContingencyTable(*compact_labels(table.labels, half), np.ones((len(half), 6)))
+    return {
+        "weighted_counts(MarginSet)": lambda: weighted_counts(factors, margins),
+        "weighted_counts(mapping)": lambda: weighted_counts(factors, totals),
+        "index_cells(sorted)": lambda: index_cells(surnames, geos),
+        "index_cells(shuffled)": lambda: index_cells(shuffled_s, shuffled_g),
+        "compact_labels(all used)": lambda: compact_labels(table.labels, table.cell_index),
+        "compact_labels(some dropped)": lambda: compact_labels(table.labels, half),
+        "MarginSet.from_cells": lambda: MarginSet.from_cells(None, totals),
+        "ContingencyTable.from_label_cells": lambda: ContingencyTable.from_label_cells(cells),
+        "locate(same cells)": lambda: table.locate(margins),
+        "locate(other labels)": lambda: table.locate(other),
+        "positions": lambda: table.labels.positions("s", surnames),
+        "pairs": lambda: table.labels.pairs(table.cell_index),
+    }
+
+
+@pytest.fixture(scope="module")
+def calls_by_size():
+    return [{name: count_calls(fn) for name, fn in joins(*size).items()} for size in SIZES]
+
+
+@pytest.mark.parametrize("name", sorted(joins(*SIZES[0])))
+def test_calls_do_not_grow_with_cells(calls_by_size, name):
+    small, large = (calls[name] for calls in calls_by_size)
+    assert small == large, f"{name}: (call, c_call) {small} at 200 cells, {large} at 20,000"

@@ -173,6 +173,10 @@ class TestFitFactorsCli:
         ) == 0
         prior = read_json(fit / "prior.json")["race_distribution"]
         assert prior["white"] == pytest.approx(3 / 6)
+        # the six active records fill five cells of three surnames and two geoids
+        info = read_json(fit / "manifest.json")["info"]
+        assert info["cells_in"] == 5
+        assert info["factor_labels"] == {"surname": 3, "geo": 2}
         out = tmp_path / "pred"
         assert run_cli(
             "predict", "--surname-factors", fit / "surname_factors.csv",
@@ -192,6 +196,9 @@ class TestFitFactorsCli:
             fix / "surname_factors.csv"
         ).read_bytes()
         assert (fit / "prior.json").read_bytes() == (fix / "prior.json").read_bytes()
+        info = read_json(fit / "manifest.json")["info"]
+        assert info["cells_in"] == 60
+        assert info["factor_labels"] == {"surname": 12, "geo": 5}
 
     def test_factor_parse_rejects_surfaced(self, tmp_path):
         fix = synth_fixture(tmp_path, seed=8)
@@ -328,6 +335,10 @@ class TestSubsampleCli:
         races = [row[3] for row in sampled]
         assert len(sampled) == 40
         assert races.count("white") == 20 and races.count("black") == 20
+        info = read_json(out / "manifest.json")["info"]
+        assert info["records_in"] == 82
+        assert info["records_labeled"] == 80
+        assert info["sample_size"] == 40
 
 
 class TestDeterminism:
@@ -542,6 +553,52 @@ class TestOversizedInput:
         assert err["error"] == "ParseError"
         assert err["message"] == f"{path}:14: field larger than field limit (131072)"
         assert not (tmp_path / "pred" / "predictions.csv").exists()
+        # a cell file (`--table`) has the same limit
+        table = tmp_path / "table.csv"
+        text = (fix / "table.csv").read_text(encoding="utf-8")
+        table.write_text(text + "A" * 200_000 + ",g000,1,0,0,0,0,0\r\n", encoding="utf-8")
+        err = exits_2_with_json_error(
+            capsys, "predict", "--surname-factors", fix / "surname_factors.csv",
+            "--geo-factors", fix / "geo_factors.csv", "--prior", fix / "prior.json",
+            "--table", table, "--out-dir", tmp_path / "pred",
+        )
+        assert err["message"] == f"{table}:62: field larger than field limit (131072)"
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+    def test_label_over_csv_limit_stops_fit_factors(self, tmp_path, capsys):
+        # a factor file holding this surname could not be read back
+        fix = synth_fixture(tmp_path)
+        table = tmp_path / "table.csv"
+        text = (fix / "table.csv").read_text(encoding="utf-8")
+        table.write_text(text + "A" * 200_000 + ",g000,1,0,0,0,0,0\r\n", encoding="utf-8")
+        fit = tmp_path / "fit"
+        err = exits_2_with_json_error(capsys, "fit-factors", "--table", table, "--out-dir", fit)
+        assert err["error"] == "ParseError"
+        assert err["message"] == f"{table}:62: field larger than field limit (131072)"
+        assert not (fit / "surname_factors.csv").exists()
+        # uppercased past the limit ("ß" becomes "SS"), a label stops the run too
+        table.write_text(text + "ß" * 65_537 + ",g000,1,0,0,0,0,0\r\n", encoding="utf-8")
+        err = exits_2_with_json_error(capsys, "fit-factors", "--table", table, "--out-dir", fit)
+        assert err["message"] == f"{table}:62: field larger than field limit (131072)"
+        # at the limit it is fitted, and predict reads the factor file back
+        table.write_text(text + "a" * 131_072 + ",g000,1,0,0,0,0,0\r\n", encoding="utf-8")
+        assert run_cli("fit-factors", "--table", table, "--out-dir", fit) == 0
+        assert run_cli(
+            "predict", "--surname-factors", fit / "surname_factors.csv",
+            "--geo-factors", fit / "geo_factors.csv", "--prior", fit / "prior.json",
+            "--table", table, "--out-dir", tmp_path / "pred",
+        ) == 0
+
+    def test_surname_uppercased_over_csv_limit_stops_fit_factors(self, tmp_path, capsys):
+        voters = tmp_path / "v.csv"
+        voters.write_text(
+            "voter_id,surname,geoid,race,active\n1,SMITH,g1,white,true\n"
+            f"2,{'ß' * 65_537},g1,black,true\n", encoding="utf-8",
+        )
+        fit = tmp_path / "fit"
+        err = exits_2_with_json_error(capsys, "fit-factors", "--voters", voters, "--out-dir", fit)
+        assert err["message"] == f"{voters}:3: field larger than field limit (131072)"
+        assert not (fit / "surname_factors.csv").exists()
 
     def test_overflowing_factor_row_is_rejected_quietly(self, tmp_path, capsys):
         fix = synth_fixture(tmp_path)

@@ -9,7 +9,7 @@ from raketab import (
     build_table,
     conditional_race,
 )
-from raketab.table import index_cells
+from raketab.table import compact_labels, index_cells
 
 from conftest import race6
 
@@ -267,3 +267,140 @@ class TestConstructor:
             MarginSet(None, self.LABELS, [[0, 1], [1, 0]], [1.0, -1.0])
         with pytest.raises(ValueError, match="need labels"):
             MarginSet(None, None, [[0, 1]], [1.0])
+
+
+# the label joins as they were written before they went columnar: one
+# Python-level lookup or tuple per label or cell; the helpers must agree
+# with them array for array
+
+
+def reference_positions(labels, axis, items):
+    axis_labels = labels.surnames if axis == "s" else labels.geolocations
+    lookup = {label: i for i, label in enumerate(axis_labels)}
+    return np.array([lookup.get(label, -1) for label in items], dtype=np.int64)
+
+
+def reference_pairs(labels, index):
+    surs, geos = labels.surnames, labels.geolocations
+    return [(surs[si], geos[gi]) for si, gi in np.asarray(index).tolist()]
+
+
+def reference_index_cells(surnames, geolocations):
+    surnames, geolocations = list(surnames), list(geolocations)
+    labels = AxisLabels(sorted(set(surnames)), sorted(set(geolocations)))
+    codes = (
+        reference_positions(labels, "s", surnames) * labels.n_g
+        + reference_positions(labels, "g", geolocations)
+    )
+    unique, rows = np.unique(codes, return_inverse=True)
+    return labels, np.column_stack(divmod(unique, labels.n_g)), rows
+
+
+def reference_compact_labels(labels, index):
+    used_s, si = np.unique(index[:, 0], return_inverse=True)
+    used_g, gi = np.unique(index[:, 1], return_inverse=True)
+    surs, geos = labels.surnames, labels.geolocations
+    kept = AxisLabels([surs[i] for i in used_s.tolist()], [geos[i] for i in used_g.tolist()])
+    return kept, np.column_stack([si, gi])
+
+
+def reference_locate(table, cells):
+    """The general join of `ContingencyTable.locate` for a cell family."""
+    index = cells.cell_index
+    si = reference_positions(table.labels, "s", cells.labels.surnames)[index[:, 0]]
+    gi = reference_positions(table.labels, "g", cells.labels.geolocations)[index[:, 1]]
+    codes = table.cell_index[:, 0] * table.labels.n_g + table.cell_index[:, 1]
+    wanted = si * table.labels.n_g + gi
+    rows = np.minimum(np.searchsorted(codes, wanted), table.n_cells - 1)
+    found = (si >= 0) & (gi >= 0) & (codes[rows] == wanted)
+    return np.where(found, rows, -1)
+
+
+def assert_same_array(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    np.testing.assert_array_equal(got, expected)
+
+
+SURNAME_POOL = ["b", "a", "d", "c", "é", "O'NEIL, JR"]
+GEO_POOL = ["y", "x", "z", "0", ""]
+pair_lists = st.lists(
+    st.tuples(st.sampled_from(SURNAME_POOL), st.sampled_from(GEO_POOL)), min_size=1, max_size=30
+)
+
+
+class TestJoinHelpersMatchReferences:
+    LABELS = AxisLabels(["b", "a", "é"], ["y", "x"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(SURNAME_POOL + GEO_POOL + ["zz"]), max_size=20))
+    def test_positions(self, items):
+        for axis in ("s", "g"):
+            expected = reference_positions(self.LABELS, axis, items)
+            for given_as in (list(items), tuple(items), iter(items), (x for x in items)):
+                assert_same_array(self.LABELS.positions(axis, given_as), expected)
+
+    def test_positions_of_nothing_and_absent_labels(self):
+        assert_same_array(self.LABELS.positions("s", []), np.zeros(0, dtype=np.int64))
+        assert_same_array(self.LABELS.positions("g", iter(())), np.zeros(0, dtype=np.int64))
+        assert self.LABELS.positions("s", ["zz", "a", "y"]).tolist() == [-1, 1, -1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), max_size=20))
+    def test_pairs(self, rows):
+        index = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        assert self.LABELS.pairs(index) == reference_pairs(self.LABELS, index)
+        assert all(type(key) is tuple for key in self.LABELS.pairs(index))
+
+    def test_pairs_of_empty_and_one_row_index(self):
+        assert self.LABELS.pairs(np.zeros((0, 2), dtype=np.int64)) == []
+        assert self.LABELS.pairs(np.array([[2, 0]])) == [("é", "y")]
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair_lists, st.randoms(use_true_random=False))
+    def test_index_cells(self, pairs, rnd):
+        shuffled = list(pairs)
+        rnd.shuffle(shuffled)
+        # sorted and unique (no np.unique), sorted with repeats, shuffled,
+        # and with repeats
+        for case in (sorted(set(pairs)), sorted(pairs + pairs[:1]), shuffled, pairs + pairs[:3]):
+            surnames, geos = [s for s, _ in case], [g for _, g in case]
+            labels, index, rows = index_cells(surnames, geos)
+            ref_labels, ref_index, ref_rows = reference_index_cells(surnames, geos)
+            assert labels == ref_labels
+            assert_same_array(index, ref_index)
+            assert_same_array(rows, ref_rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair_lists, st.data())
+    def test_compact_labels(self, pairs, data):
+        labels, index, _ = index_cells([s for s, _ in pairs], [g for _, g in pairs])
+        # every label used: the same labels and index come back
+        kept, same = compact_labels(labels, index)
+        assert kept is labels and same is index
+        ref_labels, ref_index = reference_compact_labels(labels, index)
+        assert kept == ref_labels
+        assert_same_array(same, ref_index)
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(index), max_size=len(index))))
+        if keep.any():  # some labels may now be unused
+            kept, sub = compact_labels(labels, index[keep])
+            ref_labels, ref_index = reference_compact_labels(labels, index[keep])
+            assert kept == ref_labels
+            assert_same_array(sub, ref_index)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair_lists, pair_lists, st.data())
+    def test_locate(self, pairs, others, data):
+        labels, index, _ = index_cells([s for s, _ in pairs], [g for _, g in pairs])
+        table = ContingencyTable(labels, index, np.ones((len(index), 6)))
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(index), max_size=len(index))))
+        copy_labels = AxisLabels(list(labels.surnames), list(labels.geolocations))
+        other_labels, other_index, _ = index_cells([s for s, _ in others], [g for _, g in others])
+        for cells in (
+            # equal labels in another object and the same index: no search
+            MarginSet(None, copy_labels, index.copy(), np.ones(len(index))),
+            # equal labels, another index: the general join
+            MarginSet(None, labels, index[keep], np.ones(int(keep.sum()))),
+            # other labels: the general join
+            ContingencyTable(other_labels, other_index, np.ones((len(other_index), 6))),
+        ):
+            assert_same_array(table.locate(cells), reference_locate(table, cells))
