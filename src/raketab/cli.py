@@ -134,6 +134,9 @@ def _load_factors(args, run) -> bisg.BisgFactors:
         if len(rejects):
             run.write(f"{kind}_factor_rejects.csv", ingest.write_rejects, rejects)
             run.info[f"{kind}_factor_rejects"] = len(rejects)
+            run.info[f"{kind}_factor_rejects_by_reason"] = ingest.reason_counts(
+                reason for _, reason in rejects.rows
+            )
     # values hold each label's count, then P(r | label)
     return bisg.BisgFactors(
         AxisLabels(surnames, geoids), s_values[:, 1:], g_values[:, 1:], prior,
@@ -180,6 +183,7 @@ def cmd_predict(args):
         rows = [(i + 1, f"{s},{g}: {reason}") for i, (s, g, reason) in enumerate(rejects)]
         run.write("rejects.csv", ingest.write_rejects, ingest.RejectReport(rows))
         run.info["rejected_cells"] = len(rejects)
+        run.info["rejected_cells_by_reason"] = ingest.reason_counts(r for *_, r in rejects)
     run.info["factor_labels"] = {"surname": factors.labels.n_s, "geo": factors.labels.n_g}
     run.info["cells_in"] = len(occupancy.totals)
     run.info["cells_out"] = table.n_cells
@@ -402,8 +406,9 @@ def main(argv=None) -> int:
 
 def _emit_error(exc, code):
     payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-    if isinstance(exc, raking.NonConvergenceError):
-        payload.update(vars(exc))  # margin_gap, worst_race, last_gaps
+    if isinstance(exc, (raking.NonConvergenceError, calibmap.CalibrationSolveError)):
+        # margin_gap, worst_race, last_gaps; or stage, feasibility, kkt_residual
+        payload.update(vars(exc))
     json.dump(payload, sys.stderr)
     sys.stderr.write("\n")
 

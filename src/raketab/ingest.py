@@ -53,6 +53,7 @@ import csv
 import json
 import re
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
@@ -101,6 +102,17 @@ class RejectReport:
 
     def __len__(self):
         return len(self.rows)
+
+
+# the row-specific tail of a reject reason: a probability sum, a field
+# count or a geoid
+_ROW_SPECIFIC = re.compile(r"\b(sum to|got|geoid) .*$")
+
+
+def reason_counts(reasons):
+    """{reason: count} of reject reasons, with each reason's row-specific
+    tail elided as "…" so that the rows one rule rejects share a key."""
+    return dict(Counter(_ROW_SPECIFIC.sub(r"\1 …", reason) for reason in reasons))
 
 
 @dataclass(frozen=True)

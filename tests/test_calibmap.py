@@ -1,8 +1,21 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raketab import apply_calibration_map, solve_calibration_map
+from raketab import apply_calibration_map, calibmap, solve_calibration_map
+
+
+def dirichlet_pairs(count, seed):
+    """(source, target) pairs of 6 shares; the Dirichlet alpha cycles 0.3, 1, 5."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(count):
+        alpha = np.full(6, (0.3, 1.0, 5.0)[i % 3])
+        pairs.append((rng.dirichlet(alpha), rng.dirichlet(alpha)))
+    return pairs
 
 
 def grid_objective_2cat(u, v, step=1e-3):
@@ -164,6 +177,23 @@ class TestSolve:
         assert cmap.source[0] == 0.0
         np.testing.assert_allclose(cmap.matrix @ cmap.source, v, atol=1e-8)
 
+    def test_exact_zero_shares_are_presolved(self):
+        # a zero source share and a zero target share: the nonnegative least
+        # squares on the full problem cycled here and refused a feasible map
+        u = np.array([0.30532678572049887, 0.0, 0.6389372806542781, 0.052262032516343766,
+                      7.432504675043434e-06, 0.0034664686042042846])
+        v = np.array([0.0, 0.2834958919261586, 0.37327734148031516, 0.23673789071351714,
+                      8.9182694493822e-07, 0.10648798405306421])
+        cmap = solve_calibration_map(u, v)
+        a = cmap.matrix
+        np.testing.assert_array_equal(a[:, 1], np.eye(6)[:, 1])  # u_1 = 0: identity column
+        assert np.all(a[0, cmap.source > 0] == 0.0)  # v_0 = 0: zero on the used columns
+        np.testing.assert_allclose(a.sum(axis=0), np.ones(6), atol=1e-12)
+        np.testing.assert_allclose(a @ cmap.source, v, atol=1e-9)
+        assert a.min() >= 0.0
+        assert cmap.feasibility <= 1e-9 and cmap.kkt_residual <= 1e-6
+        assert cmap.objective <= cmap.rank_one_benchmark + 1e-6
+
     def test_rejects_non_probability_input(self):
         with pytest.raises(ValueError):
             solve_calibration_map([0.5, 0.4], [0.5, 0.5])
@@ -175,6 +205,60 @@ class TestSolve:
             solve_calibration_map([np.nan, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError, match="u_target"):
             solve_calibration_map([0.5, 0.5], [np.inf, 0.5])
+
+
+class TestSolverPath:
+    # SHA-256 of the concatenated matrices of the problems below with no
+    # zero or snapped share, as the cold-started nonnegative least squares
+    # solved them. The map depends only on the active set found, so a
+    # faster route to the same active set must keep every bit. Like the
+    # golden digests, the bytes are those of the BLAS kernels they were
+    # recorded with.
+    PINNED = "35098bd59a88a1f8ecf3ec964dc2a54c33a990ce1702b7b1d2be9500945c9a9c"
+
+    def test_maps_bit_identical_to_cold_start(self):
+        pairs = [(u, v) for u, v in dirichlet_pairs(90, 20261018)
+                 if u.min() >= 1e-5 * u.max() and v.min() > 0]
+        assert len(pairs) == 85
+        digest = hashlib.sha256()
+        for u, v in pairs:
+            digest.update(solve_calibration_map(u, v).matrix.tobytes())
+        assert digest.hexdigest() == self.PINNED
+
+    @pytest.mark.parametrize("wrong", ["every entry", "no entry", "the complement"])
+    def test_a_wrong_guess_costs_iterations_not_the_answer(self, monkeypatch, wrong):
+        pairs = dirichlet_pairs(30, 5)
+        expected = [solve_calibration_map(u, v).matrix for u, v in pairs]
+        guess = calibmap._dual_newton_guess
+        monkeypatch.setattr(calibmap, "_dual_newton_guess", {
+            "every entry": lambda z, *_: np.ones(len(z), dtype=bool),
+            "no entry": lambda z, *_: np.zeros(len(z), dtype=bool),
+            "the complement": lambda *args: ~guess(*args),
+        }[wrong])
+        for (u, v), a in zip(pairs, expected):
+            np.testing.assert_array_equal(solve_calibration_map(u, v).matrix, a)
+
+    def test_linear_algebra_calls_per_solve(self, monkeypatch):
+        # deterministic counts, no timing: the cold start made about 23
+        # lstsq calls per solve, the dual Newton warm start makes 4
+        calls = Counter()
+        for name in np.linalg.__all__:
+            original = getattr(np.linalg, name)
+            if isinstance(original, type):  # LinAlgError
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        pairs = dirichlet_pairs(90, 20261018)
+        for u, v in pairs:
+            solve_calibration_map(u, v)
+        per_solve = {name: count / len(pairs) for name, count in calls.items()}
+        assert per_solve["svd"] == 1
+        assert per_solve["lstsq"] <= 6
+        assert sum(per_solve.values()) <= 14, per_solve
 
 
 class TestApply:

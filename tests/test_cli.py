@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from raketab import RACE_NAMES
+from raketab import RACE_NAMES, calibmap
 from raketab.cli import main
+from test_golden import voter_outputs
 
 
 def run_cli(*args):
@@ -216,6 +217,7 @@ class TestFitFactorsCli:
         assert (out / "surname_factor_rejects.csv").exists()
         manifest = read_json(out / "manifest.json")
         assert manifest["info"]["surname_factor_rejects"] == 1
+        assert manifest["info"]["surname_factor_rejects_by_reason"] == {"probabilities sum to …": 1}
         assert manifest["info"]["factor_labels"] == {"surname": 12, "geo": 5}
 
     def test_predict_counts_cells_and_factor_labels(self, tmp_path):
@@ -235,7 +237,22 @@ class TestFitFactorsCli:
         assert info["cells_in"] == 60
         assert info["cells_out"] == 48
         assert info["rejected_cells"] == 12
+        assert info["rejected_cells_by_reason"] == {"missing geolocation factor": 12}
         assert len(read_csv(out / "predictions.csv")) == 49
+
+
+def test_golden_voter_run_counts_rejects_by_reason(tmp_path):
+    # KIM has no factor row and LOPEZ's probabilities sum to 0.6, so each of
+    # their four cells falls back to its geolocation
+    voter_outputs(tmp_path)
+    info = read_json(tmp_path / "voters_pred" / "manifest.json")["info"]
+    assert info["surname_factor_rejects"] == 1
+    assert info["surname_factor_rejects_by_reason"] == {"probabilities sum to …": 1}
+    assert "geo_factor_rejects" not in info and "geo_factor_rejects_by_reason" not in info
+    assert info["rejected_cells"] == 8
+    assert info["rejected_cells_by_reason"] == {
+        "missing surname factor; used geolocation baseline": 8,
+    }
 
 
 class TestCalibMapCli:
@@ -269,6 +286,21 @@ class TestCalibMapCli:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParseError" and "non-finite" in err["message"]
+
+    def test_refused_solve_exits_3_with_its_certificate(self, tmp_path, capsys, monkeypatch):
+        # a KKT tolerance no residual meets forces the certificate stage to refuse
+        monkeypatch.setattr(calibmap, "KKT_TOL", -1.0)
+        source, target = tmp_path / "s.json", tmp_path / "t.json"
+        source.write_text(json.dumps({"race_distribution": dict(zip(RACE_NAMES, [0.5, 0.5, 0, 0, 0, 0]))}))
+        target.write_text(json.dumps({"race_distribution": dict(zip(RACE_NAMES, [0.6, 0.4, 0, 0, 0, 0]))}))
+        code = run_cli("calib-map", "--source", source, "--target", target, "--out-dir", tmp_path / "cm")
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CalibrationSolveError" and err["exit_code"] == 3
+        assert err["stage"] == "certificate"
+        assert 0 <= err["feasibility"] <= calibmap.FEAS_TOL
+        assert 0 <= err["kkt_residual"] <= 1e-6
+        assert not (tmp_path / "cm" / "calibration_map.csv").exists()
 
     def test_evaluate_applies_calibration_map(self, tmp_path):
         fix = synth_fixture(tmp_path, seed=13)

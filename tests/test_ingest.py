@@ -150,6 +150,24 @@ class TestGeoFactors:
         with pytest.raises(ParseError, match="2 of 10 rows rejected"):
             parse_geo_factors(f)
 
+    def test_reasons_counted_by_rule(self, tmp_path):
+        # the rows one rule rejects share a key whatever their geoid or sum
+        f = tmp_path / "g.csv"
+        good = [f"{g},4,0,0,1,0,3,0" for g in range(200, 240)]
+        bad = ["111,5,0,0,0,0,0,0", "112,5,0,0,0,0,0,0", "113,inf,0,0,1,0,3,0", "114,1,2"]
+        write_lines(f, [self.HEADER] + bad + good)
+        _, _, rejects = parse_geo_factors(f)
+        assert ingest.reason_counts(reason for _, reason in rejects.rows) == {
+            "zero-total row for geoid …": 2, "non-finite field": 1, "expected 8 fields, got …": 1,
+        }
+        surnames = tmp_path / "s.csv"
+        good = [f"S{k},1,0,1,0,0,0,0" for k in range(20)]
+        write_lines(surnames, [TestSurnameFactors.HEADER, "A,5,0.2,0.3,0,0,0,0", "B,5,2,0,0,0,0,0"] + good)
+        _, _, rejects = parse_surname_factors(surnames)
+        assert ingest.reason_counts(reason for _, reason in rejects.rows) == {
+            "probabilities sum to …": 2,
+        }
+
     def test_non_finite_field_rejected(self, tmp_path):
         f = tmp_path / "g.csv"
         good = [f"{g},4,0,0,1,0,3,0" for g in range(222, 231)]
