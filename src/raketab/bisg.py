@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .table import N_RACES, AxisLabels, ContingencyTable, MarginSet, PredictionTable, compact_labels
-from .table import _as_race_vector, _check_cells, _check_finite_nonnegative, index_cells
+from .table import _as_race_vector, _check_cells, _check_finite_nonnegative, index_cells, row_sums
 
 
 class MissingFactorError(LookupError):
@@ -70,7 +70,7 @@ class BisgFactors:
                 _check_finite_nonnegative(arr, f"entry in {name}")
             else:
                 # a row with a non-finite entry has a sum that is not 1
-                sums = arr.sum(axis=1)
+                sums = row_sums(arr)
                 bad = (arr < 0).any(axis=1) | ~(np.abs(sums - 1.0) <= 1e-9)
                 if np.any(bad):
                     i = int(np.argmax(bad))
@@ -111,7 +111,7 @@ def fit_factors(labeled: ContingencyTable) -> BisgFactors:
     if total <= 0:
         raise ValueError("cannot fit factors on a table with zero total")
     gr, sr = labeled.margin("gr"), labeled.margin("sr")
-    g_tot, s_tot = gr.sum(axis=1), sr.sum(axis=1)
+    g_tot, s_tot = row_sums(gr), row_sums(sr)
     g_keep, s_keep = g_tot > 0, s_tot > 0
     surnames, geos = labeled.labels.surnames, labeled.labels.geolocations
     return BisgFactors(
@@ -330,7 +330,7 @@ def weighted_counts(
     if not np.any(ok):
         raise ValueError("no predictable cells")
 
-    sums = num.sum(axis=1)
+    sums = row_sums(num)
     dead = ok & (sums <= 0)
     if np.any(dead):
         raise ValueError(f"no admissible race for cell {labels.pairs(index[dead])[0]}")

@@ -63,7 +63,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .table import N_RACES, RACE_NAMES, ContingencyTable, MarginSet, RaceCategory
-from .table import compact_labels, index_cells
+from .table import compact_labels, index_cells, row_sums
 
 SURNAME_FACTORS_HEADER = [
     "surname", "count",
@@ -332,7 +332,7 @@ def _parse_factors(path, header, kind, clean_label, sum_ok, sum_reason):
     values = np.array(numbers, dtype=np.float64).reshape(len(lines), len(header) - 1)
     # the rules below reject a row whose sum overflows or mixes inf and -inf
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = values[:, 1:].sum(axis=1)
+        sums = row_sums(values[:, 1:])
     reasons = np.empty(len(lines), dtype=object)
     for i in np.flatnonzero(~sum_ok(sums)).tolist():
         reasons[i] = sum_reason(labels[i], sums[i])
@@ -511,7 +511,7 @@ def aggregate_voters(records, require_race: bool):
         return None, occupancy
     codes = rows[labeled] * N_RACES + races[labeled]
     values = np.bincount(codes, minlength=len(index) * N_RACES).reshape(-1, N_RACES)
-    keep = values.sum(axis=1) > 0
+    keep = row_sums(values) > 0
     return ContingencyTable(*compact_labels(labels, index[keep]), values[keep]), occupancy
 
 
@@ -588,7 +588,7 @@ def parse_predictions(path):
     """
     labels, index, values, lines = _read_cells(path, PREDICTIONS_HEADER)
     counts, conds = values[:, 0], values[:, 1:]
-    sums = conds.sum(axis=1)
+    sums = row_sums(conds)
     bad = ~((np.abs(sums - 1.0) <= 1e-6) | ((counts == 0) & (sums == 0)))
     if np.any(bad):
         line, row = min(zip(lines[bad], np.nonzero(bad)[0]))
@@ -640,6 +640,8 @@ def parse_calibration_map(path) -> np.ndarray:
     rows = []
     with _open_reader(path, CALIB_MAP_HEADER) as (_, reader):
         for line, row in enumerate(reader, start=2):
+            if len(rows) == N_RACES:
+                raise ParseError(f"{path}:{line}: more than {N_RACES} matrix rows")
             if len(row) != len(CALIB_MAP_HEADER) or row[0] != RACE_NAMES[len(rows)]:
                 raise ParseError(f"{path}:{line}: malformed matrix row")
             rows.append([float(x) for x in row[1:]])

@@ -11,12 +11,13 @@ curve).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from .table import N_RACES, RACE_NAMES, ContingencyTable, PredictionTable, RaceCategory
-from .table import sum_by_group
+from .table import row_sums, sum_by_group
 
 # the log of a predicted conditional is floored here so that empirically
 # occupied cells with a zero prediction stay finite
@@ -154,6 +155,12 @@ def _aligned(truth: ContingencyTable, pred: PredictionTable):
     )
 
 
+def _row_totals(m, pred: PredictionTable) -> np.ndarray:
+    """Per-row totals of `_aligned`'s prediction values: `pred.cell_sums`,
+    computed once per table, when they are the prediction's own."""
+    return pred.cell_sums if m is pred.cell_values else row_sums(m)
+
+
 def subpop_report(
     truth: ContingencyTable,
     pred: PredictionTable,
@@ -204,15 +211,14 @@ def cellwise_report(
     geos = truth.labels.geolocations
     n_g = len(geos)
 
-    d = x - m
-    l1_num = np.bincount(gi, weights=np.abs(d).sum(axis=1), minlength=n_g)
-    l2_num = np.bincount(gi, weights=np.sqrt((d * d).sum(axis=1)), minlength=n_g)
-    m_tot = m.sum(axis=1)
-    cond = np.divide(m, np.where(m_tot > 0, m_tot, 1.0)[:, None])
-    log_terms = np.where(
-        x > 0, x * np.log(np.maximum(cond, NLL_PROB_FLOOR)), 0.0
-    )
-    nll_num = -np.bincount(gi, weights=log_terms.sum(axis=1), minlength=n_g)
+    work = x - m  # one scratch array, overwritten in place below
+    l1_num = np.bincount(gi, weights=row_sums(np.abs(work, out=work)), minlength=n_g)
+    l2_num = np.bincount(gi, weights=np.sqrt(row_sums(np.square(work, out=work))), minlength=n_g)
+    m_tot = _row_totals(m, pred)
+    np.divide(m, np.where(m_tot > 0, m_tot, 1.0)[:, None], out=work)
+    np.log(np.maximum(work, NLL_PROB_FLOOR, out=work), out=work)
+    # a zero count gives a term of +-0.0, which leaves a row sum from +0.0 as it is
+    nll_num = -np.bincount(gi, weights=row_sums(np.multiply(x, work, out=work)), minlength=n_g)
 
     pop = truth.margin("g")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -224,8 +230,16 @@ def cellwise_report(
     if region_map is not None:
         regions = {}
         names = sorted(set(region_map.values()))
-        for name in names:
-            idx = [i for i, g in enumerate(geos) if region_map.get(g) == name]
+        # each geolocation's region id, unmapped ones last; a stable sort
+        # lists each region's geolocations in ascending order
+        ids = {name: i for i, name in enumerate(names)}
+        region = np.fromiter(
+            map(ids.get, map(region_map.get, geos), repeat(len(names))), np.int64, n_g
+        )
+        order = np.argsort(region, kind="stable")
+        bounds = np.searchsorted(region[order], np.arange(len(names) + 1))
+        for name, lo, hi in zip(names, bounds[:-1], bounds[1:]):
+            idx = order[lo:hi]
             rpop = pop[idx].sum()
             if rpop > 0:
                 regions[name] = (
@@ -256,9 +270,10 @@ def _stable_order(a) -> np.ndarray:
     """
     order = np.argsort(a)
     ranked = a[order]
-    runs = np.concatenate(([0], np.cumsum(ranked[1:] != ranked[:-1])))
-    if runs[-1] == len(a) - 1:  # no ties
+    tied = ranked[1:] == ranked[:-1]
+    if not tied.any():
         return order
+    runs = np.concatenate(([0], np.cumsum(~tied)))
     return order[np.argsort(runs * len(a) + order)]
 
 
@@ -277,28 +292,29 @@ def calibration_curve(
     """
     race = RaceCategory(race)
     _, m, _ = _aligned(truth, pred)
-    t_sums = truth.cell_sums
-    occupied = t_sums > 0
+    n = truth.n_cells
+    weights, m_tot = truth.cell_sums, _row_totals(m, pred)[:n]
+    probs, freqs = m[:n, race], truth.cell_values[:, race]
+    occupied = weights > 0
     if not np.any(occupied):
         raise ValueError("empty support: no occupied cells to calibrate")
-    m = m[: truth.n_cells]
-    m_tot = m.sum(axis=1)[occupied]
+    if not occupied.all():  # with every truth cell occupied, nothing is masked
+        weights, m_tot, probs, freqs = (v[occupied] for v in (weights, m_tot, probs, freqs))
     bad = m_tot <= 0
     if np.any(bad):
         key = truth.labels.pairs(truth.cell_index[occupied][bad])[0]
         raise ValueError(f"missing prediction for occupied cell {key}")
 
-    weights = t_sums[occupied]
-    probs = m[occupied, race] / m_tot
-    freqs = truth.cell_values[occupied, race] / weights
+    probs = probs / m_tot
+    gaps = weights * (freqs / weights - probs)
     # ascending by predicted probability; ties stay in the sorted cell
     # index's (surname, geolocation) order for reproducible curves
     order = _stable_order(probs)
-    weights, probs, freqs = weights[order], probs[order], freqs[order]
-    wtot = weights.sum()
+    weights, gaps = weights[order], gaps[order]
     points = np.zeros((len(weights) + 1, 2))
-    points[1:, 0] = np.cumsum(weights) / wtot
-    points[1:, 1] = np.cumsum(weights * (freqs - probs)) / wtot
+    np.cumsum(weights, out=points[1:, 0])
+    np.cumsum(gaps, out=points[1:, 1])
+    points[1:] /= weights.sum()
     values = points[:, 1]
     return CalibrationCurve(
         race=race, points=points, kuiper=float(values.max() - values.min())

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import RACE_NAMES, MarginSet, N_RACES, PredictionTable, compact_labels
+from .table import RACE_NAMES, MarginSet, N_RACES, PredictionTable, compact_labels, row_sums
 
 
 class InfeasibleMarginError(ValueError):
@@ -129,7 +129,7 @@ def rake(
 
     # feasibility: positive targets need positive base mass under them
     mass = np.zeros(len(rows))
-    mass[found] = values[rows[found]].sum(axis=1)
+    mass[found] = row_sums(values[rows[found]])
     infeasible = np.nonzero((targets.totals > 0) & (mass <= 0))[0]
     if len(infeasible):
         i = infeasible[0]
@@ -174,7 +174,7 @@ def rake(
         """Fill work with b e^theta; return cell sums, x / sums, F and M."""
         with np.errstate(all="ignore"):  # an overflowing trial step ends with F not finite
             np.multiply(values, np.exp(theta), out=work)
-            sums = work.sum(axis=1)
+            sums = row_sums(work)
             ratio = np.divide(x, sums, out=np.zeros_like(sums), where=live_c)
             logs = np.log(sums, out=np.zeros_like(sums), where=live_c)
             return sums, ratio, x @ logs - t @ theta, work.T @ ratio
@@ -213,7 +213,7 @@ def rake(
 
     np.multiply(work, ratio[:, None], out=work)
     del values
-    cell_dev = np.abs(work.sum(axis=1) - x) / np.maximum(x, 1.0)
+    cell_dev = np.abs(row_sums(work) - x) / np.maximum(x, 1.0)
     gap = float(np.max(cell_dev, initial=devs[-1].max()))
     if gap > config.tolerance:
         worst = int(np.argmax(devs[-1]))

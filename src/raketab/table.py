@@ -148,6 +148,20 @@ def sum_by_group(groups, values, n_groups) -> np.ndarray:
     )
 
 
+def row_sums(values) -> np.ndarray:
+    """Sum each row of an (n, k) array, adding its columns left to right.
+
+    For float64 values this is `values.sum(axis=1)` bit for bit, in the
+    same order and from the same +0.0 (so a row of -0.0 sums to 0.0), as
+    one pass per column instead of numpy's strided, buffered reduction
+    over a short axis.
+    """
+    out = np.zeros(len(values))
+    for column in values.T:
+        out += column
+    return out
+
+
 def compact_labels(labels: AxisLabels, index):
     """Drop the labels no cell uses and renumber `index` onto the rest.
 
@@ -245,7 +259,7 @@ class ContingencyTable:
         """Per-cell totals x_{sg+}, aligned with `cell_index`: computed on
         first use, then kept read-only."""
         if self._sums is None:
-            sums = self._values.sum(axis=1)
+            sums = row_sums(self._values)
             sums.flags.writeable = False
             self._sums = sums
         return self._sums

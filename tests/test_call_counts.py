@@ -1,4 +1,4 @@
-"""The label joins make no Python-level call per cell.
+"""The label joins and the reports make no Python-level call per cell.
 
 Each join runs under `sys.setprofile` on synth tables of 20 x 10 and
 200 x 100 cells, counting "call" events (Python functions, comprehensions
@@ -17,8 +17,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from raketab import ContingencyTable, MarginSet, SynthConfig, fit_factors, generate
-from raketab import weighted_counts
+from raketab import AxisLabels, ContingencyTable, MarginSet, PredictionTable, SynthConfig
+from raketab import calibration_curve, cellwise_report, fit_factors, generate
+from raketab import subpop_report, weighted_counts
 from raketab.table import compact_labels, index_cells
 
 SIZES = ((20, 10), (200, 100))
@@ -47,7 +48,8 @@ def count_calls(fn):
 
 
 def joins(n_s, n_g):
-    """Each measured join on an n_s x n_g synth table, as a no-argument call."""
+    """Each measured join and report on an n_s x n_g synth table, as a
+    no-argument call."""
     table = generate(SynthConfig(n_s, n_g, np.full(6, 1 / 6), 0.5, 1e5, seed=3))
     assert table.n_cells == n_s * n_g
     factors = fit_factors(table)
@@ -62,7 +64,26 @@ def joins(n_s, n_g):
     # every other cell: with an even n_g this drops the odd geolocations
     half = table.cell_index[::2]
     other = ContingencyTable(*compact_labels(table.labels, half), np.ones((len(half), 6)))
-    return {
+    # the table as a prediction of itself, on its own cells and on labels in
+    # reverse order, which the reports join; three regions over the geolocations
+    same = PredictionTable(table.labels, table.cell_index, table.cell_values)
+    flipped = [n_s - 1, n_g - 1] - table.cell_index
+    order = np.lexsort((flipped[:, 1], flipped[:, 0]))
+    joined = PredictionTable(
+        AxisLabels(table.labels.surnames[::-1], table.labels.geolocations[::-1]),
+        flipped[order], table.cell_values[order],
+    )
+    regions = {g: f"R{i % 3}" for i, g in enumerate(table.labels.geolocations)}
+    reports = {
+        f"{name}({layout})": (lambda fn=fn, pred=pred: fn(table, pred))
+        for layout, pred in (("same cells", same), ("joined", joined))
+        for name, fn in (
+            ("subpop_report", subpop_report),
+            ("cellwise_report", lambda t, p: cellwise_report(t, p, region_map=regions)),
+            ("calibration_curve", lambda t, p: calibration_curve(t, p, 2)),
+        )
+    }
+    return reports | {
         "weighted_counts(MarginSet)": lambda: weighted_counts(factors, margins),
         "weighted_counts(mapping)": lambda: weighted_counts(factors, totals),
         "index_cells(sorted)": lambda: index_cells(surnames, geos),

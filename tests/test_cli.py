@@ -653,6 +653,21 @@ class TestOversizedInput:
         )
         assert err["message"] == f"{cm}: matrix columns must sum to 1"
 
+    def test_calibration_map_with_a_seventh_row_exits_2(self, tmp_path, capsys):
+        fix = synth_fixture(tmp_path)
+        pred = predict_dir(tmp_path, fix)
+        cm = tmp_path / "cm.csv"
+        cm.write_text("race," + ",".join(RACE_NAMES) + "\n" + "".join(
+            f"{race}," + ",".join("1" if i == j else "0" for j in range(6)) + "\n"
+            for i, race in enumerate(RACE_NAMES)
+        ) + "white,0,0,0,0,1,0\n")
+        err = exits_2_with_json_error(
+            capsys, "evaluate", "--truth-table", fix / "table.csv",
+            "--preds", pred / "predictions.csv", "--calib-map", cm, "--out-dir", tmp_path / "ev",
+        )
+        assert err["error"] == "ParseError"
+        assert err["message"] == f"{cm}:8: more than 6 matrix rows"
+
 
 class TestPredictionRows:
     def test_lowercase_surnames_match_uppercase_truth(self, tmp_path):

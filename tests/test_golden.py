@@ -248,3 +248,64 @@ def test_library_chain_matches_recorded_digest():
 def test_library_chain_with_margin_set_totals():
     """The table's MarginSet handed to weighted_counts gives the same bytes."""
     assert library_chain_digest(rt.MarginSet.from_table) == LIBRARY_CHAIN
+
+
+# SHA-256 of the three reports on predictions that are not on the truth's
+# cells, recorded before the reports' row sums moved to `row_sums`
+MASKED_REPORTS = "232166836700ce173f1352561eb0adbc2059654e29a0258d59e47287cd0a50ea"
+
+
+def masked_reports_digest():
+    """Digest every array of the three reports where the alignment masks:
+    the truth has empty cells and a geolocation of zero population; one
+    prediction, on fewer labels, lacks the empty truth cells and holds
+    cells the truth lacks; another, on the truth's labels, lacks some
+    occupied cells (its curves fail, and their message is digested)."""
+    rng = np.random.default_rng(12)
+    n_s, n_g = 30, 8
+    labels = rt.AxisLabels([f"s{i:02d}" for i in range(n_s)], [f"g{j}" for j in range(n_g)])
+    codes = np.arange(n_s * n_g)
+    in_truth = rng.random(len(codes)) < 0.7
+    index = np.column_stack(np.divmod(codes[in_truth], n_g))
+    values = rng.gamma(0.5, 4.0, size=(len(index), 6))
+    values[rng.random(values.shape) < 0.3] = 0.0
+    # empty cells, all of g7 and of the last surname among them
+    values[(rng.random(len(index)) < 0.1) | (index[:, 1] == 7) | (index[:, 0] == n_s - 1)] = 0.0
+    truth = rt.ContingencyTable(labels, index, values)
+    occupied = truth.cell_sums > 0
+
+    extra = codes[~in_truth & (codes // n_g < n_s - 1) & (rng.random(len(codes)) < 0.5)]
+    pred_codes = np.concatenate([codes[in_truth][occupied], extra])
+    order = np.argsort(pred_codes)
+    pred_values = rng.gamma(1.0, 1.0, size=(len(pred_codes), 6)) + 1e-3
+    pred_values[rng.random(pred_values.shape) < 0.2] = 0.0
+    pred_values[:, 0] += 1e-3  # every cell keeps a positive total
+    held = rt.PredictionTable(*rt.table.compact_labels(
+        labels, np.column_stack(np.divmod(pred_codes[order], n_g))), pred_values[order])
+    assert held.labels != truth.labels
+
+    kept = np.arange(truth.n_cells) % 5 != 2
+    short = rt.PredictionTable(labels, index[kept], rng.random((kept.sum(), 6)) + 1e-3)
+
+    regions = {f"g{j}": f"R{j % 3}" for j in range(n_g - 2)}
+    regions["g99"] = "R9"  # a geoid the truth lacks; g6 and g7 map to no region
+    h = hashlib.sha256()
+    for pred in (held, short):
+        sub = rt.subpop_report(truth, pred, orientation=rt.metrics.TRUTH_MINUS_ESTIMATE)
+        cell = rt.cellwise_report(truth, pred, region_map=regions)
+        for arr in (sub.estimate_counts, sub.abs_error, sub.rel_error, sub.mad,
+                    sub.avg_error, cell.l1, cell.l2, cell.nll, np.array(cell.overall)):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(repr(sorted(cell.regions.items())).encode())
+        for race in rt.RaceCategory:
+            try:
+                curve = rt.calibration_curve(truth, pred, race)
+            except ValueError as err:
+                h.update(str(err).encode())
+            else:
+                h.update(curve.points.tobytes() + repr(curve.kuiper).encode())
+    return h.hexdigest()
+
+
+def test_masked_reports_match_recorded_digest():
+    assert masked_reports_digest() == MASKED_REPORTS

@@ -23,6 +23,7 @@ from raketab.ingest import (
     VoterRecord,
     aggregate_voters,
     map_cps_categories,
+    parse_calibration_map,
     parse_geo_factors,
     parse_predictions,
     parse_race_margin,
@@ -33,6 +34,7 @@ from raketab.ingest import (
     subsample_to_margin,
     write_race_margin,
     write_surname_factors,
+    write_calibration_map,
     write_geo_factors,
     write_table,
     write_voter_file,
@@ -633,6 +635,15 @@ class TestRoundTrips:
         write_lines(path, ["geoid,region", "g1,north", "g1 ,south"])
         with pytest.raises(ParseError, match="duplicate geoid 'g1'"):
             parse_region_map(path)
+
+    def test_calibration_map_with_a_seventh_row(self, tmp_path):
+        path = tmp_path / "cm.csv"
+        write_calibration_map(path, np.eye(6))
+        np.testing.assert_array_equal(parse_calibration_map(path), np.eye(6))
+        with open(path, "a", newline="") as fh:
+            fh.write("white,0,0,0,0,1,0\r\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:8: more than 6 matrix rows")):
+            parse_calibration_map(path)
 
 
 # the two cell formats share one reader; a row maker gives a valid data

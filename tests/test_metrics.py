@@ -21,6 +21,7 @@ from raketab.metrics import (
     CURVE_RESOLUTION,
     CalibrationCurve,
     ESTIMATE_MINUS_TRUTH,
+    NLL_PROB_FLOOR,
     TRUTH_MINUS_ESTIMATE,
     _aligned,
     _stable_order,
@@ -168,6 +169,67 @@ class TestCellwiseReport:
         assert rows[0] == ["level", "name", "l1", "l2", "nll"]
         levels = {row[0] for row in rows[1:]}
         assert levels == {"geolocation", "region", "overall"}
+
+
+def reference_cellwise(truth, pred, region_map):
+    """Per-geolocation (l1, l2, nll) numerators by whole-array expressions,
+    and region aggregates by scanning every geolocation for each region."""
+    x, m, gi = _aligned(truth, pred)
+    geos = truth.labels.geolocations
+    n_g = len(geos)
+    d = x - m
+    m_tot = m.sum(axis=1)
+    cond = np.divide(m, np.where(m_tot > 0, m_tot, 1.0)[:, None])
+    log_terms = np.where(x > 0, x * np.log(np.maximum(cond, NLL_PROB_FLOOR)), 0.0)
+    nums = (
+        np.bincount(gi, weights=np.abs(d).sum(axis=1), minlength=n_g),
+        np.bincount(gi, weights=np.sqrt((d * d).sum(axis=1)), minlength=n_g),
+        -np.bincount(gi, weights=log_terms.sum(axis=1), minlength=n_g),
+    )
+    pop = truth.margin("g")
+    regions = {}
+    for name in sorted(set(region_map.values())):
+        idx = [i for i, g in enumerate(geos) if region_map.get(g) == name]
+        rpop = pop[idx].sum()
+        if rpop > 0:
+            regions[name] = tuple(float(num[idx].sum() / rpop) for num in nums)
+        else:
+            regions[name] = (np.nan, np.nan, np.nan)
+    return nums, pop, regions
+
+
+class TestCellwiseMatchesReference:
+    @pytest.mark.parametrize("extra_cells", [False, True])
+    def test_200_regions_with_unmapped_geoids(self, extra_cells):
+        # 700 geolocations, 100 of them in no region, some with no cell;
+        # 200 regions, one of which holds only a geoid the truth lacks
+        rng = np.random.default_rng(21)
+        n_s, n_g = 4, 700
+        labels = AxisLabels([f"s{i}" for i in range(n_s)], [f"g{j:03d}" for j in range(n_g)])
+        codes = np.flatnonzero(rng.random(n_s * n_g) < 0.6)
+        index = np.column_stack(np.divmod(codes, n_g))
+        values = rng.gamma(0.5, 3.0, (len(codes), 6))
+        values[rng.random(values.shape) < 0.3] = 0.0
+        values[index[:, 1] % 97 == 5] = 0.0  # geolocations of zero population
+        truth = ContingencyTable(labels, index, values)
+        pred = PredictionTable(labels, index, rng.random((len(codes), 6)) + 1e-3)
+        if extra_cells:
+            missing = np.setdiff1d(np.arange(n_s * n_g), codes)[::2]
+            both = np.sort(np.concatenate([codes, missing]))
+            pred = PredictionTable(labels, np.column_stack(np.divmod(both, n_g)),
+                                   rng.random((len(both), 6)) + 1e-3)
+        spread = rng.permutation(600) % 199
+        region_map = {f"g{j:03d}": f"R{spread[j]:03d}" for j in range(600)}
+        region_map["g999"] = "R199"
+        report = cellwise_report(truth, pred, region_map=region_map)
+        nums, pop, regions = reference_cellwise(truth, pred, region_map)
+        assert len(regions) == 200 and np.isnan(regions["R199"][0])
+        assert list(report.regions) == list(regions)
+        for name, want in regions.items():
+            np.testing.assert_array_equal(report.regions[name], want)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for got, num in zip((report.l1, report.l2, report.nll), nums):
+                np.testing.assert_array_equal(got, np.where(pop > 0, num / pop, np.nan))
 
 
 class TestAlignment:

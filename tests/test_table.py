@@ -9,7 +9,7 @@ from raketab import (
     build_table,
     conditional_race,
 )
-from raketab.table import compact_labels, index_cells
+from raketab.table import compact_labels, index_cells, row_sums
 
 from conftest import race6
 
@@ -404,3 +404,28 @@ class TestJoinHelpersMatchReferences:
             ContingencyTable(other_labels, other_index, np.ones((len(other_index), 6))),
         ):
             assert_same_array(table.locate(cells), reference_locate(table, cells))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 3000),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    exponents=st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+    zeros=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_sums_match_numpy_bit_for_bit(n, layout, exponents, zeros, seed):
+    # magnitudes from 1e-300 to 1e300 of either sign, and entries of 0.0
+    # and -0.0, up to whole rows of them, in each memory layout
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted(exponents)
+    wide = rng.choice([-1.0, 1.0], (n, 12)) * 10.0 ** rng.uniform(lo, hi, (n, 12))
+    wide[rng.random((n, 12)) < zeros] = rng.choice([0.0, -0.0])
+    values = {
+        "C": np.ascontiguousarray(wide[:, :6]),
+        "F": np.asfortranarray(wide[:, :6]),
+        "strided": wide[::-1, ::2],
+    }[layout]
+    got, want = row_sums(values), values.sum(axis=1)
+    assert got.shape == want.shape == (n,)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
