@@ -13,7 +13,6 @@ from .table import (
     RACE_LABELS,
     RACE_NAMES,
     build_table,
-    conditional_race,
     index_cells,
 )
 from .bisg import (
@@ -52,7 +51,7 @@ from .metrics import (
     kuiper,
     subpop_report,
 )
-from .synth import SynthConfig, generate, split_factors_and_truth
+from .synth import SynthConfig, generate
 
 __version__ = "0.1.0"
 
@@ -85,7 +84,6 @@ __all__ = [
     "build_table",
     "calibration_curve",
     "cellwise_report",
-    "conditional_race",
     "fit_factors",
     "generate",
     "index_cells",
@@ -94,7 +92,6 @@ __all__ = [
     "margin_gap",
     "rake",
     "solve_calibration_map",
-    "split_factors_and_truth",
     "subpop_report",
     "voter_adjustment",
     "weighted_counts",

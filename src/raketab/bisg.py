@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .table import N_RACES, AxisLabels, ContingencyTable, MarginSet, PredictionTable, compact_labels
-from .table import _as_race_vector, _check_cells, _check_finite_nonnegative, index_cells, row_sums
+from .table import _as_race_vector, _check_finite_nonnegative, row_sums
 
 
 class MissingFactorError(LookupError):
@@ -124,18 +124,41 @@ def fit_factors(labeled: ContingencyTable) -> BisgFactors:
     )
 
 
-def bisg_counts(factors: BisgFactors, support) -> tuple[PredictionTable, list]:
-    """Count-scale predictions over a set of (surname, geolocation) cells.
+def _factor_rows(factors: BisgFactors, labels: AxisLabels, index):
+    """Each cell's surname and geolocation factor rows, -1 where a label
+    has no factor, and a builder of the rejects list for a cell mask."""
+    s_row = factors.labels.positions("s", labels.surnames)[index[:, 0]]
+    g_row = factors.labels.positions("g", labels.geolocations)[index[:, 1]]
 
-    Each cell gets the product of the geolocation-by-race and
-    surname-by-race count margins divided by the race totals. Races with a
-    zero count total get a zero prediction.
+    def flagged(mask, reason):
+        return [(*key, reason) for key in labels.pairs(index[mask])]
+
+    return s_row, g_row, flagged
+
+
+def _bisg_product(factors: BisgFactors, s_row, g_row) -> np.ndarray:
+    """P(r|g) * P(r|s) / P(r) for each pair of factor rows, one row per
+    pair; a race absent from the prior is predicted for no cell."""
+    live = factors.race_prior > 0
+    num = factors.race_given_geo.take(g_row, axis=0)
+    num *= factors.race_given_surname.take(s_row, axis=0)
+    num /= np.where(live, factors.race_prior, 1.0)
+    num[:, ~live] = 0.0
+    return num
+
+
+def bisg_counts(factors: BisgFactors, cells) -> tuple[PredictionTable, list]:
+    """Count-scale predictions over a family of (surname, geolocation) cells.
+
+    Each cell gets the BISG product times x_{s++} x_{+g+} / N: the
+    geolocation-by-race times the surname-by-race count margin over the
+    race total, zero for a race with a zero total.
 
     Parameters
     ----------
     factors : BisgFactors
-    support : iterable of (surname, geolocation)
-        Cells to predict.
+    cells : ContingencyTable or MarginSet
+        Anything with `labels` and a `cell_index`: the cells to predict.
 
     Returns
     -------
@@ -143,60 +166,31 @@ def bisg_counts(factors: BisgFactors, support) -> tuple[PredictionTable, list]:
         Cells whose surname or geolocation has no factor are skipped and
         listed in the rejects report.
     """
-    race_totals = factors.race_prior * factors.total()
-    live = race_totals > 0
-    inv_totals = np.zeros(N_RACES)
-    inv_totals[live] = 1.0 / race_totals[live]
-
-    pairs = set(support)
-    if not pairs:
+    labels, index = cells.labels, cells.cell_index
+    if not len(index):
         raise ValueError("no predictable cells in support")
-    labels, index, _ = index_cells([s for s, _ in pairs], [g for _, g in pairs])
-    s_row = factors.labels.positions("s", labels.surnames)[index[:, 0]]
-    g_row = factors.labels.positions("g", labels.geolocations)[index[:, 1]]
+    s_row, g_row, flagged = _factor_rows(factors, labels, index)
     has_s, has_g = s_row >= 0, g_row >= 0
     rejects = sorted(
-        [(*key, "missing geolocation factor") for key in labels.pairs(index[~has_g])]
-        + [(*key, "missing surname factor") for key in labels.pairs(index[has_g & ~has_s])]
+        flagged(~has_g, "missing geolocation factor")
+        + flagged(has_g & ~has_s, "missing surname factor")
     )
     ok = has_s & has_g
     if not np.any(ok):
         raise ValueError("no predictable cells in support")
-
-    x_sr = factors.race_given_surname * factors.surname_counts[:, None]
-    x_gr = factors.race_given_geo * factors.geo_counts[:, None]
-    values = x_gr[g_row[ok]] * x_sr[s_row[ok]] * inv_totals
+    s_row, g_row = s_row[ok], g_row[ok]
+    values = _bisg_product(factors, s_row, g_row)
+    values *= (factors.surname_counts[s_row] * factors.geo_counts[g_row] / factors.total())[:, None]
     return PredictionTable(*compact_labels(labels, index[ok]), values), rejects
 
 
-def _factor(factors: BisgFactors, axis, label) -> np.ndarray:
-    """P(r | label) of one surname (axis "s") or geolocation (axis "g")."""
+def _factor_row(factors: BisgFactors, axis, label) -> int:
+    """Factor row of one surname (axis "s") or geolocation (axis "g")."""
     row = int(factors.labels.positions(axis, [label])[0])
     if row < 0:
         kind = "surname" if axis == "s" else "geolocation"
         raise MissingFactorError(f"label not in factors: {kind} {label!r}")
-    return (factors.race_given_surname if axis == "s" else factors.race_given_geo)[row]
-
-
-def posterior(race_given_geo, race_given_surname, race_prior, weight=None) -> np.ndarray:
-    """Normalized product P(r|g) * P(r|s) / P(r), optionally reweighted.
-
-    Races with a zero prior are excluded rather than producing 0/0. The
-    output is invariant to positive rescaling of any input, since the
-    normalization absorbs scale.
-    """
-    rg = np.asarray(race_given_geo, dtype=np.float64)
-    rs = np.asarray(race_given_surname, dtype=np.float64)
-    prior = np.asarray(race_prior, dtype=np.float64)
-    num = np.zeros(N_RACES)
-    live = prior > 0
-    num[live] = rg[live] * rs[live] / prior[live]
-    if weight is not None:
-        num = num * np.asarray(weight, dtype=np.float64)
-    s = num.sum()
-    if s <= 0:
-        raise ValueError("no admissible race for cell")
-    return num / s
+    return row
 
 
 def bisg_probability(
@@ -207,14 +201,20 @@ def bisg_probability(
 ) -> np.ndarray:
     """Posterior race distribution for one (surname, geolocation) pair.
 
-    With an adjustment, the unnormalized posterior is multiplied entrywise
-    by the adjustment weight before renormalizing, which restricts the
-    prediction to the registered-voter population.
+    The BISG product, normalized. With an adjustment, the unnormalized
+    posterior is multiplied entrywise by the adjustment weight before
+    renormalizing, which restricts the prediction to the registered-voter
+    population.
     """
-    rg = _factor(factors, "g", geolocation)
-    rs = _factor(factors, "s", surname)
-    weight = adjustment.weight if adjustment is not None else None
-    return posterior(rg, rs, factors.race_prior, weight=weight)
+    g_row = _factor_row(factors, "g", geolocation)  # first: a pair missing both names it
+    s_row = _factor_row(factors, "s", surname)
+    num = _bisg_product(factors, [s_row], [g_row])[0]
+    if adjustment is not None:
+        num *= adjustment.weight
+    total = num.sum()
+    if total <= 0:
+        raise ValueError("no admissible race for cell")
+    return num / total
 
 
 def voter_adjustment(cps_race_given_voter, census_race_prior_18plus) -> VoterAdjustment:
@@ -243,12 +243,12 @@ def voter_adjustment(cps_race_given_voter, census_race_prior_18plus) -> VoterAdj
 
 def baseline_geo_only(factors: BisgFactors, geolocation: str) -> np.ndarray:
     """The geolocation-only prediction P(r | g)."""
-    return _factor(factors, "g", geolocation).copy()
+    return factors.race_given_geo[_factor_row(factors, "g", geolocation)].copy()
 
 
 def baseline_surname_only(factors: BisgFactors, surname: str) -> np.ndarray:
     """The surname-only prediction P(r | s)."""
-    return _factor(factors, "s", surname).copy()
+    return factors.race_given_surname[_factor_row(factors, "s", surname)].copy()
 
 
 def weighted_counts(
@@ -264,8 +264,8 @@ def weighted_counts(
     cell_totals : MarginSet, or mapping (surname, geolocation) -> weight
         Number of people at each cell, typically x_{sg+} from a voter file:
         the cell part of a MarginSet (its race part is ignored), or a
-        mapping, whose labels are resolved once here and sorted. The result
-        keeps the order of the labels.
+        mapping, read as `MarginSet.from_cells` reads it (labels sorted).
+        The result keeps the order of the labels.
     method : {"bisg", "geo-only", "surname-only"}
         Conditional used per cell. Under "bisg", a surname missing from
         the factors falls back to the geolocation-only prediction and the
@@ -280,47 +280,28 @@ def weighted_counts(
     if method not in ("bisg", "geo-only", "surname-only"):
         raise ValueError(f"unknown method {method!r}")
 
-    if isinstance(cell_totals, MarginSet):
-        labels, index, w_arr = cell_totals.labels, cell_totals.cell_index, cell_totals.totals
-    elif not cell_totals:
-        raise ValueError("no predictable cells")
-    else:
-        keys = list(cell_totals)
-        labels, index, rows = index_cells([s for s, _ in keys], [g for _, g in keys])
-        w_arr = np.zeros(len(index))
-        w_arr[rows] = np.fromiter(cell_totals.values(), dtype=np.float64, count=len(keys))
-        _check_cells(labels, index, w_arr, "cell total at")
+    if not isinstance(cell_totals, MarginSet):
+        cell_totals = MarginSet.from_cells(None, cell_totals)
+    labels, index, w_arr = cell_totals.labels, cell_totals.cell_index, cell_totals.totals
     positive = w_arr > 0
     if not positive.all():
         index, w_arr = index[positive], w_arr[positive]
     if not len(index):
         raise ValueError("no predictable cells")
 
-    # each label's factor row; -1 (no factor) reads the last row: masked below
-    s_row = factors.labels.positions("s", labels.surnames)
-    g_row = factors.labels.positions("g", labels.geolocations)
-    rs, rg = factors.race_given_surname[s_row], factors.race_given_geo[g_row]
-    s_code, g_code = index[:, 0], index[:, 1]
-    has_s, has_g = s_row[s_code] >= 0, g_row[g_code] >= 0
-
-    def flagged(mask, reason):
-        return [(*key, reason) for key in labels.pairs(index[mask])]
-
+    # a row of -1 (no factor) reads the last factor row: masked below
+    s_row, g_row, flagged = _factor_rows(factors, labels, index)
+    has_s, has_g = s_row >= 0, g_row >= 0
     if method == "surname-only":
-        ok, num = has_s, rs[s_code]
+        ok, num = has_s, factors.race_given_surname[s_row]
         rejects = flagged(~ok, "missing surname factor")
     elif method == "geo-only":
-        ok, num = has_g, rg[g_code]
+        ok, num = has_g, factors.race_given_geo[g_row]
         rejects = flagged(~ok, "missing geolocation factor")
     else:
-        prior = factors.race_prior
-        live = prior > 0
-        num = rg.take(g_code, axis=0)
-        num *= rs.take(s_code, axis=0)
-        num /= np.where(live, prior, 1.0)
-        num[:, ~live] = 0.0  # a race absent from the prior is predicted for no cell
+        num = _bisg_product(factors, s_row, g_row)
         fallback = has_g & ~has_s
-        num[fallback] = rg[g_code[fallback]]
+        num[fallback] = factors.race_given_geo[g_row[fallback]]
         ok = has_g
         rejects = flagged(~has_g, "missing geolocation factor") + flagged(
             fallback, "missing surname factor; used geolocation baseline"

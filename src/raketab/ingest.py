@@ -436,54 +436,6 @@ def parse_voter_file(path, mapping: CategoryMapping):
     return records
 
 
-# CPS-style keys are "<origin>:<race combination>"; combinations join the
-# race tokens below with "+"
-CPS_ORIGINS = ("hispanic", "non-hispanic")
-CPS_RACE_TOKENS = ("white", "black", "aian", "asian", "hpi", "other")
-_CPS_SINGLE = {
-    "white": RaceCategory.WHITE,
-    "black": RaceCategory.BLACK,
-    "aian": RaceCategory.AIAN,
-    "asian": RaceCategory.API,
-    "hpi": RaceCategory.API,
-    "other": RaceCategory.OTHER,
-}
-
-
-def map_cps_categories(histogram: Mapping[str, float]) -> np.ndarray:
-    """Collapse a detailed survey race/origin histogram to the six counts.
-
-    Rules, applied in order per key: any Hispanic origin scores Hispanic;
-    a single race maps directly (Asian and Hawaiian/Pacific-Islander both
-    to API); a multi-race combination containing black scores Black; a
-    remaining combination containing asian or hpi scores API; anything
-    left scores Other. Unknown keys raise.
-    """
-    out = np.zeros(N_RACES)
-    for key, weight in histogram.items():
-        if weight < 0:
-            raise ValueError(f"negative weight for {key!r}")
-        parts = key.strip().lower().split(":")
-        if len(parts) != 2 or parts[0] not in CPS_ORIGINS:
-            raise KeyError(f"unknown survey category {key!r}")
-        origin, combo = parts
-        tokens = [t for t in combo.split("+") if t]
-        if not tokens or any(t not in CPS_RACE_TOKENS for t in tokens):
-            raise KeyError(f"unknown survey category {key!r}")
-        if origin == "hispanic":
-            cat = RaceCategory.HISPANIC
-        elif len(tokens) == 1:
-            cat = _CPS_SINGLE[tokens[0]]
-        elif "black" in tokens:
-            cat = RaceCategory.BLACK
-        elif "asian" in tokens or "hpi" in tokens:
-            cat = RaceCategory.API
-        else:
-            cat = RaceCategory.OTHER
-        out[cat] += weight
-    return out
-
-
 def aggregate_voters(records, require_race: bool):
     """Accumulate voter records into a labeled table and cell totals.
 
@@ -597,16 +549,23 @@ def parse_predictions(path):
 
 
 def parse_race_margin(path) -> np.ndarray:
-    """Read a race-distribution JSON file into a probability 6-vector."""
+    """Read a race-distribution JSON object into a probability 6-vector;
+    each share is a JSON number (not a boolean), an absent race's is 0."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    dist = payload.get("race_distribution")
+        try:  # an integer past the float range reads as inf, not an OverflowError
+            payload = json.load(fh, parse_int=float)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    dist = payload.get("race_distribution") if isinstance(payload, dict) else None
     if not isinstance(dist, dict):
         raise ParseError(f"{path}: missing race_distribution object")
     unknown = set(dist) - set(RACE_NAMES)
     if unknown:
         raise ParseError(f"{path}: unknown race keys {sorted(unknown)}")
-    vec = np.array([float(dist.get(name, 0.0)) for name in RACE_NAMES])
+    for name, share in dist.items():
+        if type(share) is not float:
+            raise ParseError(f"{path}: race share {name!r} is not a number")
+    vec = np.array([dist.get(name, 0.0) for name in RACE_NAMES])
     if not np.all(np.isfinite(vec)):
         raise ParseError(f"{path}: non-finite race share")
     if np.any(vec < 0):
@@ -644,7 +603,10 @@ def parse_calibration_map(path) -> np.ndarray:
                 raise ParseError(f"{path}:{line}: more than {N_RACES} matrix rows")
             if len(row) != len(CALIB_MAP_HEADER) or row[0] != RACE_NAMES[len(rows)]:
                 raise ParseError(f"{path}:{line}: malformed matrix row")
-            rows.append([float(x) for x in row[1:]])
+            try:
+                rows.append([float(x) for x in row[1:]])
+            except ValueError:
+                raise ParseError(f"{path}:{line}: non-numeric matrix entry") from None
     if len(rows) != N_RACES:
         raise ParseError(f"{path}: expected {N_RACES} matrix rows")
     matrix = np.array(rows)

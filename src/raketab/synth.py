@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .table import AxisLabels, N_RACES, ContingencyTable, _as_race_vector
-from .bisg import BisgFactors, fit_factors
 
 
 @dataclass(frozen=True)
@@ -95,12 +94,3 @@ def generate(config: SynthConfig) -> ContingencyTable:
     si, gi = np.nonzero(cube.sum(axis=2) > 0)
     return ContingencyTable(labels, np.column_stack([si, gi]), cube[si, gi])
 
-
-def split_factors_and_truth(table: ContingencyTable) -> tuple[BisgFactors, ContingencyTable]:
-    """Self-fit factors plus the same table as ground truth.
-
-    Fitting and testing on one labeled table makes every factor exact, so
-    any downstream prediction error is attributable to the independence
-    assumption alone.
-    """
-    return fit_factors(table), table

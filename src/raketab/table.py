@@ -424,9 +424,7 @@ class MarginSet:
         """Targets from cell totals keyed by (surname, geolocation) strings."""
         if not cells:
             return cls(race)
-        labels, index, rows = index_cells(
-            map(str, [s for s, _ in cells]), map(str, [g for _, g in cells])
-        )
+        labels, index, rows = index_cells([s for s, _ in cells], [g for _, g in cells])
         totals = np.zeros(len(index))
         totals[rows] = np.fromiter(cells.values(), dtype=np.float64, count=len(rows))
         return cls(race, labels, index, totals)
@@ -469,16 +467,3 @@ def build_table(records) -> ContingencyTable:
     weights = np.array([r[2] for r in records], dtype=np.float64)
     return ContingencyTable(labels, index, sum_by_group(rows, weights, len(index)))
 
-
-def conditional_race(cell_values) -> np.ndarray:
-    """Normalize a race count vector to conditional probabilities.
-
-    The input must be nonnegative with a positive sum; the output sums
-    to 1 (within 1e-12).
-    """
-    vec = np.asarray(cell_values, dtype=np.float64)
-    _check_finite_nonnegative(vec, "count in cell")
-    s = vec.sum()
-    if s <= 0:
-        raise ValueError("empty cell conditional")
-    return vec / s

@@ -17,7 +17,6 @@ from raketab import (
     voter_adjustment,
     weighted_counts,
 )
-from raketab.bisg import posterior
 
 from conftest import one_cell_factors, race6
 
@@ -56,7 +55,7 @@ class TestFitFactors:
 class TestBisgCounts:
     def test_f1_cell_values(self, f1_table):
         factors = fit_factors(f1_table)
-        pred, rejects = bisg_counts(factors, f1_table.support())
+        pred, rejects = bisg_counts(factors, f1_table)
         assert rejects == []
         np.testing.assert_allclose(
             pred.cell("s1", "g1")[:2], [110 / 17, 45 / 23], rtol=1e-12
@@ -72,12 +71,12 @@ class TestBisgCounts:
             for j, g in enumerate(["g1", "g2"]):
                 cells[(s, g)] = u[i] * v[j] * w
         table = ContingencyTable.from_label_cells(cells)
-        pred, _ = bisg_counts(fit_factors(table), table.support())
+        pred, _ = bisg_counts(fit_factors(table), table)
         np.testing.assert_allclose(pred.cell_values, table.cell_values, rtol=1e-10)
 
     def test_zero_prior_race_predicts_zero(self, f1_table):
         factors = fit_factors(f1_table)
-        pred, _ = bisg_counts(factors, f1_table.support())
+        pred, _ = bisg_counts(factors, f1_table)
         assert np.all(pred.cell_values[:, 2:] == 0)
 
     def test_zero_prior_race_predicts_zero_against_conditionals(self):
@@ -91,9 +90,8 @@ class TestBisgCounts:
 
     def test_missing_labels_rejected_and_skipped(self, f1_table):
         factors = fit_factors(f1_table)
-        pred, rejects = bisg_counts(
-            factors, [("s1", "g1"), ("nope", "g1"), ("s1", "gx")]
-        )
+        cells = MarginSet.from_cells(None, {("s1", "g1"): 1.0, ("nope", "g1"): 1.0, ("s1", "gx"): 1.0})
+        pred, rejects = bisg_counts(factors, cells)
         assert ("nope", "g1", "missing surname factor") in rejects
         assert ("s1", "gx", "missing geolocation factor") in rejects
         assert pred.n_cells == 1
@@ -102,7 +100,9 @@ class TestBisgCounts:
         # the count-scale model reproduces the (g, r) and (s, r) margins
         # exactly over the full support; the (s, g) margin is NOT matched
         factors = fit_factors(f1_table)
-        support = [(s, g) for s in ("s1", "s2") for g in ("g1", "g2")]
+        support = MarginSet.from_cells(
+            None, {(s, g): 1.0 for s in ("s1", "s2") for g in ("g1", "g2")}
+        )
         pred, _ = bisg_counts(factors, support)
         np.testing.assert_allclose(pred.margin("gr"), f1_table.margin("gr"), rtol=1e-12)
         np.testing.assert_allclose(pred.margin("sr"), f1_table.margin("sr"), rtol=1e-12)
@@ -128,6 +128,39 @@ class TestBisgCounts:
         est = pred.margin("gr")[0, 0]
         assert est == pytest.approx(11.592, abs=1e-3)
         assert abs(est - 11.0) > 0.5
+
+
+def reference_bisg_counts(factors, s_row, g_row):
+    """The count-margin form x_gr[g] * x_sr[s] / x_r, zero where x_r is 0."""
+    x_sr = factors.race_given_surname * factors.surname_counts[:, None]
+    x_gr = factors.race_given_geo * factors.geo_counts[:, None]
+    x_r = factors.race_prior * factors.total()
+    out = x_gr[g_row] * x_sr[s_row]
+    live = x_r > 0
+    out[:, live] /= x_r[live]
+    out[:, ~live] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bisg_counts_matches_count_margin_formula(seed):
+    rng = np.random.default_rng(seed)
+    n_s, n_g = 25, 9
+    prior = rng.dirichlet(np.ones(6))
+    prior[seed % 6] = 0.0  # a race the prior lacks, which the conditionals give mass
+    factors = BisgFactors(
+        AxisLabels([f"s{i:02d}" for i in range(n_s)], [f"g{j}" for j in range(n_g)]),
+        rng.dirichlet(np.ones(6), size=n_s), rng.dirichlet(np.ones(6), size=n_g),
+        prior / prior.sum(), rng.gamma(2.0, 10.0, size=n_s), rng.gamma(2.0, 30.0, size=n_g),
+    )
+    codes = np.flatnonzero(rng.random(n_s * n_g) < 0.5)
+    s_row, g_row = np.divmod(codes, n_g)
+    cells = {(f"s{i:02d}", f"g{j}"): 1.0 for i, j in zip(s_row, g_row)}
+    pred, rejects = bisg_counts(factors, MarginSet.from_cells(None, cells))
+    assert rejects == []
+    want = reference_bisg_counts(factors, s_row, g_row)
+    assert np.all(pred.cell_values[want == 0] == 0)
+    np.testing.assert_allclose(pred.cell_values, want, rtol=1e-12, atol=0)
 
 
 class TestBisgProbability:
@@ -162,19 +195,14 @@ class TestBisgProbability:
         with pytest.raises(ValueError, match="no admissible race"):
             bisg_probability(factors, "s", "g")
 
-    @given(
-        st.floats(0.1, 10.0),
-        st.floats(0.1, 10.0),
-        st.floats(0.1, 10.0),
-    )
+    @given(st.floats(0.1, 10.0))
     @settings(max_examples=50, deadline=None)
-    def test_scale_invariance(self, a, b, c):
-        rg = race6(0.3, 0.7)
-        rs = race6(0.6, 0.4)
-        prior = race6(0.45, 0.55)
+    def test_scale_invariance(self, c):
+        # the normalization absorbs any positive scale of the adjustment
+        factors = one_cell_factors(race6(0.6, 0.4), race6(0.3, 0.7), race6(0.45, 0.55))
         weight = race6(1.1, 0.9)
-        base = posterior(rg, rs, prior, weight=weight)
-        scaled = posterior(a * rg, b * rs, prior, weight=c * weight)
+        base = bisg_probability(factors, "s", "g", adjustment=VoterAdjustment(weight))
+        scaled = bisg_probability(factors, "s", "g", adjustment=VoterAdjustment(c * weight))
         np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
     def test_all_ones_adjustment_is_identity(self, f1_table):
@@ -276,13 +304,13 @@ class TestWeightedCounts:
 
     def test_negative_weight_rejected(self, f1_table):
         factors = fit_factors(f1_table)
-        with pytest.raises(ValueError, match="negative cell total"):
+        with pytest.raises(ValueError, match="negative cell-margin target"):
             weighted_counts(factors, {("s1", "g1"): -1.0})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, f1_table, bad):
         factors = fit_factors(f1_table)
-        with pytest.raises(ValueError, match=r"non-finite cell total at \('s1', 'g1'\)"):
+        with pytest.raises(ValueError, match=r"non-finite cell-margin target at \('s1', 'g1'\)"):
             weighted_counts(factors, {("s1", "g1"): bad, ("s2", "g1"): 1.0})
 
 

@@ -287,6 +287,25 @@ class TestCalibMapCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParseError" and "non-finite" in err["message"]
 
+    @pytest.mark.parametrize("body", [
+        '{"race_distribution": {"aian": null, "api": 1.0}}',
+        '{"race_distribution": {"aian": [0.5], "api": 0.5}}',
+        '[{"race_distribution": {"api": 1.0}}]',
+        '{"race_distribution": {"aian": "x", "api": 1.0}}',
+        '{"race_distribution": {"aian": true, "api": 0.0}}',
+    ], ids=["null", "list", "top-level-array", "string", "bool"])
+    def test_malformed_share_exits_2_naming_the_file(self, tmp_path, capsys, body):
+        margin = tmp_path / "m.json"
+        margin.write_text(body)
+        err = exits_2_with_json_error(
+            capsys, "calib-map", "--source", margin, "--target", margin,
+            "--out-dir", tmp_path / "cm",
+        )
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(f"{margin}: ")
+        if "aian" in body and "[{" not in body:
+            assert "'aian'" in err["message"]
+
     def test_refused_solve_exits_3_with_its_certificate(self, tmp_path, capsys, monkeypatch):
         # a KKT tolerance no residual meets forces the certificate stage to refuse
         monkeypatch.setattr(calibmap, "KKT_TOL", -1.0)
@@ -667,6 +686,21 @@ class TestOversizedInput:
         )
         assert err["error"] == "ParseError"
         assert err["message"] == f"{cm}:8: more than 6 matrix rows"
+
+    def test_calibration_map_with_a_non_numeric_entry_exits_2(self, tmp_path, capsys):
+        fix = synth_fixture(tmp_path)
+        pred = predict_dir(tmp_path, fix)
+        cm = tmp_path / "cm.csv"
+        cm.write_text("race," + ",".join(RACE_NAMES) + "\n" + "".join(
+            f"{race}," + ",".join("abc" if i == j == 3 else str(int(i == j)) for j in range(6)) + "\n"
+            for i, race in enumerate(RACE_NAMES)
+        ))
+        err = exits_2_with_json_error(
+            capsys, "evaluate", "--truth-table", fix / "table.csv",
+            "--preds", pred / "predictions.csv", "--calib-map", cm, "--out-dir", tmp_path / "ev",
+        )
+        assert err["error"] == "ParseError"
+        assert err["message"] == f"{cm}:5: non-numeric matrix entry"
 
 
 class TestPredictionRows:

@@ -309,3 +309,64 @@ def masked_reports_digest():
 
 def test_masked_reports_match_recorded_digest():
     assert masked_reports_digest() == MASKED_REPORTS
+
+
+def kernel_factors_and_cells():
+    """Random factors on 60 surnames and 20 geolocations whose prior gives
+    the last race no mass (the conditionals still do), and a mapping of
+    cell totals, in unsorted order, over 64 surnames and 22 geolocations:
+    four surnames and two geolocations have no factor, and a few totals
+    are zero."""
+    rng = np.random.default_rng(314)
+    n_s, n_g = 60, 20
+    surnames = [f"s{i:02d}" for i in range(n_s)]
+    geos = [f"g{j:02d}" for j in range(n_g)]
+    prior = rng.dirichlet(np.ones(6))
+    prior[5] = 0.0
+    factors = rt.BisgFactors(
+        rt.AxisLabels(surnames, geos),
+        race_given_surname=rng.dirichlet(np.ones(6), size=n_s),
+        race_given_geo=rng.dirichlet(np.ones(6), size=n_g),
+        race_prior=prior / prior.sum(),
+        surname_counts=rng.gamma(2.0, 50.0, size=n_s),
+        geo_counts=rng.gamma(2.0, 150.0, size=n_g),
+    )
+    pairs = [(f"s{i:02d}", f"g{j:02d}") for i in range(n_s + 4) for j in range(n_g + 2)]
+    keep = rng.random(len(pairs)) < 0.4
+    chosen = [pair for pair, k in zip(pairs, keep) if k]
+    order = rng.permutation(len(chosen))
+    totals = rng.gamma(1.5, 3.0, size=len(chosen))
+    totals[rng.random(len(chosen)) < 0.05] = 0.0
+    cells = {chosen[k]: float(totals[k]) for k in order}
+    return factors, cells
+
+
+# SHA-256 of weighted_counts under every method, with and without a voter
+# adjustment, and of bisg_probability on a grid of cells, recorded before
+# the three BISG products were folded into one
+BISG_KERNELS = "ef3bf0dc7dce397f8392b28fd5aabc1df8f9dfa9c0a71351b48ea84f2cdb16a7"
+
+
+def bisg_kernels_digest():
+    factors, cells = kernel_factors_and_cells()
+    adjustment = rt.VoterAdjustment(np.array([1.3, 0.7, 1.1, 0.0, 0.9, 1.0]))
+    h = hashlib.sha256()
+    for method in ("bisg", "geo-only", "surname-only"):
+        for adj in (None, adjustment):
+            pred, rejects = rt.weighted_counts(factors, cells, adjustment=adj, method=method)
+            h.update(repr((pred.labels.surnames, pred.labels.geolocations, rejects)).encode())
+            h.update(pred.cell_index.tobytes() + pred.cell_values.tobytes())
+    for s in range(0, 64, 3):
+        for g in range(0, 22, 2):
+            for adj in (None, adjustment):
+                try:
+                    p = rt.bisg_probability(factors, f"s{s:02d}", f"g{g:02d}", adjustment=adj)
+                except rt.MissingFactorError as err:
+                    h.update(str(err).encode())
+                else:
+                    h.update(p.tobytes())
+    return h.hexdigest()
+
+
+def test_bisg_kernels_match_recorded_digest():
+    assert bisg_kernels_digest() == BISG_KERNELS

@@ -14,15 +14,12 @@ from raketab import ContingencyTable, RaceCategory, ingest
 from raketab.table import N_RACES
 from raketab.ingest import (
     CANONICAL_MAPPING,
-    CPS_ORIGINS,
-    CPS_RACE_TOKENS,
     FLORIDA_MAPPING,
     NORTH_CAROLINA_MAPPING,
     ParseError,
     RejectReport,
     VoterRecord,
     aggregate_voters,
-    map_cps_categories,
     parse_calibration_map,
     parse_geo_factors,
     parse_predictions,
@@ -386,45 +383,6 @@ class TestVoterFile:
                 assert value is None or isinstance(value, RaceCategory)
 
 
-class TestCpsCategories:
-    def test_hispanic_origin_rule(self):
-        out = map_cps_categories({"hispanic:white+black": 10})
-        assert out[RaceCategory.HISPANIC] == 10
-
-    def test_multirace_black_rule(self):
-        out = map_cps_categories({"non-hispanic:white+black": 4})
-        assert out[RaceCategory.BLACK] == 4
-
-    def test_multirace_asian_rule(self):
-        out = map_cps_categories({"non-hispanic:asian+white": 2})
-        assert out[RaceCategory.API] == 2
-
-    def test_single_race_direct(self):
-        out = map_cps_categories({"non-hispanic:hpi": 3, "non-hispanic:aian": 1})
-        assert out[RaceCategory.API] == 3 and out[RaceCategory.AIAN] == 1
-
-    def test_residual_multirace_goes_to_other(self):
-        out = map_cps_categories({"non-hispanic:white+aian": 5})
-        assert out[RaceCategory.OTHER] == 5
-
-    def test_unknown_key_raises(self):
-        with pytest.raises(KeyError, match="klingon"):
-            map_cps_categories({"non-hispanic:klingon": 1})
-        with pytest.raises(KeyError):
-            map_cps_categories({"martian:white": 1})
-
-    def test_documented_universe_is_total(self):
-        # every single and pairwise combination with either origin maps
-        keys = []
-        for origin in CPS_ORIGINS:
-            for i, a in enumerate(CPS_RACE_TOKENS):
-                keys.append(f"{origin}:{a}")
-                for b in CPS_RACE_TOKENS[i + 1 :]:
-                    keys.append(f"{origin}:{a}+{b}")
-        out = map_cps_categories({k: 1.0 for k in keys})
-        assert out.sum() == len(keys)
-
-
 class TestAggregate:
     def test_three_identical_records(self):
         rec = VoterRecord("1", "A", "g", RaceCategory.WHITE, True)
@@ -618,6 +576,12 @@ class TestRoundTrips:
         path.write_text('{"race_distribution": {"klingon": 1.0}}')
         with pytest.raises(ParseError, match="unknown race"):
             parse_race_margin(path)
+        path.write_text('{"race_distribution": {"aian": 1' + "0" * 400 + ', "api": 1.0}}')
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_race_margin(path)
+        path.write_text('{"race_distribution": {"aian": 1.0,')
+        with pytest.raises(ParseError, match=re.escape(f"{path}: Expecting")):
+            parse_race_margin(path)
         for bad in ("NaN", "Infinity"):
             path.write_text(f'{{"race_distribution": {{"aian": {bad}, "api": 1.0}}}}')
             with pytest.raises(ParseError, match="non-finite"):
@@ -643,6 +607,15 @@ class TestRoundTrips:
         with open(path, "a", newline="") as fh:
             fh.write("white,0,0,0,0,1,0\r\n")
         with pytest.raises(ParseError, match=re.escape(f"{path}:8: more than 6 matrix rows")):
+            parse_calibration_map(path)
+
+    def test_calibration_map_with_a_non_numeric_entry(self, tmp_path):
+        path = tmp_path / "cm.csv"
+        write_calibration_map(path, np.eye(6))
+        lines = path.read_text().splitlines(True)
+        lines[3] = lines[3].replace("0.0", "abc", 1)
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError, match=re.escape(f"{path}:4: non-numeric matrix entry")):
             parse_calibration_map(path)
 
 

@@ -78,7 +78,7 @@ def grid_kl_min(base, cell_targets, race_r1, step):
 
 def f1_bisg_base(f1_table):
     factors = fit_factors(f1_table)
-    pred, _ = bisg_counts(factors, f1_table.support())
+    pred, _ = bisg_counts(factors, f1_table)
     return pred
 
 

@@ -4,12 +4,10 @@ import pytest
 from raketab import (
     MarginSet,
     SynthConfig,
-    baseline_geo_only,
     bisg_counts,
     fit_factors,
     generate,
     rake,
-    split_factors_and_truth,
     subpop_report,
     weighted_counts,
 )
@@ -33,9 +31,8 @@ class TestGenerate:
             n_s=12, n_g=6, race_mix=MIX4, dependence=0.0, total_population=5000, seed=9
         )
         table = generate(config)
-        factors, truth = split_factors_and_truth(table)
-        pred, _ = bisg_counts(factors, table.support())
-        np.testing.assert_allclose(pred.cell_values, truth.cell_values, rtol=1e-10)
+        pred, _ = bisg_counts(fit_factors(table), table)
+        np.testing.assert_allclose(pred.cell_values, table.cell_values, rtol=1e-10)
 
     def test_deterministic_per_seed(self):
         config = SynthConfig(
@@ -105,11 +102,6 @@ class TestGenerate:
 
 
 class TestSplit:
-    def test_returns_self_fit_factors_and_same_table(self, f1_table):
-        factors, truth = split_factors_and_truth(f1_table)
-        assert truth is f1_table
-        np.testing.assert_allclose(baseline_geo_only(factors, "g1"), race6(0.55, 0.45))
-
     def test_independent_table_gives_zero_error_downstream(self):
         config = SynthConfig(
             n_s=6, n_g=4, race_mix=MIX4, dependence=0.0, total_population=900, seed=21

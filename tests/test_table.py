@@ -7,7 +7,6 @@ from raketab import (
     ContingencyTable,
     MarginSet,
     build_table,
-    conditional_race,
 )
 from raketab.table import compact_labels, index_cells, row_sums
 
@@ -123,6 +122,14 @@ def test_margin_consistency_property(entries):
         assert np.array_equal(table.margin(axes), ref)
 
 
+def conditional_race(vec):
+    """The race conditional of a one-cell table holding `vec`, or None
+    when the cell is empty."""
+    table = ContingencyTable(AxisLabels(["s"], ["g"]), [[0, 0]], [vec])
+    mask, probs = table.conditionals()
+    return probs[0] if mask[0] else None
+
+
 class TestConditionalRace:
     def test_proportional(self):
         np.testing.assert_allclose(
@@ -138,8 +145,10 @@ class TestConditionalRace:
         np.testing.assert_allclose(out[:2], [0.767830, 0.232170], atol=5e-7)
 
     def test_zero_sum_rejected(self):
-        with pytest.raises(ValueError, match="empty cell conditional"):
-            conditional_race(np.zeros(6))
+        table = ContingencyTable(AxisLabels(["s", "t"], ["g"]), [[0, 0], [1, 0]], [race6(1), race6()])
+        mask, probs = table.conditionals()
+        assert mask.tolist() == [True, False]
+        assert not probs[1].any()
 
     @given(st.lists(st.floats(0.0, 100.0), min_size=6, max_size=6))
     @settings(max_examples=80, deadline=None)
