@@ -550,10 +550,20 @@ def parse_predictions(path):
 
 def parse_race_margin(path) -> np.ndarray:
     """Read a race-distribution JSON object into a probability 6-vector;
-    each share is a JSON number (not a boolean), an absent race's is 0."""
+    each share is a JSON number (not a boolean), an absent race's is 0. A
+    key repeated in any object is a ParseError: json keeps only the last."""
+
+    def unique_keys(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"{path}: repeated key {key!r}")
+            seen.add(key)
+        return dict(pairs)
+
     with open(path, encoding="utf-8") as fh:
         try:  # an integer past the float range reads as inf, not an OverflowError
-            payload = json.load(fh, parse_int=float)
+            payload = json.load(fh, parse_int=float, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
     dist = payload.get("race_distribution") if isinstance(payload, dict) else None
@@ -603,6 +613,9 @@ def parse_calibration_map(path) -> np.ndarray:
                 raise ParseError(f"{path}:{line}: more than {N_RACES} matrix rows")
             if len(row) != len(CALIB_MAP_HEADER) or row[0] != RACE_NAMES[len(rows)]:
                 raise ParseError(f"{path}:{line}: malformed matrix row")
+            # only plain decimal text is a number, as in cell files
+            if any("_" in x or not x.isascii() for x in row[1:]):
+                raise ParseError(f"{path}:{line}: non-numeric matrix entry")
             try:
                 rows.append([float(x) for x in row[1:]])
             except ValueError:

@@ -116,45 +116,54 @@ def rake(
     if targets.race is None:
         raise ValueError("raking requires a race margin target")
 
-    values = base.cell_values.copy()
+    # race-major, so every pass over cells is contiguous (.copy(): C-ordered and
+    # writable for one cell too). work is made first: the result ends up in the
+    # later buffer, and the next stage's temporaries reuse work's pages
+    work = np.empty((N_RACES, base.n_cells))
+    values = base.cell_values.T.copy()
     rows = base.locate(targets)
     found = rows >= 0
 
     # cells without a positive target are zeroed: the limit of scaling by 0
     x = np.zeros(base.n_cells)
     x[rows[found]] = targets.totals[found]
-    values[x == 0] = 0.0
+    values[:, x == 0] = 0.0
     t = targets.race.copy()
-    values[:, t == 0] = 0.0
+    values[t == 0] = 0.0
+
+    # each cell's support: bit r is set where the base has mass in race r
+    bits = 1 << np.arange(N_RACES)
+    code = np.zeros(base.n_cells, dtype=np.uint8)
+    for r in range(N_RACES):
+        code |= (values[r] > 0).view(np.uint8) << r
 
     # feasibility: positive targets need positive base mass under them
-    mass = np.zeros(len(rows))
-    mass[found] = row_sums(values[rows[found]])
-    infeasible = np.nonzero((targets.totals > 0) & (mass <= 0))[0]
+    held = np.append(code, 0)[rows] > 0  # row -1 reads the appended 0
+    infeasible = np.nonzero((targets.totals > 0) & ~held)[0]
     if len(infeasible):
         i = infeasible[0]
         key = targets.labels.pairs(targets.cell_index[i : i + 1])[0]
         what = "base mass there is zero" if found[i] else "base has no such cell"
         raise InfeasibleMarginError(f"cell target {key} is positive but {what}")
-    race_mass = values.sum(axis=0)
-    infeasible = np.nonzero((t > 0) & (race_mass <= 0))[0]
+    has_mass = (np.bitwise_or.reduce(code) & bits) > 0
+    infeasible = np.nonzero((t > 0) & ~has_mass)[0]
     if len(infeasible):
         raise InfeasibleMarginError(
             f"race target {infeasible[0]} is positive but base has no mass in that race"
         )
     # and Gale's supply-demand condition: the targets of every set R of
     # races sum to at most the cell targets of the cells supporting R
-    bits = 1 << np.arange(N_RACES)
     subsets = np.arange(1 << N_RACES)
-    supply = np.bincount((values > 0) @ bits, weights=x, minlength=len(subsets))
-    demand = ((subsets[:, None] & bits) > 0) @ t
-    shortfall = demand - ((subsets[:, None] & subsets) > 0) @ supply
+    supply = np.bincount(code, weights=x, minlength=len(subsets))
+    del code, held, rows, found  # freed before the Newton loop, which sets the peak
+    demand = np.where(subsets[:, None] & bits, t, 0.0).sum(axis=1)
+    shortfall = demand - np.where(subsets[:, None] & subsets, supply, 0.0).sum(axis=1)
 
     def races(subset):
         return [n for n, b in zip(RACE_NAMES, bits) if subset & b]
 
     worst = int(np.argmax(shortfall))  # the first holds no race with a zero target
-    live = int(bits @ (t > 0))
+    live = int(bits[t > 0].sum())
     if shortfall[worst] > 1e-9 * t.sum():
         raise InfeasibleMarginError(
             f"race targets of {races(worst)} sum to "
@@ -168,16 +177,19 @@ def rake(
 
     live_r, live_c = t > 0, x > 0
     scale = np.maximum(t, 1.0)
-    work = np.empty_like(values)
 
+    # no BLAS: every sum over cells is a numpy sum of a contiguous product, in fixed order
     def evaluate(theta):
         """Fill work with b e^theta; return cell sums, x / sums, F and M."""
         with np.errstate(all="ignore"):  # an overflowing trial step ends with F not finite
-            np.multiply(values, np.exp(theta), out=work)
-            sums = row_sums(work)
+            e = np.exp(theta.astype(np.longdouble)).astype(np.float64)  # not numpy's SIMD exp
+            np.multiply(values, e[:, None], out=work)
+            sums = row_sums(work.T)
             ratio = np.divide(x, sums, out=np.zeros_like(sums), where=live_c)
-            logs = np.log(sums, out=np.zeros_like(sums), where=live_c)
-            return sums, ratio, x @ logs - t @ theta, work.T @ ratio
+            scratch = np.log(sums, out=np.zeros_like(sums), where=live_c)
+            objective = np.multiply(scratch, x, out=scratch).sum() - (t * theta).sum()
+            achieved = np.array([np.multiply(w, ratio, out=scratch).sum() for w in work])
+            return sums, ratio, objective, achieved
 
     theta = np.zeros(N_RACES)
     sums, ratio, objective, achieved = evaluate(theta)
@@ -185,21 +197,23 @@ def rake(
     steps = 0
     while devs[-1].max() > config.tolerance and steps < config.max_iterations:
         # the Hessian diag(M) - sum_sg x_sg p_sg p_sg^T is the Laplacian of
-        # the off-diagonal part of C = sum_sg (x_sg / sums_sg^2) w_sg w_sg^T;
-        # so built, its rows sum to 0 and lstsq drops the gauge direction
-        work *= np.sqrt(np.divide(ratio, sums, out=np.zeros_like(sums), where=live_c))[:, None]
-        c = (work.T @ work)[np.ix_(live_r, live_r)]
-        np.fill_diagonal(c, 0.0)
+        # the off-diagonal part of C = sum_sg (x_sg / sums_sg^2) w_sg w_sg^T
+        scratch = np.divide(ratio, sums, out=np.zeros_like(sums), where=live_c)
+        work *= np.sqrt(scratch, out=scratch)
+        # (a race with a zero target has no edge and a zero gradient: no step)
+        c = np.zeros((N_RACES, N_RACES))
+        for a, b in zip(*np.triu_indices(N_RACES, 1)):
+            c[a, b] = c[b, a] = np.multiply(work[a], work[b], out=scratch).sum()
+        del scratch
         grad = achieved - t
-        step = np.zeros(N_RACES)
-        step[live_r] = np.linalg.lstsq(np.diag(c.sum(axis=1)) - c, -grad[live_r], rcond=1e-12)[0]
+        step = _laplacian_solve(c, -grad)
         for halving in range(40):
             alpha = 0.5**halving
             trial = evaluate(theta + alpha * step)
             dev = np.abs(trial[3] - t) / scale
             # Armijo, or a halved gap where F's decrease falls below rounding
             if np.isfinite(trial[2]) and (
-                trial[2] <= objective + 1e-4 * alpha * (grad @ step)
+                trial[2] <= objective + 1e-4 * alpha * (grad * step).sum()
                 or dev.max() <= devs[-1].max() / 2
             ):
                 break
@@ -211,10 +225,8 @@ def rake(
         devs.append(dev)
         steps += 1
 
-    np.multiply(work, ratio[:, None], out=work)
-    del values
-    cell_dev = np.abs(row_sums(work) - x) / np.maximum(x, 1.0)
-    gap = float(np.max(cell_dev, initial=devs[-1].max()))
+    work *= ratio
+    gap = float(np.max(np.abs(row_sums(work.T) - x) / np.maximum(x, 1.0), initial=devs[-1].max()))
     if gap > config.tolerance:
         worst = int(np.argmax(devs[-1]))
         last = [float(d[worst]) for d in devs[-5:]]
@@ -225,14 +237,18 @@ def rake(
             margin_gap=gap, worst_race=RACE_NAMES[worst], last_gaps=last,
         )
 
+    # back to cell-major (n, 6) once, into values' buffer, which is done with
+    raked = values.reshape(-1, N_RACES)
+    raked[...] = work.T
+    del work
     kept = live_c.all()
     return RakingResult(
         table=PredictionTable(
             *compact_labels(base.labels, base.cell_index if kept else base.cell_index[live_c]),
-            work if kept else work[live_c],
+            raked if kept else raked[live_c],
         ),
         # races zeroed away (positive base mass, zero target) get theta = -inf
-        theta_r=np.where(live_r | (race_mass == 0), theta, -np.inf),
+        theta_r=np.where(live_r | ~has_mass, theta, -np.inf),
         theta_sg=np.log(ratio[live_c]),
         iterations=steps,
         final_margin_gap=gap,
@@ -240,6 +256,36 @@ def rake(
         feasibility_slack=float(-shortfall[tightest] / t.sum()) if tightest else None,
         tightest_races=tuple(races(tightest)),
     )
+
+
+def _laplacian_solve(c, rhs):
+    """The minimum-norm least-squares solution of L s = rhs that
+    np.linalg.lstsq(L, rhs, rcond=1e-12) gives, in a fixed order; L =
+    diag(c 1) - c is the Laplacian of a symmetric nonnegative c with zero
+    diagonal, whose null space is the constants on each component of the
+    graph c > 0. So on each, the rhs loses its mean, the first race is
+    grounded, elimination without pivoting solves the rest (positive
+    definite), and the step is shifted to sum to 0."""
+    n = len(rhs)
+    adjacent = (c > 0) | np.eye(n, dtype=bool)
+    component = np.arange(n)
+    for _ in range(n):  # each component's least member spreads over it
+        component = np.where(adjacent, component, n).min(axis=1)
+    step = np.zeros(n)
+    for root in np.flatnonzero(component == np.arange(n)):  # np.unique imports numpy.ma
+        idx = np.flatnonzero(component == root)
+        sub = c[np.ix_(idx, idx)]
+        a = np.diag(sub.sum(axis=1)) - sub
+        b = rhs[idx] - rhs[idx].mean()
+        for i in range(1, len(idx)):
+            f = a[i + 1 :, i] / a[i, i]
+            a[i + 1 :] -= f[:, None] * a[i]
+            b[i + 1 :] -= f * b[i]
+        s = np.zeros(len(idx))
+        for i in range(len(idx) - 1, 0, -1):
+            s[i] = (b[i] - (a[i, i + 1 :] * s[i + 1 :]).sum()) / a[i, i]
+        step[idx] = s - s.mean()
+    return step
 
 
 def kl_divergence(m: PredictionTable, base: PredictionTable) -> float:

@@ -7,7 +7,8 @@ code). Calls made inside C, such as `map` calling `dict.get`, raise no
 event. A join that makes a fixed number of numpy passes gives the same
 counts at both sizes; a per-cell `dict.get`, lambda or method call makes
 them grow a hundredfold. The counts are deterministic: no timing is taken.
-`rake` is left out, because its Newton step count may differ by size.
+`rake`'s Newton step count may differ by size, so its counts are taken
+per step.
 """
 
 import gc
@@ -19,7 +20,7 @@ import pytest
 
 from raketab import AxisLabels, ContingencyTable, MarginSet, PredictionTable, SynthConfig
 from raketab import calibration_curve, cellwise_report, fit_factors, generate
-from raketab import subpop_report, weighted_counts
+from raketab import rake, subpop_report, weighted_counts
 from raketab.table import compact_labels, index_cells
 
 SIZES = ((20, 10), (200, 100))
@@ -108,3 +109,25 @@ def calls_by_size():
 def test_calls_do_not_grow_with_cells(calls_by_size, name):
     small, large = (calls[name] for calls in calls_by_size)
     assert small == large, f"{name}: (call, c_call) {small} at 200 cells, {large} at 20,000"
+
+
+def rake_calls_per_step(n_s, n_g):
+    """rake's (call, c_call) counts per Newton step on an n_s x n_g BISG
+    prediction raked to its table's margins: the counts less those of a
+    rake to the prediction's own margins, which starts at the fit and
+    takes no step, divided by the steps."""
+    table = generate(SynthConfig(n_s, n_g, np.full(6, 1 / 6), 0.5, 1e5, seed=3))
+    targets = MarginSet.from_table(table)
+    pred = weighted_counts(fit_factors(table), targets)[0]
+    assert pred.labels is targets.labels and np.array_equal(pred.cell_index, targets.cell_index)
+    fixed = MarginSet(pred.margin("r"), targets.labels, targets.cell_index, pred.cell_sums)
+    steps = rake(pred, targets).iterations
+    assert steps > 0 and rake(pred, fixed).iterations == 0
+    moved = count_calls(lambda: rake(pred, targets))
+    still = count_calls(lambda: rake(pred, fixed))
+    return tuple((m - s) / steps for m, s in zip(moved, still))
+
+
+def test_rake_calls_per_newton_step_do_not_grow_with_cells():
+    small, large = (rake_calls_per_step(*size) for size in SIZES)
+    assert small == large, f"rake: (call, c_call) per step {small} at 200 cells, {large} at 20,000"

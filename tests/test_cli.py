@@ -506,6 +506,19 @@ class TestErrors:
         assert not (tmp_path / "raked" / "raked.csv").exists()
 
 
+    def test_race_margin_with_a_repeated_key_exits_2(self, tmp_path, capsys):
+        fix = synth_fixture(tmp_path)
+        pred = predict_dir(tmp_path, fix)
+        margin = tmp_path / "margin.json"
+        margin.write_text('{"race_distribution": {"aian": 0.9, "aian": 0.1, "api": 0.9}}')
+        err = exits_2_with_json_error(
+            capsys, "rake", "--base", pred / "predictions.csv", "--race-margin", margin,
+            "--out-dir", tmp_path / "raked",
+        )
+        assert err["error"] == "ParseError"
+        assert err["message"] == f"{margin}: repeated key 'aian'"
+        assert not (tmp_path / "raked" / "raked.csv").exists()
+
 class TestAdjustment:
     def test_adjust_cps_changes_predictions(self, tmp_path):
         fix = synth_fixture(tmp_path, seed=19, dependence=0.4)
@@ -702,6 +715,22 @@ class TestOversizedInput:
         assert err["error"] == "ParseError"
         assert err["message"] == f"{cm}:5: non-numeric matrix entry"
 
+
+    @pytest.mark.parametrize("entry", ["1_0e-1", "\u0661.0"], ids=["underscore", "arabic-indic-digit"])
+    def test_calibration_map_entry_that_is_not_plain_decimal_exits_2(self, tmp_path, capsys, entry):
+        fix = synth_fixture(tmp_path)
+        pred = predict_dir(tmp_path, fix)
+        cm = tmp_path / "cm.csv"
+        cm.write_text("race," + ",".join(RACE_NAMES) + "\n" + "".join(
+            f"{race}," + ",".join(entry if i == j == 1 else str(int(i == j)) for j in range(6)) + "\n"
+            for i, race in enumerate(RACE_NAMES)
+        ), encoding="utf-8")
+        err = exits_2_with_json_error(
+            capsys, "evaluate", "--truth-table", fix / "table.csv",
+            "--preds", pred / "predictions.csv", "--calib-map", cm, "--out-dir", tmp_path / "ev",
+        )
+        assert err["error"] == "ParseError"
+        assert err["message"] == f"{cm}:3: non-numeric matrix entry"
 
 class TestPredictionRows:
     def test_lowercase_surnames_match_uppercase_truth(self, tmp_path):

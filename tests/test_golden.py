@@ -12,11 +12,13 @@ say why.
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import raketab as rt
 from raketab.cli import main
@@ -33,16 +35,18 @@ GOLDEN = {
     "fixture/table.csv": "78abb392ec2b13a0b92ebfeebfb23eedd887224ade7e5630b17ac2cde916ed2e",
     "preds/predictions.csv": "f4a7b0a000cb89f4ba34da3410875f6e2f7db218c8e8d12932fff9891a700d24",
     # the raked table is the exact KL-minimal fit (Newton on the race
-    # dual), within 1e-10 relative of the earlier sweeps' values; theta_r
-    # is in the gauge sum over live races = 0, and report/* is evaluated
-    # from raked.csv, so these digests moved with it
-    "raked/raked.csv": "0298576ae16c742fc5c5d471bab1a2b647ea7a446ef6394255f7dc48adf2dc6f",
-    "raked/theta.json": "3fead56e3236ce246f996f0fa9fff9007399adedbf4ebbc07de2bd6eaf9fee2c",
-    "raked/theta_sg.csv": "08eafa4bfa6b7f99f4a763dde84667a45c95c2263c18d20a4f0367c26479ccde",
-    "report/calibration_curves.csv": "51513b52d562ac0822cdfa7076764790f263cc65fa572eb9f6606a40b7d6cfe1",
-    "report/cellwise.csv": "6b592c3424dc3f258774773507565f5d61243114052734ac696b73c78543544e",
-    "report/subpop.csv": "909dcaa3a8753e97c22d56a8f314f54f900e7d346a8d776ed8aeac30fe3034aa",
-    "report/summary.json": "1fad8baa944819e175b2b2ec04cf97d69461a4792385033dcb2d2f89237b65c7",
+    # dual), in the gauge sum over live races of theta_r = 0. Its sums over
+    # cells and its 6x6 Newton solve take a fixed order with no BLAS call,
+    # so these bytes do not depend on the BLAS kernel. Leaving BLAS moved
+    # the raked values by at most 1.3e-15 relative and theta_r and theta_sg
+    # by at most 7.1e-16 absolute; report/* is evaluated from raked.csv
+    "raked/raked.csv": "a33f7ce956f7f7446a321efcefb57d87c5afe6eb97d8884db46a3d78a41691c0",
+    "raked/theta.json": "64cf7cb387963bf2a55c18e3ee3bfe816f5640a829a56cb6d5c48ee51d4474fd",
+    "raked/theta_sg.csv": "c3baa0ad96243033aee94baedea16cd44d3ff6f60137db517896042938762a40",
+    "report/calibration_curves.csv": "2e8f22d19547cbae36d8ef12d38c5c3eef7f5984360f6629a8839c4d5651923a",
+    "report/cellwise.csv": "744589836224833bff70351c1635332019f7e2441a3cbe8c3fd4d7ec0c0b89ac",
+    "report/subpop.csv": "631936fb25eae97fa7e151f53bef42aeeab0328b59e87061cad4e47cc27aa1a5",
+    "report/summary.json": "077f48fe718b187d6caccd4df780d81506229cc8ba61834a2cfeb4c21833e4d6",
     "report_cmap/calibration_curves.csv": "da25e68ff94d9dbe4d4ba190abe522d964a0be7a397984237e6ee463d6f7bdab",
     "report_cmap/cellwise.csv": "3b0de0820358979fe39c66229f4ef9c610b1fd0954f95b3f4d5ae58001fbd799",
     "report_cmap/subpop.csv": "7790aaa1bc5711b80b87522827e6d1c69dc75340943a4992b346b2ea8bd88ae7",
@@ -193,21 +197,78 @@ def test_outputs_match_recorded_digests(tmp_path):
     assert golden_outputs(tmp_path) == GOLDEN
 
 
-def test_pipeline_names_utf8_for_every_file(tmp_path):
-    """Every subcommand exits 0 when an open without an encoding is an error."""
+def golden_in_subprocess(root, *flags, **env):
+    """Run golden_outputs(root) in a new interpreter started with `flags`
+    and the extra environment `env`; return the finished process, whose
+    stdout is the digests as JSON."""
     here = Path(__file__).resolve().parent
     path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
-    code = "import pathlib, sys, test_golden; test_golden.golden_outputs(pathlib.Path(sys.argv[1]))"
-    proc = subprocess.run(
-        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
-         "-c", code, str(tmp_path)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    code = ("import json, pathlib, sys, test_golden; "
+            "print(json.dumps(test_golden.golden_outputs(pathlib.Path(sys.argv[1]))))")
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code, str(root)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env),
     )
+
+
+def test_pipeline_names_utf8_for_every_file(tmp_path):
+    """Every subcommand exits 0 when an open without an encoding is an error."""
+    proc = golden_in_subprocess(tmp_path, "-X", "warn_default_encoding", "-W", "error::EncodingWarning")
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-# SHA-256 of the in-memory library chain on a small multinomial synth table
-LIBRARY_CHAIN = "ec5655789645f77d2822eec5a39e14270d26e88d9a13737e72f4bf9209793c71"
+def _dynamic_openblas_on_x86_64():
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH on
+    x86-64, the one setup where the kernels below can be chosen at run time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its configuration only
+        return False
+    return (platform.machine().lower() in ("x86_64", "amd64")
+            and "openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+# What still depends on the kernel: calib-map solves with LAPACK, whose map
+# the report_cmap evaluation reads, and theta_sg is numpy's SIMD log of the
+# cell factors. Everything else, raked.csv and theta.json included, must
+# keep its bytes.
+CMAP = {"cmap/calibration_map.csv"} | {
+    f"report_cmap/{name}"
+    for name in ("calibration_curves.csv", "cellwise.csv", "subpop.csv", "summary.json")
+}
+KERNEL_SETTINGS = {
+    "OPENBLAS_CORETYPE=Haswell": CMAP,  # AVX2 BLAS kernels
+    "OPENBLAS_CORETYPE=Prescott": CMAP,  # SSE3 BLAS kernels
+    "OPENBLAS_NUM_THREADS=1": CMAP,
+    "NPY_ENABLE_CPU_FEATURES=X86_V2": {"raked/theta_sg.csv"},  # numpy's SSE4.2 loops
+}
+
+
+@pytest.mark.skipif(not _dynamic_openblas_on_x86_64(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS on x86-64")
+@pytest.mark.parametrize("setting", sorted(KERNEL_SETTINGS))
+def test_digests_do_not_depend_on_the_blas_kernel(tmp_path, setting):
+    """The golden digests hold under other OpenBLAS kernels, one OpenBLAS
+    thread and numpy's SSE4.2 dispatch, except the files named above.
+
+    Each setting picks the kernels of one child process on this CPU.
+    Unverified: a real CPU without AVX-512, ARM, and operating systems
+    other than Linux.
+    """
+    name, value = setting.split("=")
+    proc = golden_in_subprocess(tmp_path, **{name: value})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    digests = json.loads(proc.stdout)
+    exempt = KERNEL_SETTINGS[setting]
+    assert {k: v for k, v in digests.items() if k not in exempt} == {
+        k: v for k, v in GOLDEN.items() if k not in exempt}
+
+
+# SHA-256 of the in-memory library chain on a small multinomial synth table;
+# it moved with the raked digests above (raked values by at most 1.9e-15
+# relative, theta by at most 8.9e-16 absolute)
+LIBRARY_CHAIN = "955707e3bba60e4dae116ece7c40d864bf3f149fed463172c0ca5e66c117d1a4"
 
 
 def library_chain_digest(cell_totals):

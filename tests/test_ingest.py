@@ -587,6 +587,19 @@ class TestRoundTrips:
             with pytest.raises(ParseError, match="non-finite"):
                 parse_race_margin(path)
 
+    def test_race_margin_with_a_repeated_key(self, tmp_path):
+        # json keeps the last of repeated keys, so each would be dropped silently
+        path = tmp_path / "m.json"
+        for body, key in (
+            ('{"race_distribution": {"aian": 0.9, "aian": 0.1, "api": 0.9}}', "aian"),
+            ('{"race_distribution": {"api": 1.0}, "race_distribution": {"aian": 1.0}}',
+             "race_distribution"),
+            ('{"source": {"year": 1, "year": 2}, "race_distribution": {"api": 1.0}}', "year"),
+        ):
+            path.write_text(body)
+            with pytest.raises(ParseError, match=re.escape(f"{path}: repeated key {key!r}")):
+                parse_race_margin(path)
+
     def test_region_map(self, tmp_path):
         path = tmp_path / "r.csv"
         write_lines(path, ["geoid,region", "g1,north", "g2,south"])
@@ -618,6 +631,18 @@ class TestRoundTrips:
         with pytest.raises(ParseError, match=re.escape(f"{path}:4: non-numeric matrix entry")):
             parse_calibration_map(path)
 
+
+    @pytest.mark.parametrize("entry", ["1_0e-1", "\u0661.0", "\u00a01.0"],
+                             ids=["underscore", "arabic-indic-digit", "no-break-space"])
+    def test_calibration_map_entry_that_is_not_plain_decimal(self, tmp_path, entry):
+        # float() reads each as 1.0, so the map would parse as the identity
+        path = tmp_path / "cm.csv"
+        write_calibration_map(path, np.eye(6))
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        lines[2] = lines[2].replace("1.0", entry)
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:3: non-numeric matrix entry")):
+            parse_calibration_map(path)
 
 # the two cell formats share one reader; a row maker gives a valid data
 # row of each from a surname, a geoid and one number

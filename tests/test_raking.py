@@ -15,6 +15,8 @@ from raketab import (
     margin_gap,
     rake,
 )
+from raketab import raking
+from raketab.raking import _laplacian_solve
 
 from conftest import race6
 
@@ -364,3 +366,54 @@ class TestMarginGap:
     def test_empty_targets(self, f1_table):
         base = PredictionTable.from_label_cells(dict(f1_table.items()))
         assert margin_gap(base, MarginSet.from_cells(None, {})) == 0.0
+
+
+def lstsq_solve(c, rhs):
+    """The reference Newton solve: np.linalg.lstsq on the Laplacian of c,
+    as rake solved its step before the fixed-order solve."""
+    return np.linalg.lstsq(np.diag(c.sum(axis=1)) - c, rhs, rcond=1e-12)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_laplacian_solve_matches_lstsq(seed):
+    # symmetric nonnegative c of size 1-6 whose races fall in one to three
+    # groups, some races isolated, and a right-hand side that need not
+    # sum to 0 on any component
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    group = rng.integers(0, int(rng.integers(1, 4)), size=n)
+    group = np.where(rng.random(n) < 0.2, -1 - np.arange(n), group)  # an isolated race
+    c = rng.uniform(0.1, 10.0, size=(n, n)) * (rng.random((n, n)) < 0.7)
+    c = np.triu(c, 1)
+    c = (c + c.T) * (group[:, None] == group[None, :])
+    rhs = rng.normal(size=n) * rng.uniform(0.01, 100.0)
+    step = _laplacian_solve(c, rhs)
+    expected = lstsq_solve(c, rhs)
+    np.testing.assert_allclose(step, expected, rtol=0, atol=1e-12 * max(1.0, np.abs(expected).max()))
+
+
+def test_rake_with_races_that_never_share_a_cell(monkeypatch):
+    # aian and api hold the cells of surnames s0-s4, black and hispanic
+    # those of s5-s9: the race graph has two components, each with its
+    # own gauge, and the step matches the lstsq reference
+    rng = np.random.default_rng(5)
+    index = np.array([(i, j) for i in range(10) for j in range(4)])
+    values = np.zeros((len(index), 6))
+    first = index[:, 0] < 5
+    values[first, :2] = rng.uniform(0.1, 1.0, size=(first.sum(), 2))
+    values[~first, 2:4] = rng.uniform(0.1, 1.0, size=((~first).sum(), 2))
+    labels = AxisLabels([f"s{i}" for i in range(10)], [f"g{j}" for j in range(4)])
+    base = PredictionTable(labels, index, values)
+    truth = PredictionTable(labels, index, values * rng.uniform(0.2, 5.0, size=values.shape))
+    targets = MarginSet.from_table(truth)
+    result = rake(base, targets)
+    monkeypatch.setattr(raking, "_laplacian_solve", lstsq_solve)
+    reference = rake(base, targets)
+    assert result.iterations == reference.iterations > 0
+    np.testing.assert_allclose(result.theta_r, reference.theta_r, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.theta_sg, reference.theta_sg, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.table.cell_values, reference.table.cell_values, rtol=1e-12)
+    for group in ([0, 1], [2, 3]):
+        assert abs(result.theta_r[group].sum()) <= 1e-12
+    np.testing.assert_allclose(result.table.margin("r"), targets.race, rtol=1e-10)
