@@ -198,6 +198,7 @@ def cmd_rake(args):
 
     live = counts > 0
     base = PredictionTable(labels, index[live], counts[live, None] * conds[live])
+    del index, conds  # the parsed rows: base holds what rake reads
     # renormalize so the race targets sum exactly to the cell-target total
     distribution = distribution / distribution.sum()
     targets = MarginSet(distribution * sum(counts.tolist()), labels, base.cell_index, counts[live])
@@ -250,6 +251,7 @@ def cmd_evaluate(args):
     run = _Run("evaluate", args, args.out_dir)
     truth = _load_truth(args, run)
     labels, index, _, conds = run.read(args.preds, ingest.parse_predictions)
+    run.info["cells_in"] = {"truth": truth.n_cells, "preds": len(index)}
 
     matrix = None
     if args.calib_map:
@@ -261,11 +263,11 @@ def cmd_evaluate(args):
         missing = truth.labels.pairs(truth.cell_index[occupied][rows < 0])
         raise ValueError(f"predictions missing for {len(missing)} truth cells, e.g. {missing[:3]}")
     cond = conds[rows]
+    del labels, index, conds, rows  # the parsed predictions: cond holds what is used
     if matrix is not None:
         cond = np.matmul(matrix, cond[:, :, None])[:, :, 0]
-    pred = PredictionTable(
-        truth.labels, truth.cell_index[occupied], truth.cell_sums[occupied, None] * cond
-    )
+    cond *= truth.cell_sums[occupied, None]  # in place: each cell's counts
+    pred = PredictionTable(truth.labels, truth.cell_index[occupied], cond)
 
     region_map = None
     if args.region_map:
@@ -279,7 +281,6 @@ def cmd_evaluate(args):
     run.write("cellwise.csv", ingest.write_cellwise, cell)
     rows = run.write("calibration_curves.csv", ingest.write_calibration_curves, curves)
     run.write("summary.json", ingest.write_summary, sub, cell, curves)
-    run.info["cells_in"] = {"truth": truth.n_cells, "preds": len(index)}
     run.info["cells_out"] = pred.n_cells
     run.info["curve_points"] = {RACE_NAMES[c.race]: n for c, n in zip(curves, rows)}
     run.finish()

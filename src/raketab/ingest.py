@@ -33,18 +33,18 @@ Outputs only (besides manifest.json):
   full curve)
 * summary.json:  {"subpopulation", "cellwise", "kuiper", "kuiper_includes_other"}
 
-Cell files (tables, predictions, raked predictions) are read by one
-np.loadtxt pass with csv quoting: a blank line, a row with too few or too
-many fields, and a number that is not plain decimal text (float() reads
-"1_000" and non-ASCII digits; this reader does not) are input errors naming
-the file and line. Factor files are read by a csv loop that only splits
-rows and converts numbers with float(), then checked as arrays: malformed
-rows go to a reject report, except where a defect (a repeated label, an
-excessive reject rate) would corrupt results. Other parsers go row by row.
-A row that csv cannot split (a field over its size limit) is an input error
-naming the file and line, and so is a cell-file label over that limit or
-a surname that uppercasing takes over it, so that every label written to
-a factor file can be read back.
+Cell files (tables, predictions, raked predictions) are read in blocks of
+_CSV_BLOCK lines, one np.loadtxt call each, with csv quoting: a blank line,
+a row with too few or too many fields, and a number that is not plain
+decimal text (float() reads "1_000" and non-ASCII digits; these readers do
+not) are input errors naming the file and line. Factor files are read by a
+csv loop that only splits rows and converts numbers, then checked as
+arrays: malformed rows go to a reject report, except where a defect (a
+repeated label, an excessive reject rate) would corrupt results. Other
+parsers go row by row. A row that csv cannot split (a field over its size
+limit) is an input error naming the file and line, and so is a cell-file
+label over that limit or a surname that uppercasing takes over it, so that
+every label written to a factor file can be read back.
 """
 
 from __future__ import annotations
@@ -56,13 +56,13 @@ import warnings
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import count, islice
 from types import SimpleNamespace
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .table import N_RACES, RACE_NAMES, ContingencyTable, MarginSet, RaceCategory
+from .table import N_RACES, RACE_NAMES, AxisLabels, ContingencyTable, MarginSet, RaceCategory
 from .table import compact_labels, index_cells, row_sums
 
 SURNAME_FACTORS_HEADER = [
@@ -81,8 +81,10 @@ SUBPOP_HEADER = ["geolocation", "race", "truth", "estimate", "error", "relative_
 CELLWISE_HEADER = ["level", "name", "l1", "l2", "nll"]
 CURVES_HEADER = ["race", "cumulative_weight", "cumulative_miscalibration"]
 
-# rows per block of the CSV writer
-_CSV_BLOCK = 4096
+# rows per block of the cell-file reader and of the CSV writer
+_CSV_BLOCK = 1024
+# a quoted field open at a text's end; np.loadtxt and csv open one only at a field's start
+_OPEN_QUOTE = re.compile(r'(?<![^,\r\n])"(?:[^"]|"")*\Z')
 
 # a row whose probabilities sum inside this window is renormalized;
 # anything further off is rejected
@@ -231,74 +233,102 @@ def _raise_bad_row(path, header, bad=None):
                 raise ParseError(f"{path}:{i + 2}: non-numeric value")
 
 
-def _line_ends_meet(path):
-    """Whether two line ends meet other than as one CRLF: a blank line, which
-    np.loadtxt skips, or a line break in a quoted field (the scan decides)."""
-    text = np.fromfile(path, dtype=np.uint8)
-    ends = np.flatnonzero((text == 10) | (text == 13))
-    first = ends[:-1][np.diff(ends) == 1]
-    return bool(np.any((text[first] != 13) | (text[first + 1] != 10)))
+def _block(fh):
+    """The next _CSV_BLOCK lines of a CSV file, and those that a quoted field
+    open at the last runs on to: whole records, none at the end of the file."""
+    lines = list(islice(fh, _CSV_BLOCK))
+    text = "".join(lines)
+    quoted = _OPEN_QUOTE.search(text) if '"' in text else None
+    while quoted and (line := next(fh, "")):
+        lines.append(line)
+        text += line
+        quoted = _OPEN_QUOTE.search(text, quoted.start())
+    return lines
 
 
 def _read_cells(path, header):
     """Read a cell file (surname, geoid, numbers...) onto a sorted cell index.
 
-    Surnames are uppercased and stripped, geoids stripped. Besides the row
-    errors of the module docstring, a label longer than csv's field-size
-    limit, a non-finite or negative number or a repeated cell is a
-    ParseError naming the file and line. Returns
-    (labels, index, values, lines): the numbers of each cell in index
-    order, and each cell's line.
+    Each block of rows (`_block`) is parsed by one np.loadtxt call and
+    reduced to label codes and float rows before the next is read. Surnames
+    are uppercased and stripped, geoids stripped. Besides the row errors of
+    the module docstring, a label longer than csv's field-size limit, a
+    non-finite or negative number or a repeated cell is a ParseError naming
+    the file and line. Returns (labels, index, values, rows): the numbers
+    of each cell in index order, and the cell of each data row.
     """
     dtype = [("s", object), ("g", object), ("v", np.float64, (len(header) - 2,))]
+    # each row's numbers and the codes of its raw surname and geoid, grown in place;
+    # blank: a row spans lines or a line is blank (np.loadtxt skips it), as the scan tells
+    raw, values, cells = ({}, {}), np.empty((0, len(header) - 2)), np.empty((0, 2), np.int64)
+    n, blank = 0, False
     with _open_reader(path, header) as (fh, _), warnings.catch_warnings():
-        # the rows after the header, split into lines as csv splits them;
-        # a file with no rows is named below, not warned about
+        # a block of blank lines is named below, not warned about
         warnings.simplefilter("ignore")
-        try:
-            cells = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
-        except ValueError as exc:
-            # numpy names the 0-based data row of a value it cannot convert
-            bad = re.search(r"at row (\d+), column", str(exc))
-            _raise_bad_row(path, header, bad and int(bad[1]))
-            raise ParseError(f"{path}: {exc}") from None
-    if _line_ends_meet(path):
+        while lines := _block(fh):
+            try:
+                block = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+            except ValueError as exc:
+                # numpy names the 0-based row in the block of a value it cannot convert
+                bad = re.search(r"at row (\d+), column", str(exc))
+                _raise_bad_row(path, header, bad and n + int(bad[1]))
+                raise ParseError(f"{path}: {exc}") from None
+            blank |= len(block) < len(lines)
+            end = n + len(block)
+            if end > len(values):  # a quarter more, by realloc: rows read are not copied
+                for grown in (values, cells):
+                    grown.resize((end + end // 4, grown.shape[1]), refcheck=False)
+            for j, (codes, column) in enumerate(zip(raw, (block["s"], block["g"]))):
+                codes.update(zip(set(column).difference(codes), count(len(codes))))
+                cells[n:end, j] = np.fromiter(map(codes.__getitem__, column), np.int64, len(column))
+            values[n:end] = block["v"]
+            n = end
+    if blank:
         _raise_bad_row(path, header)
-    if not len(cells):
+    if not n:
         raise ParseError(f"{path}: no data rows")
-    raw_s, raw_g = cells["s"], cells["g"]
-    # each distinct raw label is cleaned once
-    clean_s = {s: s.strip().upper() for s in set(raw_s)}
-    clean_g = {g: g.strip() for g in set(raw_g)}
-    values, n = cells["v"], len(cells)
-    # np.loadtxt has no field-size limit; the csv readers of the factor
-    # files written from these labels do, so a longer label, as read or
-    # as cleaned (uppercasing can lengthen it), stops here
+    for grown in (values, cells):
+        grown.resize((n, grown.shape[1]), refcheck=False)
+    # each distinct raw label cleaned once. np.loadtxt has no field-size limit;
+    # the csv readers of the factor files written from these labels do, so a
+    # longer label, as read or as cleaned (uppercasing can lengthen it), stops here
+    clean = [[s.strip().upper() for s in raw[0]], [g.strip() for g in raw[1]]]
     limit = csv.field_size_limit()
-    if max(map(len, chain(clean_s, clean_s.values(), clean_g))) > limit:
-        line = next(
-            i + 2 for i, (s, g) in enumerate(zip(raw_s, raw_g))
-            if max(len(s), len(clean_s[s]), len(g)) > limit
-        )
-        raise ParseError(f"{path}:{line}: field larger than field limit ({limit})")
-    surnames, geoids = list(map(clean_s.get, raw_s)), list(map(clean_g.get, raw_g))
+    long = [np.fromiter(map(len, labels), np.int64) > limit for labels in (*raw, *clean)]
     for bad, what in (
+        (long[0][cells[:, 0]] | long[2][cells[:, 0]] | long[1][cells[:, 1]],
+         f"field larger than field limit ({limit})"),
         (~np.isfinite(values).all(axis=1), "non-finite value"),
         ((values < 0).any(axis=1), "negative value"),
     ):
         if np.any(bad):
             raise ParseError(f"{path}:{np.argmax(bad) + 2}: {what}")
-    labels, index, cell_of_row = index_cells(surnames, geoids)
-    if len(index) < n:
-        first = np.zeros(n, dtype=bool)
-        first[np.unique(cell_of_row, return_index=True)[1]] = True
-        dup = int(np.argmin(first))
-        raise ParseError(f"{path}:{dup + 2}: duplicate cell {(surnames[dup], geoids[dup])}")
-    out = np.empty(values.shape)
-    out[cell_of_row] = values
-    lines = np.empty(n, dtype=np.int64)
-    lines[cell_of_row] = np.arange(2, n + 2)
-    return labels, index, out, lines
+    # labels sorted once, codes moved to their positions; as in index_cells the index is
+    # checked sorted (then the rows, in order, are it) or built by np.unique
+    labels = AxisLabels(sorted(set(clean[0])), sorted(set(clean[1])))
+    for j, axis in enumerate("sg"):
+        cells[:, j] = labels.positions(axis, clean[j])[cells[:, j]]
+    codes = cells[:, 0] * labels.n_g + cells[:, 1]
+    if np.all(codes[1:] > codes[:-1]):
+        index, rows = cells, np.arange(n)
+    else:
+        unique, rows = np.unique(codes, return_inverse=True)
+        index = np.column_stack(divmod(unique, labels.n_g))
+    if len(index) < n:  # the first row not the first of its cell
+        dup = int(np.setdiff1d(np.arange(n), np.unique(rows, return_index=True)[1])[0])
+        s, g = cells[dup].tolist()
+        raise ParseError(f"{path}:{dup + 2}: duplicate cell {(labels.surnames[s], labels.geolocations[g])}")
+    if not np.all(rows[1:] > rows[:-1]):  # rows out of index order
+        values = values[np.argsort(rows)]
+    return labels, index, values, rows
+
+
+def _plain_floats(fields):
+    """The floats of CSV fields, each plain decimal text (float() also reads "1_0", "١")."""
+    text = "".join(fields)
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return list(map(float, fields))
 
 
 def _parse_factors(path, header, kind, clean_label, sum_ok, sum_reason):
@@ -323,7 +353,7 @@ def _parse_factors(path, header, kind, clean_label, sum_ok, sum_reason):
                 rejects.append((line, f"empty {header[0]}"))
                 continue
             try:
-                numbers.append(list(map(float, row[1:])))
+                numbers.append(_plain_floats(row[1:]))
             except ValueError:
                 numbers.append([np.nan] * (len(header) - 1))
                 non_numeric.append(len(lines))
@@ -538,13 +568,13 @@ def parse_predictions(path):
     Each row's conditionals must sum to 1 (within 1e-6), or be all zero
     when its count is zero.
     """
-    labels, index, values, lines = _read_cells(path, PREDICTIONS_HEADER)
+    labels, index, values, rows = _read_cells(path, PREDICTIONS_HEADER)
     counts, conds = values[:, 0], values[:, 1:]
     sums = row_sums(conds)
     bad = ~((np.abs(sums - 1.0) <= 1e-6) | ((counts == 0) & (sums == 0)))
     if np.any(bad):
-        line, row = min(zip(lines[bad], np.nonzero(bad)[0]))
-        raise ParseError(f"{path}:{line}: conditionals sum to {float(sums[row])!r}, expected 1")
+        i = int(np.argmax(bad[rows]))  # the first bad data row
+        raise ParseError(f"{path}:{i + 2}: conditionals sum to {float(sums[rows[i]])!r}, expected 1")
     return labels, index, counts, conds
 
 
@@ -613,11 +643,8 @@ def parse_calibration_map(path) -> np.ndarray:
                 raise ParseError(f"{path}:{line}: more than {N_RACES} matrix rows")
             if len(row) != len(CALIB_MAP_HEADER) or row[0] != RACE_NAMES[len(rows)]:
                 raise ParseError(f"{path}:{line}: malformed matrix row")
-            # only plain decimal text is a number, as in cell files
-            if any("_" in x or not x.isascii() for x in row[1:]):
-                raise ParseError(f"{path}:{line}: non-numeric matrix entry")
             try:
-                rows.append([float(x) for x in row[1:]])
+                rows.append(_plain_floats(row[1:]))
             except ValueError:
                 raise ParseError(f"{path}:{line}: non-numeric matrix entry") from None
     if len(rows) != N_RACES:
@@ -635,39 +662,59 @@ def parse_calibration_map(path) -> np.ndarray:
 # writers -----------------------------------------------------------------
 
 
-def _fields(column):
+def _fields(column, texts):
     """Each entry of `column` as csv writes it inside a row of two or more
-    fields: csv quotes each distinct entry once."""
+    fields; `texts` keeps each distinct entry's, so csv quotes each once."""
     # writerow returns what its file's write returns: here, the row's text
     row_text = csv.writer(SimpleNamespace(write=str)).writerow
-    text = {x: row_text([x, ""])[:-3] for x in set(column)}
-    return [text[x] for x in column]
+    for x in set(column).difference(texts):
+        texts[x] = row_text([x, ""])[:-3]
+    return list(map(texts.__getitem__, column))
 
 
-def _write_csv(path, header, labels, values=None):
-    """The one CSV writer: `header`, then one row per entry.
+def _write_csv(path, header, parts):
+    """The one CSV writer: `header`, then the rows of each part in turn;
+    returns each part's row count.
 
-    A row is the entry of each column in `labels`, then the row of the
-    2-D float array `values`, and has two or more fields. The bytes are
-    those of csv.writer: labels quoted by csv itself, floats as their
-    repr, rows ending in CRLF. A value with no finite result is an empty
-    field. Rows are built column by column in blocks, so memory stays
+    A part is (n, rows): `rows(slice(lo, hi))` gives the label columns of
+    its rows lo:hi and None or a 2-D float array of their values. A row is
+    its labels, then its values, and has two or more fields. The bytes are
+    those of csv.writer: labels quoted by csv itself, floats as their repr,
+    rows ending in CRLF. A value with no finite result is an empty field.
+    Rows are asked for and built in blocks of _CSV_BLOCK, so memory stays
     bounded by the block, not the file.
     """
-    n = len(labels[0])
-    columns = [_fields(column) for column in labels]
+    sizes = []
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_fields(header)) + "\r\n")
-        for lo in range(0, n, _CSV_BLOCK):
-            hi = min(lo + _CSV_BLOCK, n)
-            block = [column[lo:hi] for column in columns]
-            if values is not None:
-                for column in values[lo:hi].T:
-                    text = list(map(repr, column.tolist()))
-                    for i in np.flatnonzero(~np.isfinite(column)).tolist():
-                        text[i] = ""
-                    block.append(text)
-            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+        fh.write(",".join(_fields(header, {})) + "\r\n")
+        for n, rows in parts:
+            sizes.append(n)
+            texts = [{} for _ in header]
+            for lo in range(0, n, _CSV_BLOCK):
+                labels, values = rows(slice(lo, min(lo + _CSV_BLOCK, n)))
+                block = [_fields(column, known) for column, known in zip(labels, texts)]
+                if values is not None:
+                    for column in values.T:
+                        text = list(map(repr, column.tolist()))
+                        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+                            text[i] = ""
+                        block.append(text)
+                fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+    return sizes
+
+
+def _columns(labels, values=None):
+    """A part of `_write_csv` of whole label columns and None or an array."""
+    return len(labels[0]), lambda rows: ([c[rows] for c in labels], None if values is None else values[rows])
+
+
+def _cells(table, values):
+    """A part of `_write_csv`: a table's cells' labels, then `values(rows)`."""
+    axes = [np.array(axis, dtype=object) for axis in (table.labels.surnames, table.labels.geolocations)]
+    index = table.cell_index
+    return table.n_cells, lambda rows: (
+        [axis[index[rows, j]] for j, axis in enumerate(axes)], values(rows)
+    )
 
 
 def _write_json(path, payload):
@@ -675,15 +722,6 @@ def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def _cell_labels(table):
-    """The surname and geoid columns of a table's cells."""
-    labels, index = table.labels, table.cell_index
-    return [
-        np.array(labels.surnames, dtype=object)[index[:, 0]],
-        np.array(labels.geolocations, dtype=object)[index[:, 1]],
-    ]
 
 
 def _factor_rows(probs, counts):
@@ -694,33 +732,38 @@ def _factor_rows(probs, counts):
 
 def write_surname_factors(path, probs, counts):
     keys, c, p = _factor_rows(probs, counts)
-    _write_csv(path, SURNAME_FACTORS_HEADER, [keys], np.column_stack([c, p]))
+    _write_csv(path, SURNAME_FACTORS_HEADER, [_columns([keys], np.column_stack([c, p]))])
 
 
 def write_geo_factors(path, probs, counts):
     # rows carry race counts: P(r|g) scaled back by the population column
     keys, c, p = _factor_rows(probs, counts)
-    _write_csv(path, GEO_FACTORS_HEADER, [keys], np.column_stack([c, p * c[:, None]]))
+    _write_csv(path, GEO_FACTORS_HEADER, [_columns([keys], np.column_stack([c, p * c[:, None]]))])
 
 
 def write_voter_file(path, records):
-    _write_csv(path, VOTER_FILE_HEADER, [
+    _write_csv(path, VOTER_FILE_HEADER, [_columns([
         [rec.voter_id for rec in records],
         [rec.surname for rec in records],
         [rec.geolocation for rec in records],
         ["" if rec.race is None else RACE_NAMES[rec.race] for rec in records],
         ["true" if rec.active else "false" for rec in records],
-    ])
+    ])])
 
 
 def write_table(path, table: ContingencyTable):
-    _write_csv(path, TABLE_HEADER, _cell_labels(table), table.cell_values)
+    _write_csv(path, TABLE_HEADER, [_cells(table, table.cell_values.__getitem__)])
 
 
 def write_predictions(path, table: ContingencyTable):
     """Each cell's total and race conditionals (all zero for an empty cell)."""
-    values = np.column_stack([table.cell_sums, table.conditionals()[1]])
-    _write_csv(path, PREDICTIONS_HEADER, _cell_labels(table), values)
+    values, sums = table.cell_values, table.cell_sums[:, None]
+
+    def rows(block):
+        v, s = values[block], sums[block]
+        return np.column_stack([s, np.divide(v, s, out=np.zeros_like(v), where=s > 0)])
+
+    _write_csv(path, PREDICTIONS_HEADER, [_cells(table, rows)])
 
 
 def write_theta(path, result):
@@ -736,7 +779,7 @@ def write_theta(path, result):
 
 def write_theta_sg(path, result):
     """theta_sg.csv of a RakingResult: one log cell factor per raked cell."""
-    _write_csv(path, THETA_SG_HEADER, _cell_labels(result.table), result.theta_sg[:, None])
+    _write_csv(path, THETA_SG_HEADER, [_cells(result.table, result.theta_sg[:, None].__getitem__)])
 
 
 def write_race_margin(path, distribution):
@@ -745,23 +788,22 @@ def write_race_margin(path, distribution):
 
 
 def write_calibration_map(path, matrix):
-    _write_csv(path, CALIB_MAP_HEADER, [RACE_NAMES], np.asarray(matrix, dtype=np.float64))
+    _write_csv(path, CALIB_MAP_HEADER, [_columns([RACE_NAMES], np.asarray(matrix, dtype=np.float64))])
 
 
 def write_rejects(path, report: RejectReport):
     rows = report.rows
-    _write_csv(path, REJECTS_HEADER, [[line for line, _ in rows], [reason for _, reason in rows]])
+    _write_csv(path, REJECTS_HEADER, [_columns([[line for line, _ in rows], [reason for _, reason in rows]])])
 
 
 def write_subpop(path, report):
     """A SubpopReport: one row per (geolocation, race)."""
     n_g = len(report.geolocations)
     fields = (report.truth_counts, report.estimate_counts, report.abs_error, report.rel_error)
-    _write_csv(
-        path, SUBPOP_HEADER,
+    _write_csv(path, SUBPOP_HEADER, [_columns(
         [np.repeat(np.array(report.geolocations, dtype=object), N_RACES), RACE_NAMES * n_g],
         np.column_stack([f.ravel() for f in fields]),
-    )
+    )])
 
 
 def write_cellwise(path, report):
@@ -775,19 +817,15 @@ def write_cellwise(path, report):
         levels.append("overall")
         names.append("")
         values.append(np.array([report.overall]))
-    _write_csv(path, CELLWISE_HEADER, [levels, names], np.vstack(values))
+    _write_csv(path, CELLWISE_HEADER, [_columns([levels, names], np.vstack(values))])
 
 
 def write_calibration_curves(path, curves):
     """The outline of each CalibrationCurve (see `CalibrationCurve.outline`),
-    origin first, one race after another. Returns the rows of each curve."""
-    outlines = [c.outline() for c in curves]
-    _write_csv(
-        path, CURVES_HEADER,
-        [[RACE_NAMES[c.race] for c, o in zip(curves, outlines) for _ in range(len(o))]],
-        np.vstack(outlines),
-    )
-    return [len(o) for o in outlines]
+    origin first, one race after another, one outline held at a time.
+    Returns the rows of each curve."""
+    outlines = ((RACE_NAMES[c.race], c.outline()) for c in curves)
+    return _write_csv(path, CURVES_HEADER, (_columns([[race] * len(o)], o) for race, o in outlines))
 
 
 def write_summary(path, subpop, cellwise, curves):

@@ -129,6 +129,7 @@ def rake(
     x[rows[found]] = targets.totals[found]
     values[:, x == 0] = 0.0
     t = targets.race.copy()
+    zeroed = np.array([t[r] == 0 and values[r].any() for r in range(N_RACES)])  # theta -inf
     values[t == 0] = 0.0
 
     # each cell's support: bit r is set where the base has mass in race r
@@ -175,7 +176,7 @@ def rake(
     proper = np.nonzero(((subsets & ~live) == 0) & (subsets > 0) & (subsets < live))[0]
     tightest = int(proper[np.argmax(shortfall[proper])]) if len(proper) else 0
 
-    live_r, live_c = t > 0, x > 0
+    live_c = x > 0
     scale = np.maximum(t, 1.0)
 
     # no BLAS: every sum over cells is a numpy sum of a contiguous product, in fixed order
@@ -247,8 +248,7 @@ def rake(
             *compact_labels(base.labels, base.cell_index if kept else base.cell_index[live_c]),
             raked if kept else raked[live_c],
         ),
-        # races zeroed away (positive base mass, zero target) get theta = -inf
-        theta_r=np.where(live_r | ~has_mass, theta, -np.inf),
+        theta_r=np.where(zeroed, -np.inf, theta),
         theta_sg=np.log(ratio[live_c]),
         iterations=steps,
         final_margin_gap=gap,

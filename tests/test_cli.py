@@ -141,6 +141,20 @@ class TestPipeline:
                 [float(x) for x in r1[2:]], [float(x) for x in r2[2:]], rtol=1e-9
             )
 
+    def test_race_zeroed_by_a_zero_target_is_null_in_theta(self, tmp_path):
+        preds = tmp_path / "predictions.csv"
+        preds.write_text(
+            "surname,geoid,count,p_aian,p_api,p_black,p_hispanic,p_white,p_other\n"
+            "A,x,2,0.5,0.5,0,0,0,0\nB,x,2,0.25,0.75,0,0,0,0\n"
+        )
+        margin = tmp_path / "margin.json"
+        margin.write_text(json.dumps({"race_distribution": {"aian": 1.0}}))
+        raked = tmp_path / "raked"
+        assert run_cli("rake", "--base", preds, "--race-margin", margin, "--out-dir", raked) == 0
+        theta_r = read_json(raked / "theta.json")["theta_r"]
+        assert theta_r["api"] is None
+        assert all(v is not None for race, v in theta_r.items() if race != "api")
+
     def test_geo_only_method(self, tmp_path):
         fix = synth_fixture(tmp_path, seed=3)
         pred = predict_dir(tmp_path, fix, name="pred_geo", extra=("--method", "geo-only"))
@@ -219,6 +233,26 @@ class TestFitFactorsCli:
         assert manifest["info"]["surname_factor_rejects"] == 1
         assert manifest["info"]["surname_factor_rejects_by_reason"] == {"probabilities sum to …": 1}
         assert manifest["info"]["factor_labels"] == {"surname": 12, "geo": 5}
+
+    @pytest.mark.parametrize("row", ["BADROW,1_0,0.5,0.5,0,0,0,0", "BADROW,\u0661,0.5,0.5,0,0,0,0"])
+    def test_factor_number_that_is_not_plain_decimal_rejected(self, tmp_path, row):
+        fix = synth_fixture(tmp_path, seed=8)
+        bad = tmp_path / "sf.csv"
+        lines = (fix / "surname_factors.csv").read_text(encoding="utf-8").splitlines()
+        bad.write_text("\n".join(lines + [row]) + "\n", encoding="utf-8")
+        out = tmp_path / "pred"
+        assert run_cli(
+            "predict", "--surname-factors", bad,
+            "--geo-factors", fix / "geo_factors.csv",
+            "--prior", fix / "prior.json",
+            "--table", fix / "table.csv", "--out-dir", out,
+        ) == 0
+        assert read_csv(out / "surname_factor_rejects.csv")[1:] == [["14", "non-numeric field"]]
+        info = read_json(out / "manifest.json")["info"]
+        assert info["surname_factor_rejects_by_reason"] == {"non-numeric field": 1}
+        assert (out / "predictions.csv").read_bytes() == (
+            predict_dir(tmp_path, fix) / "predictions.csv"
+        ).read_bytes()
 
     def test_predict_counts_cells_and_factor_labels(self, tmp_path):
         # without the last geolocation's factor row its 12 cells are skipped

@@ -3,6 +3,7 @@ import io
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from raketab import ContingencyTable, RaceCategory, ingest
+from raketab import ContingencyTable, RaceCategory, SynthConfig, generate, ingest
 from raketab.table import N_RACES
 from raketab.ingest import (
     CANONICAL_MAPPING,
@@ -100,6 +101,22 @@ class TestSurnameFactors:
         reasons = {line: reason for line, reason in rejects.rows}
         assert 3 in reasons and "sum" in reasons[3]
         assert 5 in reasons and "non-numeric" in reasons[5]
+
+    @pytest.mark.parametrize("row", [
+        "SMITH,1_0,0.5,0.5,0,0,0,0", "SMITH,\u0661,0.5,0.5,0,0,0,0", "SMITH,10,0.5,0.5,0,0,0,0\u00a0",
+    ])
+    def test_number_that_is_not_plain_decimal_rejected(self, tmp_path, row):
+        # float() reads "1_0" as 10 and the Arabic-Indic digit one as 1
+        f = tmp_path / "s.csv"
+        good = [f"G{i},1,0,1,0,0,0,0" for i in range(9)]
+        write_lines(f, [self.HEADER, row, *good])
+        labels, _, rejects = parse_surname_factors(f)
+        assert "SMITH" not in labels and len(labels) == 9
+        assert rejects.rows == [(2, "non-numeric field")]
+        # the reject counts toward the 10% limit
+        write_lines(f, [self.HEADER, row, *good[:8]])
+        with pytest.raises(ParseError, match=r"1 of 9 rows rejected \(limit 10%\)"):
+            parse_surname_factors(f)
 
     def test_excessive_rejects_hard_error(self, tmp_path):
         f = tmp_path / "s.csv"
@@ -203,6 +220,10 @@ def reference_parse_factors(path, header, kind, clean_label, bad_sum):
             if label in probs:
                 raise ParseError(f"{path}:{line}: duplicate {kind} {label!r}")
             try:
+                # only plain decimal text is a number: float() also reads
+                # "1_0" and non-ASCII digits
+                if any("_" in x or not x.isascii() for x in row[1:]):
+                    raise ValueError(row)
                 count = float(row[1])
                 vec = np.array([float(x) for x in row[2:]], dtype=np.float64)
             except ValueError:
@@ -258,6 +279,7 @@ FACTOR_LABELS = st.sampled_from(["A", "a", " A ", "b ", "", "  ", 'x,"y']) | st.
     0, 10**6).map("L{}".format)
 FACTOR_FIELDS = st.sampled_from([
     "0", "1", "-1", "-0.0", "0.5", "1e308", "5e-324", "nan", "inf", "-inf", "(S)", "", " 2 ", "x",
+    "1_0", "\u0661", "1\u00a0",
 ]) | st.floats(min_value=0, max_value=1e6).map(repr)
 
 
@@ -765,6 +787,16 @@ class TestCellFiles:
         assert pairs == sorted(expected)
         assert values[:, 0].tolist() == [expected[p] for p in pairs]
 
+    def test_repeated_cell_names_its_first_repeat(self, tmp_path, fmt):
+        # rows out of order, and cells that are equal only once cleaned
+        parse, header, make = fmt
+        rows = [make("b", "g1", "1"), make("lee", "g1", "1"), make("a", "g2", "1"),
+                make(" LEE ", "g1", "2"), make("b", " g1", "3")]
+        path = tmp_path / "cells.csv"
+        self.write(path, header, [",".join(r) for r in rows])
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:5: duplicate cell \('LEE', 'g1'\)$"):
+            parse(path)
+
     def test_underscore_and_non_ascii_digits_rejected(self, tmp_path, fmt):
         # float() reads "1_000" and Arabic-Indic digits; the cell reader
         # takes plain decimal text only
@@ -796,6 +828,134 @@ class TestCellFiles:
         got = parse_table(path).cell_values[:, 0]
         expected = [float(next(csv.reader([t]))[0]) for t in texts]
         assert np.array_equal(got.view(np.int64), np.array(expected).view(np.int64))
+
+
+def _field(text, raw):
+    """A label as a CSV field: quoted as csv.writer quotes it, or with `raw`
+    a quote inside it left bare when nothing else needs quoting (np.loadtxt
+    and csv open a quoted field only at a field's start)."""
+    if (raw and not set(text) & set(",\r\n")) or not set(text) & set(',"\r\n'):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+CELL_DEFECTS = (
+    None, "blank", "short", "long", "non-numeric", "non-finite", "negative", "repeat",
+    "long label", "long cleaned label",
+)
+
+
+@st.composite
+def cell_files(draw):
+    """(reader, file text) of a cell file whose labels hold commas, quotes
+    and line breaks, with CRLF, LF or CR line ends, rows in any order and
+    at most one defect, on any row."""
+    kind = draw(st.sampled_from(sorted(CELL_FORMATS)))
+    parse, header, make = CELL_FORMATS[kind]
+    n = draw(st.integers(1, 12))
+    label = st.text(alphabet=' ab,"\r\n', max_size=4)
+    raw = draw(st.booleans())
+    # a leading row number keeps the cells distinct after cleaning
+    rows = [
+        make(_field(f"{i}{draw(label)}", raw), _field(f"g{draw(label)}", raw),
+             draw(st.sampled_from(["3", "0.5", '"2"', " 1e3 ", "+.5", "0"])))
+        for i in draw(st.permutations(range(n)))
+    ]
+    defect, at = draw(st.sampled_from(CELL_DEFECTS)), draw(st.integers(0, n - 1))
+    if defect == "blank":
+        rows.insert(draw(st.integers(0, n)), [])
+    elif defect == "short":
+        rows[at].pop()
+    elif defect == "long":
+        rows[at].append("0")
+    elif defect == "repeat":
+        rows[at][:2] = rows[draw(st.integers(0, n - 1))][:2]
+    elif defect in ("long label", "long cleaned label"):
+        # over a field-size limit of 12, as read or once uppercased
+        rows[at][0] = "L" * 13 if defect == "long label" else "\u00df" * 7
+    elif defect is not None:
+        rows[at][2] = draw(st.sampled_from({
+            "non-numeric": ["x", "1_0", "\u0661", ""],
+            "non-finite": ["nan", "inf", "1e309"],
+            "negative": ["-1", "-0.5"],
+        }[defect]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return parse, end.join([header] + [",".join(row) for row in rows]) + end
+
+
+def _cells_read(parse, path):
+    """A cell reader's arrays, as bytes with their shapes, or its ParseError text."""
+    try:
+        got = parse(path)
+    except ParseError as exc:
+        return str(exc)
+    if isinstance(got, ContingencyTable):
+        got = (got.labels, got.cell_index, got.cell_values)
+    return [(x.shape, x.dtype, x.tobytes()) if isinstance(x, np.ndarray) else x for x in got]
+
+
+DEFAULT_BLOCK = ingest._CSV_BLOCK
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_files())
+def test_block_reads_equal_a_one_block_read(case):
+    """Blocks of 1, 2, 3 or 7 lines, across which quoted fields run and at
+    whose edges defects sit, read a file as one block does: the same
+    arrays, or the same ParseError."""
+    parse, text = case
+    limit = csv.field_size_limit(12)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "cells.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            reads = []
+            for block in (1, 2, 3, 7, DEFAULT_BLOCK):
+                mp.setattr(ingest, "_CSV_BLOCK", block)
+                reads.append(_cells_read(parse, path))
+    finally:
+        csv.field_size_limit(limit)
+    for read in reads[:-1]:
+        assert read == reads[-1]
+
+
+def _traced_peak(call):
+    """call()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _array_bytes(result):
+    """The bytes of the arrays a reader's result holds, a table's own included."""
+    parts = vars(result).values() if isinstance(result, ContingencyTable) else result
+    return sum(x.nbytes for x in parts if isinstance(x, np.ndarray))
+
+
+def test_cell_files_are_read_and_written_a_block_at_a_time(tmp_path):
+    """At 25,600 cells, reading a table or a predictions file peaks at the
+    arrays returned plus one block, and writing predictions at one block:
+    memory does not follow the file's size. A block is _CSV_BLOCK rows of
+    the file's text, at up to 8 bytes of Python objects per byte of text
+    (its lines and their join, numpy's 4-byte characters, the label
+    strings)."""
+    table = generate(SynthConfig(160, 160, np.full(6, 1 / 6), 0.5, 1e6, seed=5))
+    assert table.n_cells == 25_600
+    paths = {parse_table: tmp_path / "table.csv", parse_predictions: tmp_path / "preds.csv"}
+    write_table(paths[parse_table], table)
+    ingest.write_predictions(paths[parse_predictions], table)
+
+    def block(path):
+        return 8 * ingest._CSV_BLOCK * path.stat().st_size / table.n_cells
+
+    for read, path in paths.items():
+        got, peak = _traced_peak(lambda: read(path))
+        assert peak <= _array_bytes(got) + block(path), read.__name__
+    table.cell_sums  # the table's cached cell totals are not the writer's
+    _, peak = _traced_peak(lambda: ingest.write_predictions(tmp_path / "out.csv", table))
+    assert peak <= block(paths[parse_predictions])
 
 
 LABEL_TEXT = st.text(st.sampled_from('ab ,"\n\r;#éÜ中\t'), max_size=6) | st.sampled_from(
@@ -835,7 +995,7 @@ def test_csv_writer_matches_csv_module(n_labels, n_values, n_rows, block, data):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "_CSV_BLOCK", block)
         path = Path(tmp) / "out.csv"
-        ingest._write_csv(path, header, labels, values)
+        ingest._write_csv(path, header, [ingest._columns(labels, values)])
         got = path.read_bytes().decode("utf-8")
     assert got.split("\r\n") == expected.getvalue().split("\r\n")
 

@@ -166,6 +166,19 @@ class TestRake:
         np.testing.assert_array_equal(result.table.cell("b", "x"), np.zeros(6))
         assert result.table.cell("a", "x").sum() == pytest.approx(4.0, rel=1e-9)
 
+    def test_race_zeroed_by_a_zero_target_gets_minus_inf(self):
+        # api has base mass in both cells; its zero target zeroes it
+        base = PredictionTable.from_label_cells(
+            {("a", "x"): race6(2, 1), ("b", "x"): race6(1, 3)}
+        )
+        targets = MarginSet.from_cells(race6(4, 0), {("a", "x"): 2.0, ("b", "x"): 2.0})
+        result = rake(base, targets)
+        assert result.theta_r[1] == -np.inf
+        # races without base mass are not zeroed by their zero targets
+        assert np.isfinite(np.delete(result.theta_r, 1)).all()
+        np.testing.assert_array_equal(result.table.cell_values[:, 1], [0.0, 0.0])
+        np.testing.assert_allclose(result.table.margin("r"), race6(4, 0), rtol=1e-12)
+
     def test_infeasible_cell_target(self):
         base = PredictionTable.from_label_cells({("a", "x"): race6(2, 1)})
         with pytest.raises(InfeasibleMarginError, match="cell target"):
