@@ -83,8 +83,12 @@ CURVES_HEADER = ["race", "cumulative_weight", "cumulative_miscalibration"]
 
 # rows per block of the cell-file reader and of the CSV writer
 _CSV_BLOCK = 1024
-# a quoted field open at a text's end; np.loadtxt and csv open one only at a field's start
-_OPEN_QUOTE = re.compile(r'(?<![^,\r\n])"(?:[^"]|"")*\Z')
+# _ENDS_QUOTED[q]: whether a line ends inside a quoted field, q whether it starts inside one.
+# As in csv and np.loadtxt, a quote opens a field only at its start, "" inside is a quote, and
+# the field runs on from its closing quote to a comma. Possessive: linear, no backtracking
+_QUOTED = r'(?:[^"]|"")*+'
+_OPENED = rf'(?:(?:"{_QUOTED}"[^,]*+|[^",][^,]*+)?,)*+"{_QUOTED}'  # whole fields, then one open
+_ENDS_QUOTED = (re.compile(rf'{_OPENED}\Z'), re.compile(rf'{_QUOTED}(?:"[^,]*+,{_OPENED})?\Z'))
 
 # a row whose probabilities sum inside this window is renormalized;
 # anything further off is rejected
@@ -234,15 +238,14 @@ def _raise_bad_row(path, header, bad=None):
 
 
 def _block(fh):
-    """The next _CSV_BLOCK lines of a CSV file, and those that a quoted field
-    open at the last runs on to: whole records, none at the end of the file."""
-    lines = list(islice(fh, _CSV_BLOCK))
-    text = "".join(lines)
-    quoted = _OPEN_QUOTE.search(text) if '"' in text else None
+    """The next _CSV_BLOCK lines of a CSV file and those that a quoted field open
+    at the last runs on to: whole records. Each line is scanned once, if at all."""
+    lines, quoted = list(islice(fh, _CSV_BLOCK)), False
+    for line in lines if '"' in "".join(lines) else ():
+        quoted = _ENDS_QUOTED[quoted].match(line) is not None
     while quoted and (line := next(fh, "")):
         lines.append(line)
-        text += line
-        quoted = _OPEN_QUOTE.search(text, quoted.start())
+        quoted = _ENDS_QUOTED[True].match(line) is not None
     return lines
 
 
@@ -712,9 +715,7 @@ def _cells(table, values):
     """A part of `_write_csv`: a table's cells' labels, then `values(rows)`."""
     axes = [np.array(axis, dtype=object) for axis in (table.labels.surnames, table.labels.geolocations)]
     index = table.cell_index
-    return table.n_cells, lambda rows: (
-        [axis[index[rows, j]] for j, axis in enumerate(axes)], values(rows)
-    )
+    return table.n_cells, lambda rows: ([axis[index[rows, j]] for j, axis in enumerate(axes)], values(rows))
 
 
 def _write_json(path, payload):

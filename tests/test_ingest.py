@@ -3,6 +3,7 @@ import io
 import math
 import re
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -917,6 +918,57 @@ def test_block_reads_equal_a_one_block_read(case):
         csv.field_size_limit(limit)
     for read in reads[:-1]:
         assert read == reads[-1]
+
+
+@pytest.mark.parametrize("line, quoted, expected", [
+    ('a,b\n', False, False),
+    ('"a\n', False, True),
+    ('a,"b,c\n', False, True),
+    ('"a,",b\n', False, False),  # a quote that closes a field after a comma
+    ('a"b,c\n', False, False),  # a quote inside an unquoted field is text
+    ('"a""b\n', False, True),  # "" is a quote inside the field
+    ('"a"x"y,b\n', False, False),  # text after the closing quote runs to the comma
+    ('b\n', True, True),
+    ('",b\n', True, False),  # a quote at a line's start can close a field, not open one
+    ('"",b\n', True, True),
+    ('",b,"c\r', True, True),
+])
+def test_ends_quoted_follows_csv(line, quoted, expected):
+    assert (ingest._ENDS_QUOTED[quoted].match(line) is not None) is expected
+    # a strict csv reader meets the end of the text inside a quoted field, or not
+    text = ('"x\n' if quoted else "") + line
+    try:
+        list(csv.reader(io.StringIO(text, newline=""), strict=True))
+    except csv.Error as exc:
+        assert (str(exc) == "unexpected end of data") is expected
+    else:
+        assert not expected
+
+
+@pytest.mark.parametrize("label", ['"ONEIL', '"SMITH\n"', '"SMITH,"'])
+def test_quote_near_the_top_is_scanned_once(tmp_path, monkeypatch, label):
+    """A quote that opens a field and never closes, or a quoted label that
+    ends in a line break or a comma, near the top of a file of 25 blocks:
+    each later line is scanned once, and the file reads as one block reads
+    it; the unclosed quote gives csv's error where its field passes csv's
+    size limit."""
+    rows = [f"S{i},G{i % 160},1,2,0,0,3,0.5" for i in range(25_600)]
+    rows[2] = f"{label},G1,1,1,1,1,1,1"
+    path = tmp_path / "cells.csv"
+    path.write_text("\n".join([",".join(ingest.TABLE_HEADER), *rows]) + "\n", encoding="utf-8", newline="")
+    start = time.perf_counter()
+    got = _cells_read(parse_table, path)
+    # scanning the open field again for each line added takes minutes at this size
+    assert time.perf_counter() - start < 10
+    if label == '"ONEIL':
+        with open(path, newline="", encoding="utf-8") as fh, pytest.raises(csv.Error) as exc:
+            reader = csv.reader(fh)
+            list(reader)
+        assert got == f"{path}:{reader.line_num}: {exc.value}"
+    else:
+        assert not isinstance(got, str)
+    monkeypatch.setattr(ingest, "_CSV_BLOCK", len(rows) + 1)
+    assert got == _cells_read(parse_table, path)
 
 
 def _traced_peak(call):
