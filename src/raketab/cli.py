@@ -108,9 +108,9 @@ def _load_truth(args, run) -> ContingencyTable:
     if getattr(args, "table", None) or getattr(args, "truth_table", None):
         path = getattr(args, "table", None) or args.truth_table
         return run.read(path, ingest.parse_table)
-    voters = getattr(args, "voters", None) or args.truth_voters
-    records = run.read(voters, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
-    table, _ = ingest.aggregate_voters(records, require_race=True)
+    path = getattr(args, "voters", None) or args.truth_voters
+    voters = run.read(path, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
+    table, _ = ingest.aggregate_voters(voters, require_race=True)
     if table is None:
         raise ValueError("no labeled records in voter file")
     return table
@@ -121,8 +121,8 @@ def _load_occupancy(args, run):
     if getattr(args, "table", None):
         table = run.read(args.table, ingest.parse_table)
         return MarginSet(None, table.labels, table.cell_index, table.cell_sums)
-    records = run.read(args.voters, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
-    _, occupancy = ingest.aggregate_voters(records, require_race=False)
+    voters = run.read(args.voters, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
+    _, occupancy = ingest.aggregate_voters(voters, require_race=False)
     return occupancy
 
 
@@ -234,15 +234,15 @@ def cmd_calib_map(args):
 
 def cmd_subsample(args):
     run = _Run("subsample", args, args.out_dir)
-    records = run.read(args.voters, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
+    voters = run.read(args.voters, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
     target = run.read(args.target, ingest.parse_race_margin)
     # the test-set convention: drop inactive and unanswered records first
-    labeled = [r for r in records if r.active and r.race is not None]
+    labeled = voters.take(voters.active & (voters.race >= 0))
     sample = ingest.subsample_to_margin(labeled, target, seed=args.seed)
     run.write("subsampled.csv", ingest.write_voter_file, sample)
-    run.info["records_in"] = len(records)
-    run.info["records_labeled"] = len(labeled)
-    run.info["sample_size"] = len(sample)
+    run.info["records_in"] = len(voters.race)
+    run.info["records_labeled"] = len(labeled.race)
+    run.info["sample_size"] = len(sample.race)
     run.finish()
     return EXIT_OK
 

@@ -33,18 +33,19 @@ Outputs only (besides manifest.json):
   full curve)
 * summary.json:  {"subpopulation", "cellwise", "kuiper", "kuiper_includes_other"}
 
-Cell files (tables, predictions, raked predictions) are read in blocks of
-_CSV_BLOCK lines, one np.loadtxt call each, with csv quoting: a blank line,
-a row with too few or too many fields, and a number that is not plain
-decimal text (float() reads "1_000" and non-ASCII digits; these readers do
-not) are input errors naming the file and line. Factor files are read by a
-csv loop that only splits rows and converts numbers, then checked as
-arrays: malformed rows go to a reject report, except where a defect (a
-repeated label, an excessive reject rate) would corrupt results. Other
-parsers go row by row. A row that csv cannot split (a field over its size
-limit) is an input error naming the file and line, and so is a cell-file
-label over that limit or a surname that uppercasing takes over it, so that
-every label written to a factor file can be read back.
+Cell files (tables, predictions, raked predictions), voter files and region
+maps are read by one block reader, `_read_rows`: blocks of _CSV_BLOCK lines,
+one np.loadtxt call each, with csv quoting. A blank line, a row with too few
+or too many fields, a field over csv's size limit and a number that is not
+plain ASCII decimal text (float() reads "1_000" and non-ASCII digits, and
+np.loadtxt a number next to a no-break space; no reader here does) are
+input errors naming the file and line, a line counting one record, the
+header being line 1. Factor files are read by a csv loop that only splits
+rows and converts numbers by the same rule, then checked as arrays:
+malformed rows go to a reject report, except where a defect (a repeated
+label, an excessive reject rate) would corrupt results. Calibration maps go
+row by row. A surname that uppercasing takes over csv's limit is an input
+error too, so that every label written to a factor file can be read back.
 """
 
 from __future__ import annotations
@@ -56,14 +57,14 @@ import warnings
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import count, filterfalse, islice
 from types import SimpleNamespace
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from .table import N_RACES, RACE_NAMES, AxisLabels, ContingencyTable, MarginSet, RaceCategory
-from .table import compact_labels, index_cells, row_sums
+from .table import compact_labels, row_sums, sorted_index
 
 SURNAME_FACTORS_HEADER = [
     "surname", "count",
@@ -128,10 +129,6 @@ class VoterRecord:
     geolocation: str
     race: Optional[RaceCategory]
     active: bool
-
-    def __post_init__(self):
-        if not self.surname or not self.geolocation:
-            raise ValueError("surname and geolocation must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -226,9 +223,10 @@ def _open_reader(path, header):
 
 
 def _raise_bad_row(path, header, bad=None):
-    """Raise the ParseError naming the first row of a cell file that is
-    blank, has the wrong number of fields, or is data row `bad` (0-based),
-    which holds a value np.loadtxt could not convert. Values are not read."""
+    """Raise the ParseError naming the first row of a CSV file read by
+    `_read_rows` that is blank, has the wrong number of fields, or is data
+    row `bad` (0-based), which holds a value that is not a number. Values
+    are not read."""
     with _open_reader(path, header) as (_, reader):
         for i, row in enumerate(reader):
             if len(row) != len(header):
@@ -249,21 +247,19 @@ def _block(fh):
     return lines
 
 
-def _read_cells(path, header):
-    """Read a cell file (surname, geoid, numbers...) onto a sorted cell index.
-
-    Each block of rows (`_block`) is parsed by one np.loadtxt call and
-    reduced to label codes and float rows before the next is read. Surnames
-    are uppercased and stripped, geoids stripped. Besides the row errors of
-    the module docstring, a label longer than csv's field-size limit, a
-    non-finite or negative number or a repeated cell is a ParseError naming
-    the file and line. Returns (labels, index, values, rows): the numbers
-    of each cell in index order, and the cell of each data row.
+def _read_rows(path, header, n_labels):
+    """Read a CSV file of `n_labels` text columns, then numbers, a block
+    (`_block`) and an np.loadtxt call at a time, each block reduced to codes
+    and float rows before the next is read. Returns (raw, codes, values):
+    per text column its distinct entries as read, in order of first row,
+    each row's (n, n_labels) codes into them and its (n, k) numbers. Row i
+    is line i + 2. The errors are those of the module docstring.
     """
-    dtype = [("s", object), ("g", object), ("v", np.float64, (len(header) - 2,))]
-    # each row's numbers and the codes of its raw surname and geoid, grown in place;
-    # blank: a row spans lines or a line is blank (np.loadtxt skips it), as the scan tells
-    raw, values, cells = ({}, {}), np.empty((0, len(header) - 2)), np.empty((0, 2), np.int64)
+    k = len(header) - n_labels
+    dtype = [(str(j), object) for j in range(n_labels)] + [("v", np.float64, (k,))]
+    # each row's numbers and the codes of its entries, grown in place; blank: a row
+    # spans lines or a line is blank (np.loadtxt skips it), as the scan tells
+    raw, values, codes = [{} for _ in range(n_labels)], np.empty((0, k)), np.empty((0, n_labels), np.int64)
     n, blank = 0, False
     with _open_reader(path, header) as (fh, _), warnings.catch_warnings():
         # a block of blank lines is named below, not warned about
@@ -276,51 +272,84 @@ def _read_cells(path, header):
                 bad = re.search(r"at row (\d+), column", str(exc))
                 _raise_bad_row(path, header, bad and n + int(bad[1]))
                 raise ParseError(f"{path}: {exc}") from None
+            if k and not "".join(lines).isascii():  # np.loadtxt reads "1\u00a0" as 1: again, as text
+                text = np.loadtxt(lines, dtype=object, delimiter=",", quotechar='"', comments=None,
+                                  ndmin=2, usecols=range(n_labels, len(header))).tolist()
+                bad = [i for i, row in enumerate(text) if not "".join(row).isascii()]
+                if bad:
+                    _raise_bad_row(path, header, n + bad[0])
             blank |= len(block) < len(lines)
             end = n + len(block)
             if end > len(values):  # a quarter more, by realloc: rows read are not copied
-                for grown in (values, cells):
+                for grown in (values, codes):
                     grown.resize((end + end // 4, grown.shape[1]), refcheck=False)
-            for j, (codes, column) in enumerate(zip(raw, (block["s"], block["g"]))):
-                codes.update(zip(set(column).difference(codes), count(len(codes))))
-                cells[n:end, j] = np.fromiter(map(codes.__getitem__, column), np.int64, len(column))
+            for j, known in enumerate(raw):
+                column = block[str(j)]
+                known.update(zip(filterfalse(known.__contains__, dict.fromkeys(column)), count(len(known))))
+                codes[n:end, j] = np.fromiter(map(known.__getitem__, column), np.int64, len(column))
             values[n:end] = block["v"]
             n = end
     if blank:
         _raise_bad_row(path, header)
-    if not n:
-        raise ParseError(f"{path}: no data rows")
-    for grown in (values, cells):
+    for grown in (values, codes):
         grown.resize((n, grown.shape[1]), refcheck=False)
-    # each distinct raw label cleaned once. np.loadtxt has no field-size limit;
-    # the csv readers of the factor files written from these labels do, so a
-    # longer label, as read or as cleaned (uppercasing can lengthen it), stops here
+    # np.loadtxt has no field-size limit; csv, which reads the files written from
+    # these entries, has
+    raw, limit = [list(known) for known in raw], csv.field_size_limit()
+    _raise_first(path, codes, raw, lambda n: n > limit, f"field larger than field limit ({limit})")
+    return raw, codes, values
+
+
+def _raise_first(path, codes, texts, bad_length, what):
+    """Raise the ParseError `what` naming the first row whose entry in some
+    column j, texts[j][codes[row, j]], has a length that `bad_length` flags."""
+    rows = np.zeros(len(codes), bool)
+    for j, column in enumerate(texts):
+        rows |= bad_length(np.fromiter(map(len, column), np.int64, len(column)))[codes[:, j]]
+    if rows.any():
+        raise ParseError(f"{path}:{np.argmax(rows) + 2}: {what}")
+
+
+def _raise_repeat(path, keys, what):
+    """Raise the ParseError `what(i)` naming the first row i whose key an earlier row holds."""
+    firsts = np.unique(keys, return_index=True)[1]
+    if len(firsts) < len(keys):
+        i = int(np.setdiff1d(np.arange(len(keys)), firsts)[0])
+        raise ParseError(f"{path}:{i + 2}: {what(i)}")
+
+
+def _label_cells(path, raw, codes):
+    """(labels, cells) of the (surname, geoid) `raw` and `codes` of
+    `_read_rows`: each distinct surname uppercased and stripped and geoid
+    stripped once, and `codes` overwritten by the positions in the labels."""
+    if not len(codes):
+        raise ParseError(f"{path}: no data rows")
     clean = [[s.strip().upper() for s in raw[0]], [g.strip() for g in raw[1]]]
     limit = csv.field_size_limit()
-    long = [np.fromiter(map(len, labels), np.int64) > limit for labels in (*raw, *clean)]
+    _raise_first(path, codes, clean[:1], lambda n: n > limit, f"field larger than field limit ({limit})")
+    labels = AxisLabels(sorted(set(clean[0])), sorted(set(clean[1])))
+    for j, axis in enumerate("sg"):
+        codes[:, j] = labels.positions(axis, clean[j])[codes[:, j]]
+    return labels, codes
+
+
+def _read_cells(path, header):
+    """Read a cell file (surname, geoid, numbers...) onto a sorted cell index:
+    (labels, index, values, rows), the numbers of each cell in index order and
+    the cell of each data row. A non-finite or negative number or a repeated
+    cell is a ParseError naming the file and line.
+    """
+    raw, codes, values = _read_rows(path, header, 2)
+    labels, cells = _label_cells(path, raw, codes)
     for bad, what in (
-        (long[0][cells[:, 0]] | long[2][cells[:, 0]] | long[1][cells[:, 1]],
-         f"field larger than field limit ({limit})"),
         (~np.isfinite(values).all(axis=1), "non-finite value"),
         ((values < 0).any(axis=1), "negative value"),
     ):
         if np.any(bad):
             raise ParseError(f"{path}:{np.argmax(bad) + 2}: {what}")
-    # labels sorted once, codes moved to their positions; as in index_cells the index is
-    # checked sorted (then the rows, in order, are it) or built by np.unique
-    labels = AxisLabels(sorted(set(clean[0])), sorted(set(clean[1])))
-    for j, axis in enumerate("sg"):
-        cells[:, j] = labels.positions(axis, clean[j])[cells[:, j]]
-    codes = cells[:, 0] * labels.n_g + cells[:, 1]
-    if np.all(codes[1:] > codes[:-1]):
-        index, rows = cells, np.arange(n)
-    else:
-        unique, rows = np.unique(codes, return_inverse=True)
-        index = np.column_stack(divmod(unique, labels.n_g))
-    if len(index) < n:  # the first row not the first of its cell
-        dup = int(np.setdiff1d(np.arange(n), np.unique(rows, return_index=True)[1])[0])
-        s, g = cells[dup].tolist()
-        raise ParseError(f"{path}:{dup + 2}: duplicate cell {(labels.surnames[s], labels.geolocations[g])}")
+    index, rows = sorted_index(cells, labels.n_g)
+    if len(index) < len(cells):
+        _raise_repeat(path, rows, lambda i: f"duplicate cell {labels.pairs(cells[i])[0]}")
     if not np.all(rows[1:] > rows[:-1]):  # rows out of index order
         values = values[np.argsort(rows)]
     return labels, index, values, rows
@@ -425,51 +454,68 @@ def parse_geo_factors(path):
     )
 
 
-def parse_voter_file(path, mapping: CategoryMapping):
-    """Read voter records, applying a source-specific race mapping.
+class Voters(NamedTuple):
+    """The records of a voter file as columns, in file order."""
+
+    labels: AxisLabels  # the sorted, cleaned surnames and geoids
+    cells: np.ndarray  # each record's (n, 2) (surname, geoid) positions in labels
+    voter_id: np.ndarray  # as read
+    race: np.ndarray  # int RaceCategory codes, -1 where unanswered
+    active: np.ndarray  # bool
+
+    def take(self, rows):
+        """The records at `rows` (a mask or positions), in that order."""
+        return Voters(self.labels, *(column[rows] for column in self[1:]))
+
+
+def _active_flag(text):
+    flag = text.strip().lower()
+    if flag not in ("true", "1", "yes", "false", "0", "no"):
+        raise ParseError(f"bad active flag {text!r}")
+    return flag in ("true", "1", "yes")
+
+
+def _map_distinct(path, texts, codes, convert):
+    """convert(text) of each distinct text of `_read_rows`, taken to the rows
+    by their `codes`. A ParseError or KeyError of convert is raised again
+    with the file and line of the first row holding its text."""
+    values = []
+    for code, text in enumerate(texts):  # in order of first row
+        try:
+            values.append(convert(text))
+        except (ParseError, KeyError) as exc:
+            raise type(exc)(f"{path}:{np.argmax(codes == code) + 2}: {exc.args[0]}") from None
+    return np.array(values)[codes]
+
+
+def parse_voter_file(path, mapping: CategoryMapping) -> Voters:
+    """Read a voter file as columns, applying a source-specific race mapping.
 
     Inactive records and records with an unanswered race are kept but
     flagged; excluding them is a separate, explicit step (see
-    `aggregate_voters`). Duplicate voter ids are an error, and so is a
-    surname that uppercasing makes longer than csv's field-size limit.
+    `aggregate_voters`). Each distinct surname, geoid, race and active
+    string is read once. Besides the errors of `_read_rows` and
+    `_label_cells`, an empty surname or geoid, a repeated voter id, a bad
+    active flag and a race outside `mapping` (a KeyError) are errors naming
+    the file and line.
     """
-    records: list[VoterRecord] = []
-    seen: set[str] = set()
-    limit = csv.field_size_limit()
-    with _open_reader(path, VOTER_FILE_HEADER) as (_, reader):
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(VOTER_FILE_HEADER):
-                raise ParseError(
-                    f"{path}:{line}: expected {len(VOTER_FILE_HEADER)} fields, got {len(row)}"
-                )
-            voter_id, surname, geoid, race_str, active_str = row
-            if voter_id in seen:
-                raise ParseError(f"{path}:{line}: duplicate voter_id {voter_id!r}")
-            seen.add(voter_id)
-            active_norm = active_str.strip().lower()
-            if active_norm in ("true", "1", "yes"):
-                active = True
-            elif active_norm in ("false", "0", "no"):
-                active = False
-            else:
-                raise ParseError(f"{path}:{line}: bad active flag {active_str!r}")
-            race = mapping.map_value(race_str)
-            surname = surname.strip().upper()
-            if len(surname) > limit:  # uppercasing can lengthen it past csv's limit
-                raise ParseError(f"{path}:{line}: field larger than field limit ({limit})")
-            records.append(
-                VoterRecord(
-                    voter_id=voter_id,
-                    surname=surname,
-                    geolocation=geoid.strip(),
-                    race=race,
-                    active=active,
-                )
-            )
-    return records
+    def race_code(text):
+        race = mapping.map_value(text)
+        return -1 if race is None else int(race)
+
+    raw, codes, _ = _read_rows(path, VOTER_FILE_HEADER, len(VOTER_FILE_HEADER))
+    # a copy, so that the cells do not hold the other columns' codes
+    labels, cells = _label_cells(path, raw[1:3], np.ascontiguousarray(codes[:, 1:3]))
+    _raise_first(path, cells, (labels.surnames, labels.geolocations), lambda n: n == 0,
+                 "surname and geolocation must be nonempty")
+    if len(raw[0]) < len(codes):
+        _raise_repeat(path, codes[:, 0], lambda i: f"duplicate voter_id {raw[0][codes[i, 0]]!r}")
+    active = _map_distinct(path, raw[4], codes[:, 4], _active_flag)
+    race = _map_distinct(path, raw[3], codes[:, 3], race_code)
+    return Voters(labels, cells, np.array(raw[0], dtype=object)[codes[:, 0]], race, active)
 
 
-def aggregate_voters(records, require_race: bool):
+def aggregate_voters(voters: Voters, require_race: bool):
     """Accumulate voter records into a labeled table and cell totals.
 
     With `require_race`, inactive records and records with an unanswered
@@ -484,40 +530,38 @@ def aggregate_voters(records, require_race: bool):
         The labeled table (None when nothing is labeled) and the
         occupancy count of each (surname, geolocation) cell, with no race part.
     """
-    records = [r for r in records if not require_race or (r.active and r.race is not None)]
-    if not records:
+    if require_race:
+        voters = voters.take(voters.active & (voters.race >= 0))
+    if not len(voters.race):
         raise ValueError("no records to aggregate")
-    surnames, geoids = [r.surname for r in records], [r.geolocation for r in records]
-    labels, index, rows = index_cells(surnames, geoids)
+    index, rows = sorted_index(voters.cells, voters.labels.n_g)
+    labels, index = compact_labels(voters.labels, index)  # labels of excluded records go
     occupancy = MarginSet(None, labels, index, np.bincount(rows, minlength=len(index)))
-    races = np.array([-1 if r.race is None else int(r.race) for r in records])
-    labeled = races >= 0
+    labeled = voters.race >= 0
     if not labeled.any():
         return None, occupancy
-    codes = rows[labeled] * N_RACES + races[labeled]
+    codes = rows[labeled] * N_RACES + voters.race[labeled]
     values = np.bincount(codes, minlength=len(index) * N_RACES).reshape(-1, N_RACES)
     keep = row_sums(values) > 0
     return ContingencyTable(*compact_labels(labels, index[keep]), values[keep]), occupancy
 
 
-def subsample_to_margin(records, target, seed: int):
+def subsample_to_margin(voters: Voters, target, seed: int) -> Voters:
     """Subsample labeled records so their race distribution matches a target.
 
     The sample size is the largest N such that every race with a positive
     target share has enough records for its quota; per-race quotas come
     from largest-remainder rounding of N * target, and records are drawn
-    without replacement with a seeded generator. The returned list is
-    shuffled. Deterministic for a fixed seed.
+    without replacement with a seeded generator from each race's records
+    in file order. The sample is shuffled. Deterministic for a fixed seed.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (N_RACES,) or np.any(target < 0) or abs(target.sum() - 1.0) > 1e-6:
         raise ValueError("target must be a probability 6-vector")
-    by_race: dict[int, list] = {r: [] for r in range(N_RACES)}
-    for rec in records:
-        if rec.race is None:
-            raise ValueError(f"record {rec.voter_id!r} has no race label")
-        by_race[int(rec.race)].append(rec)
-    counts = np.array([len(by_race[r]) for r in range(N_RACES)], dtype=np.float64)
+    if np.any(voters.race < 0):
+        raise ValueError(f"record {voters.voter_id[np.argmax(voters.race < 0)]!r} has no race label")
+    by_race = [np.flatnonzero(voters.race == r) for r in range(N_RACES)]
+    counts = np.array([len(pool) for pool in by_race], dtype=np.float64)
     for r in range(N_RACES):
         if target[r] > 0 and counts[r] == 0:
             raise ValueError(f"target is positive for race {RACE_NAMES[r]} with no records")
@@ -529,16 +573,10 @@ def subsample_to_margin(records, target, seed: int):
     quotas = _largest_remainder(n * target)
 
     rng = np.random.default_rng(seed)
-    out = []
-    for r in range(N_RACES):
-        q = int(quotas[r])
-        if q == 0:
-            continue
-        pool = by_race[r]
-        chosen = rng.choice(len(pool), size=q, replace=False)
-        out.extend(pool[i] for i in chosen)
-    perm = rng.permutation(len(out))
-    return [out[i] for i in perm]
+    out = np.concatenate([
+        pool[rng.choice(len(pool), size=q, replace=False)] for pool, q in zip(by_race, quotas.tolist()) if q
+    ])
+    return voters.take(out[rng.permutation(len(out))])
 
 
 def _largest_remainder(quotas_float):
@@ -623,18 +661,13 @@ def parse_race_margin(path) -> np.ndarray:
 
 
 def parse_region_map(path) -> dict:
-    """Read geoid -> region. Both fields are stripped; a geoid repeated
-    after stripping is a ParseError."""
-    regions: dict[str, str] = {}
-    with _open_reader(path, REGION_MAP_HEADER) as (_, reader):
-        for line, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ParseError(f"{path}:{line}: expected 2 fields")
-            geoid, region = row[0].strip(), row[1].strip()
-            if geoid in regions:
-                raise ParseError(f"{path}:{line}: duplicate geoid {geoid!r}")
-            regions[geoid] = region
-    return regions
+    """Read geoid -> region, in file order. Both fields are stripped; a
+    geoid repeated after stripping is a ParseError naming its line."""
+    raw, codes, _ = _read_rows(path, REGION_MAP_HEADER, 2)
+    geoids, regions = (np.array([text.strip() for text in texts], dtype=object) for texts in raw)
+    keys = np.unique(geoids, return_inverse=True)[1][codes[:, 0]]
+    _raise_repeat(path, keys, lambda i: f"duplicate geoid {geoids[codes[i, 0]]!r}")
+    return dict(zip(geoids[codes[:, 0]].tolist(), regions[codes[:, 1]].tolist()))
 
 
 def parse_calibration_map(path) -> np.ndarray:
@@ -742,14 +775,25 @@ def write_geo_factors(path, probs, counts):
     _write_csv(path, GEO_FACTORS_HEADER, [_columns([keys], np.column_stack([c, p * c[:, None]]))])
 
 
-def write_voter_file(path, records):
-    _write_csv(path, VOTER_FILE_HEADER, [_columns([
-        [rec.voter_id for rec in records],
-        [rec.surname for rec in records],
-        [rec.geolocation for rec in records],
-        ["" if rec.race is None else RACE_NAMES[rec.race] for rec in records],
-        ["true" if rec.active else "false" for rec in records],
-    ])])
+def write_voter_file(path, voters):
+    """A voter file of `Voters`, or of a list of VoterRecord: perfbench/inputs.py
+    writes records, and this branch goes with VoterRecord once it writes Voters."""
+    if isinstance(voters, Voters):
+        axes = (voters.labels.surnames, voters.labels.geolocations)
+        columns = [
+            voters.voter_id, *(np.array(axis, dtype=object)[voters.cells[:, j]] for j, axis in enumerate(axes)),
+            np.array([*RACE_NAMES, ""], dtype=object)[voters.race],  # -1: the last, ""
+            np.where(voters.active, "true", "false"),
+        ]
+    else:
+        columns = [
+            [rec.voter_id for rec in voters],
+            [rec.surname for rec in voters],
+            [rec.geolocation for rec in voters],
+            ["" if rec.race is None else RACE_NAMES[rec.race] for rec in voters],
+            ["true" if rec.active else "false" for rec in voters],
+        ]
+    _write_csv(path, VOTER_FILE_HEADER, [_columns(columns)])
 
 
 def write_table(path, table: ContingencyTable):

@@ -130,12 +130,19 @@ def index_cells(surnames, geolocations):
     """
     surnames, geolocations = list(surnames), list(geolocations)
     labels = AxisLabels(sorted(set(surnames)), sorted(set(geolocations)))
-    codes = labels.positions("s", surnames) * labels.n_g + labels.positions("g", geolocations)
-    if np.all(codes[1:] > codes[:-1]):  # already sorted and unique: each pair is its own row
-        unique, rows = codes, np.arange(len(codes))
-    else:
-        unique, rows = np.unique(codes, return_inverse=True)
-    return labels, np.column_stack(divmod(unique, labels.n_g)), rows
+    cells = np.column_stack([labels.positions("s", surnames), labels.positions("g", geolocations)])
+    return labels, *sorted_index(cells, labels.n_g)
+
+
+def sorted_index(cells, n_g):
+    """(index, rows): the sorted unique rows of an (n, 2) array of cell
+    positions, and for each input row its row of index. When `cells` is
+    already sorted and unique it is the index itself, not a copy."""
+    codes = cells[:, 0] * n_g + cells[:, 1]
+    if np.all(codes[1:] > codes[:-1]):  # each cell is its own row
+        return cells, np.arange(len(cells))
+    unique, rows = np.unique(codes, return_inverse=True)
+    return np.column_stack(divmod(unique, n_g)), rows
 
 
 def sum_by_group(groups, values, n_groups) -> np.ndarray:
@@ -357,18 +364,6 @@ class ContingencyTable:
         if keep == ("g",):
             return np.bincount(gi, weights=self.cell_sums, minlength=n_g)
         return self._values.sum(axis=0)  # ("r",)
-
-    def conditionals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell race conditionals p(r | s, g) for cells with positive mass.
-
-        Returns (mask, probs) where mask flags cells with positive totals and
-        probs has one normalized row per cell (rows of zero-sum cells are 0).
-        """
-        sums = self.cell_sums
-        mask = sums > 0
-        probs = np.zeros_like(self._values)
-        probs[mask] = self._values[mask] / sums[mask, None]
-        return mask, probs
 
     def __repr__(self):
         return (

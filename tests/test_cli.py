@@ -553,6 +553,23 @@ class TestErrors:
         assert err["message"] == f"{margin}: repeated key 'aian'"
         assert not (tmp_path / "raked" / "raked.csv").exists()
 
+    @pytest.mark.parametrize("row, error, message", [
+        ("2,SMITH, ,black,true", "ParseError", "surname and geolocation must be nonempty"),
+        ("2,,g1,black,true", "ParseError", "surname and geolocation must be nonempty"),
+        ("2,SMITH,g1,martian,true", "KeyError", "canonical mapping has no category 'martian'"),
+    ])
+    def test_voter_file_error_names_its_line(self, tmp_path, capsys, row, error, message):
+        voters = tmp_path / "v.csv"
+        voters.write_text(f"voter_id,surname,geoid,race,active\n1,SMITH,g1,white,true\n{row}\n")
+        fit = tmp_path / "fit"
+        err = exits_2_with_json_error(
+            capsys, "fit-factors", "--voters", voters, "--mapping", "canonical", "--out-dir", fit,
+        )
+        assert err["error"] == error
+        assert err["message"] == (f"{voters}:3: {message}" if error == "ParseError"
+                                  else repr(f"{voters}:3: {message}"))
+        assert not (fit / "surname_factors.csv").exists()
+
 class TestAdjustment:
     def test_adjust_cps_changes_predictions(self, tmp_path):
         fix = synth_fixture(tmp_path, seed=19, dependence=0.4)

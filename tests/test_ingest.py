@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from raketab import ContingencyTable, RaceCategory, SynthConfig, generate, ingest
-from raketab.table import N_RACES
+from raketab import RACE_NAMES, ContingencyTable, RaceCategory, SynthConfig, generate, ingest
+from raketab.table import N_RACES, index_cells
 from raketab.ingest import (
     CANONICAL_MAPPING,
     FLORIDA_MAPPING,
@@ -21,6 +21,7 @@ from raketab.ingest import (
     ParseError,
     RejectReport,
     VoterRecord,
+    Voters,
     aggregate_voters,
     parse_calibration_map,
     parse_geo_factors,
@@ -358,34 +359,51 @@ def test_factor_duplicate_rule(tmp_path, repeat, expected):
         assert got.endswith(f"s.csv:3: {expected}")
 
 
+def voters_of(records):
+    """Voters holding (voter_id, surname, geoid, race or None, active)
+    records, in their order."""
+    ids, surnames, geoids, races, active = zip(*records)
+    labels, index, rows = index_cells(surnames, geoids)
+    race = np.array([-1 if r is None else int(r) for r in races])
+    return Voters(labels, index[rows], np.array(ids, dtype=object), race, np.array(active))
+
+
+def voter_records(voters):
+    """The (voter_id, surname, geoid, race code, active) record of each voter, in order."""
+    labels = voters.labels
+    surnames, geoids = (np.array(axis, dtype=object) for axis in (labels.surnames, labels.geolocations))
+    return list(zip(voters.voter_id.tolist(), surnames[voters.cells[:, 0]].tolist(),
+                    geoids[voters.cells[:, 1]].tolist(), voters.race.tolist(), voters.active.tolist()))
+
+
 class TestVoterFile:
     HEADER = "voter_id,surname,geoid,race,active"
 
     def test_florida_multiracial_goes_to_other(self, tmp_path):
         f = tmp_path / "v.csv"
         write_lines(f, [self.HEADER, "1,Diaz,12086,Multi-racial,true"])
-        records = parse_voter_file(f, FLORIDA_MAPPING)
-        assert records[0].race == RaceCategory.OTHER
-        assert records[0].surname == "DIAZ"
+        voters = parse_voter_file(f, FLORIDA_MAPPING)
+        assert voters.race[0] == RaceCategory.OTHER
+        assert voters.labels.surnames[voters.cells[0, 0]] == "DIAZ"
 
     def test_nc_hispanic_flag_wins(self, tmp_path):
         f = tmp_path / "v.csv"
         write_lines(f, [self.HEADER, "1,PEREZ,37001,HL:W,true", "2,SMITH,37001,NL:W,true"])
-        records = parse_voter_file(f, NORTH_CAROLINA_MAPPING)
-        assert records[0].race == RaceCategory.HISPANIC
-        assert records[1].race == RaceCategory.WHITE
+        voters = parse_voter_file(f, NORTH_CAROLINA_MAPPING)
+        assert voters.race[0] == RaceCategory.HISPANIC
+        assert voters.race[1] == RaceCategory.WHITE
 
     def test_empty_race_flagged_missing(self, tmp_path):
         f = tmp_path / "v.csv"
         write_lines(f, [self.HEADER, "1,LEE,g1,,true"])
-        records = parse_voter_file(f, FLORIDA_MAPPING)
-        assert records[0].race is None
+        voters = parse_voter_file(f, FLORIDA_MAPPING)
+        assert voters.race[0] == -1
 
     def test_inactive_retained_with_flag(self, tmp_path):
         f = tmp_path / "v.csv"
         write_lines(f, [self.HEADER, "1,LEE,g1,Hispanic,false"])
-        records = parse_voter_file(f, FLORIDA_MAPPING)
-        assert len(records) == 1 and not records[0].active
+        voters = parse_voter_file(f, FLORIDA_MAPPING)
+        assert len(voters.race) == 1 and not voters.active[0]
 
     def test_duplicate_voter_id(self, tmp_path):
         f = tmp_path / "v.csv"
@@ -399,6 +417,25 @@ class TestVoterFile:
         with pytest.raises(KeyError, match="Martian"):
             parse_voter_file(f, FLORIDA_MAPPING)
 
+    @pytest.mark.parametrize("row, error, message", [
+        ("2,  ,g,Other,true", ParseError, "surname and geolocation must be nonempty"),
+        ("2,A, ,Other,true", ParseError, "surname and geolocation must be nonempty"),
+        ('2,A,"",Other,true', ParseError, "surname and geolocation must be nonempty"),
+        ("2,A,g,Martian,true", KeyError, "florida mapping has no category 'Martian'"),
+    ])
+    def test_input_error_names_its_line(self, tmp_path, row, error, message):
+        f = tmp_path / "v.csv"
+        write_lines(f, [self.HEADER, "1,A,g,Other,true", row, "3,B,g,Other,true"])
+        with pytest.raises(error) as exc:
+            parse_voter_file(f, FLORIDA_MAPPING)
+        assert exc.value.args[0] == f"{f}:3: {message}"
+
+    def test_header_only_is_an_error(self, tmp_path):
+        f = tmp_path / "v.csv"
+        write_lines(f, [self.HEADER])
+        with pytest.raises(ParseError, match=f"^{re.escape(str(f))}: no data rows$"):
+            parse_voter_file(f, FLORIDA_MAPPING)
+
     def test_mapping_totality(self):
         for mapping in (FLORIDA_MAPPING, NORTH_CAROLINA_MAPPING, CANONICAL_MAPPING):
             for key in mapping.mapping:
@@ -408,22 +445,20 @@ class TestVoterFile:
 
 class TestAggregate:
     def test_three_identical_records(self):
-        rec = VoterRecord("1", "A", "g", RaceCategory.WHITE, True)
-        recs = [rec, VoterRecord("2", "A", "g", RaceCategory.WHITE, True),
-                VoterRecord("3", "A", "g", RaceCategory.WHITE, True)]
-        table, occupancy = aggregate_voters(recs, require_race=True)
+        voters = voters_of([(str(i), "A", "g", RaceCategory.WHITE, True) for i in (1, 2, 3)])
+        table, occupancy = aggregate_voters(voters, require_race=True)
         assert table.cell("A", "g")[RaceCategory.WHITE] == 3
         assert occupancy.cell[("A", "g")] == 3
 
     def test_require_race_filters(self):
-        recs = [
-            VoterRecord("1", "A", "g", RaceCategory.WHITE, True),
-            VoterRecord("2", "A", "g", RaceCategory.WHITE, False),
-            VoterRecord("3", "A", "g", None, True),
-        ]
-        table, occupancy = aggregate_voters(recs, require_race=True)
+        voters = voters_of([
+            ("1", "A", "g", RaceCategory.WHITE, True),
+            ("2", "A", "g", RaceCategory.WHITE, False),
+            ("3", "A", "g", None, True),
+        ])
+        table, occupancy = aggregate_voters(voters, require_race=True)
         assert occupancy.cell[("A", "g")] == 1
-        table2, occupancy2 = aggregate_voters(recs, require_race=False)
+        table2, occupancy2 = aggregate_voters(voters, require_race=False)
         assert occupancy2.cell[("A", "g")] == 3
         assert table2.cell("A", "g").sum() == 2  # the race-missing one has no race mass
 
@@ -433,14 +468,14 @@ class TestAggregate:
         for s, g, weights in f1_records:
             r = int(np.argmax(weights))
             for _ in range(int(weights[r])):
-                records.append(VoterRecord(str(i), s, g, RaceCategory(r), True))
+                records.append((str(i), s, g, RaceCategory(r), True))
                 i += 1
-        table, _ = aggregate_voters(records, require_race=True)
+        table, _ = aggregate_voters(voters_of(records), require_race=True)
         np.testing.assert_array_equal(table.cell_values, f1_table.cell_values)
 
     def test_total_matches_contributing_records(self):
-        recs = [VoterRecord(str(i), "A", "g", RaceCategory.BLACK, True) for i in range(7)]
-        table, _ = aggregate_voters(recs, require_race=True)
+        voters = voters_of([(str(i), "A", "g", RaceCategory.BLACK, True) for i in range(7)])
+        table, _ = aggregate_voters(voters, require_race=True)
         assert table.total() == 7.0
 
 
@@ -449,45 +484,41 @@ def make_records(counts):
     i = 0
     for r, n in enumerate(counts):
         for _ in range(n):
-            records.append(VoterRecord(str(i), f"S{i}", "g", RaceCategory(r), True))
+            records.append((str(i), f"S{i}", "g", RaceCategory(r), True))
             i += 1
-    return records
+    return voters_of(records)
 
 
 class TestSubsample:
     def test_bounded_by_scarcest_race(self):
         records = make_records([30, 10])
         out = subsample_to_margin(records, race6(0.5, 0.5), seed=0)
-        assert len(out) == 20
-        counts = np.zeros(6)
-        for rec in out:
-            counts[rec.race] += 1
+        assert len(out.race) == 20
+        counts = np.bincount(out.race, minlength=6)
         np.testing.assert_array_equal(counts[:2], [10, 10])
 
     def test_matching_target_returns_everything(self):
         records = make_records([30, 10])
         out = subsample_to_margin(records, race6(0.75, 0.25), seed=1)
-        assert len(out) == 40
-        assert {r.voter_id for r in out} == {r.voter_id for r in records}
+        assert len(out.race) == 40
+        assert set(out.voter_id) == set(records.voter_id)
 
     def test_deterministic(self):
         records = make_records([25, 15, 8])
         target = race6(0.4, 0.4, 0.2)
         a = subsample_to_margin(records, target, seed=42)
         b = subsample_to_margin(records, target, seed=42)
-        assert [r.voter_id for r in a] == [r.voter_id for r in b]
+        assert a.voter_id.tolist() == b.voter_id.tolist()
 
     def test_no_duplicates_and_quota_bounds(self):
         records = make_records([9, 14, 3])
         target = race6(0.31, 0.52, 0.17)
         out = subsample_to_margin(records, target, seed=3)
-        ids = [r.voter_id for r in out]
+        ids = out.voter_id.tolist()
         assert len(ids) == len(set(ids))
-        counts = np.zeros(6)
-        for rec in out:
-            counts[rec.race] += 1
+        counts = np.bincount(out.race, minlength=6)
         assert counts[0] <= 9 and counts[1] <= 14 and counts[2] <= 3
-        n = len(out)
+        n = len(ids)
         np.testing.assert_array_less(np.abs(counts - n * target), 1 + 1e-9)
 
     def test_impossible_target(self):
@@ -496,7 +527,7 @@ class TestSubsample:
             subsample_to_margin(records, race6(0.5, 0.5), seed=0)
 
     def test_unlabeled_record_rejected(self):
-        records = [VoterRecord("1", "A", "g", None, True)]
+        records = voters_of([("1", "A", "g", None, True)])
         with pytest.raises(ValueError, match="no race label"):
             subsample_to_margin(records, race6(1), seed=0)
 
@@ -559,14 +590,15 @@ class TestRoundTrips:
         np.testing.assert_allclose(values[:, 1:], factors.race_given_geo, rtol=1e-15)
 
     def test_voter_file(self, tmp_path):
-        records = [
-            VoterRecord("1", "DIAZ", "g1", RaceCategory.HISPANIC, True),
-            VoterRecord("2", "LEE", "g2", None, False),
-        ]
+        records = [("1", "DIAZ", "g1", RaceCategory.HISPANIC, True), ("2", "LEE", "g2", None, False)]
         path = tmp_path / "v.csv"
-        write_voter_file(path, records)
+        write_voter_file(path, voters_of(records))
         back = parse_voter_file(path, CANONICAL_MAPPING)
-        assert back == records
+        assert voter_records(back) == [("1", "DIAZ", "g1", 3, True), ("2", "LEE", "g2", -1, False)]
+        # a list of VoterRecord is written to the same bytes
+        written = path.read_bytes()
+        write_voter_file(path, [VoterRecord(*record) for record in records])
+        assert path.read_bytes() == written
 
     def test_table(self, tmp_path, f1_table):
         # identity modulo the canonical surname uppercasing
@@ -799,10 +831,11 @@ class TestCellFiles:
             parse(path)
 
     def test_underscore_and_non_ascii_digits_rejected(self, tmp_path, fmt):
-        # float() reads "1_000" and Arabic-Indic digits; the cell reader
-        # takes plain decimal text only
+        # float() reads "1_000" and Arabic-Indic digits, and np.loadtxt a
+        # number next to a no-break space; the cell reader takes plain
+        # decimal text only
         parse, header, make = fmt
-        for bad in ("1_000", "١"):
+        for bad in ("1_000", "١", "1\u00a0", "\u00a01.5"):
             rows = self.good_rows(make)
             rows[1] = ",".join(make("S1", "g1", bad))
             path = tmp_path / "cells.csv"
@@ -854,7 +887,7 @@ def cell_files(draw):
     kind = draw(st.sampled_from(sorted(CELL_FORMATS)))
     parse, header, make = CELL_FORMATS[kind]
     n = draw(st.integers(1, 12))
-    label = st.text(alphabet=' ab,"\r\n', max_size=4)
+    label = st.text(alphabet=' ab\u00e9,"\r\n', max_size=4)
     raw = draw(st.booleans())
     # a leading row number keeps the cells distinct after cleaning
     rows = [
@@ -876,7 +909,7 @@ def cell_files(draw):
         rows[at][0] = "L" * 13 if defect == "long label" else "\u00df" * 7
     elif defect is not None:
         rows[at][2] = draw(st.sampled_from({
-            "non-numeric": ["x", "1_0", "\u0661", ""],
+            "non-numeric": ["x", "1_0", "\u0661", "", "1\u00a0"],
             "non-finite": ["nan", "inf", "1e309"],
             "negative": ["-1", "-0.5"],
         }[defect]))
@@ -918,6 +951,160 @@ def test_block_reads_equal_a_one_block_read(case):
         csv.field_size_limit(limit)
     for read in reads[:-1]:
         assert read == reads[-1]
+
+
+def reference_rows(path, header):
+    """(line, row) of each data row of a CSV file, read by a csv row loop. A
+    line counts records, the header being line 1, except that a row csv
+    cannot split (a field over its size limit) is named by csv's own count
+    of physical lines."""
+    with ingest._open_reader(path, header) as (_, reader):
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+            yield line, row
+
+
+def reference_voter_file(path, mapping):
+    """parse_voter_file as the row loop it replaced: (labels, records), the
+    (voter_id, surname, geoid, race code, active) records in file order."""
+    records, seen, limit = [], set(), csv.field_size_limit()
+    for line, (voter_id, surname, geoid, race, active) in reference_rows(path, ingest.VOTER_FILE_HEADER):
+        if voter_id in seen:
+            raise ParseError(f"{path}:{line}: duplicate voter_id {voter_id!r}")
+        seen.add(voter_id)
+        flag = active.strip().lower()
+        if flag not in ("true", "1", "yes", "false", "0", "no"):
+            raise ParseError(f"{path}:{line}: bad active flag {active!r}")
+        try:
+            category = mapping.map_value(race)
+        except KeyError as exc:
+            raise KeyError(f"{path}:{line}: {exc.args[0]}") from None
+        surname, geoid = surname.strip().upper(), geoid.strip()
+        if len(surname) > limit:
+            raise ParseError(f"{path}:{line}: field larger than field limit ({limit})")
+        if not surname or not geoid:
+            raise ParseError(f"{path}:{line}: surname and geolocation must be nonempty")
+        race = -1 if category is None else int(category)
+        records.append((voter_id, surname, geoid, race, flag in ("true", "1", "yes")))
+    if not records:
+        raise ParseError(f"{path}: no data rows")
+    labels = ingest.AxisLabels(sorted({r[1] for r in records}), sorted({r[2] for r in records}))
+    return labels, records
+
+
+def reference_region_map(path):
+    """parse_region_map as the row loop it replaced: its (geoid, region) items."""
+    regions = {}
+    for line, row in reference_rows(path, ingest.REGION_MAP_HEADER):
+        geoid, region = row[0].strip(), row[1].strip()
+        if geoid in regions:
+            raise ParseError(f"{path}:{line}: duplicate geoid {geoid!r}")
+        regions[geoid] = region
+    return list(regions.items())
+
+
+def block_read_voter_file(path):
+    voters = parse_voter_file(path, CANONICAL_MAPPING)
+    assert (voters.race.dtype, voters.active.dtype, voters.voter_id.dtype) == (np.int64, bool, object)
+    return voters.labels, voter_records(voters)
+
+
+ROW_READERS = {
+    "voters": (block_read_voter_file, lambda path: reference_voter_file(path, CANONICAL_MAPPING)),
+    "regions": (lambda path: list(parse_region_map(path).items()), reference_region_map),
+}
+# each defect, with "long field j" over a field-size limit of 12 in column j
+ROW_CASES = [
+    (kind, defect)
+    for kind, defects, width in (
+        ("voters", ("bad active", "unknown race", "empty surname", "empty geoid", "long cleaned surname"), 5),
+        ("regions", (), 2),
+    )
+    for defect in (
+        None, "blank", "short", "long", "repeat", *defects, *(f"long field {j}" for j in range(width))
+    )
+]
+# the rows a defect of voter values goes to, a column and the values there: two rows, which
+# may hold different values, so the error must name the first
+VOTER_VALUES = {
+    "bad active": (4, ["maybe", "", "t"]),
+    "unknown race": (3, ["martian", "White"]),
+    "empty surname": (1, ["", "  "]),
+    "empty geoid": (2, ["", " "]),
+    "long cleaned surname": (1, ["\u00df" * 7]),
+}
+
+
+@st.composite
+def row_files(draw, kind, defect):
+    """The text of a voter file or a region map whose ids and labels hold
+    commas, quotes, line breaks, padding and non-ASCII letters, with LF or
+    CRLF line ends and the defect (or none), on any row."""
+    n = draw(st.integers(1, 12))
+    text = st.text(alphabet=' a\u00e9,"\r\n', max_size=4)
+    pad = st.sampled_from(["", " ", "  "])
+    if kind == "voters":
+        rows = [[
+            f"{draw(pad)}{i}{draw(text)}{draw(pad)}",
+            draw(st.sampled_from(["a", "Lee", "\u00df", "\u00e9"])) + draw(text),
+            f"{draw(pad)}g{draw(text)}",
+            draw(st.sampled_from([*RACE_NAMES, "", " api "])),
+            draw(st.sampled_from(["true", "false", " Yes", "0", "1", "NO", "False "])),
+        ] for i in range(n)]
+    else:
+        # a field starts with a letter or a space: a bare quote there would open it
+        rows = [[f"{draw(pad)}g{i}{draw(text)}{draw(pad)}", draw(pad | text.map("r{}".format))]
+                for i in range(n)]
+    at = draw(st.integers(0, n - 1))
+    if defect == "blank":
+        rows.insert(draw(st.integers(0, n)), [])
+    elif defect == "short":
+        rows[at].pop()
+    elif defect == "long":
+        rows[at].append("x")
+    elif defect == "repeat":  # equal as read, or for a region map once stripped
+        source = rows[draw(st.integers(0, n - 1))][0]
+        rows[at][0] = draw(pad) + source.strip() if kind == "regions" else source
+    elif defect and defect.startswith("long field"):
+        rows[at][int(defect[-1])] = "L" * 13
+    elif defect is not None:
+        column, values = VOTER_VALUES[defect]
+        for row in (at, draw(st.integers(0, n - 1))):
+            rows[row][column] = draw(st.sampled_from(values))
+    raw = draw(st.booleans())
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    header = ingest.VOTER_FILE_HEADER if kind == "voters" else ingest.REGION_MAP_HEADER
+    return end.join(",".join(_field(x, raw) for x in row) for row in [header] + rows) + end
+
+
+def _read_or_error(read, path):
+    try:
+        return read(path)
+    except (ParseError, KeyError) as exc:
+        return type(exc), exc.args[0]
+
+
+@pytest.mark.parametrize("kind, defect", ROW_CASES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_voter_files_and_region_maps_read_as_a_row_loop(kind, defect, data):
+    """Read in blocks of 1, 2, 3 or 7 lines and of the default size, a voter
+    file or region map gives the columns of a csv row loop, or the same
+    exception with the same text."""
+    text = data.draw(row_files(kind, defect))
+    read, reference = ROW_READERS[kind]
+    limit = csv.field_size_limit(12)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / f"{kind}.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            expected = _read_or_error(reference, path)
+            for block in (1, 2, 3, 7, DEFAULT_BLOCK):
+                mp.setattr(ingest, "_CSV_BLOCK", block)
+                assert _read_or_error(read, path) == expected, block
+    finally:
+        csv.field_size_limit(limit)
 
 
 @pytest.mark.parametrize("line, quoted, expected", [

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from raketab import (
     MarginSet,
     build_table,
 )
+from raketab.ingest import parse_predictions, write_predictions
 from raketab.table import compact_labels, index_cells, row_sums
 
 from conftest import race6
@@ -122,12 +126,21 @@ def test_margin_consistency_property(entries):
         assert np.array_equal(table.margin(axes), ref)
 
 
+def written_conditionals(table):
+    """The (counts, conditionals) of `table`'s cells as `write_predictions`
+    writes them, read back by `parse_predictions`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "predictions.csv"
+        write_predictions(path, table)
+        _, _, counts, conds = parse_predictions(path)
+    return counts, conds
+
+
 def conditional_race(vec):
-    """The race conditional of a one-cell table holding `vec`, or None
-    when the cell is empty."""
-    table = ContingencyTable(AxisLabels(["s"], ["g"]), [[0, 0]], [vec])
-    mask, probs = table.conditionals()
-    return probs[0] if mask[0] else None
+    """The race conditional written for a one-cell table holding `vec`, or
+    None when the cell is empty."""
+    counts, conds = written_conditionals(ContingencyTable(AxisLabels(["s"], ["g"]), [[0, 0]], [vec]))
+    return conds[0] if counts[0] > 0 else None
 
 
 class TestConditionalRace:
@@ -146,9 +159,9 @@ class TestConditionalRace:
 
     def test_zero_sum_rejected(self):
         table = ContingencyTable(AxisLabels(["s", "t"], ["g"]), [[0, 0], [1, 0]], [race6(1), race6()])
-        mask, probs = table.conditionals()
-        assert mask.tolist() == [True, False]
-        assert not probs[1].any()
+        counts, conds = written_conditionals(table)
+        assert (counts > 0).tolist() == [True, False]
+        assert not conds[1].any()
 
     @given(st.lists(st.floats(0.0, 100.0), min_size=6, max_size=6))
     @settings(max_examples=80, deadline=None)
