@@ -321,7 +321,8 @@ def _raise_repeat(path, keys, what):
 def _label_cells(path, raw, codes):
     """(labels, cells) of the (surname, geoid) `raw` and `codes` of
     `_read_rows`: each distinct surname uppercased and stripped and geoid
-    stripped once, and `codes` overwritten by the positions in the labels."""
+    stripped once, and `codes` overwritten by the positions in the labels.
+    No rows, or a surname that uppercasing takes past csv's limit, is a ParseError."""
     if not len(codes):
         raise ParseError(f"{path}: no data rows")
     clean = [[s.strip().upper() for s in raw[0]], [g.strip() for g in raw[1]]]
