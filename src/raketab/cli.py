@@ -250,7 +250,7 @@ def cmd_subsample(args):
 def cmd_evaluate(args):
     run = _Run("evaluate", args, args.out_dir)
     truth = _load_truth(args, run)
-    labels, index, _, conds = run.read(args.preds, ingest.parse_predictions)
+    labels, index, counts, conds = run.read(args.preds, ingest.parse_predictions)
     run.info["cells_in"] = {"truth": truth.n_cells, "preds": len(index)}
 
     matrix = None
@@ -258,12 +258,14 @@ def cmd_evaluate(args):
         matrix = run.read(args.calib_map, ingest.parse_calibration_map)
 
     occupied = truth.cell_sums > 0
-    rows = PredictionTable(labels, index, conds).locate(truth)[occupied]
+    rows = np.full(truth.n_cells + 1, -1)  # each truth cell's prediction row; the last takes -1s
+    rows[truth.locate(MarginSet(None, labels, index, counts))] = np.arange(len(index))
+    rows = rows[:-1][occupied]
     if np.any(rows < 0):
         missing = truth.labels.pairs(truth.cell_index[occupied][rows < 0])
         raise ValueError(f"predictions missing for {len(missing)} truth cells, e.g. {missing[:3]}")
     cond = conds[rows]
-    del labels, index, conds, rows  # the parsed predictions: cond holds what is used
+    del labels, index, counts, conds, rows  # the parsed predictions: cond holds what is used
     if matrix is not None:
         cond = np.matmul(matrix, cond[:, :, None])[:, :, 0]
     cond *= truth.cell_sums[occupied, None]  # in place: each cell's counts

@@ -33,19 +33,21 @@ Outputs only (besides manifest.json):
   full curve)
 * summary.json:  {"subpopulation", "cellwise", "kuiper", "kuiper_includes_other"}
 
-Cell files (tables, predictions, raked predictions), voter files and region
-maps are read by one block reader, `_read_rows`: blocks of _CSV_BLOCK lines,
-one np.loadtxt call each, with csv quoting. A blank line, a row with too few
-or too many fields, a field over csv's size limit and a number that is not
-plain ASCII decimal text (float() reads "1_000" and non-ASCII digits, and
-np.loadtxt a number next to a no-break space; no reader here does) are
-input errors naming the file and line, a line counting one record, the
-header being line 1. Factor files are read by a csv loop that only splits
-rows and converts numbers by the same rule, then checked as arrays:
-malformed rows go to a reject report, except where a defect (a repeated
-label, an excessive reject rate) would corrupt results. Calibration maps go
-row by row. A surname that uppercasing takes over csv's limit is an input
-error too, so that every label written to a factor file can be read back.
+Every CSV input is read by one block reader, `_read_rows`: blocks of
+_CSV_BLOCK lines, one np.loadtxt call each with csv quoting, or a csv scan of
+the block, the reference, where np.loadtxt fails or may read otherwise. A
+line counts one record, the header being line 1. A blank line, a row with
+too few or too many fields, a field over csv's size limit and a number that
+is not plain ASCII decimal text (float() reads "1_000" and non-ASCII digits,
+and np.loadtxt a number next to a no-break space; no reader here does) are
+found while reading: the first is an input error naming the file and line,
+ahead of any defect checked once the file is read (a repeated cell, id or
+geoid, an empty label, a value rule), even on an earlier line. Factor files
+keep bad rows for a reject report, except where a defect (a repeated label,
+an excessive reject rate) would corrupt results; calibration maps check
+theirs in file order once read. A surname that uppercasing takes over csv's
+limit is an input error too, so that every label written to a factor file
+can be read back.
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ _CSV_BLOCK = 1024
 _QUOTED = r'(?:[^"]|"")*+'
 _OPENED = rf'(?:(?:"{_QUOTED}"[^,]*+|[^",][^,]*+)?,)*+"{_QUOTED}'  # whole fields, then one open
 _ENDS_QUOTED = (re.compile(rf'{_OPENED}\Z'), re.compile(rf'{_QUOTED}(?:"[^,]*+,{_OPENED})?\Z'))
+# np.loadtxt reading a block as csv splits it
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None)
 
 # a row whose probabilities sum inside this window is renormalized;
 # anything further off is rejected
@@ -206,33 +210,17 @@ MAPPINGS = {
 
 @contextmanager
 def _open_reader(path, header):
-    """Open a CSV file and check its header; yields (file, csv reader) at the
-    first data row. A csv.Error inside the block, such as a field over csv's
-    size limit, becomes a ParseError naming the file and the line read last."""
+    """Open a CSV file and check its header; yields the file at the first data row."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
         try:
-            got = next(reader, None)
-            if got is None:
-                raise ParseError(f"{path}: empty file, expected header {','.join(header)}")
-            if got != header:
-                raise ParseError(f"{path}: bad header {got!r}, expected {header!r}")
-            yield fh, reader
+            got = next(csv.reader(fh), None)
         except csv.Error as exc:
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-
-
-def _raise_bad_row(path, header, bad=None):
-    """Raise the ParseError naming the first row of a CSV file read by
-    `_read_rows` that is blank, has the wrong number of fields, or is data
-    row `bad` (0-based), which holds a value that is not a number. Values
-    are not read."""
-    with _open_reader(path, header) as (_, reader):
-        for i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{i + 2}: expected {len(header)} fields, got {len(row)}")
-            if i == bad:
-                raise ParseError(f"{path}:{i + 2}: non-numeric value")
+            raise ParseError(f"{path}:1: {exc}") from None
+        if got is None:
+            raise ParseError(f"{path}: empty file, expected header {','.join(header)}")
+        if got != header:
+            raise ParseError(f"{path}: bad header {got!r}, expected {header!r}")
+        yield fh
 
 
 def _block(fh):
@@ -247,38 +235,57 @@ def _block(fh):
     return lines
 
 
-def _read_rows(path, header, n_labels):
+def _scan(path, lines, dtype, width, first, bad):
+    """The reference reading of a block of `lines`, data rows `first` on, into np.loadtxt's
+    `dtype`: split by csv, numbers by `_plain_floats`. A csv.Error, or with `bad` None a row of
+    the wrong width or with a non-numeric number, is a ParseError; with `bad` a dict, such a row
+    is kept with NaN numbers (and empty labels for a wrong width), bad[i] the field count of row i."""
+    n_labels, rows = len(dtype) - 1, []
+    try:
+        for i, row in enumerate(csv.reader(lines), first):
+            numbers = _plain_floats(row[n_labels:]) if len(row) == width else None
+            if numbers is None and bad is None:
+                what = "non-numeric value" if len(row) == width else f"expected {width} fields, got {len(row)}"
+                raise ParseError(f"{path}:{i + 2}: {what}")
+            if numbers is None:
+                bad[i], numbers = len(row), [np.nan] * (width - n_labels)
+                row = row if len(row) == width else [""] * n_labels
+            rows.append((*row[:n_labels], numbers))
+    except csv.Error as exc:  # in the record after the rows kept
+        raise ParseError(f"{path}:{first + len(rows) + 2}: {exc}") from None
+    return np.array(rows, dtype)
+
+
+def _read_rows(path, header, n_labels, bad=None):
     """Read a CSV file of `n_labels` text columns, then numbers, a block
-    (`_block`) and an np.loadtxt call at a time, each block reduced to codes
-    and float rows before the next is read. Returns (raw, codes, values):
-    per text column its distinct entries as read, in order of first row,
-    each row's (n, n_labels) codes into them and its (n, k) numbers. Row i
-    is line i + 2. The errors are those of the module docstring.
+    (`_block`) at a time, each block reduced to codes and float rows before
+    the next is read. Returns (raw, codes, values): per text column its
+    distinct entries as read, in order of first row, each row's (n, n_labels)
+    codes into them and its (n, k) numbers. Row i is line i + 2. A block is
+    one np.loadtxt call, or `_scan`'s reading with its policy `bad` where
+    np.loadtxt fails or may read otherwise: fewer rows than lines (a blank
+    line, or a record over several), a line longer than csv's field-size
+    limit, or non-ASCII text in a number (np.loadtxt drops a no-break space).
     """
-    k = len(header) - n_labels
+    k, limit = len(header) - n_labels, csv.field_size_limit()
     dtype = [(str(j), object) for j in range(n_labels)] + [("v", np.float64, (k,))]
-    # each row's numbers and the codes of its entries, grown in place; blank: a row
-    # spans lines or a line is blank (np.loadtxt skips it), as the scan tells
+    # each row's numbers and the codes of its entries, grown in place
     raw, values, codes = [{} for _ in range(n_labels)], np.empty((0, k)), np.empty((0, n_labels), np.int64)
-    n, blank = 0, False
-    with _open_reader(path, header) as (fh, _), warnings.catch_warnings():
-        # a block of blank lines is named below, not warned about
-        warnings.simplefilter("ignore")
+    n = 0
+    with _open_reader(path, header) as fh, warnings.catch_warnings():
+        # a block of blank lines is scanned, not warned about
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         while lines := _block(fh):
             try:
-                block = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
-            except ValueError as exc:
-                # numpy names the 0-based row in the block of a value it cannot convert
-                bad = re.search(r"at row (\d+), column", str(exc))
-                _raise_bad_row(path, header, bad and n + int(bad[1]))
-                raise ParseError(f"{path}: {exc}") from None
-            if k and not "".join(lines).isascii():  # np.loadtxt reads "1\u00a0" as 1: again, as text
-                text = np.loadtxt(lines, dtype=object, delimiter=",", quotechar='"', comments=None,
-                                  ndmin=2, usecols=range(n_labels, len(header))).tolist()
-                bad = [i for i, row in enumerate(text) if not "".join(row).isascii()]
-                if bad:
-                    _raise_bad_row(path, header, n + bad[0])
-            blank |= len(block) < len(lines)
+                block = np.loadtxt(lines, dtype=dtype, ndmin=1, **_LOADTXT)
+                scan = len(block) < len(lines) or max(map(len, lines)) > limit or not (
+                    k == 0 or "".join(lines).isascii() or "".join(np.loadtxt(
+                        lines, dtype=object, ndmin=2, usecols=range(n_labels, len(header)), **_LOADTXT
+                    ).ravel().tolist()).isascii())
+            except ValueError:
+                scan = True
+            if scan:
+                block = _scan(path, lines, dtype, len(header), n, bad)
             end = n + len(block)
             if end > len(values):  # a quarter more, by realloc: rows read are not copied
                 for grown in (values, codes):
@@ -289,15 +296,9 @@ def _read_rows(path, header, n_labels):
                 codes[n:end, j] = np.fromiter(map(known.__getitem__, column), np.int64, len(column))
             values[n:end] = block["v"]
             n = end
-    if blank:
-        _raise_bad_row(path, header)
     for grown in (values, codes):
         grown.resize((n, grown.shape[1]), refcheck=False)
-    # np.loadtxt has no field-size limit; csv, which reads the files written from
-    # these entries, has
-    raw, limit = [list(known) for known in raw], csv.field_size_limit()
-    _raise_first(path, codes, raw, lambda n: n > limit, f"field larger than field limit ({limit})")
-    return raw, codes, values
+    return [list(known) for known in raw], codes, values
 
 
 def _raise_first(path, codes, texts, bad_length, what):
@@ -357,72 +358,65 @@ def _read_cells(path, header):
 
 
 def _plain_floats(fields):
-    """The floats of CSV fields, each plain decimal text (float() also reads "1_0", "١")."""
+    """The floats of CSV fields if each is plain decimal text (float() also reads "1_0", "١"), else None."""
     text = "".join(fields)
     if "_" in text or not text.isascii():
-        raise ValueError(text)
-    return list(map(float, fields))
+        return None
+    try:
+        return list(map(float, fields))
+    except ValueError:
+        return None
 
 
 def _parse_factors(path, header, kind, clean_label, sum_ok, sum_reason):
     """The factor parsers: (labels, values, rejects), the accepted labels in
     file order, their (n, 7) counts and P(r|label), and the RejectReport.
 
-    The row loop rejects a short or long row, an empty label or a
-    non-numeric field. Vectorised rules then reject, in this order, a
-    non-finite field, a negative value, or a sum s of the race entries that
-    fails `sum_ok(s)` (the reason is `sum_reason(label, s)`); accepted rows
-    are divided by s. A label repeating that of an earlier accepted row, no
+    A row is rejected, the first reason it has in this order winning: the
+    wrong number of fields, an empty label, a non-numeric or non-finite
+    field, a negative value, or a sum s of the race entries that fails
+    `sum_ok(s)` (the reason is `sum_reason(label, s)`); accepted rows are
+    divided by s. A label repeating that of an earlier accepted row, no
     data rows or more than 10% rejected rows is a ParseError.
     """
-    lines, labels, numbers, non_numeric, rejects = [], [], [], [], []
-    with _open_reader(path, header) as (_, reader):
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                rejects.append((line, f"expected {len(header)} fields, got {len(row)}"))
-                continue
-            label = clean_label(row[0])
-            if not label:
-                rejects.append((line, f"empty {header[0]}"))
-                continue
-            try:
-                numbers.append(_plain_floats(row[1:]))
-            except ValueError:
-                numbers.append([np.nan] * (len(header) - 1))
-                non_numeric.append(len(lines))
-            lines.append(line)
-            labels.append(label)
-    values = np.array(numbers, dtype=np.float64).reshape(len(lines), len(header) - 1)
+    bad = {}
+    raw, codes, values = _read_rows(path, header, 1, bad)
+    if not len(values):
+        raise ParseError(f"{path}: no data rows")
+    clean, known = [clean_label(text) for text in raw[0]], {}  # each distinct label cleaned once
+    labels = np.array(clean, dtype=object)[codes[:, 0]]
+    keys = np.array([known.setdefault(label, len(known)) for label in clean], np.int64)[codes[:, 0]]
     # the rules below reject a row whose sum overflows or mixes inf and -inf
     with np.errstate(over="ignore", invalid="ignore"):
         sums = row_sums(values[:, 1:])
-    reasons = np.empty(len(lines), dtype=object)
+    reasons = np.empty(len(values), dtype=object)
     for i in np.flatnonzero(~sum_ok(sums)).tolist():
         reasons[i] = sum_reason(labels[i], sums[i])
     # a later rule overwrites an earlier one: a row's reason is the first it breaks
     reasons[(values < 0).any(axis=1)] = "negative value"
     reasons[~np.isfinite(values).all(axis=1)] = "non-finite field"
-    reasons[non_numeric] = "non-numeric field"  # their numbers are NaN
+    reasons[list(bad)] = "non-numeric field"  # their numbers are NaN
+    reasons[labels == ""] = f"empty {header[0]}"
+    short = {i: f"expected {len(header)} fields, got {got}" for i, got in bad.items() if got != len(header)}
+    reasons[list(short)] = list(short.values())
     accepted = np.equal(reasons, None)
 
-    seen = set()
-    for line, label, ok in zip(lines, labels, accepted.tolist()):
-        if label in seen:
-            raise ParseError(f"{path}:{line}: duplicate {kind} {label!r}")
-        if ok:
-            seen.add(label)
-    total_rows = len(lines) + len(rejects)
-    rejects = sorted(rejects + list(zip(np.array(lines)[~accepted].tolist(), reasons[~accepted])))
-    if total_rows == 0:
-        raise ParseError(f"{path}: no data rows")
-    if len(rejects) > MAX_REJECT_FRACTION * total_rows:
+    # each label's first accepted row: a row after it repeats the label ("" is never accepted)
+    first = np.full(len(known), len(keys))
+    np.minimum.at(first, keys[accepted], np.flatnonzero(accepted))
+    repeat = first[keys] < np.arange(len(keys))
+    if repeat.any():
+        i = int(np.argmax(repeat))
+        raise ParseError(f"{path}:{i + 2}: duplicate {kind} {labels[i]!r}")
+    rejected = np.flatnonzero(~accepted)
+    if len(rejected) > MAX_REJECT_FRACTION * len(keys):
         raise ParseError(
-            f"{path}: {len(rejects)} of {total_rows} rows rejected "
+            f"{path}: {len(rejected)} of {len(keys)} rows rejected "
             f"(limit {MAX_REJECT_FRACTION:.0%})"
         )
     values = values[accepted]
     values[:, 1:] /= sums[accepted, None]
-    return np.array(labels, dtype=object)[accepted].tolist(), values, RejectReport(rejects)
+    return labels[accepted].tolist(), values, RejectReport(list(zip((rejected + 2).tolist(), reasons[rejected])))
 
 
 def parse_surname_factors(path):
@@ -672,21 +666,20 @@ def parse_region_map(path) -> dict:
 
 
 def parse_calibration_map(path) -> np.ndarray:
-    """A calibration matrix CSV: finite, nonnegative, columns summing to 1."""
-    rows = []
-    with _open_reader(path, CALIB_MAP_HEADER) as (_, reader):
-        for line, row in enumerate(reader, start=2):
-            if len(rows) == N_RACES:
-                raise ParseError(f"{path}:{line}: more than {N_RACES} matrix rows")
-            if len(row) != len(CALIB_MAP_HEADER) or row[0] != RACE_NAMES[len(rows)]:
-                raise ParseError(f"{path}:{line}: malformed matrix row")
-            try:
-                rows.append(_plain_floats(row[1:]))
-            except ValueError:
-                raise ParseError(f"{path}:{line}: non-numeric matrix entry") from None
-    if len(rows) != N_RACES:
+    """A calibration matrix CSV: a row per race, in order, of finite,
+    nonnegative entries, columns summing to 1. Its rows are checked in file
+    order once the file is read."""
+    bad = {}
+    raw, codes, matrix = _read_rows(path, CALIB_MAP_HEADER, 1, bad)
+    for i, code in enumerate(codes[:N_RACES + 1, 0].tolist()):
+        if i == N_RACES:
+            raise ParseError(f"{path}:{i + 2}: more than {N_RACES} matrix rows")
+        if raw[0][code] != RACE_NAMES[i]:  # a row of the wrong width has an empty label
+            raise ParseError(f"{path}:{i + 2}: malformed matrix row")
+        if i in bad:
+            raise ParseError(f"{path}:{i + 2}: non-numeric matrix entry")
+    if len(matrix) != N_RACES:
         raise ParseError(f"{path}: expected {N_RACES} matrix rows")
-    matrix = np.array(rows)
     if not np.all(np.isfinite(matrix)) or np.any(matrix < 0):
         raise ParseError(f"{path}: matrix entries must be finite and nonnegative")
     with np.errstate(over="ignore"):  # a column sum past the float range fails the test

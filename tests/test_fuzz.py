@@ -2,10 +2,14 @@
 
 Each example mutates one row of one input of the golden pipeline (a
 non-finite or overflowing number, a negative zero, a BOM, a toggled line
-ending, a quoted comma, a duplicated row, a short or long row, or a blank
-line) and runs every subcommand that reads that file. The only allowed
-outcomes are exit 0 with finite numbers in every CSV and strict JSON, or
-exit 2 with a single JSON error object on stderr.
+ending, a quoted comma, a duplicated row, a short or long row, a blank
+line, or a number respelled: quoted, padded with spaces or signed with +)
+and runs every subcommand that reads that file. The only allowed outcomes
+are exit 0 with finite numbers in every CSV and strict JSON, or exit 2 with
+a single JSON error object on stderr; a ParseError names the mutated file,
+and the mutated line where a cell file, voter file or region map has a
+short, long or blank row. A CSV input that only respells (a BOM, a line
+ending, a number) gives the unmutated input's outputs, byte for byte.
 """
 
 import contextlib
@@ -27,8 +31,14 @@ from test_golden import golden_outputs
 
 MUTATIONS = (
     "nan", "inf", "1e309", "-0", "bom", "crlf", "quoted_comma", "duplicate", "short", "long",
-    "blank",
+    "blank", "quoted", "padded", "plus",
 )
+# mutations that leave a CSV input's values as they were
+RESPELLINGS = {"bom", "crlf", "quoted", "padded", "plus"}
+# how each respelling writes a number, in a CSV field or in JSON
+NUMBER_SPELLINGS = {"quoted": '"{}"', "padded": " {} ", "plus": "+{}"}
+# the inputs whose short, long or blank row is an error naming its line
+ROW_ERROR_INPUTS = {"table", "predictions", "voters", "regions"}
 # columns that hold labels rather than numbers, by output header name
 LABEL_COLUMNS = {
     "surname", "geoid", "voter_id", "race", "active", "level", "name",
@@ -84,12 +94,13 @@ def _commands(root, path, out):
 # how each mutation spells its value in a CSV field and in a JSON number
 CSV_TOKENS = {"nan": "nan", "inf": "inf", "1e309": "1e309", "-0": "-0"}
 JSON_TOKENS = {"nan": "NaN", "inf": "Infinity", "1e309": "1e309", "-0": "-0",
-               "quoted_comma": '"1,0"'}
+               "quoted_comma": '"1,0"', **{k: v.format(r"\g<0>") for k, v in NUMBER_SPELLINGS.items()}}
 
 
 def mutate(text, mutation, row, col, is_json=False):
     """`text` with one data line changed by `mutation`; row and col pick
-    the line and the field. In JSON, the field is the line's first number."""
+    the line and the field, a number column's for a respelled CSV number.
+    In JSON, the field is the line's first number."""
     if mutation == "bom":
         return "\ufeff" + text
     lines = text.splitlines(keepends=True)
@@ -111,7 +122,14 @@ def mutate(text, mutation, row, col, is_json=False):
     else:
         fields = next(csv.reader([body]))
         j = col % len(fields)
-        if mutation == "short":
+        if mutation in NUMBER_SPELLINGS:
+            header = next(csv.reader([lines[0].lstrip("\ufeff")]))
+            numbers = [k for k, name in enumerate(header) if name not in LABEL_COLUMNS | {"region"}]
+            if not numbers:  # a voter file or region map: nothing to respell
+                return text
+            j = numbers[col % len(numbers)]
+            spelled, fields[j] = NUMBER_SPELLINGS[mutation].format(fields[j]), "\0"
+        elif mutation == "short":
             fields = fields[:-1]
         elif mutation == "long":
             fields.append(fields[j])
@@ -122,6 +140,8 @@ def mutate(text, mutation, row, col, is_json=False):
         buf = io.StringIO()
         csv.writer(buf, lineterminator=end).writerow(fields)
         lines[i] = buf.getvalue()
+        if mutation in NUMBER_SPELLINGS:  # spelled as is, not quoted by csv
+            lines[i] = lines[i].replace("\0", spelled)
     return "".join(lines)
 
 
@@ -151,6 +171,11 @@ def golden_dir(tmp_path_factory):
     return root
 
 
+def _outputs(out):
+    """{name: bytes} of every output in `out` but the manifest."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     source=st.sampled_from(INPUTS),
@@ -159,20 +184,50 @@ def golden_dir(tmp_path_factory):
     col=st.integers(0, 10),
 )
 def test_mutated_input_exits_cleanly(golden_dir, source, mutation, row, col):
+    check_mutation(golden_dir, source, mutation, row, col)
+
+
+CSV_INPUTS = [source for source in INPUTS if source.endswith(".csv")]
+
+
+@pytest.mark.parametrize("source, mutation", [
+    *((source, m) for source in CSV_INPUTS for m in sorted(RESPELLINGS)),
+    *((source, m) for source in CSV_INPUTS if Path(source).stem in ROW_ERROR_INPUTS
+      for m in ("short", "long", "blank")),
+])
+def test_each_respelling_and_row_error(golden_dir, source, mutation):
+    """Every CSV input under each respelling, and each input whose bad row is an
+    error under each row defect, at a row and field inside the file."""
+    check_mutation(golden_dir, source, mutation, 3, 2)
+
+
+def check_mutation(golden_dir, source, mutation, row, col):
+    """Run every subcommand that reads `source` mutated, and check the outcome."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         original = golden_dir / source
+        is_json = original.suffix == ".json"
         path = tmp / original.name
-        path.write_text(
-            mutate(original.read_text(encoding="utf-8"), mutation, row, col,
-                   is_json=original.suffix == ".json"),
-            encoding="utf-8", newline="",
-        )
-        for argv in _commands(golden_dir, path, tmp / "out"):
+        text = original.read_text(encoding="utf-8")
+        mutated = mutate(text, mutation, row, col, is_json=is_json)
+        path.write_text(mutated, encoding="utf-8", newline="")
+        respelled = mutation in RESPELLINGS and not is_json
+        if respelled:  # the same commands on the input as it was
+            (tmp / "plain").mkdir()
+            (tmp / "plain" / original.name).write_text(text, encoding="utf-8", newline="")
+            plain = _commands(golden_dir, tmp / "plain" / original.name, tmp / "plain_out")
+        # the 1-based line that `mutate` changed or inserted
+        line = 2 + row % (len(text.splitlines()) - 1)
+        for k, argv in enumerate(_commands(golden_dir, path, tmp / "out")):
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = main(argv)
             out = Path(argv[-1])
+            if respelled:
+                assert code == 0, (argv[0], mutation, err.getvalue())
+                with contextlib.redirect_stderr(io.StringIO()):
+                    assert main(plain[k]) == 0
+                assert _outputs(out) == _outputs(Path(plain[k][-1])), (argv[0], mutation)
             if code == 0:
                 _check_outputs(out)
             else:
@@ -181,6 +236,10 @@ def test_mutated_input_exits_cleanly(golden_dir, source, mutation, row, col):
                 assert len(lines) == 1, err.getvalue()
                 payload = json.loads(lines[0])
                 assert payload["exit_code"] == 2 and payload["error"] and payload["message"]
+                if payload["error"] == "ParseError":
+                    assert payload["message"].startswith(f"{path}:"), payload["message"]
+                    if mutation in ("short", "long", "blank") and path.stem in ROW_ERROR_INPUTS:
+                        assert payload["message"].startswith(f"{path}:{line}: "), payload["message"]
             shutil.rmtree(out, ignore_errors=True)
 
 
@@ -193,3 +252,7 @@ def test_mutations_change_the_file():
     assert mutate(text, "short", 0, 0) == "surname,geoid,a\r\nS1,g1\r\nS2,g2,2.5\r\n"
     assert mutate(text, "long", 1, 2) == "surname,geoid,a\r\nS1,g1,1.5\r\nS2,g2,2.5,2.5\r\n"
     assert mutate(text, "blank", 1, 0) == "surname,geoid,a\r\nS1,g1,1.5\r\n\r\nS2,g2,2.5\r\n"
+    assert mutate(text, "quoted", 1, 0) == 'surname,geoid,a\r\nS1,g1,1.5\r\nS2,g2,"2.5"\r\n'
+    assert mutate(text, "padded", 0, 1) == "surname,geoid,a\r\nS1,g1, 1.5 \r\nS2,g2,2.5\r\n"
+    assert mutate(text, "plus", 0, 0) == "surname,geoid,a\r\nS1,g1,+1.5\r\nS2,g2,2.5\r\n"
+    assert mutate('{\n  "a": 0.5\n}\n', "quoted", 0, 0, is_json=True) == '{\n  "a": "0.5"\n}\n'

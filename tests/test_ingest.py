@@ -204,45 +204,59 @@ class TestGeoFactors:
 # the factor parsers against the row-at-a-time loop they replace ----------
 
 
+def csv_records(path, header):
+    """(line, row) of each data row of a CSV file, read by a csv row loop: a
+    line counts records, the header being line 1, and a csv.Error (a field
+    over csv's size limit) is a ParseError naming the line of its record."""
+    with ingest._open_reader(path, header) as fh:
+        line = 1
+        try:
+            for line, row in enumerate(csv.reader(fh), start=2):
+                yield line, row
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{line + 1}: {exc}") from None
+
+
 def reference_parse_factors(path, header, kind, clean_label, bad_sum):
     """A factor file read one row at a time with numpy per row: label ->
     P(r|label) and count, the rules of the module docstring applied to each
     row as it is read. The parser must agree with it row for row."""
     probs, counts = {}, {}
     rejects = RejectReport()
-    with ingest._open_reader(path, header) as (_, reader):
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                rejects.rows.append((line, f"expected {len(header)} fields, got {len(row)}"))
-                continue
-            label = clean_label(row[0])
-            if not label:
-                rejects.rows.append((line, f"empty {header[0]}"))
-                continue
-            if label in probs:
-                raise ParseError(f"{path}:{line}: duplicate {kind} {label!r}")
-            try:
-                # only plain decimal text is a number: float() also reads
-                # "1_0" and non-ASCII digits
-                if any("_" in x or not x.isascii() for x in row[1:]):
-                    raise ValueError(row)
-                count = float(row[1])
-                vec = np.array([float(x) for x in row[2:]], dtype=np.float64)
-            except ValueError:
-                rejects.rows.append((line, "non-numeric field"))
-                continue
-            s = vec.sum()
-            if not (np.isfinite(count) and np.all(np.isfinite(vec))):
-                reason = "non-finite field"
-            elif count < 0 or np.any(vec < 0):
-                reason = "negative value"
-            else:
-                reason = bad_sum(label, s)
-            if reason:
-                rejects.rows.append((line, reason))
-                continue
-            probs[label] = vec / s
-            counts[label] = count
+    # the whole file is split first: a field over csv's size limit comes before a
+    # duplicate label on an earlier line
+    for line, row in list(csv_records(path, header)):
+        if len(row) != len(header):
+            rejects.rows.append((line, f"expected {len(header)} fields, got {len(row)}"))
+            continue
+        label = clean_label(row[0])
+        if not label:
+            rejects.rows.append((line, f"empty {header[0]}"))
+            continue
+        if label in probs:
+            raise ParseError(f"{path}:{line}: duplicate {kind} {label!r}")
+        try:
+            # only plain decimal text is a number: float() also reads
+            # "1_0" and non-ASCII digits
+            if any("_" in x or not x.isascii() for x in row[1:]):
+                raise ValueError(row)
+            count = float(row[1])
+            vec = np.array([float(x) for x in row[2:]], dtype=np.float64)
+        except ValueError:
+            rejects.rows.append((line, "non-numeric field"))
+            continue
+        s = vec.sum()
+        if not (np.isfinite(count) and np.all(np.isfinite(vec))):
+            reason = "non-finite field"
+        elif count < 0 or np.any(vec < 0):
+            reason = "negative value"
+        else:
+            reason = bad_sum(label, s)
+        if reason:
+            rejects.rows.append((line, reason))
+            continue
+        probs[label] = vec / s
+        counts[label] = count
     total_rows = len(probs) + len(rejects)
     if total_rows == 0:
         raise ParseError(f"{path}: no data rows")
@@ -322,7 +336,8 @@ def _parsed(parse, path):
 def test_factor_parser_matches_row_loop(kind, data, crlf, cap):
     """Same accepted labels, bit-identical counts and probabilities, same
     reject rows and same ParseError text as the row loop, with the reject
-    cap as shipped and lifted."""
+    cap as shipped and lifted, read in blocks of 1, 2, 3, 7 lines and of
+    the default size."""
     parse, reference, header = FACTOR_KINDS[kind]
     rows = data.draw(st.lists(factor_rows(kind), max_size=25))
     text = io.StringIO(newline="")
@@ -331,10 +346,12 @@ def test_factor_parser_matches_row_loop(kind, data, crlf, cap):
         mp.setattr(ingest, "MAX_REJECT_FRACTION", cap)
         path = Path(tmp) / "factors.csv"
         path.write_text(text.getvalue(), encoding="utf-8", newline="")
-        got = _parsed(parse, path)  # a RuntimeWarning here fails the test
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the row loop's sums overflow
-            assert got == _parsed(reference, path)
+            expected = _parsed(reference, path)
+        for block in (1, 2, 3, 7, DEFAULT_BLOCK):
+            mp.setattr(ingest, "_CSV_BLOCK", block)
+            assert _parsed(parse, path) == expected, block  # a RuntimeWarning here fails the test
 
 
 @pytest.mark.parametrize("repeat, expected", [
@@ -883,7 +900,7 @@ CELL_DEFECTS = (
 def cell_files(draw):
     """(reader, file text) of a cell file whose labels hold commas, quotes
     and line breaks, with CRLF, LF or CR line ends, rows in any order and
-    at most one defect, on any row."""
+    at most two defects, on any rows."""
     kind = draw(st.sampled_from(sorted(CELL_FORMATS)))
     parse, header, make = CELL_FORMATS[kind]
     n = draw(st.integers(1, 12))
@@ -895,24 +912,27 @@ def cell_files(draw):
              draw(st.sampled_from(["3", "0.5", '"2"', " 1e3 ", "+.5", "0"])))
         for i in draw(st.permutations(range(n)))
     ]
-    defect, at = draw(st.sampled_from(CELL_DEFECTS)), draw(st.integers(0, n - 1))
-    if defect == "blank":
-        rows.insert(draw(st.integers(0, n)), [])
-    elif defect == "short":
-        rows[at].pop()
-    elif defect == "long":
-        rows[at].append("0")
-    elif defect == "repeat":
-        rows[at][:2] = rows[draw(st.integers(0, n - 1))][:2]
-    elif defect in ("long label", "long cleaned label"):
-        # over a field-size limit of 12, as read or once uppercased
-        rows[at][0] = "L" * 13 if defect == "long label" else "\u00df" * 7
-    elif defect is not None:
-        rows[at][2] = draw(st.sampled_from({
-            "non-numeric": ["x", "1_0", "\u0661", "", "1\u00a0"],
-            "non-finite": ["nan", "inf", "1e309"],
-            "negative": ["-1", "-0.5"],
-        }[defect]))
+    # a blank row goes in last, so that the other defect finds a row of fields
+    for defect in sorted(draw(st.lists(st.sampled_from(CELL_DEFECTS), min_size=1, max_size=2)),
+                         key=lambda defect: defect == "blank"):
+        at = draw(st.integers(0, n - 1))
+        if defect == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif defect == "short":
+            rows[at].pop()
+        elif defect == "long":
+            rows[at].append("0")
+        elif defect == "repeat":
+            rows[at][:2] = rows[draw(st.integers(0, n - 1))][:2]
+        elif defect in ("long label", "long cleaned label"):
+            # over a field-size limit of 12, as read or once uppercased
+            rows[at][0] = "L" * 13 if defect == "long label" else "\u00df" * 7
+        elif defect is not None:
+            rows[at][2] = draw(st.sampled_from({
+                "non-numeric": ["x", "1_0", "\u0661", "", "1\u00a0"],
+                "non-finite": ["nan", "inf", "1e309"],
+                "negative": ["-1", "-0.5"],
+            }[defect]))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return parse, end.join([header] + [",".join(row) for row in rows]) + end
 
@@ -929,16 +949,20 @@ def _cells_read(parse, path):
 
 
 DEFAULT_BLOCK = ingest._CSV_BLOCK
+# csv's field-size limit as shipped, or one of 12 that a long label passes: under it every
+# line of a test file is longer than the limit, so np.loadtxt reads no block
+FIELD_LIMITS = st.sampled_from([12, csv.field_size_limit()])
 
 
 @settings(max_examples=300, deadline=None)
-@given(cell_files())
-def test_block_reads_equal_a_one_block_read(case):
+@given(cell_files(), FIELD_LIMITS)
+def test_block_reads_equal_a_one_block_read(case, field_limit):
     """Blocks of 1, 2, 3 or 7 lines, across which quoted fields run and at
     whose edges defects sit, read a file as one block does: the same
-    arrays, or the same ParseError."""
+    arrays, or the same ParseError, which names the first defect found
+    while reading even where a file has two."""
     parse, text = case
-    limit = csv.field_size_limit(12)
+    limit = csv.field_size_limit(field_limit)
     try:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             path = Path(tmp) / "cells.csv"
@@ -954,15 +978,12 @@ def test_block_reads_equal_a_one_block_read(case):
 
 
 def reference_rows(path, header):
-    """(line, row) of each data row of a CSV file, read by a csv row loop. A
-    line counts records, the header being line 1, except that a row csv
-    cannot split (a field over its size limit) is named by csv's own count
-    of physical lines."""
-    with ingest._open_reader(path, header) as (_, reader):
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
-            yield line, row
+    """(line, row) of each data row of a CSV file, read by a csv row loop
+    (`csv_records`), a row of the wrong width being a ParseError."""
+    for line, row in csv_records(path, header):
+        if len(row) != len(header):
+            raise ParseError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+        yield line, row
 
 
 def reference_voter_file(path, mapping):
@@ -1094,7 +1115,7 @@ def test_voter_files_and_region_maps_read_as_a_row_loop(kind, defect, data):
     exception with the same text."""
     text = data.draw(row_files(kind, defect))
     read, reference = ROW_READERS[kind]
-    limit = csv.field_size_limit(12)
+    limit = csv.field_size_limit(data.draw(FIELD_LIMITS))
     try:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             path = Path(tmp) / f"{kind}.csv"
@@ -1105,6 +1126,129 @@ def test_voter_files_and_region_maps_read_as_a_row_loop(kind, defect, data):
                 assert _read_or_error(read, path) == expected, block
     finally:
         csv.field_size_limit(limit)
+
+
+def test_a_defect_found_while_reading_comes_first(tmp_path):
+    # a repeated geoid is checked once the file is read; the short row is found while reading
+    path = tmp_path / "regions.csv"
+    write_lines(path, ["geoid,region", "g1,a", "g1,b", "g2,c", "g3,d", "g4"])
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:6: expected 2 fields, got 1$"):
+        parse_region_map(path)
+
+
+def reference_calibration_map(path):
+    """parse_calibration_map as the row loop it replaced."""
+    rows = []
+    for line, row in list(csv_records(path, ingest.CALIB_MAP_HEADER)):
+        if len(rows) == N_RACES:
+            raise ParseError(f"{path}:{line}: more than {N_RACES} matrix rows")
+        if len(row) != len(ingest.CALIB_MAP_HEADER) or row[0] != RACE_NAMES[len(rows)]:
+            raise ParseError(f"{path}:{line}: malformed matrix row")
+        try:
+            if any("_" in x or not x.isascii() for x in row[1:]):
+                raise ValueError(row)
+            rows.append([float(x) for x in row[1:]])
+        except ValueError:
+            raise ParseError(f"{path}:{line}: non-numeric matrix entry") from None
+    if len(rows) != N_RACES:
+        raise ParseError(f"{path}: expected {N_RACES} matrix rows")
+    matrix = np.array(rows)
+    if not np.all(np.isfinite(matrix)) or np.any(matrix < 0):
+        raise ParseError(f"{path}: matrix entries must be finite and nonnegative")
+    with np.errstate(over="ignore"):
+        off = np.abs(matrix.sum(axis=0) - 1.0).max()
+    if off > 1e-6:
+        raise ParseError(f"{path}: matrix columns must sum to 1")
+    return matrix
+
+
+CALIB_DEFECTS = (None, "short", "long", "blank", "name", "order", "non-numeric", "not plain")
+
+
+@st.composite
+def calibration_maps(draw):
+    """The text of a calibration map of 0-8 rows, a column-stochastic matrix
+    in any spelling of its numbers, with at most one defect, a BOM or not
+    and LF or CRLF line ends."""
+    n = draw(st.integers(0, 8))
+    weights = draw(st.lists(st.floats(0.01, 1), min_size=N_RACES * N_RACES, max_size=N_RACES * N_RACES))
+    matrix = np.array(weights).reshape(N_RACES, N_RACES)
+    matrix /= matrix.sum(axis=0)
+    spell = st.sampled_from(["{!r}", '"{!r}"', " {!r} ", "+{!r}", "{:.17e}"])
+    rows = [[RACE_NAMES[i % N_RACES]] + [draw(spell).format(x) for x in matrix[i % N_RACES]]
+            for i in range(n)]
+    defect, at = draw(st.sampled_from(CALIB_DEFECTS)), draw(st.integers(0, max(n - 1, 0)))
+    if defect == "blank":
+        rows.insert(at, [])
+    elif rows and defect == "short":
+        rows[at].pop()
+    elif rows and defect == "long":
+        rows[at].append("0")
+    elif rows and defect == "name":
+        rows[at][0] = draw(st.sampled_from(["", "White", " white", "x", "\u00e9"]))
+    elif rows and defect == "order":
+        rows[at][0] = RACE_NAMES[(at + draw(st.integers(1, N_RACES - 1))) % N_RACES]
+    elif rows and defect is not None:
+        rows[at][draw(st.integers(1, N_RACES))] = draw(st.sampled_from(
+            ["x", "", "1..0", "0x1"] if defect == "non-numeric" else ["1_0", "\u0661", "1\u00a0", "\u00a00"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(row) for row in [ingest.CALIB_MAP_HEADER, *rows]]
+    return draw(st.sampled_from(["", "\ufeff"])) + end.join(lines) + end
+
+
+@settings(max_examples=300, deadline=None)
+@given(calibration_maps())
+def test_calibration_map_reads_as_a_row_loop(text):
+    """Read in blocks of 1, 2, 3 or 7 lines and of the default size, a
+    calibration map gives the row loop's matrix, bit for bit, or the same
+    ParseError."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "calibration_map.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+
+        def read(parse):
+            try:
+                matrix = parse(path)
+            except ParseError as exc:
+                return str(exc)
+            return matrix.shape, matrix.tobytes()
+
+        expected = read(reference_calibration_map)
+        for block in (1, 2, 3, 7, DEFAULT_BLOCK):
+            mp.setattr(ingest, "_CSV_BLOCK", block)
+            assert read(parse_calibration_map) == expected, block
+
+
+@pytest.mark.parametrize("surname, geoid, region", [
+    ("LEE", "g1", "north"), ('O"NEIL, JR', "g,2", "R"), ("M\u00dcLLER", "g\u00e94", "S\u00fcd"),
+])
+def test_clean_files_are_read_without_the_scan(tmp_path, monkeypatch, surname, geoid, region):
+    """np.loadtxt alone reads a clean file of every kind, its labels ASCII
+    or not: its numbers are ASCII and each line is one record."""
+    def scan(*args):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(ingest, "_scan", scan)
+    rows = [[surname, geoid, "1", "0", "2.5", "0", "3", "0"], ["KIM", geoid, "0", "1", "0", "0", "0", "4"]]
+    files = {
+        "table": (parse_table, ingest.TABLE_HEADER, rows),
+        "predictions": (parse_predictions, ingest.PREDICTIONS_HEADER,
+                        [r[:2] + ["5", "0.5", "0.5", "0", "0", "0", "0"] for r in rows]),
+        "surnames": (parse_surname_factors, ingest.SURNAME_FACTORS_HEADER,
+                     [[r[0], "10", "0.5", "0", "0.5", "0", "0", "0"] for r in rows]),
+        "geoids": (parse_geo_factors, ingest.GEO_FACTORS_HEADER, [[geoid, "10", *rows[0][2:]]]),
+        "voters": (lambda path: parse_voter_file(path, CANONICAL_MAPPING), ingest.VOTER_FILE_HEADER,
+                   [["1", surname, geoid, "white", "true"], ["2", "KIM", geoid, "", "false"]]),
+        "regions": (parse_region_map, ingest.REGION_MAP_HEADER, [[geoid, region]]),
+        "calibration map": (parse_calibration_map, ingest.CALIB_MAP_HEADER,
+                            [[race, *(["0"] * i + ["1.0"] + ["0"] * (N_RACES - 1 - i))]
+                             for i, race in enumerate(RACE_NAMES)]),
+    }
+    for name, (parse, header, data) in files.items():
+        path = tmp_path / f"{name}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *data])
+        parse(path)
 
 
 @pytest.mark.parametrize("line, quoted, expected", [
@@ -1137,8 +1281,8 @@ def test_quote_near_the_top_is_scanned_once(tmp_path, monkeypatch, label):
     """A quote that opens a field and never closes, or a quoted label that
     ends in a line break or a comma, near the top of a file of 25 blocks:
     each later line is scanned once, and the file reads as one block reads
-    it; the unclosed quote gives csv's error where its field passes csv's
-    size limit."""
+    it; the unclosed quote gives csv's error, named at the line of its
+    record, where its field passes csv's size limit."""
     rows = [f"S{i},G{i % 160},1,2,0,0,3,0.5" for i in range(25_600)]
     rows[2] = f"{label},G1,1,1,1,1,1,1"
     path = tmp_path / "cells.csv"
@@ -1149,9 +1293,8 @@ def test_quote_near_the_top_is_scanned_once(tmp_path, monkeypatch, label):
     assert time.perf_counter() - start < 10
     if label == '"ONEIL':
         with open(path, newline="", encoding="utf-8") as fh, pytest.raises(csv.Error) as exc:
-            reader = csv.reader(fh)
-            list(reader)
-        assert got == f"{path}:{reader.line_num}: {exc.value}"
+            list(csv.reader(fh))
+        assert got == f"{path}:4: {exc.value}"
     else:
         assert not isinstance(got, str)
     monkeypatch.setattr(ingest, "_CSV_BLOCK", len(rows) + 1)
