@@ -21,6 +21,19 @@ import resource
 import sys
 import time
 
+# OpenBLAS starts a thread pool when numpy is imported: about 70 ms of each
+# command's start on a 2-core machine, and no command gains from it (rake
+# makes no BLAS call; calib-map's LAPACK solves are 12 by 36). So a command
+# run as its own process takes one BLAS thread unless the caller chose a
+# count with one of these variables. A process that loaded numpy first is
+# left as it is, and so is `import raketab`.
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_BLAS_THREADS = {"set_by": "caller"}  # the manifest's record of the setting
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    _BLAS_THREADS["set_by"] = "raketab"
+_BLAS_THREADS["variables"] = {v: os.environ[v] for v in _BLAS_VARIABLES if v in os.environ}
+
 import numpy as np
 
 from . import __version__, bisg, calibmap, ingest, metrics, raking
@@ -39,6 +52,20 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _peak_rss_mb() -> float:
+    """This process's own peak resident memory: VmHWM where /proc has it.
+
+    Elsewhere ru_maxrss, in bytes on macOS and KiB on Linux, which a
+    spawned process starts at its parent's peak.
+    """
+    try:
+        with open("/proc/self/status", encoding="utf-8") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak / 2**20 if sys.platform == "darwin" else peak / 1024
 
 
 def _atomic(path, write_fn, *args):
@@ -86,14 +113,13 @@ class _Run:
     def finish(self):
         # compute is the rest of the run, up to the manifest
         elapsed = time.perf_counter() - self.start
-        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
         manifest = {
             "command": self.command,
             "flags": {k: str(v) for k, v in self.flags.items()},
             "seed": self.flags.get("seed"),
             "inputs": self.inputs,
             "outputs": sorted(self.outputs, key=lambda o: o["path"]),
-            "info": dict(self.info, peak_rss_mb=peak_kib / 1024),
+            "info": dict(self.info, peak_rss_mb=_peak_rss_mb(), blas_threads=_BLAS_THREADS),
             "timings": dict(self.timings, compute_s=elapsed - sum(self.timings.values())),
             "versions": {"raketab": __version__, "numpy": np.__version__,
                          "python": platform.python_version()},

@@ -617,7 +617,8 @@ def parse_predictions(path):
 def parse_race_margin(path) -> np.ndarray:
     """Read a race-distribution JSON object into a probability 6-vector;
     each share is a JSON number (not a boolean), an absent race's is 0. A
-    key repeated in any object is a ParseError: json keeps only the last."""
+    key repeated in any object is a ParseError: json keeps only the last.
+    A leading byte-order mark is ignored, as in a CSV input."""
 
     def unique_keys(pairs):
         seen = set()
@@ -627,7 +628,7 @@ def parse_race_margin(path) -> np.ndarray:
             seen.add(key)
         return dict(pairs)
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:  # an integer past the float range reads as inf, not an OverflowError
             payload = json.load(fh, parse_int=float, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from raketab import RACE_NAMES, calibmap
 from raketab.cli import main
 from test_golden import voter_outputs
+from test_package import fresh_env
 
 
 def run_cli(*args):
@@ -485,9 +490,57 @@ class TestDeterminism:
         assert all(np.isfinite(t) and t >= 0 for t in timings.values())
         assert timings["parse_s"] > 0 and timings["write_s"] > 0 and timings["digest_s"] > 0
         assert manifest["info"]["peak_rss_mb"] > 0
+        # in process, numpy loaded first: the BLAS threads are this process's
+        assert manifest["info"]["blas_threads"]["set_by"] == "caller"
         assert manifest["versions"] == {
             "raketab": raketab.__version__, "numpy": np.__version__,
             "python": platform.python_version(),
+        }
+
+
+def vmhwm_mb(status):
+    """Peak resident memory in MB from the text of /proc/<pid>/status."""
+    return next(int(line.split()[1]) for line in status.splitlines() if line.startswith("VmHWM:")) / 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+class TestManifestOfOneProcess:
+    """A command run as its own process, as the benchmark runs it: the
+    manifest holds that process's own peak memory and BLAS thread setting."""
+
+    # main, then the process's /proc/self/status written to the file named first
+    ENTRY = (
+        "import sys; from raketab.cli import main; code = main(sys.argv[2:]); "
+        "open(sys.argv[1], 'w').write(open('/proc/self/status').read()); sys.exit(code)"
+    )
+
+    def calib_map(self, tmp_path, **env):
+        """Run calib-map in a child; return its manifest and its VmHWM in MB."""
+        margin = tmp_path / "m.json"
+        margin.write_text(json.dumps({"race_distribution": {"white": 0.6, "black": 0.4}}))
+        status, out = tmp_path / "status", tmp_path / "cm"
+        subprocess.run(
+            [sys.executable, "-c", self.ENTRY, status, "calib-map", "--source", margin,
+             "--target", margin, "--out-dir", out],
+            env=fresh_env(**env), check=True,
+        )
+        return read_json(out / "manifest.json"), vmhwm_mb(status.read_text())
+
+    def test_peak_rss_is_the_commands_own(self, tmp_path):
+        ballast = b"\1" * (48 << 20)  # this process's peak, which a child can inherit
+        manifest, child_peak = self.calib_map(tmp_path)
+        assert vmhwm_mb(Path("/proc/self/status").read_text()) > child_peak + 8
+        assert manifest["info"]["peak_rss_mb"] == pytest.approx(child_peak, abs=1.0)
+        del ballast
+
+    def test_blas_threads_record_who_chose_them(self, tmp_path):
+        manifest, _ = self.calib_map(tmp_path)
+        assert manifest["info"]["blas_threads"] == {
+            "set_by": "raketab", "variables": {"OPENBLAS_NUM_THREADS": "1"},
+        }
+        manifest, _ = self.calib_map(tmp_path, OMP_NUM_THREADS="2")
+        assert manifest["info"]["blas_threads"] == {
+            "set_by": "caller", "variables": {"OMP_NUM_THREADS": "2"},
         }
 
 

@@ -9,7 +9,8 @@ are exit 0 with finite numbers in every CSV and strict JSON, or exit 2 with
 a single JSON error object on stderr; a ParseError names the mutated file,
 and the mutated line where a cell file, voter file or region map has a
 short, long or blank row. A CSV input that only respells (a BOM, a line
-ending, a number) gives the unmutated input's outputs, byte for byte.
+ending, a number), and a JSON input with a BOM, gives the unmutated input's
+outputs, byte for byte.
 """
 
 import contextlib
@@ -33,7 +34,8 @@ MUTATIONS = (
     "nan", "inf", "1e309", "-0", "bom", "crlf", "quoted_comma", "duplicate", "short", "long",
     "blank", "quoted", "padded", "plus",
 )
-# mutations that leave a CSV input's values as they were
+# mutations that leave a CSV input's values as they were; a JSON input's
+# too for a BOM
 RESPELLINGS = {"bom", "crlf", "quoted", "padded", "plus"}
 # how each respelling writes a number, in a CSV field or in JSON
 NUMBER_SPELLINGS = {"quoted": '"{}"', "padded": " {} ", "plus": "+{}"}
@@ -194,10 +196,12 @@ CSV_INPUTS = [source for source in INPUTS if source.endswith(".csv")]
     *((source, m) for source in CSV_INPUTS for m in sorted(RESPELLINGS)),
     *((source, m) for source in CSV_INPUTS if Path(source).stem in ROW_ERROR_INPUTS
       for m in ("short", "long", "blank")),
+    *((source, "bom") for source in INPUTS if source.endswith(".json")),
 ])
 def test_each_respelling_and_row_error(golden_dir, source, mutation):
-    """Every CSV input under each respelling, and each input whose bad row is an
-    error under each row defect, at a row and field inside the file."""
+    """Every CSV input under each respelling, each input whose bad row is an
+    error under each row defect, at a row and field inside the file, and
+    each JSON input with a BOM."""
     check_mutation(golden_dir, source, mutation, 3, 2)
 
 
@@ -211,7 +215,7 @@ def check_mutation(golden_dir, source, mutation, row, col):
         text = original.read_text(encoding="utf-8")
         mutated = mutate(text, mutation, row, col, is_json=is_json)
         path.write_text(mutated, encoding="utf-8", newline="")
-        respelled = mutation in RESPELLINGS and not is_json
+        respelled = mutation in RESPELLINGS and (mutation == "bom" or not is_json)
         if respelled:  # the same commands on the input as it was
             (tmp / "plain").mkdir()
             (tmp / "plain" / original.name).write_text(text, encoding="utf-8", newline="")
