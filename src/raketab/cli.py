@@ -13,6 +13,7 @@ atomically (temp file + rename). Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -69,9 +70,16 @@ def _peak_rss_mb() -> float:
 
 
 def _atomic(path, write_fn, *args):
+    """write_fn(tmp, *args) into `path`.tmp, renamed to `path`; a writer or
+    rename that raises leaves no .tmp behind."""
     tmp = f"{path}.tmp"
-    result = write_fn(tmp, *args)
-    os.replace(tmp, path)
+    try:
+        result = write_fn(tmp, *args)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     return result
 
 
@@ -152,22 +160,27 @@ def _load_occupancy(args, run):
     return occupancy
 
 
-def _load_factors(args, run) -> bisg.BisgFactors:
+def _load_factors(args, run):
+    """The factors, and each factor file's rejected rows by kind."""
     surnames, s_values, s_rejects = run.read(args.surname_factors, ingest.parse_surname_factors)
     geoids, g_values, g_rejects = run.read(args.geo_factors, ingest.parse_geo_factors)
     prior = run.read(args.prior, ingest.parse_race_margin)
-    for kind, rejects in (("surname", s_rejects), ("geo", g_rejects)):
-        if len(rejects):
-            run.write(f"{kind}_factor_rejects.csv", ingest.write_rejects, rejects)
-            run.info[f"{kind}_factor_rejects"] = len(rejects)
-            run.info[f"{kind}_factor_rejects_by_reason"] = ingest.reason_counts(
-                reason for _, reason in rejects.rows
-            )
     # values hold each label's count, then P(r | label)
-    return bisg.BisgFactors(
+    factors = bisg.BisgFactors(
         AxisLabels(surnames, geoids), s_values[:, 1:], g_values[:, 1:], prior,
         s_values[:, 0], g_values[:, 0],
     )
+    return factors, {"surname": s_rejects, "geo": g_rejects}
+
+
+def _write_factor_rejects(run, rejects):
+    for kind, report in rejects.items():
+        if len(report):
+            run.write(f"{kind}_factor_rejects.csv", ingest.write_rejects, report)
+            run.info[f"{kind}_factor_rejects"] = len(report)
+            run.info[f"{kind}_factor_rejects_by_reason"] = ingest.reason_counts(
+                reason for _, reason in report.rows
+            )
 
 
 def _write_factors(run, factors):
@@ -195,7 +208,7 @@ def cmd_fit_factors(args):
 
 def cmd_predict(args):
     run = _Run("predict", args, args.out_dir)
-    factors = _load_factors(args, run)
+    factors, factor_rejects = _load_factors(args, run)
     occupancy = _load_occupancy(args, run)
     adjustment = None
     if args.adjust_cps:
@@ -204,6 +217,8 @@ def cmd_predict(args):
     table, rejects = bisg.weighted_counts(
         factors, occupancy, adjustment=adjustment, method=args.method
     )
+    # nothing is written until every input is read and checked
+    _write_factor_rejects(run, factor_rejects)
     run.write("predictions.csv", ingest.write_predictions, table)
     if rejects:
         rows = [(i + 1, f"{s},{g}: {reason}") for i, (s, g, reason) in enumerate(rejects)]
@@ -224,10 +239,13 @@ def cmd_rake(args):
 
     live = counts > 0
     base = PredictionTable(labels, index[live], counts[live, None] * conds[live])
-    del index, conds  # the parsed rows: base holds what rake reads
+    # counts and conds are views of the parsed (n, 7) rows: keep only the
+    # cell targets, their total (in file order) and the row count
+    cell_targets, total, cells_in = counts[live], sum(counts.tolist()), len(counts)
+    del index, counts, conds, live
     # renormalize so the race targets sum exactly to the cell-target total
     distribution = distribution / distribution.sum()
-    targets = MarginSet(distribution * sum(counts.tolist()), labels, base.cell_index, counts[live])
+    targets = MarginSet(distribution * total, labels, base.cell_index, cell_targets)
     config = raking.RakingConfig(tolerance=args.tol, max_iterations=args.max_iters)
     result = raking.rake(base, targets, config)
 
@@ -239,7 +257,7 @@ def cmd_rake(args):
     run.info["gap_history"] = list(result.gap_history)
     run.info["feasibility_slack"] = result.feasibility_slack
     run.info["tightest_races"] = list(result.tightest_races)
-    run.info["cells_in"] = len(counts)
+    run.info["cells_in"] = cells_in
     run.info["cells_out"] = result.table.n_cells
     run.finish()
     return EXIT_OK
@@ -295,7 +313,10 @@ def cmd_evaluate(args):
     if matrix is not None:
         cond = np.matmul(matrix, cond[:, :, None])[:, :, 0]
     cond *= truth.cell_sums[occupied, None]  # in place: each cell's counts
-    pred = PredictionTable(truth.labels, truth.cell_index[occupied], cond)
+    # with every truth cell occupied, the prediction shares the truth's index
+    pred = PredictionTable(
+        truth.labels, truth.cell_index if occupied.all() else truth.cell_index[occupied], cond
+    )
 
     region_map = None
     if args.region_map:
@@ -303,14 +324,25 @@ def cmd_evaluate(args):
 
     sub = metrics.subpop_report(truth, pred)
     cell = metrics.cellwise_report(truth, pred, region_map=region_map)
-    curves = [metrics.calibration_curve(truth, pred, RaceCategory(r)) for r in range(N_RACES)]
+    kuiper = {}
 
+    def curves():
+        """Each race's curve as the writer asks for it; its Kuiper statistic is kept."""
+        for race in RaceCategory:
+            curve = metrics.calibration_curve(truth, pred, race)
+            kuiper[RACE_NAMES[race]] = curve.kuiper
+            yield curve
+            del curve  # released before the next race's curve is computed
+
+    # the curves are written first: a curve fails on the first race or not
+    # at all (no occupied cell, or one with no prediction), so a failing
+    # evaluate writes nothing
+    rows = run.write("calibration_curves.csv", ingest.write_calibration_curves, curves())
     run.write("subpop.csv", ingest.write_subpop, sub)
     run.write("cellwise.csv", ingest.write_cellwise, cell)
-    rows = run.write("calibration_curves.csv", ingest.write_calibration_curves, curves)
-    run.write("summary.json", ingest.write_summary, sub, cell, curves)
+    run.write("summary.json", ingest.write_summary, sub, cell, kuiper)
     run.info["cells_out"] = pred.n_cells
-    run.info["curve_points"] = {RACE_NAMES[c.race]: n for c, n in zip(curves, rows)}
+    run.info["curve_points"] = dict(zip(RACE_NAMES, rows))
     run.finish()
     return EXIT_OK
 

@@ -862,19 +862,27 @@ def write_cellwise(path, report):
 
 def write_calibration_curves(path, curves):
     """The outline of each CalibrationCurve (see `CalibrationCurve.outline`),
-    origin first, one race after another, one outline held at a time.
+    origin first, one race after another. `curves` may be a generator: each
+    curve is let go once its outline is taken, before the next is asked for,
+    so one curve is held at a time, plus at most the last one's outline.
     Returns the rows of each curve."""
-    outlines = ((RACE_NAMES[c.race], c.outline()) for c in curves)
-    return _write_csv(path, CURVES_HEADER, (_columns([[race] * len(o)], o) for race, o in outlines))
+
+    def parts():
+        for curve in curves:
+            race, outline = RACE_NAMES[curve.race], curve.outline()
+            del curve
+            yield _columns([[race] * len(outline)], outline)
+
+    return _write_csv(path, CURVES_HEADER, parts())
 
 
-def write_summary(path, subpop, cellwise, curves):
-    """summary.json of an evaluation: the report summaries and the Kuiper
-    statistic of each curve."""
+def write_summary(path, subpop, cellwise, kuiper):
+    """summary.json of an evaluation: the report summaries and `kuiper`,
+    each race's Kuiper statistic by name."""
     _write_json(path, {
         "subpopulation": subpop.summary(),
         "cellwise": cellwise.summary(),
-        "kuiper": {RACE_NAMES[c.race]: c.kuiper for c in curves},
+        "kuiper": kuiper,
         # the other category is computed like the rest but called out,
         # since reports often omit it
         "kuiper_includes_other": True,

@@ -134,7 +134,12 @@ def _aligned(truth: ContingencyTable, pred: PredictionTable):
 
     Predictions must live on the truth's label universe.
     """
-    if pred.labels == truth.labels and np.array_equal(pred.cell_index, truth.cell_index):
+    # one on the truth's own label object and index memory needs no
+    # comparison (a table keeps an index it is given as a view, not itself)
+    shared = pred.labels is truth.labels and (
+        pred.cell_index.__array_interface__ == truth.cell_index.__array_interface__
+    )
+    if shared or (pred.labels == truth.labels and np.array_equal(pred.cell_index, truth.cell_index)):
         return truth.cell_values, pred.cell_values, truth.cell_index[:, 1]
     geo = truth.labels.positions("g", pred.labels.geolocations)
     if np.any(geo < 0):

@@ -623,6 +623,61 @@ class TestErrors:
                                   else repr(f"{voters}:3: {message}"))
         assert not (fit / "surname_factors.csv").exists()
 
+class TestFailedRunWritesNothing:
+    """A command that fails leaves its out-dir without outputs, and a
+    writer that raises leaves no .tmp file."""
+
+    def test_evaluate_with_no_prediction_for_an_occupied_cell(self, tmp_path, capsys):
+        fix = synth_fixture(tmp_path)
+        pred = predict_dir(tmp_path, fix)
+        assert run_cli(
+            "rake", "--base", pred / "predictions.csv",
+            "--race-margin", fix / "race_margin.json", "--out-dir", tmp_path / "raked",
+        ) == 0
+        raked = tmp_path / "raked" / "raked.csv"
+        rows = read_csv(raked)
+        assert rows[1][:2] == ["S000", "g000"]
+        rows[1][2:] = ["0"] * 7
+        with open(raked, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "ev"
+        err = exits_2_with_json_error(
+            capsys, "evaluate", "--truth-table", fix / "table.csv", "--preds", raked, "--out-dir", out,
+        )
+        assert err["message"] == "missing prediction for occupied cell ('S000', 'g000')"
+        assert list(out.iterdir()) == []
+
+    def test_writer_that_raises_midway_leaves_no_tmp(self, tmp_path, capsys, monkeypatch):
+        from raketab import ingest
+
+        def failing_writer(path, *args):
+            with open(path, "w") as fh:
+                fh.write("surname,count\r\n")
+            raise OSError("No space left on device")
+
+        fix = synth_fixture(tmp_path)
+        monkeypatch.setattr(ingest, "write_surname_factors", failing_writer)
+        out = tmp_path / "fit"
+        err = exits_2_with_json_error(capsys, "fit-factors", "--table", fix / "table.csv", "--out-dir", out)
+        assert err["message"] == "No space left on device"
+        assert list(out.iterdir()) == []
+
+    def test_predict_failing_after_factor_rejects_writes_no_reject_file(self, tmp_path, capsys):
+        fix = synth_fixture(tmp_path, seed=8)
+        bad = tmp_path / "sf.csv"
+        lines = (fix / "surname_factors.csv").read_text().splitlines()
+        bad.write_text("\n".join(lines + ["BADROW,1,0.2,0.2,0,0,0,0"]) + "\n")
+        replace_field(fix / "table.csv", 4, 3, "inf")
+        out = tmp_path / "pred"
+        err = exits_2_with_json_error(
+            capsys, "predict", "--surname-factors", bad,
+            "--geo-factors", fix / "geo_factors.csv", "--prior", fix / "prior.json",
+            "--table", fix / "table.csv", "--out-dir", out,
+        )
+        assert err["message"].endswith("table.csv:4: non-finite value")
+        assert list(out.iterdir()) == []
+
+
 class TestAdjustment:
     def test_adjust_cps_changes_predictions(self, tmp_path):
         fix = synth_fixture(tmp_path, seed=19, dependence=0.4)

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from raketab import RACE_NAMES, ContingencyTable, RaceCategory, SynthConfig, generate, ingest
+from raketab import MarginSet, PredictionTable, fit_factors, rake, weighted_counts
+from raketab import calibration_curve, cellwise_report, cli, subpop_report
 from raketab.table import N_RACES, index_cells
 from raketab.ingest import (
     CANONICAL_MAPPING,
@@ -1338,6 +1340,68 @@ def test_cell_files_are_read_and_written_a_block_at_a_time(tmp_path):
     table.cell_sums  # the table's cached cell totals are not the writer's
     _, peak = _traced_peak(lambda: ingest.write_predictions(tmp_path / "out.csv", table))
     assert peak <= block(paths[parse_predictions])
+
+
+def _stage_inputs(tmp_path):
+    """A 160 x 160 table with every cell occupied, written as table.csv,
+    with its race distribution and its BISG predictions."""
+    table = generate(SynthConfig(160, 160, np.full(6, 1 / 6), 0.5, 1e6, seed=5))
+    assert table.n_cells == 25_600 and np.all(table.cell_sums > 0)
+    write_table(tmp_path / "table.csv", table)
+    write_race_margin(tmp_path / "margin.json", table.margin("r") / table.total())
+    pred, _ = weighted_counts(fit_factors(table), MarginSet.from_table(table))
+    ingest.write_predictions(tmp_path / "preds.csv", pred)
+
+
+def test_rake_holds_no_copy_of_the_parsed_rows(tmp_path):
+    """At 25,600 cells, `rake` peaks at the base's and the targets' arrays
+    plus raking's own memory: the parsed (n, 7) rows of counts and
+    conditionals are let go before raking, and what else the command
+    holds stays under half of them."""
+    _stage_inputs(tmp_path)
+    labels, index, counts, conds = parse_predictions(tmp_path / "preds.csv")
+    rows = 7 * counts.nbytes
+    live = counts > 0
+    base = PredictionTable(labels, index[live], counts[live, None] * conds[live])
+    targets = MarginSet(
+        parse_race_margin(tmp_path / "margin.json") * counts.sum(), labels, base.cell_index, counts[live]
+    )
+    held = _array_bytes(base) + targets.totals.nbytes  # the targets share the base's index
+    _, own = _traced_peak(lambda: rake(base, targets))
+    del labels, index, counts, conds, live, base, targets
+    code, peak = _traced_peak(lambda: cli.main([
+        "rake", "--base", str(tmp_path / "preds.csv"), "--race-margin", str(tmp_path / "margin.json"),
+        "--out-dir", str(tmp_path / "raked"),
+    ]))
+    assert code == 0
+    assert peak <= held + own + rows / 2
+
+
+def test_evaluate_holds_one_calibration_curve_at_a_time(tmp_path):
+    """At 25,600 cells, `evaluate` peaks at the truth's and the
+    prediction's arrays plus the memory of its largest report, and less
+    than one more curve's (n + 1, 2) points (the last outline written, a
+    block of text): the six curves are computed, written and let go one at
+    a time, not held together."""
+    _stage_inputs(tmp_path)
+    truth = parse_table(tmp_path / "table.csv")
+    _, index, _, conds = parse_predictions(tmp_path / "preds.csv")
+    assert np.array_equal(index, truth.cell_index)
+    pred = PredictionTable(truth.labels, truth.cell_index, conds * truth.cell_sums[:, None])
+    pred.cell_sums  # cached by the first report, as in evaluate
+    # the prediction shares the truth's index
+    held = _array_bytes(truth) + _array_bytes(pred) - truth.cell_index.nbytes
+    reports = [lambda: subpop_report(truth, pred), lambda: cellwise_report(truth, pred)]
+    reports += [lambda race=race: calibration_curve(truth, pred, race) for race in RaceCategory]
+    own = max(_traced_peak(report)[1] for report in reports)
+    curve = 16 * (truth.n_cells + 1)
+    del truth, index, conds, pred, reports
+    code, peak = _traced_peak(lambda: cli.main([
+        "evaluate", "--truth-table", str(tmp_path / "table.csv"), "--preds", str(tmp_path / "preds.csv"),
+        "--out-dir", str(tmp_path / "ev"),
+    ]))
+    assert code == 0
+    assert peak <= held + own + curve
 
 
 LABEL_TEXT = st.text(st.sampled_from('ab ,"\n\r;#éÜ中\t'), max_size=6) | st.sampled_from(

@@ -9,9 +9,11 @@ from raketab import (
     ContingencyTable,
     PredictionTable,
     RaceCategory,
+    SynthConfig,
     calibration_curve,
     cellwise_report,
     fit_factors,
+    generate,
     kuiper,
     subpop_report,
     weighted_counts,
@@ -269,6 +271,27 @@ class TestAlignment:
             assert _aligned(truth, other)[1] is not other.cell_values
             for got, expected in zip(self.reports(truth, other), want):
                 np.testing.assert_array_equal(got, expected)
+
+    def test_shared_labels_and_index_are_aligned_without_comparing(self, monkeypatch):
+        # a prediction built on the truth's own label object and index, as
+        # evaluate builds it, against one on equal copies of both
+        truth = generate(SynthConfig(8, 5, np.full(6, 1 / 6), 0.5, 1e4, seed=4))
+        values = truth.cell_values * np.random.default_rng(4).random((truth.n_cells, 6))
+        shared = PredictionTable(truth.labels, truth.cell_index, values)
+        labels = AxisLabels(truth.labels.surnames, truth.labels.geolocations)
+        copied = PredictionTable(labels, truth.cell_index.copy(), values)
+        want = self.reports(truth, copied)
+
+        def compared(*args):
+            raise AssertionError("compared contents")
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "array_equal", compared)
+            m.setattr(AxisLabels, "__eq__", compared)
+            assert _aligned(truth, shared)[1] is shared.cell_values
+            got = self.reports(truth, shared)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
 
     def test_unknown_labels_still_rejected(self, f1_table):
         # cells equal in position but under other labels take the general join
