@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__, bisg, calibmap, ingest, metrics, raking
 from .synth import SynthConfig, generate
 from .table import N_RACES, RACE_NAMES, AxisLabels, ContingencyTable, MarginSet, PredictionTable
-from .table import RaceCategory
+from .table import RaceCategory, check_cell_values
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -67,6 +67,18 @@ def _peak_rss_mb() -> float:
     except (OSError, StopIteration):
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         return peak / 2**20 if sys.platform == "darwin" else peak / 1024
+
+
+def _to_front(conds, block=4096):
+    """The (n, 6) conditionals that `ingest.parse_predictions` returns,
+    columns 1-6 of its C-ordered (n, 7) rows, moved to the front of those
+    rows' memory as a C-ordered (n, 6) array: no second copy. Rows move a
+    block at a time, in order, so each lands on rows already moved, never
+    on one still to be read (numpy buffers a block's overlap with itself)."""
+    front = conds.base.reshape(-1)[: conds.size].reshape(conds.shape)
+    for lo in range(0, len(front), block):
+        front[lo : lo + block] = conds[lo : lo + block]
+    return front
 
 
 def _atomic(path, write_fn, *args):
@@ -237,17 +249,24 @@ def cmd_rake(args):
     labels, index, counts, conds = run.read(args.base, ingest.parse_predictions)
     distribution = run.read(args.race_margin, ingest.parse_race_margin)
 
-    live = counts > 0
-    base = PredictionTable(labels, index[live], counts[live, None] * conds[live])
     # counts and conds are views of the parsed (n, 7) rows: keep only the
-    # cell targets, their total (in file order) and the row count
-    cell_targets, total, cells_in = counts[live], sum(counts.tolist()), len(counts)
-    del index, counts, conds, live
+    # cell targets, their total (added in row order), the row count and the
+    # base values, built race-major for raking, which works in them
+    live = counts > 0
+    cells = slice(None) if live.all() else live
+    cell_targets, cells_in = counts[live], len(counts)
+    total = np.cumsum(np.r_[0.0, counts])[-1]  # as sum(counts.tolist()) adds, from 0.0
+    values = np.empty((N_RACES, len(cell_targets)))
+    for r, column in enumerate(values):
+        np.multiply(cell_targets, conds[cells, r], out=column)
+    index = index[cells]
+    check_cell_values(labels, index, values.T, "count in cell")
+    del counts, conds, live, cells
     # renormalize so the race targets sum exactly to the cell-target total
     distribution = distribution / distribution.sum()
-    targets = MarginSet(distribution * total, labels, base.cell_index, cell_targets)
+    targets = MarginSet(distribution * total, labels, index, cell_targets)
     config = raking.RakingConfig(tolerance=args.tol, max_iterations=args.max_iters)
-    result = raking.rake(base, targets, config)
+    result = raking.rake_in_place(values, targets, targets, config)
 
     run.write("raked.csv", ingest.write_predictions, result.table)
     run.write("theta.json", ingest.write_theta, result)
@@ -308,15 +327,21 @@ def cmd_evaluate(args):
     if np.any(rows < 0):
         missing = truth.labels.pairs(truth.cell_index[occupied][rows < 0])
         raise ValueError(f"predictions missing for {len(missing)} truth cells, e.g. {missing[:3]}")
-    cond = conds[rows]
+    if len(rows) == len(index) and np.array_equal(rows, np.arange(len(rows))):
+        cond = _to_front(conds)  # the rows line up with the truth's cells: no gather
+    else:
+        cond = conds[rows]
     del labels, index, counts, conds, rows  # the parsed predictions: cond holds what is used
     if matrix is not None:
         cond = np.matmul(matrix, cond[:, :, None])[:, :, 0]
-    cond *= truth.cell_sums[occupied, None]  # in place: each cell's counts
-    # with every truth cell occupied, the prediction shares the truth's index
-    pred = PredictionTable(
-        truth.labels, truth.cell_index if occupied.all() else truth.cell_index[occupied], cond
-    )
+    # in place: each cell's counts; with every truth cell occupied, the
+    # prediction shares the truth's index
+    if occupied.all():
+        cond *= truth.cell_sums[:, None]
+        pred = PredictionTable(truth.labels, truth.cell_index, cond)
+    else:
+        cond *= truth.cell_sums[occupied, None]
+        pred = PredictionTable(truth.labels, truth.cell_index[occupied], cond)
 
     region_map = None
     if args.region_map:

@@ -599,7 +599,8 @@ def parse_table(path) -> ContingencyTable:
 
 def parse_predictions(path):
     """A predictions or raked CSV on a sorted cell index: (labels, index,
-    counts, conds).
+    counts, conds). counts and conds are columns 0 and 1-6 of one C-ordered
+    (n, 7) array, their `base`.
 
     Each row's conditionals must sum to 1 (within 1e-6), or be all zero
     when its count is zero.
@@ -720,18 +721,24 @@ def _write_csv(path, header, parts):
         fh.write(",".join(_fields(header, {})) + "\r\n")
         for n, rows in parts:
             sizes.append(n)
-            texts = [{} for _ in header]
-            for lo in range(0, n, _CSV_BLOCK):
-                labels, values = rows(slice(lo, min(lo + _CSV_BLOCK, n)))
-                block = [_fields(column, known) for column, known in zip(labels, texts)]
-                if values is not None:
-                    for column in values.T:
-                        text = list(map(repr, column.tolist()))
-                        for i in np.flatnonzero(~np.isfinite(column)).tolist():
-                            text[i] = ""
-                        block.append(text)
-                fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+            _write_part(fh, len(header), n, rows)
+            del rows  # the part, and with it its last block, goes before the next is asked for
     return sizes
+
+
+def _write_part(fh, width, n, rows):
+    """Write the n rows of one part of `_write_csv`, a block at a time."""
+    texts = [{} for _ in range(width)]
+    for lo in range(0, n, _CSV_BLOCK):
+        labels, values = rows(slice(lo, min(lo + _CSV_BLOCK, n)))
+        block = [_fields(column, known) for column, known in zip(labels, texts)]
+        if values is not None:
+            for column in values.T:
+                text = list(map(repr, column.tolist()))
+                for i in np.flatnonzero(~np.isfinite(column)).tolist():
+                    text[i] = ""
+                block.append(text)
+        fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def _columns(labels, values=None):
@@ -863,8 +870,9 @@ def write_cellwise(path, report):
 def write_calibration_curves(path, curves):
     """The outline of each CalibrationCurve (see `CalibrationCurve.outline`),
     origin first, one race after another. `curves` may be a generator: each
-    curve is let go once its outline is taken, before the next is asked for,
-    so one curve is held at a time, plus at most the last one's outline.
+    curve is let go once its outline is taken, and each outline once it is
+    written, before the next curve is asked for: one curve is held at a
+    time.
     Returns the rows of each curve."""
 
     def parts():
@@ -872,6 +880,7 @@ def write_calibration_curves(path, curves):
             race, outline = RACE_NAMES[curve.race], curve.outline()
             del curve
             yield _columns([[race] * len(outline)], outline)
+            del outline  # written: let go before the next curve is asked for
 
     return _write_csv(path, CURVES_HEADER, parts())
 

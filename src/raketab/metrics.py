@@ -216,14 +216,26 @@ def cellwise_report(
     geos = truth.labels.geolocations
     n_g = len(geos)
 
-    work = x - m  # one scratch array, overwritten in place below
-    l1_num = np.bincount(gi, weights=row_sums(np.abs(work, out=work)), minlength=n_g)
-    l2_num = np.bincount(gi, weights=np.sqrt(row_sums(np.square(work, out=work))), minlength=n_g)
+    # each row's terms are added race by race from +0.0, as row_sums adds
+    # columns, through one (n,) scratch per sum: no (n, 6) array is made
+    n = len(x)
+    scratch, l1_rows, l2_rows = np.empty(n), np.zeros(n), np.zeros(n)
+    for r in range(N_RACES):
+        np.abs(np.subtract(x[:, r], m[:, r], out=scratch), out=scratch)
+        l1_rows += scratch
+        l2_rows += np.square(scratch, out=scratch)
+    l1_num = np.bincount(gi, weights=l1_rows, minlength=n_g)
+    l2_num = np.bincount(gi, weights=np.sqrt(l2_rows, out=l2_rows), minlength=n_g)
+    del l1_rows, l2_rows
     m_tot = _row_totals(m, pred)
-    np.divide(m, np.where(m_tot > 0, m_tot, 1.0)[:, None], out=work)
-    np.log(np.maximum(work, NLL_PROB_FLOOR, out=work), out=work)
-    # a zero count gives a term of +-0.0, which leaves a row sum from +0.0 as it is
-    nll_num = -np.bincount(gi, weights=row_sums(np.multiply(x, work, out=work)), minlength=n_g)
+    m_tot = np.where(m_tot > 0, m_tot, 1.0)
+    nll_rows = np.zeros(n)
+    for r in range(N_RACES):
+        np.divide(m[:, r], m_tot, out=scratch)
+        np.log(np.maximum(scratch, NLL_PROB_FLOOR, out=scratch), out=scratch)
+        # a zero count gives a term of +-0.0, which leaves a row sum from +0.0 as it is
+        nll_rows += np.multiply(x[:, r], scratch, out=scratch)
+    nll_num = -np.bincount(gi, weights=nll_rows, minlength=n_g)
 
     pop = truth.margin("g")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -276,10 +288,15 @@ def _stable_order(a) -> np.ndarray:
     order = np.argsort(a)
     ranked = a[order]
     tied = ranked[1:] == ranked[:-1]
+    del ranked
     if not tied.any():
         return order
-    runs = np.concatenate(([0], np.cumsum(~tied)))
-    return order[np.argsort(runs * len(a) + order)]
+    runs = np.zeros(len(a), dtype=np.int64)  # each entry's run, then its key, in place
+    np.cumsum(~tied, out=runs[1:])
+    runs *= len(a)
+    runs += order
+    runs = np.argsort(runs)  # the keys go before the gather
+    return order[runs]
 
 
 def calibration_curve(
@@ -315,11 +332,14 @@ def calibration_curve(
     # ascending by predicted probability; ties stay in the sorted cell
     # index's (surname, geolocation) order for reproducible curves
     order = _stable_order(probs)
-    weights, gaps = weights[order], gaps[order]
+    del probs, freqs, m_tot
     points = np.zeros((len(weights) + 1, 2))
+    weights = weights[order]
     np.cumsum(weights, out=points[1:, 0])
-    np.cumsum(gaps, out=points[1:, 1])
-    points[1:] /= weights.sum()
+    total = weights.sum()
+    del weights
+    np.cumsum(gaps[order], out=points[1:, 1])
+    points[1:] /= total
     values = points[:, 1]
     return CalibrationCurve(
         race=race, points=points, kuiper=float(values.max() - values.min())

@@ -113,20 +113,37 @@ def rake(
         If the margin gap is above tolerance after the step cap, or when no
         step makes progress; carries the gap, the worst race and its last gaps.
     """
+    # race-major, so every pass over cells is contiguous (.copy(): C-ordered and
+    # writable for one cell too)
+    return rake_in_place(base.cell_values.T.copy(), base, targets, config)
+
+
+def rake_in_place(values, cells, targets: MarginSet, config: RakingConfig) -> RakingResult:
+    """`rake` on race-major values, which it owns and overwrites.
+
+    `values` is a C-ordered (6, n) float64 array: column c holds the
+    finite, nonnegative race counts of row c of `cells.cell_index`, on
+    `cells.labels`. `cells` is the table they come from, or `targets`
+    itself when they are on the target cells, in order. The caller lets go
+    of `values`: the Newton loop works in them, and on return their memory
+    holds the raked table's (n, 6) cell-major values. So a caller that
+    builds its values race-major holds one copy of them while raking.
+    Raises as `rake` does.
+    """
     if targets.race is None:
         raise ValueError("raking requires a race margin target")
 
-    # race-major, so every pass over cells is contiguous (.copy(): C-ordered and
-    # writable for one cell too). work is made first: the result ends up in the
-    # later buffer, and the next stage's temporaries reuse work's pages
-    work = np.empty((N_RACES, base.n_cells))
-    values = base.cell_values.T.copy()
-    rows = base.locate(targets)
+    # each target cell's column, -1 where the cells lack it, and each
+    # column's cell target, 0 where it has none
+    n_cells = values.shape[1]
+    if cells is targets:
+        rows, x = np.arange(n_cells), targets.totals
+    else:
+        rows, x = cells.locate(targets), np.zeros(n_cells)
+        x[rows[rows >= 0]] = targets.totals[rows >= 0]
     found = rows >= 0
 
     # cells without a positive target are zeroed: the limit of scaling by 0
-    x = np.zeros(base.n_cells)
-    x[rows[found]] = targets.totals[found]
     values[:, x == 0] = 0.0
     t = targets.race.copy()
     zeroed = np.array([t[r] == 0 and values[r].any() for r in range(N_RACES)])  # theta -inf
@@ -134,7 +151,7 @@ def rake(
 
     # each cell's support: bit r is set where the base has mass in race r
     bits = 1 << np.arange(N_RACES)
-    code = np.zeros(base.n_cells, dtype=np.uint8)
+    code = np.zeros(n_cells, dtype=np.uint8)
     for r in range(N_RACES):
         code |= (values[r] > 0).view(np.uint8) << r
 
@@ -178,28 +195,35 @@ def rake(
 
     live_c = x > 0
     scale = np.maximum(t, 1.0)
+    work = np.empty((N_RACES, n_cells))  # b e^theta; the result ends up in values' buffer
 
     # no BLAS: every sum over cells is a numpy sum of a contiguous product, in fixed order
+    # two (n,) vectors at a time: the cell sums, which end as scratch, and
+    # log sums, which end as x / sums
     def evaluate(theta):
-        """Fill work with b e^theta; return cell sums, x / sums, F and M."""
+        """Fill work with b e^theta; return x / cell sums, F and M."""
         with np.errstate(all="ignore"):  # an overflowing trial step ends with F not finite
             e = np.exp(theta.astype(np.longdouble)).astype(np.float64)  # not numpy's SIMD exp
             np.multiply(values, e[:, None], out=work)
             sums = row_sums(work.T)
-            ratio = np.divide(x, sums, out=np.zeros_like(sums), where=live_c)
-            scratch = np.log(sums, out=np.zeros_like(sums), where=live_c)
-            objective = np.multiply(scratch, x, out=scratch).sum() - (t * theta).sum()
-            achieved = np.array([np.multiply(w, ratio, out=scratch).sum() for w in work])
-            return sums, ratio, objective, achieved
+            ratio = np.log(sums, out=np.zeros_like(sums), where=live_c)
+            objective = np.multiply(ratio, x, out=ratio).sum() - (t * theta).sum()
+            np.divide(x, sums, out=ratio, where=live_c)  # 0 stays where x is
+            achieved = np.array([np.multiply(w, ratio, out=sums).sum() for w in work])
+            return ratio, objective, achieved
 
     theta = np.zeros(N_RACES)
-    sums, ratio, objective, achieved = evaluate(theta)
+    ratio, objective, achieved = evaluate(theta)
     devs = [np.abs(achieved - t) / scale]
     steps = 0
     while devs[-1].max() > config.tolerance and steps < config.max_iterations:
         # the Hessian diag(M) - sum_sg x_sg p_sg p_sg^T is the Laplacian of
-        # the off-diagonal part of C = sum_sg (x_sg / sums_sg^2) w_sg w_sg^T
-        scratch = np.divide(ratio, sums, out=np.zeros_like(sums), where=live_c)
+        # the off-diagonal part of C = sum_sg (x_sg / sums_sg^2) w_sg w_sg^T;
+        # work holds b e^theta, so its cell sums are theta's again, and they
+        # are 0 where x is
+        scratch = row_sums(work.T)
+        np.divide(ratio, scratch, out=scratch, where=live_c)
+        del ratio  # each trial makes its own; a failed search evaluates theta again
         work *= np.sqrt(scratch, out=scratch)
         # (a race with a zero target has no edge and a zero gradient: no step)
         c = np.zeros((N_RACES, N_RACES))
@@ -211,23 +235,28 @@ def rake(
         for halving in range(40):
             alpha = 0.5**halving
             trial = evaluate(theta + alpha * step)
-            dev = np.abs(trial[3] - t) / scale
+            dev = np.abs(trial[2] - t) / scale
             # Armijo, or a halved gap where F's decrease falls below rounding
-            if np.isfinite(trial[2]) and (
-                trial[2] <= objective + 1e-4 * alpha * (grad * step).sum()
+            if np.isfinite(trial[1]) and (
+                trial[1] <= objective + 1e-4 * alpha * (grad * step).sum()
                 or dev.max() <= devs[-1].max() / 2
             ):
                 break
-        else:  # no progress along the step: restore work for theta and stop
-            evaluate(theta)
+            del trial  # let go before the next trial is made
+        else:  # no progress along the step: restore work and the rest for theta and stop
+            ratio, objective, achieved = evaluate(theta)
             break
         theta = theta + alpha * step
-        sums, ratio, objective, achieved = trial
+        ratio, objective, achieved = trial
+        del trial  # held by the names above alone, so the next step can let go of them
         devs.append(dev)
         steps += 1
 
     work *= ratio
-    gap = float(np.max(np.abs(row_sums(work.T) - x) / np.maximum(x, 1.0), initial=devs[-1].max()))
+    got = row_sums(work.T)
+    np.abs(np.subtract(got, x, out=got), out=got)  # |got - x| / max(x, 1), in place
+    gap = float(np.max(np.divide(got, x, out=got, where=x > 1.0), initial=devs[-1].max()))
+    del got
     if gap > config.tolerance:
         worst = int(np.argmax(devs[-1]))
         last = [float(d[worst]) for d in devs[-5:]]
@@ -245,7 +274,7 @@ def rake(
     kept = live_c.all()
     return RakingResult(
         table=PredictionTable(
-            *compact_labels(base.labels, base.cell_index if kept else base.cell_index[live_c]),
+            *compact_labels(cells.labels, cells.cell_index if kept else cells.cell_index[live_c]),
             raked if kept else raked[live_c],
         ),
         theta_r=np.where(zeroed, -np.inf, theta),

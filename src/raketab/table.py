@@ -12,6 +12,7 @@ from __future__ import annotations
 from enum import IntEnum
 from itertools import compress, repeat
 from typing import Iterable, Iterator, Mapping
+from weakref import ref
 
 import numpy as np
 
@@ -56,7 +57,7 @@ def _as_race_vector(values, name="values"):
 class AxisLabels:
     """Ordered surname and geolocation labels, unique within each axis."""
 
-    __slots__ = ("surnames", "geolocations", "_lookup", "_objects")
+    __slots__ = ("surnames", "geolocations", "_lookup", "_objects", "_checked")
 
     def __init__(self, surnames, geolocations):
         surnames = tuple(surnames)
@@ -71,6 +72,7 @@ class AxisLabels:
         self.geolocations = geolocations
         self._lookup = None
         self._objects = None
+        self._checked = None  # the last table's index and codes, by weak reference
 
     def positions(self, axis, labels) -> np.ndarray:
         """Index of each label on axis "s" or "g"; -1 where the label is absent.
@@ -185,10 +187,17 @@ def compact_labels(labels: AxisLabels, index):
     )
 
 
-def _check_cells(labels: AxisLabels, index, values, what) -> np.ndarray:
+def _held_codes(labels: AxisLabels, index):
+    """The codes of `index` when it is the very array that the last table
+    built on this labels object holds, else None: that index was checked
+    when the table was built, is read-only, and its codes come with it."""
+    held = labels._checked
+    return held[1]() if held is not None and held[0]() is index else None
+
+
+def _check_index(labels: AxisLabels, index) -> np.ndarray:
     """Check an (n, 2) int64 index against its labels (in range, sorted,
-    unique) and its per-cell values (finite, nonnegative, an error naming
-    the first bad cell after `what`); return the codes s * n_g + g."""
+    unique), mark it read-only and return its codes s * n_g + g."""
     if len(index) and (
         index.min() < 0
         or index[:, 0].max() >= labels.n_s
@@ -198,13 +207,20 @@ def _check_cells(labels: AxisLabels, index, values, what) -> np.ndarray:
     codes = index[:, 0] * labels.n_g + index[:, 1]
     if np.any(codes[1:] <= codes[:-1]):
         raise ValueError("cell index must be sorted and unique")
+    index.flags.writeable = codes.flags.writeable = False
+    return codes
+
+
+def check_cell_values(labels: AxisLabels, index, values, what):
+    """Raise ValueError unless every per-cell value is finite and
+    nonnegative: the error names the first bad cell of `index` after `what`.
+    `values` has a row per cell, or is 1-D with one value per cell."""
     # min and max see NaN and inf without a temporary per entry
     if len(values) and not (values.min() >= 0 and values.max() < np.inf):
         for bad, kind in ((~np.isfinite(values), "non-finite"), (values < 0, "negative")):
             if np.any(bad):
                 key = labels.pairs(index[bad.reshape(len(index), -1).any(axis=1)])[0]
                 raise ValueError(f"{kind} {what} {key}")
-    return codes
 
 
 class ContingencyTable:
@@ -216,15 +232,20 @@ class ContingencyTable:
     cell. Counts may be fractional. Instances are immutable: the backing
     arrays are marked read-only. An argument that already is a contiguous
     int64 index or float64 values array is kept, not copied, and so is
-    marked read-only too.
+    marked read-only too. The `cell_index` of the last table built on the
+    same labels object is taken as it is, not checked again, and its codes
+    are shared.
     """
 
     def __init__(self, labels: AxisLabels, index, values):
-        index = np.ascontiguousarray(index, dtype=np.int64).reshape(-1, 2)
+        codes = _held_codes(labels, index)
+        if codes is None:
+            index = np.ascontiguousarray(index, dtype=np.int64).reshape(-1, 2)
+            codes = _check_index(labels, index)
+            labels._checked = ref(index), ref(codes)  # see `_held_codes`
         values = np.ascontiguousarray(values, dtype=np.float64).reshape(len(index), N_RACES)
-        codes = _check_cells(labels, index, values, "count in cell")
-        for arr in (index, values, codes):
-            arr.flags.writeable = False
+        check_cell_values(labels, index, values, "count in cell")
+        values.flags.writeable = False
         self.labels = labels
         self._index = index
         self._values = values
@@ -392,14 +413,19 @@ class MarginSet:
     def __init__(self, race, labels: AxisLabels | None = None, index=(), totals=()):
         self.race = None if race is None else _as_race_vector(race, name="race margin")
         self.labels = labels
-        self.cell_index = index = np.ascontiguousarray(index, dtype=np.int64).reshape(-1, 2)
+        held = labels is not None and _held_codes(labels, index) is not None
+        if not held:
+            index = np.ascontiguousarray(index, dtype=np.int64).reshape(-1, 2)
+        self.cell_index = index
         self.totals = totals = np.ascontiguousarray(totals, dtype=np.float64).reshape(len(index))
         if self.race is not None:
             _check_finite_nonnegative(self.race, "race-margin target")
         if len(index):
             if labels is None:
                 raise ValueError("cell targets need labels")
-            _check_cells(labels, index, totals, "cell-margin target at")
+            if not held:
+                _check_index(labels, index)
+            check_cell_values(labels, index, totals, "cell-margin target at")
         if self.race is not None and len(index):
             race_total, cell_total = float(self.race.sum()), float(totals.sum())
             if abs(race_total - cell_total) > 1e-9 * max(race_total, cell_total, 1e-300):

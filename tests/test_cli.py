@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from raketab import RACE_NAMES, calibmap
+from raketab import RACE_NAMES, calibmap, cli
 from raketab.cli import main
 from test_golden import voter_outputs
 from test_package import fresh_env
@@ -921,6 +921,41 @@ class TestPredictionRows:
         )
         assert err["error"] == "ParseError"
         assert err["message"].endswith("predictions.csv:3: conditionals sum to 0.5, expected 1")
+
+
+    def test_rows_that_line_up_with_the_truth_are_moved_not_gathered(self, tmp_path, monkeypatch):
+        # predictions in file order and reversed line up with the truth's
+        # cells and are moved to the front of the parsed rows; with a cell
+        # the truth lacks they are gathered: the same reports either way
+        fix = synth_fixture(tmp_path)
+        rows = read_csv(predict_dir(tmp_path, fix) / "predictions.csv")
+        variants = {
+            "same": rows, "reversed": rows[:1] + rows[:0:-1],
+            "extra": rows + [["ZZZ", *rows[1][1:]]],
+        }
+        moved = []
+        to_front = cli._to_front
+        monkeypatch.setattr(cli, "_to_front", lambda conds: moved.append(1) or to_front(conds))
+        for name, variant in variants.items():
+            with open(tmp_path / f"{name}.csv", "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\r\n").writerows(variant)
+            moved.clear()
+            assert run_cli(
+                "evaluate", "--truth-table", fix / "table.csv",
+                "--preds", tmp_path / f"{name}.csv", "--out-dir", tmp_path / f"ev_{name}",
+            ) == 0
+            assert len(moved) == (name != "extra")
+        for out in ("subpop.csv", "cellwise.csv", "calibration_curves.csv", "summary.json"):
+            want = (tmp_path / "ev_same" / out).read_bytes()
+            assert all((tmp_path / f"ev_{name}" / out).read_bytes() == want for name in variants)
+
+    def test_to_front_moves_the_conditionals_into_the_parsed_rows(self, tmp_path):
+        rng = np.random.default_rng(3)
+        counts, conds = rng.random(9_000), rng.dirichlet(np.ones(6), size=9_000)
+        rows = np.column_stack([counts, conds])
+        moved = cli._to_front(rows[:, 1:], block=1_000)
+        assert moved.flags.c_contiguous and np.shares_memory(moved, rows)
+        assert moved.tobytes() == conds.tobytes()
 
 
 class TestStrictJson:

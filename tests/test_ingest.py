@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import math
 import re
@@ -6,6 +7,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1342,11 +1344,15 @@ def test_cell_files_are_read_and_written_a_block_at_a_time(tmp_path):
     assert peak <= block(paths[parse_predictions])
 
 
-def _stage_inputs(tmp_path):
-    """A 160 x 160 table with every cell occupied, written as table.csv,
-    with its race distribution and its BISG predictions."""
-    table = generate(SynthConfig(160, 160, np.full(6, 1 / 6), 0.5, 1e6, seed=5))
-    assert table.n_cells == 25_600 and np.all(table.cell_sums > 0)
+def _stage_inputs(tmp_path, table=None):
+    """A table with every cell occupied, by default 160 x 160 (25,600
+    cells), written as table.csv, with its race distribution and its BISG
+    predictions."""
+    if table is None:
+        table = generate(SynthConfig(160, 160, np.full(6, 1 / 6), 0.5, 1e6, seed=5))
+        assert table.n_cells == 25_600
+    assert np.all(table.cell_sums > 0)
+    tmp_path.mkdir(parents=True, exist_ok=True)
     write_table(tmp_path / "table.csv", table)
     write_race_margin(tmp_path / "margin.json", table.margin("r") / table.total())
     pred, _ = weighted_counts(fit_factors(table), MarginSet.from_table(table))
@@ -1402,6 +1408,99 @@ def test_evaluate_holds_one_calibration_curve_at_a_time(tmp_path):
     ]))
     assert code == 0
     assert peak <= held + own + curve
+
+
+def _stage_argv(stage, tmp_path):
+    if stage == "rake":
+        return ["rake", "--base", str(tmp_path / "preds.csv"), "--race-margin",
+                str(tmp_path / "margin.json"), "--out-dir", str(tmp_path / "raked")]
+    return ["evaluate", "--truth-table", str(tmp_path / "table.csv"), "--preds",
+            str(tmp_path / "preds.csv"), "--out-dir", str(tmp_path / "ev")]
+
+
+# bytes per cell of the arrays a stage holds: an (n, 2) int64 cell index,
+# (n, 6) float64 values, the parsed (n, 7) rows of a predictions file, an
+# (n,) float64 or int64 vector and an (n,) bool mask
+INDEX, VALUES, ROWS, VECTOR, MASK = 16, 48, 56, 8, 1
+
+
+@pytest.fixture(scope="module")
+def stage_sizes(tmp_path_factory):
+    """Stage inputs on the same 320 + 320 labels at 102,400 cells (all of
+    320 x 320) and at 25,600 (every fourth geolocation of each surname):
+    {cells: directory}. The labels' memory cancels between the two."""
+    root = tmp_path_factory.mktemp("stages")
+    table = generate(SynthConfig(320, 320, np.full(6, 1 / 6), 0.5, 1e6, seed=5))
+    keep = table.cell_index.sum(axis=1) % 4 == 0
+    tables = [table, ContingencyTable(table.labels, table.cell_index[keep], table.cell_values[keep])]
+    for t in tables:
+        _stage_inputs(root / str(t.n_cells), t)
+    return {t.n_cells: root / str(t.n_cells) for t in tables}
+
+
+@pytest.mark.parametrize("stage, per_cell", [
+    # the race-major base values and the Newton work array, the cell index,
+    # the cell targets, a trial step's two (n,) vectors (cell sums, then
+    # x / sums), the live-cell mask and one more: the parsed rows are gone,
+    # and no copy of the base sits beside its values
+    ("rake", 2 * VALUES + INDEX + 3 * VECTOR + 2 * MASK),
+    # the truth (values, index, codes, cell totals), the prediction (its
+    # values in the memory of the parsed rows, with no copy beside them,
+    # and its cell totals) and the largest report's scratch, less than the
+    # (n, 6) array that none of them makes, with a few masks
+    ("evaluate", (VALUES + INDEX + 2 * VECTOR) + (ROWS + VECTOR) + VALUES + 3 * MASK),
+])
+def test_stage_memory_grows_by_its_arrays_per_cell(stage_sizes, stage, per_cell):
+    """From 25,600 to 102,400 cells, the traced peak of `rake` and of
+    `evaluate` grows by no more than the bytes a cell takes in the arrays
+    each holds at its peak. Labels and text blocks cancel in the
+    difference; the interpreter's own garbage and caches, which do not grow
+    with cells, vary by tens of KB from run to run, and 128 KiB allows for
+    that (1.7 bytes a cell here)."""
+    peaks = {}
+    for cells, path in stage_sizes.items():
+        gc.collect()
+        code, peaks[cells] = _traced_peak(lambda: cli.main(_stage_argv(stage, path)))
+        assert code == 0
+    (n1, p1), (n2, p2) = sorted(peaks.items())
+    assert p2 - p1 <= per_cell * (n2 - n1) + 2**17
+
+
+def test_evaluate_lets_go_of_each_curve_before_the_next(tmp_path, monkeypatch):
+    """At 25,600 cells, traced memory on entry to each calibration curve
+    after the first is within one text block of the curves file of what
+    it was on entry to the first: the last curve's outline, its rows and
+    its text are let go before the next curve is computed."""
+    _stage_inputs(tmp_path)
+    entries, curve = [], cli.metrics.calibration_curve
+
+    def traced(*args):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        return curve(*args)
+
+    monkeypatch.setattr(cli.metrics, "calibration_curve", traced)
+    code, _ = _traced_peak(lambda: cli.main(_stage_argv("evaluate", tmp_path)))
+    assert code == 0 and len(entries) == len(RaceCategory)
+    path = tmp_path / "ev" / "calibration_curves.csv"
+    block = ingest._CSV_BLOCK * path.stat().st_size / len(path.read_bytes().splitlines())
+    assert max(entries[1:]) - entries[0] <= block
+
+
+def test_write_csv_lets_go_of_each_part_before_the_next(tmp_path):
+    """`_write_csv` holds no part, its rows or its values, while it asks
+    for the next part."""
+    seen = []
+
+    def parts():
+        for i in range(3):
+            assert all(ref() is None for ref in seen)
+            values = np.full((2 * ingest._CSV_BLOCK + 1, 2), float(i))
+            seen.append(weakref.ref(values))
+            yield ingest._columns([["a"] * len(values)], values)
+            del values
+
+    assert ingest._write_csv(tmp_path / "out.csv", ["k", "x", "y"], parts()) == [2049] * 3
+    assert all(ref() is None for ref in seen)
 
 
 LABEL_TEXT = st.text(st.sampled_from('ab ,"\n\r;#éÜ中\t'), max_size=6) | st.sampled_from(

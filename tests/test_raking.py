@@ -318,6 +318,48 @@ def test_array_targets_rake_like_mapping_targets(seed):
     assert margin_gap(first.table, mapped) == margin_gap(first.table, arrays)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_rake_in_place_on_the_target_cells_gives_rakes_bytes(seed):
+    # values built race-major on the targets' own cells, as the rake
+    # command builds them, with zero cells, zero targets and a zeroed race,
+    # give the library rake's result bit for bit, in the values' memory
+    rng = np.random.default_rng(seed)
+    n_s, n_g = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    index = np.array([(i, j) for i in range(n_s) for j in range(n_g)])
+    values = rng.uniform(0.05, 1.0, size=(len(index), 6)) * (rng.random((len(index), 6)) < 0.7)
+    totals = rng.uniform(0.5, 2.0, size=len(index)) * (rng.random(len(index)) < 0.85)
+    race = rng.dirichlet(np.ones(6)) * (rng.random(6) < 0.8)
+    race = race / max(race.sum(), 1e-300) * totals.sum()
+    base = PredictionTable(AxisLabels([f"s{i}" for i in range(n_s)], [f"g{j}" for j in range(n_g)]),
+                           index, values)
+    targets = MarginSet(race, base.labels, base.cell_index, totals)
+    config = RakingConfig(max_iterations=int(rng.choice([1, 2, 100])))
+    race_major = base.cell_values.T.copy()
+    outcomes = []
+    for call in (lambda: rake(base, targets, config),
+                 lambda: raking.rake_in_place(race_major, targets, targets, config)):
+        try:
+            outcomes.append(call())
+        except (ValueError, NonConvergenceError) as exc:  # infeasible, or no cell left
+            outcomes.append((type(exc), str(exc), vars(exc)))
+    first, second = outcomes
+    if isinstance(first, tuple):
+        assert first == second
+        return
+    assert first.table.labels == second.table.labels
+    for name in ("cell_index", "cell_values"):
+        assert getattr(first.table, name).tobytes() == getattr(second.table, name).tobytes()
+    for name in ("theta_r", "theta_sg"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+    for name in ("iterations", "final_margin_gap", "gap_history", "feasibility_slack",
+                 "tightest_races"):
+        assert getattr(first, name) == getattr(second, name)
+    if second.table.n_cells == len(index):  # every cell kept: the result is in the values' memory
+        assert np.shares_memory(second.table.cell_values, race_major)
+    np.testing.assert_array_equal(base.cell_values, values)  # rake leaves its base as it was
+
+
 class TestKlDivergence:
     def test_identity_zero(self, f1_table):
         base = f1_bisg_base(f1_table)

@@ -13,6 +13,7 @@ from raketab import (
 )
 from raketab.ingest import parse_predictions, write_predictions
 from raketab.table import compact_labels, index_cells, row_sums
+import raketab.table as table_module
 
 from conftest import race6
 
@@ -289,6 +290,37 @@ class TestConstructor:
             MarginSet(None, self.LABELS, [[0, 1], [1, 0]], [1.0, -1.0])
         with pytest.raises(ValueError, match="need labels"):
             MarginSet(None, None, [[0, 1]], [1.0])
+
+    def test_an_index_a_table_holds_is_not_checked_again(self, monkeypatch):
+        # a table or MarginSet on another table's own cell_index, with the
+        # same labels object, takes it as it is and shares the table's
+        # codes; a copy, a view or equal labels are checked, and so are values
+        table = ContingencyTable(self.LABELS, [[0, 1], [1, 0]], [race6(1), race6(0, 2)])
+        checked = []
+        check = table_module._check_index
+        monkeypatch.setattr(table_module, "_check_index", lambda *a: checked.append(a) or check(*a))
+        pred = ContingencyTable(table.labels, table.cell_index, [race6(2), race6(0, 1)])
+        targets = MarginSet(None, table.labels, table.cell_index, [1.0, 2.0])
+        assert not checked
+        assert pred.cell_index is table.cell_index and pred._codes is table._codes
+        assert targets.cell_index is table.cell_index
+        with pytest.raises(ValueError, match=r"negative count in cell \('b', 'x'\)"):
+            ContingencyTable(table.labels, table.cell_index, [race6(1), race6(-1)])
+        with pytest.raises(ValueError, match=r"negative cell-margin target at \('b', 'x'\)"):
+            MarginSet(None, table.labels, table.cell_index, [1.0, -1.0])
+        labels = AxisLabels(self.LABELS.surnames, self.LABELS.geolocations)
+        for other_labels, index in (
+            (table.labels, table.cell_index.copy()),
+            (table.labels, table.cell_index[:]),
+            (labels, table.cell_index),
+        ):
+            checked.clear()
+            other = ContingencyTable(other_labels, index, [race6(1), race6(1)])
+            assert len(checked) == 1 and other._codes is not table._codes
+        with pytest.raises(ValueError, match="sorted and unique"):
+            ContingencyTable(table.labels, table.cell_index[::-1], [race6(1), race6(1)])
+        with pytest.raises(ValueError, match="outside label ranges"):
+            MarginSet(None, AxisLabels(["a"], ["x", "y"]), table.cell_index, [1.0, 1.0])
 
 
 # the label joins as they were written before they went columnar: one
