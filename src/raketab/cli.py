@@ -12,15 +12,22 @@ atomically (temp file + rename). Exit codes: 0 success, 2 input error,
 
 from __future__ import annotations
 
+import time
+
+_IMPORTS_START = time.perf_counter()
+
 import argparse
 import contextlib
+import gc
 import hashlib
 import json
 import os
 import platform
 import resource
 import sys
-import time
+
+# a command process: raketab.cli loads before anything else loaded numpy
+_FRESH = "numpy" not in sys.modules
 
 # OpenBLAS starts a thread pool when numpy is imported: about 70 ms of each
 # command's start on a 2-core machine, and no command gains from it (rake
@@ -30,17 +37,30 @@ import time
 # left as it is, and so is `import raketab`.
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _BLAS_THREADS = {"set_by": "caller"}  # the manifest's record of the setting
-if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_VARIABLES):
+if _FRESH and not any(v in os.environ for v in _BLAS_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     _BLAS_THREADS["set_by"] = "raketab"
 _BLAS_THREADS["variables"] = {v: os.environ[v] for v in _BLAS_VARIABLES if v in os.environ}
 
 import numpy as np
 
-from . import __version__, bisg, calibmap, ingest, metrics, raking
-from .synth import SynthConfig, generate
+import raketab
+
+from . import __version__, ingest
 from .table import N_RACES, RACE_NAMES, AxisLabels, ContingencyTable, MarginSet, PredictionTable
 from .table import RaceCategory, check_cell_values
+
+# Each command loads the modules it calls when it runs, through the
+# package's names (`raketab.fit_factors` loads `raketab.bisg`): a command
+# process compiles no module it does not call. The objects these imports
+# leave (about 22,000, most of them numpy's) live as long as the process,
+# so a fresh process freezes them: no later collection, those at exit
+# included, walks them again. A process that loaded numpy first keeps its
+# GC state, as it keeps its BLAS setting.
+_STARTUP = {"import_s": time.perf_counter() - _IMPORTS_START, "frozen": 0}
+if _FRESH:
+    gc.freeze()
+    _STARTUP["frozen"] = gc.get_freeze_count()
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -139,12 +159,23 @@ class _Run:
             "seed": self.flags.get("seed"),
             "inputs": self.inputs,
             "outputs": sorted(self.outputs, key=lambda o: o["path"]),
-            "info": dict(self.info, peak_rss_mb=_peak_rss_mb(), blas_threads=_BLAS_THREADS),
+            "info": dict(self.info, peak_rss_mb=_peak_rss_mb(), blas_threads=_BLAS_THREADS,
+                         startup=dict(_STARTUP, modules=_raketab_modules())),
             "timings": dict(self.timings, compute_s=elapsed - sum(self.timings.values())),
             "versions": {"raketab": __version__, "numpy": np.__version__,
                          "python": platform.python_version()},
         }
         _atomic(os.path.join(self.out_dir, "manifest.json"), ingest.write_manifest, manifest)
+
+
+def _raketab_modules():
+    """The raketab modules this process has loaded, by their short names.
+    cli is left out: `python -m raketab.cli` loads it as __main__, so the
+    list is the same however the command was started."""
+    return sorted(
+        name.split(".", 1)[1] for name in sys.modules
+        if name.startswith("raketab.") and name != "raketab.cli"
+    )
 
 
 # shared input loading -----------------------------------------------------
@@ -178,7 +209,7 @@ def _load_factors(args, run):
     geoids, g_values, g_rejects = run.read(args.geo_factors, ingest.parse_geo_factors)
     prior = run.read(args.prior, ingest.parse_race_margin)
     # values hold each label's count, then P(r | label)
-    factors = bisg.BisgFactors(
+    factors = raketab.BisgFactors(
         AxisLabels(surnames, geoids), s_values[:, 1:], g_values[:, 1:], prior,
         s_values[:, 0], g_values[:, 0],
     )
@@ -210,7 +241,7 @@ def _write_factors(run, factors):
 def cmd_fit_factors(args):
     run = _Run("fit-factors", args, args.out_dir)
     table = _load_truth(args, run)
-    factors = bisg.fit_factors(table)
+    factors = raketab.fit_factors(table)
     _write_factors(run, factors)
     run.info["cells_in"] = table.n_cells
     run.info["factor_labels"] = {"surname": factors.labels.n_s, "geo": factors.labels.n_g}
@@ -225,8 +256,8 @@ def cmd_predict(args):
     adjustment = None
     if args.adjust_cps:
         cps = run.read(args.adjust_cps, ingest.parse_race_margin)
-        adjustment = bisg.voter_adjustment(cps, factors.race_prior)
-    table, rejects = bisg.weighted_counts(
+        adjustment = raketab.voter_adjustment(cps, factors.race_prior)
+    table, rejects = raketab.weighted_counts(
         factors, occupancy, adjustment=adjustment, method=args.method
     )
     # nothing is written until every input is read and checked
@@ -265,8 +296,8 @@ def cmd_rake(args):
     # renormalize so the race targets sum exactly to the cell-target total
     distribution = distribution / distribution.sum()
     targets = MarginSet(distribution * total, labels, index, cell_targets)
-    config = raking.RakingConfig(tolerance=args.tol, max_iterations=args.max_iters)
-    result = raking.rake_in_place(values, targets, targets, config)
+    config = raketab.RakingConfig(tolerance=args.tol, max_iterations=args.max_iters)
+    result = raketab.raking.rake_in_place(values, targets, targets, config)
 
     run.write("raked.csv", ingest.write_predictions, result.table)
     run.write("theta.json", ingest.write_theta, result)
@@ -286,7 +317,7 @@ def cmd_calib_map(args):
     run = _Run("calib-map", args, args.out_dir)
     u = run.read(args.source, ingest.parse_race_margin)
     v = run.read(args.target, ingest.parse_race_margin)
-    cmap = calibmap.solve_calibration_map(u, v)
+    cmap = raketab.solve_calibration_map(u, v)
 
     run.write("calibration_map.csv", ingest.write_calibration_map, cmap.matrix)
     for key in ("objective", "feasibility", "kkt_residual", "rank_one_benchmark"):
@@ -322,7 +353,7 @@ def cmd_evaluate(args):
 
     occupied = truth.cell_sums > 0
     rows = np.full(truth.n_cells + 1, -1)  # each truth cell's prediction row; the last takes -1s
-    rows[truth.locate(MarginSet(None, labels, index, counts))] = np.arange(len(index))
+    rows[truth.locate(labels, index)] = np.arange(len(index))
     rows = rows[:-1][occupied]
     if np.any(rows < 0):
         missing = truth.labels.pairs(truth.cell_index[occupied][rows < 0])
@@ -347,14 +378,14 @@ def cmd_evaluate(args):
     if args.region_map:
         region_map = run.read(args.region_map, ingest.parse_region_map)
 
-    sub = metrics.subpop_report(truth, pred)
-    cell = metrics.cellwise_report(truth, pred, region_map=region_map)
+    sub = raketab.subpop_report(truth, pred)
+    cell = raketab.cellwise_report(truth, pred, region_map=region_map)
     kuiper = {}
 
     def curves():
         """Each race's curve as the writer asks for it; its Kuiper statistic is kept."""
         for race in RaceCategory:
-            curve = metrics.calibration_curve(truth, pred, race)
+            curve = raketab.calibration_curve(truth, pred, race)
             kuiper[RACE_NAMES[race]] = curve.kuiper
             yield curve
             del curve  # released before the next race's curve is computed
@@ -375,7 +406,7 @@ def cmd_evaluate(args):
 def cmd_synth(args):
     run = _Run("synth", args, args.out_dir)
     mix = np.array([float(x) for x in args.race_mix.split(",")])
-    config = SynthConfig(
+    config = raketab.SynthConfig(
         n_s=args.surnames,
         n_g=args.geos,
         race_mix=mix,
@@ -384,8 +415,8 @@ def cmd_synth(args):
         seed=args.seed,
         multinomial=args.multinomial,
     )
-    table = generate(config)
-    factors = bisg.fit_factors(table)
+    table = raketab.generate(config)
+    factors = raketab.fit_factors(table)
     run.write("table.csv", ingest.write_table, table)
     _write_factors(run, factors)
     run.write("race_margin.json", ingest.write_race_margin, table.margin("r") / table.total())
@@ -482,19 +513,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (raking.NonConvergenceError, calibmap.CalibrationSolveError) as exc:
-        _emit_error(exc, EXIT_NONCONVERGENCE)
+    # the solver errors are named only once something raised: a command
+    # that loaded neither solver loads them here, and only on failure
+    except (raketab.NonConvergenceError, raketab.CalibrationSolveError) as exc:
+        # margin_gap, worst_race, last_gaps; or stage, feasibility, kkt_residual
+        _emit_error(exc, EXIT_NONCONVERGENCE, vars(exc))
         return EXIT_NONCONVERGENCE
     except (ValueError, KeyError, LookupError, OSError) as exc:
         _emit_error(exc, EXIT_INPUT)
         return EXIT_INPUT
 
 
-def _emit_error(exc, code):
+def _emit_error(exc, code, details=()):
     payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-    if isinstance(exc, (raking.NonConvergenceError, calibmap.CalibrationSolveError)):
-        # margin_gap, worst_race, last_gaps; or stage, feasibility, kkt_residual
-        payload.update(vars(exc))
+    payload.update(details)
     json.dump(payload, sys.stderr)
     sys.stderr.write("\n")
 

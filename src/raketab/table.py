@@ -292,23 +292,24 @@ class ContingencyTable:
             self._sums = sums
         return self._sums
 
-    def locate(self, cells) -> np.ndarray:
+    def locate(self, cells, index=None) -> np.ndarray:
         """Row of each given cell in this table, or -1 where it is absent.
 
-        `cells` is another table or a MarginSet, anything with `labels` and
-        a `cell_index`, whose cells are taken in its row order, or an
-        iterable of (surname, geolocation) label pairs. Cells with this
-        table's labels and cell index map to 0, 1, ..., n_cells - 1 without
-        a search.
+        `cells` is AxisLabels with `index` an (n, 2) cell index on them;
+        another table or a MarginSet, anything with `labels` and a
+        `cell_index`; or an iterable of (surname, geolocation) label pairs.
+        Cells are taken in the order given. Cells with this table's labels
+        and cell index map to 0, 1, ..., n_cells - 1 without a search.
         """
         if hasattr(cells, "cell_index"):
-            index = cells.cell_index
-            if cells.labels == self.labels and np.array_equal(index, self._index):
+            cells, index = cells.labels, cells.cell_index
+        if index is not None:
+            if cells == self.labels and np.array_equal(index, self._index):
                 return np.arange(self.n_cells)
             si = gi = index[:, 0]
             if len(index):  # an empty cell family carries no labels
-                si = self.labels.positions("s", cells.labels.surnames)[index[:, 0]]
-                gi = self.labels.positions("g", cells.labels.geolocations)[index[:, 1]]
+                si = self.labels.positions("s", cells.surnames)[index[:, 0]]
+                gi = self.labels.positions("g", cells.geolocations)[index[:, 1]]
         else:
             pairs = list(cells)
             si = self.labels.positions("s", [s for s, _ in pairs])

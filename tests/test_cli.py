@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from raketab import RACE_NAMES, calibmap, cli
+from raketab import RACE_NAMES, MarginSet, calibmap, cli
 from raketab.cli import main
 from test_golden import voter_outputs
 from test_package import fresh_env
@@ -16,6 +16,15 @@ from test_package import fresh_env
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def run_child(*args):
+    """Run a command as its own process, `python -m raketab.cli`, under
+    fresh_env(); return the finished process."""
+    return subprocess.run(
+        [sys.executable, "-m", "raketab.cli", *map(str, args)],
+        env=fresh_env(), capture_output=True, text=True,
+    )
 
 
 def read_json(path):
@@ -543,6 +552,38 @@ class TestManifestOfOneProcess:
             "set_by": "caller", "variables": {"OMP_NUM_THREADS": "2"},
         }
 
+    def test_startup_loads_only_the_commands_modules(self, tmp_path):
+        # each table command as its own process, then in this process,
+        # which imported numpy before raketab.cli and keeps its GC state
+        fix, pred = tmp_path / "fix", tmp_path / "pred"
+        commands = [  # each command, the modules it loads besides table and ingest, its flags
+            ("synth", ["bisg", "synth"], ["--surnames", 12, "--geos", 5, "--dependence", 0.6,
+                                          "--total", 2000, "--seed", 11]),
+            ("fit-factors", ["bisg"], ["--table", fix / "table.csv"]),
+            ("predict", ["bisg"], [
+                "--surname-factors", fix / "surname_factors.csv",
+                "--geo-factors", fix / "geo_factors.csv", "--prior", fix / "prior.json",
+                "--table", fix / "table.csv",
+            ]),
+            ("rake", ["raking"], [
+                "--base", pred / "predictions.csv", "--race-margin", fix / "race_margin.json",
+            ]),
+            ("evaluate", ["metrics"], [
+                "--truth-table", fix / "table.csv", "--preds", pred / "predictions.csv",
+            ]),
+        ]
+        for command, own, args in commands:
+            out = {"synth": fix, "predict": pred}.get(command, tmp_path / command)
+            child = run_child(command, *args, "--out-dir", out)
+            assert child.returncode == 0, child.stderr
+            startup = read_json(out / "manifest.json")["info"]["startup"]
+            assert startup["modules"] == sorted(["ingest", "table", *own])
+            assert 0 < startup["import_s"] < 30
+            assert startup["frozen"] > 1000  # numpy's import leaves some 20,000
+            assert run_cli(command, *args, "--out-dir", tmp_path / f"in_{command}") == 0
+            manifest = read_json(tmp_path / f"in_{command}" / "manifest.json")
+            assert manifest["info"]["startup"]["frozen"] == 0
+
 
 class TestErrors:
     def test_missing_input_gives_error_json_and_exit_2(self, tmp_path, capsys):
@@ -572,6 +613,28 @@ class TestErrors:
         assert err["worst_race"] in ("aian", "api", "black", "hispanic", "white", "other")
         assert err["worst_race"] in err["message"]
         assert len(err["last_gaps"]) == 2 and err["last_gaps"][-1] <= err["margin_gap"]
+
+    def test_exit_codes_of_a_fresh_process(self, tmp_path):
+        # as its own process, rake loads its solver only when it runs: its
+        # errors still exit 3 and 2 with their JSON
+        fix = synth_fixture(tmp_path, seed=31, dependence=0.9)
+        pred = predict_dir(tmp_path, fix)
+        child = run_child(
+            "rake", "--base", pred / "predictions.csv", "--race-margin", fix / "race_margin.json",
+            "--max-iters", 1, "--tol", 1e-14, "--out-dir", tmp_path / "raked",
+        )
+        err = json.loads(child.stderr)
+        assert child.returncode == 3 and err["exit_code"] == 3
+        assert err["error"] == "NonConvergenceError"
+        assert err["margin_gap"] > 1e-14 and err["worst_race"] in err["message"]
+        assert len(err["last_gaps"]) == 2
+        child = run_child(
+            "rake", "--base", tmp_path / "nope.csv", "--race-margin", fix / "race_margin.json",
+            "--out-dir", tmp_path / "o",
+        )
+        err = json.loads(child.stderr)
+        assert child.returncode == 2 and err["exit_code"] == 2
+        assert err["error"] == "FileNotFoundError"
 
     def test_unreachable_race_margin_exits_2(self, tmp_path, capsys):
         # cell a supports only aian and cell b only api, so no table meets
@@ -926,16 +989,21 @@ class TestPredictionRows:
     def test_rows_that_line_up_with_the_truth_are_moved_not_gathered(self, tmp_path, monkeypatch):
         # predictions in file order and reversed line up with the truth's
         # cells and are moved to the front of the parsed rows; with a cell
-        # the truth lacks they are gathered: the same reports either way
+        # the truth lacks they are gathered: the same reports either way.
+        # The rows are found from the parsed labels and index: no MarginSet
+        # copies and checks them again
         fix = synth_fixture(tmp_path)
         rows = read_csv(predict_dir(tmp_path, fix) / "predictions.csv")
         variants = {
             "same": rows, "reversed": rows[:1] + rows[:0:-1],
             "extra": rows + [["ZZZ", *rows[1][1:]]],
         }
-        moved = []
-        to_front = cli._to_front
+        moved, margin_sets = [], []
+        to_front, init = cli._to_front, MarginSet.__init__
         monkeypatch.setattr(cli, "_to_front", lambda conds: moved.append(1) or to_front(conds))
+        monkeypatch.setattr(
+            MarginSet, "__init__", lambda self, *a: margin_sets.append(1) or init(self, *a)
+        )
         for name, variant in variants.items():
             with open(tmp_path / f"{name}.csv", "w", newline="") as fh:
                 csv.writer(fh, lineterminator="\r\n").writerows(variant)
@@ -945,6 +1013,7 @@ class TestPredictionRows:
                 "--preds", tmp_path / f"{name}.csv", "--out-dir", tmp_path / f"ev_{name}",
             ) == 0
             assert len(moved) == (name != "extra")
+        assert margin_sets == []
         for out in ("subpop.csv", "cellwise.csv", "calibration_curves.csv", "summary.json"):
             want = (tmp_path / "ev_same" / out).read_bytes()
             assert all((tmp_path / f"ev_{name}" / out).read_bytes() == want for name in variants)

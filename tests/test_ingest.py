@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import raketab
 from raketab import RACE_NAMES, ContingencyTable, RaceCategory, SynthConfig, generate, ingest
 from raketab import MarginSet, PredictionTable, fit_factors, rake, weighted_counts
 from raketab import calibration_curve, cellwise_report, cli, subpop_report
@@ -1472,13 +1473,13 @@ def test_evaluate_lets_go_of_each_curve_before_the_next(tmp_path, monkeypatch):
     it was on entry to the first: the last curve's outline, its rows and
     its text are let go before the next curve is computed."""
     _stage_inputs(tmp_path)
-    entries, curve = [], cli.metrics.calibration_curve
+    entries, curve = [], raketab.calibration_curve
 
     def traced(*args):
         entries.append(tracemalloc.get_traced_memory()[0])
         return curve(*args)
 
-    monkeypatch.setattr(cli.metrics, "calibration_curve", traced)
+    monkeypatch.setattr(raketab, "calibration_curve", traced)
     code, _ = _traced_peak(lambda: cli.main(_stage_argv("evaluate", tmp_path)))
     assert code == 0 and len(entries) == len(RaceCategory)
     path = tmp_path / "ev" / "calibration_curves.csv"

@@ -1,20 +1,55 @@
-"""The Python blocks of README's "Library use" section run as written.
+"""The README's round trip and the Python blocks of its "Library use"
+section run as written.
 
-They run in order in one namespace, so a later block may use what an
-earlier one defines. The names the prose leaves to the reader (records,
+The round trip's `raketab` lines run as `python -m raketab.cli`, each in a
+fresh process, as the installed script runs them. The Python blocks run
+in order in one namespace, so a later block may use what an earlier one
+defines. The names the prose leaves to the reader (records,
 surnames, geoids, weights, race, labels, index, totals) are defined first
 from a small synthetic table of 120 people, whose race and cell totals
 both sum to the 120 of the README's one-cell margin example.
 """
 
+import json
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import raketab as rt
+from test_package import fresh_env
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def round_trip_commands():
+    """The commands of the README's round-trip `sh` block, split as sh splits them."""
+    text = README.read_text(encoding="utf-8").split("\nA complete synthetic round trip:\n", 1)[1]
+    block = re.match(r"\s*```sh\n(.*?)```", text, flags=re.S).group(1)
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_round_trip_runs_as_written(tmp_path):
+    commands = round_trip_commands()
+    assert [argv[:2] for argv in commands] == [
+        ["raketab", stage] for stage in ("synth", "predict", "rake", "evaluate")
+    ]
+    for argv in commands:
+        subprocess.run(
+            [sys.executable, "-m", "raketab.cli", *argv[1:]], cwd=tmp_path, env=fresh_env(),
+            check=True,
+        )
+    # the prose's claim: every race's statewide error is within rake's
+    # tolerance, a gap relative to a target no larger than the total
+    total = float(json.loads((tmp_path / "fixture" / "manifest.json").read_text())["flags"]["total"])
+    tol = float(json.loads((tmp_path / "raked" / "manifest.json").read_text())["flags"]["tol"])
+    summary = json.loads((tmp_path / "report" / "summary.json").read_text())
+    errors = summary["subpopulation"]["avg_error"].values()
+    assert max(abs(e) for e in errors) <= tol * total
+    assert set(summary["kuiper"]) == set(rt.RACE_NAMES)
 
 
 def library_blocks():

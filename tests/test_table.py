@@ -458,6 +458,10 @@ class TestJoinHelpersMatchReferences:
             ContingencyTable(other_labels, other_index, np.ones((len(other_index), 6))),
         ):
             assert_same_array(table.locate(cells), reference_locate(table, cells))
+            # the same cells given as labels and an index
+            assert_same_array(
+                table.locate(cells.labels, cells.cell_index), reference_locate(table, cells)
+            )
 
 
 @settings(max_examples=150, deadline=None)
