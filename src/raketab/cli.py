@@ -19,12 +19,16 @@ _IMPORTS_START = time.perf_counter()
 import argparse
 import contextlib
 import gc
-import hashlib
 import json
 import os
 import platform
 import resource
 import sys
+
+# hashlib's blake2b is this same type (hashlib never takes BLAKE2b from
+# OpenSSL), but hashlib's own import loads OpenSSL's libcrypto to look up
+# its other constructors: about 3.6 MB of each command's peak
+from _blake2 import blake2b
 
 # a command process: raketab.cli loads before anything else loaded numpy
 _FRESH = "numpy" not in sys.modules
@@ -50,30 +54,6 @@ from . import __version__, ingest
 from .table import N_RACES, RACE_NAMES, AxisLabels, ContingencyTable, MarginSet, PredictionTable
 from .table import RaceCategory, check_cell_values
 
-# Each command loads the modules it calls when it runs, through the
-# package's names (`raketab.fit_factors` loads `raketab.bisg`): a command
-# process compiles no module it does not call. The objects these imports
-# leave (about 22,000, most of them numpy's) live as long as the process,
-# so a fresh process freezes them: no later collection, those at exit
-# included, walks them again. A process that loaded numpy first keeps its
-# GC state, as it keeps its BLAS setting.
-_STARTUP = {"import_s": time.perf_counter() - _IMPORTS_START, "frozen": 0}
-if _FRESH:
-    gc.freeze()
-    _STARTUP["frozen"] = gc.get_freeze_count()
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_NONCONVERGENCE = 3
-
-
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
 
 def _peak_rss_mb() -> float:
     """This process's own peak resident memory: VmHWM where /proc has it.
@@ -87,6 +67,34 @@ def _peak_rss_mb() -> float:
     except (OSError, StopIteration):
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         return peak / 2**20 if sys.platform == "darwin" else peak / 1024
+
+
+# Each command loads the modules it calls when it runs, through the
+# package's names (`raketab.fit_factors` loads `raketab.bisg`): a command
+# process compiles no module it does not call. The objects these imports
+# leave (about 22,000, most of them numpy's) live as long as the process,
+# so a fresh process freezes them: no later collection, those at exit
+# included, walks them again. A process that loaded numpy first keeps its
+# GC state, as it keeps its BLAS setting. The start-up's peak memory is
+# read once the imports are done.
+_STARTUP = {"import_s": time.perf_counter() - _IMPORTS_START, "peak_rss_mb": _peak_rss_mb(),
+            "frozen": 0}
+if _FRESH:
+    gc.freeze()
+    _STARTUP["frozen"] = gc.get_freeze_count()
+
+EXIT_OK = 0
+EXIT_INPUT = 2
+EXIT_NONCONVERGENCE = 3
+
+
+def _digest(path) -> str:
+    """The file's BLAKE2b-512 digest in hex, as coreutils' `b2sum` prints it."""
+    h = blake2b()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def _to_front(conds, block=4096):
@@ -139,7 +147,7 @@ class _Run:
 
     def read(self, path, parse_fn, *args):
         """Digest input `path` and return parse_fn(path, *args)."""
-        self.inputs.append({"path": str(path), "sha256": self._timed("digest_s", _sha256, path)})
+        self.inputs.append({"path": str(path), "blake2b": self._timed("digest_s", _digest, path)})
         return self._timed("parse_s", parse_fn, path, *args)
 
     def write(self, name, write_fn, *args):
@@ -147,7 +155,7 @@ class _Run:
         return what write_fn returns."""
         path = os.path.join(self.out_dir, name)
         result = self._timed("write_s", _atomic, path, write_fn, *args)
-        self.outputs.append({"path": str(path), "sha256": self._timed("digest_s", _sha256, path)})
+        self.outputs.append({"path": str(path), "blake2b": self._timed("digest_s", _digest, path)})
         return result
 
     def finish(self):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -465,7 +466,7 @@ class TestDeterminism:
                     if f.name == "manifest.json":
                         manifest = read_json(f)
                         blobs[f"{d.name}/digests"] = sorted(
-                            (o["path"].rsplit("/", 1)[-1], o["sha256"])
+                            (o["path"].rsplit("/", 1)[-1], o["blake2b"])
                             for o in manifest["outputs"]
                         )
                     elif f.suffix in (".csv", ".json"):
@@ -481,7 +482,40 @@ class TestDeterminism:
             "prior.json", "race_margin.json",
         }
         for entry in manifest["outputs"]:
-            assert len(entry["sha256"]) == 64
+            assert set(entry) == {"path", "blake2b"}
+
+    def test_manifest_digests_are_each_files_blake2b(self, tmp_path):
+        # every command's inputs and outputs, the calibration map's included
+        fix = synth_fixture(tmp_path, seed=5)
+        pred = predict_dir(tmp_path, fix)
+        raked, ev, cm, fit = (tmp_path / name for name in ("raked", "ev", "cm", "fit"))
+        assert run_cli("fit-factors", "--table", fix / "table.csv", "--out-dir", fit) == 0
+        assert run_cli(
+            "rake", "--base", pred / "predictions.csv",
+            "--race-margin", fix / "race_margin.json", "--out-dir", raked,
+        ) == 0
+        assert run_cli(
+            "calib-map", "--source", fix / "race_margin.json",
+            "--target", fix / "prior.json", "--out-dir", cm,
+        ) == 0
+        assert run_cli(
+            "evaluate", "--truth-table", fix / "table.csv", "--preds", raked / "raked.csv",
+            "--calib-map", cm / "calibration_map.csv", "--out-dir", ev,
+        ) == 0
+        counts = {}
+        for out in (fix, fit, pred, raked, cm, ev):
+            manifest = read_json(out / "manifest.json")
+            for kind in ("inputs", "outputs"):
+                for entry in manifest[kind]:
+                    data = Path(entry["path"]).read_bytes()
+                    assert entry["blake2b"] == hashlib.blake2b(data).hexdigest(), entry
+                counts[out.name, kind] = len(manifest[kind])
+        assert counts == {
+            ("fix", "inputs"): 0, ("fix", "outputs"): 5, ("fit", "inputs"): 1,
+            ("fit", "outputs"): 3, ("pred", "inputs"): 4, ("pred", "outputs"): 1,
+            ("raked", "inputs"): 2, ("raked", "outputs"): 3, ("cm", "inputs"): 2,
+            ("cm", "outputs"): 1, ("ev", "inputs"): 3, ("ev", "outputs"): 4,
+        }
 
     def test_manifest_layer_split_and_versions(self, tmp_path):
         import platform
@@ -521,6 +555,11 @@ class TestManifestOfOneProcess:
     ENTRY = (
         "import sys; from raketab.cli import main; code = main(sys.argv[2:]); "
         "open(sys.argv[1], 'w').write(open('/proc/self/status').read()); sys.exit(code)"
+    )
+    # main, then the names of the modules the process loaded, to the file named first
+    MODULES_ENTRY = (
+        "import sys; from raketab.cli import main; code = main(sys.argv[2:]); "
+        "open(sys.argv[1], 'w').write(' '.join(sys.modules)); sys.exit(code)"
     )
 
     def calib_map(self, tmp_path, **env):
@@ -580,9 +619,37 @@ class TestManifestOfOneProcess:
             assert startup["modules"] == sorted(["ingest", "table", *own])
             assert 0 < startup["import_s"] < 30
             assert startup["frozen"] > 1000  # numpy's import leaves some 20,000
+            info = read_json(out / "manifest.json")["info"]
+            assert 0 < startup["peak_rss_mb"] <= info["peak_rss_mb"]
             assert run_cli(command, *args, "--out-dir", tmp_path / f"in_{command}") == 0
             manifest = read_json(tmp_path / f"in_{command}" / "manifest.json")
             assert manifest["info"]["startup"]["frozen"] == 0
+
+    def test_table_commands_load_no_openssl(self, tmp_path):
+        # the digests come from the interpreter's own BLAKE2b; hashlib would
+        # load OpenSSL's libcrypto (synth and subsample load it through
+        # numpy.random, which no table stage calls)
+        fix = synth_fixture(tmp_path)
+        pred = predict_dir(tmp_path, fix)
+        commands = {
+            "fit-factors": ["--table", fix / "table.csv"],
+            "predict": ["--surname-factors", fix / "surname_factors.csv",
+                        "--geo-factors", fix / "geo_factors.csv", "--prior", fix / "prior.json",
+                        "--table", fix / "table.csv"],
+            "rake": ["--base", pred / "predictions.csv", "--race-margin", fix / "race_margin.json"],
+            "evaluate": ["--truth-table", fix / "table.csv", "--preds", pred / "predictions.csv"],
+            "calib-map": ["--source", fix / "race_margin.json", "--target", fix / "prior.json"],
+        }
+        for command, args in commands.items():
+            modules = tmp_path / f"{command}.modules"
+            subprocess.run(
+                [sys.executable, "-c", self.MODULES_ENTRY, modules, command, *args,
+                 "--out-dir", tmp_path / f"child_{command}"],
+                env=fresh_env(), check=True,
+            )
+            loaded = set(modules.read_text().split())
+            assert "raketab.cli" in loaded
+            assert not loaded & {"hashlib", "_hashlib"}, command
 
 
 class TestErrors:
