@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 
 # each module and the public names it defines
 _MODULES = {
-    "table": "AxisLabels ContingencyTable MarginSet PredictionTable RaceCategory RACE_LABELS "
-             "RACE_NAMES build_table index_cells",
+    "table": "AxisLabels ContingencyTable MarginSet RaceCategory RACE_NAMES build_table "
+             "index_cells",
     "bisg": "BisgFactors MissingFactorError VoterAdjustment baseline_geo_only "
             "baseline_surname_only bisg_counts bisg_probability fit_factors voter_adjustment "
             "weighted_counts",

@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .table import N_RACES, AxisLabels, ContingencyTable, MarginSet, PredictionTable, compact_labels
+from .table import N_RACES, AxisLabels, ContingencyTable, MarginSet, compact_labels
 from .table import _as_race_vector, _check_finite_nonnegative, row_sums
 
 
@@ -147,7 +147,7 @@ def _bisg_product(factors: BisgFactors, s_row, g_row) -> np.ndarray:
     return num
 
 
-def bisg_counts(factors: BisgFactors, cells) -> tuple[PredictionTable, list]:
+def bisg_counts(factors: BisgFactors, cells) -> tuple[ContingencyTable, list]:
     """Count-scale predictions over a family of (surname, geolocation) cells.
 
     Each cell gets the BISG product times x_{s++} x_{+g+} / N: the
@@ -162,7 +162,7 @@ def bisg_counts(factors: BisgFactors, cells) -> tuple[PredictionTable, list]:
 
     Returns
     -------
-    (PredictionTable, list of (surname, geolocation, reason))
+    (ContingencyTable, list of (surname, geolocation, reason))
         Cells whose surname or geolocation has no factor are skipped and
         listed in the rejects report.
     """
@@ -181,7 +181,7 @@ def bisg_counts(factors: BisgFactors, cells) -> tuple[PredictionTable, list]:
     s_row, g_row = s_row[ok], g_row[ok]
     values = _bisg_product(factors, s_row, g_row)
     values *= (factors.surname_counts[s_row] * factors.geo_counts[g_row] / factors.total())[:, None]
-    return PredictionTable(*compact_labels(labels, index[ok]), values), rejects
+    return ContingencyTable(*compact_labels(labels, index[ok]), values), rejects
 
 
 def _factor_row(factors: BisgFactors, axis, label) -> int:
@@ -256,7 +256,7 @@ def weighted_counts(
     cell_totals: MarginSet | Mapping[tuple[str, str], float],
     adjustment: Optional[VoterAdjustment] = None,
     method: str = "bisg",
-) -> tuple[PredictionTable, list]:
+) -> tuple[ContingencyTable, list]:
     """Weighted-estimator prediction table: cell total times p(r | s, g).
 
     Parameters
@@ -275,7 +275,7 @@ def weighted_counts(
 
     Returns
     -------
-    (PredictionTable, list of (surname, geolocation, reason))
+    (ContingencyTable, list of (surname, geolocation, reason))
     """
     if method not in ("bisg", "geo-only", "surname-only"):
         raise ValueError(f"unknown method {method!r}")
@@ -320,5 +320,5 @@ def weighted_counts(
     if not ok.all():
         index, w_arr, num, sums = index[ok], w_arr[ok], num[ok], sums[ok]
     num *= (w_arr / sums)[:, None]
-    return PredictionTable(*compact_labels(labels, index), num), rejects
+    return ContingencyTable(*compact_labels(labels, index), num), rejects
 

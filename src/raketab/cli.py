@@ -51,7 +51,7 @@ import numpy as np
 import raketab
 
 from . import __version__, ingest
-from .table import N_RACES, RACE_NAMES, AxisLabels, ContingencyTable, MarginSet, PredictionTable
+from .table import N_RACES, RACE_NAMES, AxisLabels, ContingencyTable, MarginSet
 from .table import RaceCategory, check_cell_values
 
 
@@ -225,13 +225,11 @@ def _load_factors(args, run):
 
 
 def _write_factor_rejects(run, rejects):
-    for kind, report in rejects.items():
-        if len(report):
-            run.write(f"{kind}_factor_rejects.csv", ingest.write_rejects, report)
-            run.info[f"{kind}_factor_rejects"] = len(report)
-            run.info[f"{kind}_factor_rejects_by_reason"] = ingest.reason_counts(
-                reason for _, reason in report.rows
-            )
+    for kind, rows in rejects.items():
+        if rows:
+            run.write(f"{kind}_factor_rejects.csv", ingest.write_rejects, rows)
+            run.info[f"{kind}_factor_rejects"] = len(rows)
+            run.info[f"{kind}_factor_rejects_by_reason"] = ingest.reason_counts(r for _, r in rows)
 
 
 def _write_factors(run, factors):
@@ -273,7 +271,7 @@ def cmd_predict(args):
     run.write("predictions.csv", ingest.write_predictions, table)
     if rejects:
         rows = [(i + 1, f"{s},{g}: {reason}") for i, (s, g, reason) in enumerate(rejects)]
-        run.write("rejects.csv", ingest.write_rejects, ingest.RejectReport(rows))
+        run.write("rejects.csv", ingest.write_rejects, rows)
         run.info["rejected_cells"] = len(rejects)
         run.info["rejected_cells_by_reason"] = ingest.reason_counts(r for *_, r in rejects)
     run.info["factor_labels"] = {"surname": factors.labels.n_s, "geo": factors.labels.n_g}
@@ -375,12 +373,9 @@ def cmd_evaluate(args):
         cond = np.matmul(matrix, cond[:, :, None])[:, :, 0]
     # in place: each cell's counts; with every truth cell occupied, the
     # prediction shares the truth's index
-    if occupied.all():
-        cond *= truth.cell_sums[:, None]
-        pred = PredictionTable(truth.labels, truth.cell_index, cond)
-    else:
-        cond *= truth.cell_sums[occupied, None]
-        pred = PredictionTable(truth.labels, truth.cell_index[occupied], cond)
+    cells = slice(None) if occupied.all() else occupied
+    cond *= truth.cell_sums[cells, None]
+    pred = ContingencyTable(truth.labels, truth.cell_index[cells], cond)
 
     region_map = None
     if args.region_map:

@@ -58,7 +58,7 @@ import re
 import warnings
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, filterfalse, islice
 from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Optional
@@ -103,16 +103,6 @@ MAX_REJECT_FRACTION = 0.10
 
 class ParseError(ValueError):
     """A file-level defect that cannot be skipped row by row."""
-
-
-@dataclass
-class RejectReport:
-    """Rows dropped during parsing, with 1-based line numbers."""
-
-    rows: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.rows)
 
 
 # the row-specific tail of a reject reason: a probability sum, a field
@@ -370,7 +360,8 @@ def _plain_floats(fields):
 
 def _parse_factors(path, header, kind, clean_label, sum_ok, sum_reason):
     """The factor parsers: (labels, values, rejects), the accepted labels in
-    file order, their (n, 7) counts and P(r|label), and the RejectReport.
+    file order, their (n, 7) counts and P(r|label), and the (line, reason)
+    pair of each rejected row, lines 1-based.
 
     A row is rejected, the first reason it has in this order winning: the
     wrong number of fields, an empty label, a non-numeric or non-finite
@@ -416,7 +407,7 @@ def _parse_factors(path, header, kind, clean_label, sum_ok, sum_reason):
         )
     values = values[accepted]
     values[:, 1:] /= sums[accepted, None]
-    return labels[accepted].tolist(), values, RejectReport(list(zip((rejected + 2).tolist(), reasons[rejected])))
+    return labels[accepted].tolist(), values, list(zip((rejected + 2).tolist(), reasons[rejected]))
 
 
 def parse_surname_factors(path):
@@ -551,7 +542,7 @@ def subsample_to_margin(voters: Voters, target, seed: int) -> Voters:
     in file order. The sample is shuffled. Deterministic for a fixed seed.
     """
     target = np.asarray(target, dtype=np.float64)
-    if target.shape != (N_RACES,) or np.any(target < 0) or abs(target.sum() - 1.0) > 1e-6:
+    if target.shape != (N_RACES,) or not (target.min() >= 0 and abs(target.sum() - 1.0) <= 1e-6):
         raise ValueError("target must be a probability 6-vector")
     if np.any(voters.race < 0):
         raise ValueError(f"record {voters.voter_id[np.argmax(voters.race < 0)]!r} has no race label")
@@ -838,8 +829,8 @@ def write_calibration_map(path, matrix):
     _write_csv(path, CALIB_MAP_HEADER, [_columns([RACE_NAMES], np.asarray(matrix, dtype=np.float64))])
 
 
-def write_rejects(path, report: RejectReport):
-    rows = report.rows
+def write_rejects(path, rows):
+    """Rejected rows, a list of (line, reason) pairs."""
     _write_csv(path, REJECTS_HEADER, [_columns([[line for line, _ in rows], [reason for _, reason in rows]])])
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .table import N_RACES, RACE_NAMES, ContingencyTable, PredictionTable, RaceCategory
+from .table import N_RACES, RACE_NAMES, ContingencyTable, RaceCategory
 from .table import row_sums, sum_by_group
 
 # the log of a predicted conditional is floored here so that empirically
@@ -126,7 +126,7 @@ class CalibrationCurve:
         return self.points[np.r_[True, keep]]
 
 
-def _aligned(truth: ContingencyTable, pred: PredictionTable):
+def _aligned(truth: ContingencyTable, pred: ContingencyTable):
     """Truth and prediction values on one list of cells, plus each cell's
     truth geolocation index: the truth's cells in order (the prediction is
     zero where it lacks one), then the prediction's cells the truth lacks.
@@ -160,7 +160,7 @@ def _aligned(truth: ContingencyTable, pred: PredictionTable):
     )
 
 
-def _row_totals(m, pred: PredictionTable) -> np.ndarray:
+def _row_totals(m, pred: ContingencyTable) -> np.ndarray:
     """Per-row totals of `_aligned`'s prediction values: `pred.cell_sums`,
     computed once per table, when they are the prediction's own."""
     return pred.cell_sums if m is pred.cell_values else row_sums(m)
@@ -168,7 +168,7 @@ def _row_totals(m, pred: PredictionTable) -> np.ndarray:
 
 def subpop_report(
     truth: ContingencyTable,
-    pred: PredictionTable,
+    pred: ContingencyTable,
     orientation: str = ESTIMATE_MINUS_TRUTH,
 ) -> SubpopReport:
     """Compare geolocation-level race totals of a prediction to the truth.
@@ -200,7 +200,7 @@ def subpop_report(
 
 def cellwise_report(
     truth: ContingencyTable,
-    pred: PredictionTable,
+    pred: ContingencyTable,
     region_map: Optional[dict] = None,
 ) -> CellwiseReport:
     """Per-geolocation l1/l2 errors and negative log-likelihood.
@@ -301,7 +301,7 @@ def _stable_order(a) -> np.ndarray:
 
 def calibration_curve(
     truth: ContingencyTable,
-    pred: PredictionTable,
+    pred: ContingencyTable,
     race: RaceCategory,
 ) -> CalibrationCurve:
     """Weighted cumulative miscalibration of one race's predictions.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import RACE_NAMES, MarginSet, N_RACES, PredictionTable, compact_labels, row_sums
+from .table import RACE_NAMES, ContingencyTable, MarginSet, N_RACES, compact_labels, row_sums
 
 
 class InfeasibleMarginError(ValueError):
@@ -63,7 +63,7 @@ class RakingResult:
     `tightest_races` is that R; with under two such races both are empty.
     """
 
-    table: PredictionTable
+    table: ContingencyTable
     theta_r: np.ndarray
     theta_sg: np.ndarray
     iterations: int
@@ -73,7 +73,7 @@ class RakingResult:
     tightest_races: tuple
 
 
-def margin_gap(m: PredictionTable, targets: MarginSet) -> float:
+def margin_gap(m: ContingencyTable, targets: MarginSet) -> float:
     """Worst deviation |achieved - target| / max(target, 1) over all targets."""
     gap = 0.0
     if targets.race is not None:
@@ -88,7 +88,7 @@ def margin_gap(m: PredictionTable, targets: MarginSet) -> float:
 
 
 def rake(
-    base: PredictionTable,
+    base: ContingencyTable,
     targets: MarginSet,
     config: RakingConfig = RakingConfig(),
 ) -> RakingResult:
@@ -96,7 +96,7 @@ def rake(
 
     Parameters
     ----------
-    base : PredictionTable
+    base : ContingencyTable
         Nonnegative starting table. Cells absent from the targets, or with
         a zero target, are zeroed; zero base cells stay exactly zero.
     targets : MarginSet
@@ -108,7 +108,8 @@ def rake(
     Raises
     ------
     InfeasibleMarginError
-        If no table on the base's support meets the targets.
+        If no table on the base's support meets the targets, or no cell
+        target is positive.
     NonConvergenceError
         If the margin gap is above tolerance after the step cap, or when no
         step makes progress; carries the gap, the worst race and its last gaps.
@@ -163,6 +164,9 @@ def rake_in_place(values, cells, targets: MarginSet, config: RakingConfig) -> Ra
         key = targets.labels.pairs(targets.cell_index[i : i + 1])[0]
         what = "base mass there is zero" if found[i] else "base has no such cell"
         raise InfeasibleMarginError(f"cell target {key} is positive but {what}")
+    live_c = x > 0
+    if not live_c.any():
+        raise InfeasibleMarginError("no cell target is positive: the raked table would be empty")
     has_mass = (np.bitwise_or.reduce(code) & bits) > 0
     infeasible = np.nonzero((t > 0) & ~has_mass)[0]
     if len(infeasible):
@@ -193,7 +197,6 @@ def rake_in_place(values, cells, targets: MarginSet, config: RakingConfig) -> Ra
     proper = np.nonzero(((subsets & ~live) == 0) & (subsets > 0) & (subsets < live))[0]
     tightest = int(proper[np.argmax(shortfall[proper])]) if len(proper) else 0
 
-    live_c = x > 0
     scale = np.maximum(t, 1.0)
     work = np.empty((N_RACES, n_cells))  # b e^theta; the result ends up in values' buffer
 
@@ -273,7 +276,7 @@ def rake_in_place(values, cells, targets: MarginSet, config: RakingConfig) -> Ra
     del work
     kept = live_c.all()
     return RakingResult(
-        table=PredictionTable(
+        table=ContingencyTable(
             *compact_labels(cells.labels, cells.cell_index if kept else cells.cell_index[live_c]),
             raked if kept else raked[live_c],
         ),
@@ -317,7 +320,7 @@ def _laplacian_solve(c, rhs):
     return step
 
 
-def kl_divergence(m: PredictionTable, base: PredictionTable) -> float:
+def kl_divergence(m: ContingencyTable, base: ContingencyTable) -> float:
     """Generalized KL divergence of one unnormalized table from another.
 
     sum of m*log(m/base) - sum(m) + sum(base), with 0*log(0) = 0. Always

@@ -33,6 +33,8 @@ class SynthConfig:
 
     def __post_init__(self):
         mix = _as_race_vector(self.race_mix, name="race_mix")
+        if not np.all(np.isfinite(mix)):
+            raise ValueError("race_mix shares must be finite")
         if np.any(mix < 0) or abs(mix.sum() - 1.0) > 1e-9:
             raise ValueError("race_mix must be a probability vector")
         object.__setattr__(self, "race_mix", mix)
@@ -40,6 +42,8 @@ class SynthConfig:
             raise ValueError("need at least 2 surnames and 2 geolocations")
         if not 0.0 <= self.dependence <= 1.0:
             raise ValueError("dependence must lie in [0, 1]")
+        if not np.isfinite(self.total_population):
+            raise ValueError("total_population must be finite")
         if self.total_population < 1:
             raise ValueError("total_population must be at least 1")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from enum import IntEnum
 from itertools import compress, repeat
 from typing import Iterable, Iterator, Mapping
-from weakref import ref
 
 import numpy as np
 
@@ -32,8 +31,6 @@ class RaceCategory(IntEnum):
 
 # lowercase names used in file headers and JSON keys, in category order
 RACE_NAMES = ("aian", "api", "black", "hispanic", "white", "other")
-# display labels used in reports
-RACE_LABELS = ("AIAN", "API", "Black", "Hispanic", "White", "Other")
 
 _AXES = ("s", "g", "r")
 
@@ -57,7 +54,7 @@ def _as_race_vector(values, name="values"):
 class AxisLabels:
     """Ordered surname and geolocation labels, unique within each axis."""
 
-    __slots__ = ("surnames", "geolocations", "_lookup", "_objects", "_checked")
+    __slots__ = ("surnames", "geolocations", "_lookup", "_objects")
 
     def __init__(self, surnames, geolocations):
         surnames = tuple(surnames)
@@ -72,7 +69,6 @@ class AxisLabels:
         self.geolocations = geolocations
         self._lookup = None
         self._objects = None
-        self._checked = None  # the last table's index and codes, by weak reference
 
     def positions(self, axis, labels) -> np.ndarray:
         """Index of each label on axis "s" or "g"; -1 where the label is absent.
@@ -187,17 +183,10 @@ def compact_labels(labels: AxisLabels, index):
     )
 
 
-def _held_codes(labels: AxisLabels, index):
-    """The codes of `index` when it is the very array that the last table
-    built on this labels object holds, else None: that index was checked
-    when the table was built, is read-only, and its codes come with it."""
-    held = labels._checked
-    return held[1]() if held is not None and held[0]() is index else None
-
-
 def _check_index(labels: AxisLabels, index) -> np.ndarray:
-    """Check an (n, 2) int64 index against its labels (in range, sorted,
-    unique), mark it read-only and return its codes s * n_g + g."""
+    """`index` as a contiguous (n, 2) int64 array, checked against its
+    labels (in range, sorted, unique) and marked read-only."""
+    index = np.ascontiguousarray(index, dtype=np.int64).reshape(-1, 2)
     if len(index) and (
         index.min() < 0
         or index[:, 0].max() >= labels.n_s
@@ -207,8 +196,8 @@ def _check_index(labels: AxisLabels, index) -> np.ndarray:
     codes = index[:, 0] * labels.n_g + index[:, 1]
     if np.any(codes[1:] <= codes[:-1]):
         raise ValueError("cell index must be sorted and unique")
-    index.flags.writeable = codes.flags.writeable = False
-    return codes
+    index.flags.writeable = False
+    return index
 
 
 def check_cell_values(labels: AxisLabels, index, values, what):
@@ -231,25 +220,19 @@ class ContingencyTable:
     the label ranges; `values` must be finite and nonnegative, one row per
     cell. Counts may be fractional. Instances are immutable: the backing
     arrays are marked read-only. An argument that already is a contiguous
-    int64 index or float64 values array is kept, not copied, and so is
-    marked read-only too. The `cell_index` of the last table built on the
-    same labels object is taken as it is, not checked again, and its codes
-    are shared.
+    int64 index or float64 values array is kept, not copied: the table
+    holds a read-only view of it, so the caller must not write to it after.
     """
 
     def __init__(self, labels: AxisLabels, index, values):
-        codes = _held_codes(labels, index)
-        if codes is None:
-            index = np.ascontiguousarray(index, dtype=np.int64).reshape(-1, 2)
-            codes = _check_index(labels, index)
-            labels._checked = ref(index), ref(codes)  # see `_held_codes`
+        index = _check_index(labels, index)
         values = np.ascontiguousarray(values, dtype=np.float64).reshape(len(index), N_RACES)
         check_cell_values(labels, index, values, "count in cell")
         values.flags.writeable = False
         self.labels = labels
         self._index = index
         self._values = values
-        self._codes = codes
+        self._codes = None  # s * n_g + g of each cell, built by the first `locate`
         self._sums = None
 
     @classmethod
@@ -316,6 +299,10 @@ class ContingencyTable:
             gi = self.labels.positions("g", [g for _, g in pairs])
         if not self.n_cells:
             return np.full(len(si), -1, dtype=np.int64)
+        if self._codes is None:
+            codes = self._index[:, 0] * self.labels.n_g + self._index[:, 1]
+            codes.flags.writeable = False
+            self._codes = codes
         wanted = si * self.labels.n_g + gi
         rows = np.minimum(np.searchsorted(self._codes, wanted), self.n_cells - 1)
         found = (si >= 0) & (gi >= 0) & (self._codes[rows] == wanted)
@@ -394,10 +381,6 @@ class ContingencyTable:
         )
 
 
-class PredictionTable(ContingencyTable):
-    """A table of predicted counts m_{sgr}; same layout as ContingencyTable."""
-
-
 class MarginSet:
     """Raking targets: a race-margin 6-vector and per-cell (s, g) totals.
 
@@ -414,18 +397,14 @@ class MarginSet:
     def __init__(self, race, labels: AxisLabels | None = None, index=(), totals=()):
         self.race = None if race is None else _as_race_vector(race, name="race margin")
         self.labels = labels
-        held = labels is not None and _held_codes(labels, index) is not None
-        if not held:
-            index = np.ascontiguousarray(index, dtype=np.int64).reshape(-1, 2)
-        self.cell_index = index
+        self.cell_index = index = np.ascontiguousarray(index, dtype=np.int64).reshape(-1, 2)
         self.totals = totals = np.ascontiguousarray(totals, dtype=np.float64).reshape(len(index))
         if self.race is not None:
             _check_finite_nonnegative(self.race, "race-margin target")
         if len(index):
             if labels is None:
                 raise ValueError("cell targets need labels")
-            if not held:
-                _check_index(labels, index)
+            _check_index(labels, index)
             check_cell_values(labels, index, totals, "cell-margin target at")
         if self.race is not None and len(index):
             race_total, cell_total = float(self.race.sum()), float(totals.sum())

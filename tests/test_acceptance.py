@@ -13,7 +13,7 @@ import raketab as rt
 from raketab import RaceCategory
 from raketab.cli import main as cli_main
 from raketab.synth import SynthConfig, generate
-from raketab.table import PredictionTable
+from raketab.table import ContingencyTable
 
 from test_calibmap import grid_objective_2cat, grid_objective_3cat
 from test_raking import grid_kl_min
@@ -47,7 +47,7 @@ def random_synth(seed, n_s, n_g, dependence, total=50_000.0, mix_seed_offset=10_
 def test_c01_statewide_metric_conformance():
     start = time.monotonic()
     truth = rt.ContingencyTable.from_label_cells({("X", "FL"): race6(0, 0, 1_762_643)})
-    pred = PredictionTable.from_label_cells({("X", "FL"): race6(0, 0, 1_725_555)})
+    pred = ContingencyTable.from_label_cells({("X", "FL"): race6(0, 0, 1_725_555)})
     rep = rt.subpop_report(truth, pred)
     assert abs(rep.abs_error[0, RaceCategory.BLACK] - (-37_087)) <= 1.0
     assert rep.rel_error[0, RaceCategory.BLACK] * 100 == pytest.approx(-2.10, abs=0.01)
@@ -87,7 +87,7 @@ def test_c02_independence_exactness_at_scale():
         # conditional entropy, so the deviation metric is the excess over
         # the self-prediction value
         cw_self = rt.cellwise_report(
-            truth, PredictionTable(truth.labels, truth.cell_index, truth.cell_values)
+            truth, ContingencyTable(truth.labels, truth.cell_index, truth.cell_values)
         )
         assert np.nanmax(np.abs(cw.nll - cw_self.nll)) < 1e-9
         race = RaceCategory(int(np.argmax(mix)))
@@ -136,7 +136,7 @@ def test_c04_kl_minimality_against_grid():
         frac = g.uniform(0.25, 0.75)
         total = sum(cell_targets.values())
         race_targets = race6(frac * total, (1 - frac) * total)
-        base_table = PredictionTable.from_label_cells(
+        base_table = ContingencyTable.from_label_cells(
             {k: np.concatenate([v, np.zeros(4)]) for k, v in base.items()}
         )
         result = rt.rake(base_table, rt.MarginSet.from_cells(race_targets, cell_targets))
@@ -232,7 +232,7 @@ def test_c08_kuiper_correctness():
     truth = rt.ContingencyTable.from_label_cells(
         {("A", "g"): race6(0.4, 0.6), ("B", "g"): race6(0.6, 0.4)}
     )
-    pred = PredictionTable.from_label_cells(
+    pred = ContingencyTable.from_label_cells(
         {("A", "g"): race6(0.2, 0.8), ("B", "g"): race6(0.8, 0.2)}
     )
     curve = rt.calibration_curve(truth, pred, RaceCategory.AIAN)
@@ -243,7 +243,7 @@ def test_c08_kuiper_correctness():
 
     calibrated = rt.calibration_curve(
         truth,
-        PredictionTable.from_label_cells(dict(truth.items())),
+        ContingencyTable.from_label_cells(dict(truth.items())),
         RaceCategory.AIAN,
     )
     assert calibrated.kuiper == pytest.approx(0.0, abs=1e-12)

@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from raketab import AxisLabels, ContingencyTable, MarginSet, PredictionTable, SynthConfig
+from raketab import AxisLabels, ContingencyTable, MarginSet, SynthConfig
 from raketab import calibration_curve, cellwise_report, fit_factors, generate
 from raketab import rake, subpop_report, weighted_counts
 from raketab.table import compact_labels, index_cells
@@ -67,10 +67,10 @@ def joins(n_s, n_g):
     other = ContingencyTable(*compact_labels(table.labels, half), np.ones((len(half), 6)))
     # the table as a prediction of itself, on its own cells and on labels in
     # reverse order, which the reports join; three regions over the geolocations
-    same = PredictionTable(table.labels, table.cell_index, table.cell_values)
+    same = ContingencyTable(table.labels, table.cell_index, table.cell_values)
     flipped = [n_s - 1, n_g - 1] - table.cell_index
     order = np.lexsort((flipped[:, 1], flipped[:, 0]))
-    joined = PredictionTable(
+    joined = ContingencyTable(
         AxisLabels(table.labels.surnames[::-1], table.labels.geolocations[::-1]),
         flipped[order], table.cell_values[order],
     )

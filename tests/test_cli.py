@@ -883,6 +883,34 @@ class TestNonFiniteInput:
         assert err["error"] == "ParseError"
         assert err["message"].endswith("predictions.csv:3: non-finite value")
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--total", "nan", "total_population must be finite"),
+        ("--total", "inf", "total_population must be finite"),
+        ("--race-mix", "nan,0.2,0.2,0.2,0.2,0.2", "race_mix shares must be finite"),
+    ])
+    def test_non_finite_synth_setting_exits_2(self, tmp_path, capsys, option, value, message):
+        err = exits_2_with_json_error(
+            capsys, "synth", "--surnames", 4, "--geos", 3, "--seed", 1, option, value,
+            "--out-dir", tmp_path / "fix",
+        )
+        assert err["error"] == "ValueError" and err["message"] == message
+        assert not (tmp_path / "fix" / "table.csv").exists()
+
+    def test_predictions_with_no_positive_count_exit_2(self, tmp_path, capsys):
+        base = tmp_path / "base.csv"
+        base.write_text(
+            "surname,geoid,count,p_aian,p_api,p_black,p_hispanic,p_white,p_other\n"
+            "A,x,0,1,0,0,0,0,0\nB,x,0,0,1,0,0,0,0\n"
+        )
+        margin = tmp_path / "margin.json"
+        margin.write_text(json.dumps({"race_distribution": dict.fromkeys(RACE_NAMES, 1 / 6)}))
+        err = exits_2_with_json_error(
+            capsys, "rake", "--base", base, "--race-margin", margin, "--out-dir", tmp_path / "raked",
+        )
+        assert err["error"] == "InfeasibleMarginError"
+        assert err["message"].startswith("no cell target is positive")
+        assert not (tmp_path / "raked" / "raked.csv").exists()
+
 
 class TestOversizedInput:
     def predict_with_surname_factors(self, tmp_path, fix, row):

@@ -341,12 +341,12 @@ def masked_reports_digest():
     pred_values = rng.gamma(1.0, 1.0, size=(len(pred_codes), 6)) + 1e-3
     pred_values[rng.random(pred_values.shape) < 0.2] = 0.0
     pred_values[:, 0] += 1e-3  # every cell keeps a positive total
-    held = rt.PredictionTable(*rt.table.compact_labels(
+    held = rt.ContingencyTable(*rt.table.compact_labels(
         labels, np.column_stack(np.divmod(pred_codes[order], n_g))), pred_values[order])
     assert held.labels != truth.labels
 
     kept = np.arange(truth.n_cells) % 5 != 2
-    short = rt.PredictionTable(labels, index[kept], rng.random((kept.sum(), 6)) + 1e-3)
+    short = rt.ContingencyTable(labels, index[kept], rng.random((kept.sum(), 6)) + 1e-3)
 
     regions = {f"g{j}": f"R{j % 3}" for j in range(n_g - 2)}
     regions["g99"] = "R9"  # a geoid the truth lacks; g6 and g7 map to no region

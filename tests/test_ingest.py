@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import raketab
 from raketab import RACE_NAMES, ContingencyTable, RaceCategory, SynthConfig, generate, ingest
-from raketab import MarginSet, PredictionTable, fit_factors, rake, weighted_counts
+from raketab import MarginSet, fit_factors, rake, weighted_counts
 from raketab import calibration_curve, cellwise_report, cli, subpop_report
 from raketab.table import N_RACES, index_cells
 from raketab.ingest import (
@@ -24,7 +24,6 @@ from raketab.ingest import (
     FLORIDA_MAPPING,
     NORTH_CAROLINA_MAPPING,
     ParseError,
-    RejectReport,
     VoterRecord,
     Voters,
     aggregate_voters,
@@ -105,7 +104,7 @@ class TestSurnameFactors:
         )
         labels, _, rejects = parse_surname_factors(f)
         assert "BAD" not in labels and "WORSE" not in labels
-        reasons = {line: reason for line, reason in rejects.rows}
+        reasons = {line: reason for line, reason in rejects}
         assert 3 in reasons and "sum" in reasons[3]
         assert 5 in reasons and "non-numeric" in reasons[5]
 
@@ -119,7 +118,7 @@ class TestSurnameFactors:
         write_lines(f, [self.HEADER, row, *good])
         labels, _, rejects = parse_surname_factors(f)
         assert "SMITH" not in labels and len(labels) == 9
-        assert rejects.rows == [(2, "non-numeric field")]
+        assert rejects == [(2, "non-numeric field")]
         # the reject counts toward the 10% limit
         write_lines(f, [self.HEADER, row, *good[:8]])
         with pytest.raises(ParseError, match=r"1 of 9 rows rejected \(limit 10%\)"):
@@ -163,7 +162,7 @@ class TestGeoFactors:
         write_lines(f, [self.HEADER, "111,5,0,0,0,0,0,0"] + good)
         labels, _, rejects = parse_geo_factors(f)
         assert "111" not in labels
-        assert any("111" in reason for _, reason in rejects.rows)
+        assert any("111" in reason for _, reason in rejects)
 
     def test_excessive_rejects_hard_error(self, tmp_path):
         f = tmp_path / "g.csv"
@@ -180,14 +179,14 @@ class TestGeoFactors:
         bad = ["111,5,0,0,0,0,0,0", "112,5,0,0,0,0,0,0", "113,inf,0,0,1,0,3,0", "114,1,2"]
         write_lines(f, [self.HEADER] + bad + good)
         _, _, rejects = parse_geo_factors(f)
-        assert ingest.reason_counts(reason for _, reason in rejects.rows) == {
+        assert ingest.reason_counts(reason for _, reason in rejects) == {
             "zero-total row for geoid …": 2, "non-finite field": 1, "expected 8 fields, got …": 1,
         }
         surnames = tmp_path / "s.csv"
         good = [f"S{k},1,0,1,0,0,0,0" for k in range(20)]
         write_lines(surnames, [TestSurnameFactors.HEADER, "A,5,0.2,0.3,0,0,0,0", "B,5,2,0,0,0,0,0"] + good)
         _, _, rejects = parse_surname_factors(surnames)
-        assert ingest.reason_counts(reason for _, reason in rejects.rows) == {
+        assert ingest.reason_counts(reason for _, reason in rejects) == {
             "probabilities sum to …": 2,
         }
 
@@ -197,7 +196,7 @@ class TestGeoFactors:
         write_lines(f, [self.HEADER, "111,inf,0,0,1,0,3,0"] + good)
         labels, _, rejects = parse_geo_factors(f)
         assert "111" not in labels
-        assert rejects.rows == [(2, "non-finite field")]
+        assert rejects == [(2, "non-finite field")]
 
     def test_duplicate_geoid(self, tmp_path):
         f = tmp_path / "g.csv"
@@ -227,16 +226,16 @@ def reference_parse_factors(path, header, kind, clean_label, bad_sum):
     P(r|label) and count, the rules of the module docstring applied to each
     row as it is read. The parser must agree with it row for row."""
     probs, counts = {}, {}
-    rejects = RejectReport()
+    rejects = []
     # the whole file is split first: a field over csv's size limit comes before a
     # duplicate label on an earlier line
     for line, row in list(csv_records(path, header)):
         if len(row) != len(header):
-            rejects.rows.append((line, f"expected {len(header)} fields, got {len(row)}"))
+            rejects.append((line, f"expected {len(header)} fields, got {len(row)}"))
             continue
         label = clean_label(row[0])
         if not label:
-            rejects.rows.append((line, f"empty {header[0]}"))
+            rejects.append((line, f"empty {header[0]}"))
             continue
         if label in probs:
             raise ParseError(f"{path}:{line}: duplicate {kind} {label!r}")
@@ -248,7 +247,7 @@ def reference_parse_factors(path, header, kind, clean_label, bad_sum):
             count = float(row[1])
             vec = np.array([float(x) for x in row[2:]], dtype=np.float64)
         except ValueError:
-            rejects.rows.append((line, "non-numeric field"))
+            rejects.append((line, "non-numeric field"))
             continue
         s = vec.sum()
         if not (np.isfinite(count) and np.all(np.isfinite(vec))):
@@ -258,7 +257,7 @@ def reference_parse_factors(path, header, kind, clean_label, bad_sum):
         else:
             reason = bad_sum(label, s)
         if reason:
-            rejects.rows.append((line, reason))
+            rejects.append((line, reason))
             continue
         probs[label] = vec / s
         counts[label] = count
@@ -332,7 +331,7 @@ def _parsed(parse, path):
         labels, values, rejects = parse(path)
     except ParseError as exc:
         return str(exc)
-    return labels, values.shape, values.tobytes(), rejects.rows
+    return labels, values.shape, values.tobytes(), rejects
 
 
 @pytest.mark.parametrize("kind", sorted(FACTOR_KINDS))
@@ -547,6 +546,12 @@ class TestSubsample:
         records = make_records([5, 0])
         with pytest.raises(ValueError, match="no records"):
             subsample_to_margin(records, race6(0.5, 0.5), seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        records = make_records([5, 5])
+        with pytest.raises(ValueError, match="target must be a probability 6-vector"):
+            subsample_to_margin(records, race6(0.5, 0.5, bad), seed=0)
 
     def test_unlabeled_record_rejected(self):
         records = voters_of([("1", "A", "g", None, True)])
@@ -1369,7 +1374,7 @@ def test_rake_holds_no_copy_of_the_parsed_rows(tmp_path):
     labels, index, counts, conds = parse_predictions(tmp_path / "preds.csv")
     rows = 7 * counts.nbytes
     live = counts > 0
-    base = PredictionTable(labels, index[live], counts[live, None] * conds[live])
+    base = ContingencyTable(labels, index[live], counts[live, None] * conds[live])
     targets = MarginSet(
         parse_race_margin(tmp_path / "margin.json") * counts.sum(), labels, base.cell_index, counts[live]
     )
@@ -1394,7 +1399,7 @@ def test_evaluate_holds_one_calibration_curve_at_a_time(tmp_path):
     truth = parse_table(tmp_path / "table.csv")
     _, index, _, conds = parse_predictions(tmp_path / "preds.csv")
     assert np.array_equal(index, truth.cell_index)
-    pred = PredictionTable(truth.labels, truth.cell_index, conds * truth.cell_sums[:, None])
+    pred = ContingencyTable(truth.labels, truth.cell_index, conds * truth.cell_sums[:, None])
     pred.cell_sums  # cached by the first report, as in evaluate
     # the prediction shares the truth's index
     held = _array_bytes(truth) + _array_bytes(pred) - truth.cell_index.nbytes
@@ -1571,8 +1576,6 @@ def _comparable(parsed):
         return parsed.tolist()
     if isinstance(parsed, dict):
         return {k: _comparable(v) for k, v in parsed.items()}
-    if isinstance(parsed, RejectReport):
-        return parsed.rows
     return parsed
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from raketab import (
     AxisLabels,
     ContingencyTable,
-    PredictionTable,
     RaceCategory,
     SynthConfig,
     calibration_curve,
@@ -33,12 +32,12 @@ from conftest import race6
 
 
 def as_prediction(table):
-    return PredictionTable.from_label_cells(dict(table.items()))
+    return ContingencyTable.from_label_cells(dict(table.items()))
 
 
 def single_cell_pair(truth_vec, pred_vec):
     truth = ContingencyTable.from_label_cells({("s", "g"): truth_vec})
-    pred = PredictionTable.from_label_cells({("s", "g"): pred_vec})
+    pred = ContingencyTable.from_label_cells({("s", "g"): pred_vec})
     return truth, pred
 
 
@@ -88,7 +87,7 @@ class TestSubpopReport:
         assert np.all(report.mad >= np.abs(report.avg_error) - 1e-12)
 
     def test_label_mismatch_rejected(self, f1_table):
-        stranger = PredictionTable.from_label_cells({("zz", "g9"): race6(1)})
+        stranger = ContingencyTable.from_label_cells({("zz", "g9"): race6(1)})
         with pytest.raises(ValueError):
             subpop_report(f1_table, stranger)
 
@@ -138,7 +137,7 @@ class TestCellwiseReport:
         truth = ContingencyTable.from_label_cells(
             {("a", "x"): race6(2, 2), ("a", "y"): race6()}
         )
-        pred = PredictionTable.from_label_cells({("a", "x"): race6(2, 2)})
+        pred = ContingencyTable.from_label_cells({("a", "x"): race6(2, 2)})
         report = cellwise_report(truth, pred)
         assert np.isnan(report.l1[1]) and np.isnan(report.nll[1])
 
@@ -214,11 +213,11 @@ class TestCellwiseMatchesReference:
         values[rng.random(values.shape) < 0.3] = 0.0
         values[index[:, 1] % 97 == 5] = 0.0  # geolocations of zero population
         truth = ContingencyTable(labels, index, values)
-        pred = PredictionTable(labels, index, rng.random((len(codes), 6)) + 1e-3)
+        pred = ContingencyTable(labels, index, rng.random((len(codes), 6)) + 1e-3)
         if extra_cells:
             missing = np.setdiff1d(np.arange(n_s * n_g), codes)[::2]
             both = np.sort(np.concatenate([codes, missing]))
-            pred = PredictionTable(labels, np.column_stack(np.divmod(both, n_g)),
+            pred = ContingencyTable(labels, np.column_stack(np.divmod(both, n_g)),
                                    rng.random((len(both), 6)) + 1e-3)
         spread = rng.permutation(600) % 199
         region_map = {f"g{j:03d}": f"R{spread[j]:03d}" for j in range(600)}
@@ -251,7 +250,7 @@ class TestAlignment:
         truth = ContingencyTable.from_label_cells(cells)
         pred_cells = {key: rng.random(6) + 0.1 for key in cells}
         pred_cells[("c", "g3")] = race6()
-        pred = PredictionTable(truth.labels, truth.cell_index,
+        pred = ContingencyTable(truth.labels, truth.cell_index,
                                [pred_cells[key] for key in truth.support()])
         assert _aligned(truth, pred)[1] is pred.cell_values
 
@@ -260,10 +259,10 @@ class TestAlignment:
         relabelled = AxisLabels(surs, geos)
         idx = np.array([[surs.index(s), geos.index(g)] for s, g in truth.support()])
         order = np.lexsort((idx[:, 1], idx[:, 0]))
-        moved = PredictionTable(relabelled, idx[order], pred.cell_values[order])
+        moved = ContingencyTable(relabelled, idx[order], pred.cell_values[order])
         # the occupied cells only, on the labels they use: the truth's
         # labels are a superset
-        occupied = PredictionTable.from_label_cells(
+        occupied = ContingencyTable.from_label_cells(
             {key: vec for key, vec in pred_cells.items() if key != ("c", "g3")}
         )
         want = self.reports(truth, pred)
@@ -277,9 +276,9 @@ class TestAlignment:
         # evaluate builds it, against one on equal copies of both
         truth = generate(SynthConfig(8, 5, np.full(6, 1 / 6), 0.5, 1e4, seed=4))
         values = truth.cell_values * np.random.default_rng(4).random((truth.n_cells, 6))
-        shared = PredictionTable(truth.labels, truth.cell_index, values)
+        shared = ContingencyTable(truth.labels, truth.cell_index, values)
         labels = AxisLabels(truth.labels.surnames, truth.labels.geolocations)
-        copied = PredictionTable(labels, truth.cell_index.copy(), values)
+        copied = ContingencyTable(labels, truth.cell_index.copy(), values)
         want = self.reports(truth, copied)
 
         def compared(*args):
@@ -295,7 +294,7 @@ class TestAlignment:
 
     def test_unknown_labels_still_rejected(self, f1_table):
         # cells equal in position but under other labels take the general join
-        pred = PredictionTable(AxisLabels(["s1", "x"], ["g1", "g2"]), f1_table.cell_index,
+        pred = ContingencyTable(AxisLabels(["s1", "x"], ["g1", "g2"]), f1_table.cell_index,
                                f1_table.cell_values)
         with pytest.raises(ValueError, match="surnames unknown"):
             subpop_report(f1_table, pred)
@@ -311,7 +310,7 @@ class TestCalibrationCurve:
         truth = ContingencyTable.from_label_cells(
             {("a", "g"): race6(0.4, 0.6), ("b", "g"): race6(0.6, 0.4)}
         )
-        pred = PredictionTable.from_label_cells(
+        pred = ContingencyTable.from_label_cells(
             {("a", "g"): race6(0.2, 0.8), ("b", "g"): race6(0.8, 0.2)}
         )
         curve = calibration_curve(truth, pred, RaceCategory.AIAN)
@@ -327,15 +326,15 @@ class TestCalibrationCurve:
         cells = {("a", "g"): race6(0.4, 0.6), ("b", "g"): race6(0.6, 0.4)}
         pred_cells = {("a", "g"): race6(0.2, 0.8), ("b", "g"): race6(0.8, 0.2)}
         truth1 = ContingencyTable.from_label_cells(cells)
-        pred1 = PredictionTable.from_label_cells(pred_cells)
+        pred1 = ContingencyTable.from_label_cells(pred_cells)
         truth2 = ContingencyTable.from_label_cells({**cells, ("zz", "g"): race6()})
-        pred2 = PredictionTable.from_label_cells({**pred_cells, ("zz", "g"): race6(1, 1)})
+        pred2 = ContingencyTable.from_label_cells({**pred_cells, ("zz", "g"): race6(1, 1)})
         k1 = calibration_curve(truth1, pred1, RaceCategory.AIAN).kuiper
         k2 = calibration_curve(truth2, pred2, RaceCategory.AIAN).kuiper
         assert k1 == pytest.approx(k2, abs=1e-15)
 
     def test_missing_prediction_rejected(self, f1_table):
-        pred = PredictionTable.from_label_cells({("s1", "g1"): race6(1, 1)})
+        pred = ContingencyTable.from_label_cells({("s1", "g1"): race6(1, 1)})
         with pytest.raises(ValueError, match="missing prediction"):
             calibration_curve(f1_table, pred, RaceCategory.AIAN)
 
@@ -344,7 +343,7 @@ class TestCalibrationCurve:
         truth = ContingencyTable.from_label_cells(
             {("a", "g"): race6(1, 0), ("b", "g"): race6(0, 1)}
         )
-        pred = PredictionTable.from_label_cells(
+        pred = ContingencyTable.from_label_cells(
             {("a", "g"): race6(1, 1), ("b", "g"): race6(1, 1)}
         )
         curve = calibration_curve(truth, pred, RaceCategory.AIAN)
@@ -358,7 +357,7 @@ class TestCalibrationCurve:
                  for i in range(7) for j in range(5)}
         choices = rng.integers(1, 3, size=(3, 6)).astype(float)
         truth = ContingencyTable.from_label_cells(cells)
-        pred = PredictionTable.from_label_cells(
+        pred = ContingencyTable.from_label_cells(
             {key: choices[rng.integers(0, 3)] for key in cells}
         )
         for race in RaceCategory:
@@ -419,7 +418,7 @@ class TestCalibrationCurve:
             AxisLabels([f"s{i:03d}" for i in range(n_s)], [f"g{j:03d}" for j in range(n_g)]),
             index, rng.gamma(0.3, 10.0, size=(n_s * n_g, 6)) + 1e-3,
         )
-        pred = PredictionTable(truth.labels, index, rng.gamma(1.0, 1.0, size=(n_s * n_g, 6)) + 1e-3)
+        pred = ContingencyTable(truth.labels, index, rng.gamma(1.0, 1.0, size=(n_s * n_g, 6)) + 1e-3)
         curves = [calibration_curve(truth, pred, race) for race in RaceCategory]
         walk = np.zeros((n_s * n_g + 1, 2))
         walk[1:, 0] = np.arange(1, n_s * n_g + 1) / (n_s * n_g)

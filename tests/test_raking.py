@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from raketab import (
     AxisLabels,
+    ContingencyTable,
     InfeasibleMarginError,
     MarginSet,
     NonConvergenceError,
-    PredictionTable,
     RakingConfig,
     bisg_counts,
     fit_factors,
@@ -146,7 +146,7 @@ class TestRake:
                 np.testing.assert_allclose(vec, oracle[key], rtol=1e-8)
 
     def test_zero_base_cells_stay_zero(self):
-        base = PredictionTable.from_label_cells(
+        base = ContingencyTable.from_label_cells(
             {("a", "x"): race6(2, 0), ("b", "x"): race6(1, 3)}
         )
         targets = MarginSet.from_cells(race6(3, 3), {("a", "x"): 2.0, ("b", "x"): 4.0})
@@ -158,7 +158,7 @@ class TestRake:
         assert result.feasibility_slack == pytest.approx(1 / 6, rel=1e-12)
 
     def test_zero_target_cell_zeroed(self):
-        base = PredictionTable.from_label_cells(
+        base = ContingencyTable.from_label_cells(
             {("a", "x"): race6(2, 1), ("b", "x"): race6(1, 3)}
         )
         targets = MarginSet.from_cells(race6(2, 2), {("a", "x"): 4.0, ("b", "x"): 0.0})
@@ -168,7 +168,7 @@ class TestRake:
 
     def test_race_zeroed_by_a_zero_target_gets_minus_inf(self):
         # api has base mass in both cells; its zero target zeroes it
-        base = PredictionTable.from_label_cells(
+        base = ContingencyTable.from_label_cells(
             {("a", "x"): race6(2, 1), ("b", "x"): race6(1, 3)}
         )
         targets = MarginSet.from_cells(race6(4, 0), {("a", "x"): 2.0, ("b", "x"): 2.0})
@@ -180,19 +180,27 @@ class TestRake:
         np.testing.assert_allclose(result.table.margin("r"), race6(4, 0), rtol=1e-12)
 
     def test_infeasible_cell_target(self):
-        base = PredictionTable.from_label_cells({("a", "x"): race6(2, 1)})
+        base = ContingencyTable.from_label_cells({("a", "x"): race6(2, 1)})
         with pytest.raises(InfeasibleMarginError, match="cell target"):
             rake(base, MarginSet.from_cells(race6(2, 2), {("a", "x"): 2.0, ("b", "x"): 2.0}))
 
     def test_infeasible_race_target(self):
-        base = PredictionTable.from_label_cells({("a", "x"): race6(2, 0)})
+        base = ContingencyTable.from_label_cells({("a", "x"): race6(2, 0)})
         with pytest.raises(InfeasibleMarginError, match="race target"):
             rake(base, MarginSet.from_cells(race6(1, 1), {("a", "x"): 2.0}))
+
+    @pytest.mark.parametrize("targets", [
+        MarginSet(race6(0)), MarginSet(race6(2, 1)), MarginSet.from_cells(race6(0), {("a", "x"): 0.0}),
+    ], ids=["no cells, zero race", "no cells", "zero cell"])
+    def test_no_positive_cell_target(self, targets):
+        base = ContingencyTable.from_label_cells({("a", "x"): race6(2, 1)})
+        with pytest.raises(InfeasibleMarginError, match="no cell target is positive"):
+            rake(base, targets)
 
     def test_infeasible_support_pattern(self):
         # each race has base mass, but cell a supports only race 0 and
         # cell b only race 1, so race 0 can get at most cell a's 2
-        base = PredictionTable.from_label_cells(
+        base = ContingencyTable.from_label_cells(
             {("a", "x"): race6(1, 0), ("b", "x"): race6(0, 1)}
         )
         targets = MarginSet.from_cells(race6(3, 1), {("a", "x"): 2.0, ("b", "x"): 2.0})
@@ -203,7 +211,7 @@ class TestRake:
         # race 0 needs all of cell a (Gale's condition holds with
         # equality), so the fit lies on the boundary of the support and
         # theta_r diverges; it must still reach tolerance within the cap
-        base = PredictionTable.from_label_cells(
+        base = ContingencyTable.from_label_cells(
             {("a", "x"): race6(1, 1), ("b", "x"): race6(0, 1)}
         )
         targets = MarginSet.from_cells(race6(2, 2), {("a", "x"): 2.0, ("b", "x"): 2.0})
@@ -244,7 +252,7 @@ def test_rake_contract_on_random_tables(seed):
             vec = np.zeros(6)
             vec[:3] = rng.uniform(0.05, 1.0, size=3)
             cells[(f"s{i}", f"g{j}")] = vec
-    base = PredictionTable.from_label_cells(cells)
+    base = ContingencyTable.from_label_cells(cells)
     cell_targets = {k: float(rng.uniform(0.5, 2.0)) for k in cells}
     total = sum(cell_targets.values())
     shares = rng.dirichlet(np.ones(3))
@@ -275,7 +283,7 @@ def test_array_targets_rake_like_mapping_targets(seed):
     kept = sorted(grid[k] for k in rng.choice(len(grid), size=len(grid) - 1, replace=False))
     values = np.zeros((len(kept), 6))
     values[:, :3] = rng.uniform(0.05, 1.0, size=(len(kept), 3))
-    base = PredictionTable(AxisLabels(surs, geos), kept, values)
+    base = ContingencyTable(AxisLabels(surs, geos), kept, values)
 
     cells = {(surs[i], geos[j]): float(rng.uniform(0.5, 2.0)) for i, j in kept}
     cells[next(iter(cells))] = 0.0
@@ -331,7 +339,7 @@ def test_rake_in_place_on_the_target_cells_gives_rakes_bytes(seed):
     totals = rng.uniform(0.5, 2.0, size=len(index)) * (rng.random(len(index)) < 0.85)
     race = rng.dirichlet(np.ones(6)) * (rng.random(6) < 0.8)
     race = race / max(race.sum(), 1e-300) * totals.sum()
-    base = PredictionTable(AxisLabels([f"s{i}" for i in range(n_s)], [f"g{j}" for j in range(n_g)]),
+    base = ContingencyTable(AxisLabels([f"s{i}" for i in range(n_s)], [f"g{j}" for j in range(n_g)]),
                            index, values)
     targets = MarginSet(race, base.labels, base.cell_index, totals)
     config = RakingConfig(max_iterations=int(rng.choice([1, 2, 100])))
@@ -366,14 +374,14 @@ class TestKlDivergence:
         assert kl_divergence(base, base) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_cell_value(self):
-        m = PredictionTable.from_label_cells({("a", "x"): race6(2)})
-        b = PredictionTable.from_label_cells({("a", "x"): race6(1)})
+        m = ContingencyTable.from_label_cells({("a", "x"): race6(2)})
+        b = ContingencyTable.from_label_cells({("a", "x"): race6(1)})
         assert kl_divergence(m, b) == pytest.approx(2 * np.log(2) - 1, rel=1e-12)
 
     def test_absolute_continuity(self):
         # the second cell of m, after one that is fine, is the one named
-        m = PredictionTable.from_label_cells({("a", "w"): race6(1), ("a", "x"): race6(1, 1)})
-        b = PredictionTable.from_label_cells({("a", "w"): race6(2), ("a", "x"): race6(1, 0)})
+        m = ContingencyTable.from_label_cells({("a", "w"): race6(1), ("a", "x"): race6(1, 1)})
+        b = ContingencyTable.from_label_cells({("a", "w"): race6(2), ("a", "x"): race6(1, 0)})
         with pytest.raises(ValueError, match=r"absolute continuity violated at cell \('a', 'x'\)"):
             kl_divergence(m, b)
 
@@ -395,7 +403,7 @@ class TestKlDivergence:
         total = sum(cell_targets.values())
         frac = 0.4
         race_targets = race6(frac * total, (1 - frac) * total)
-        base_table = PredictionTable.from_label_cells(
+        base_table = ContingencyTable.from_label_cells(
             {k: np.concatenate([v, np.zeros(4)]) for k, v in base.items()}
         )
         result = rake(base_table, MarginSet.from_cells(race_targets, cell_targets))
@@ -406,7 +414,7 @@ class TestKlDivergence:
 
 class TestMarginGap:
     def test_exact_margins_zero(self, f1_table):
-        base = PredictionTable.from_label_cells(dict(f1_table.items()))
+        base = ContingencyTable.from_label_cells(dict(f1_table.items()))
         assert margin_gap(base, MarginSet.from_table(f1_table)) == 0.0
 
     def test_relative_deviation(self, f1_table):
@@ -414,12 +422,12 @@ class TestMarginGap:
         # other race exact: worst deviation is 1/20
         cells = {k: v.copy() for k, v in f1_table.items()}
         cells[("s1", "g1")][0] += 4  # race-0 total now 21
-        m = PredictionTable.from_label_cells(cells)
+        m = ContingencyTable.from_label_cells(cells)
         gap = margin_gap(m, MarginSet.from_cells(race6(20, 23), {}))
         assert gap == pytest.approx(0.05, rel=1e-9)
 
     def test_empty_targets(self, f1_table):
-        base = PredictionTable.from_label_cells(dict(f1_table.items()))
+        base = ContingencyTable.from_label_cells(dict(f1_table.items()))
         assert margin_gap(base, MarginSet.from_cells(None, {})) == 0.0
 
 
@@ -459,8 +467,8 @@ def test_rake_with_races_that_never_share_a_cell(monkeypatch):
     values[first, :2] = rng.uniform(0.1, 1.0, size=(first.sum(), 2))
     values[~first, 2:4] = rng.uniform(0.1, 1.0, size=((~first).sum(), 2))
     labels = AxisLabels([f"s{i}" for i in range(10)], [f"g{j}" for j in range(4)])
-    base = PredictionTable(labels, index, values)
-    truth = PredictionTable(labels, index, values * rng.uniform(0.2, 5.0, size=values.shape))
+    base = ContingencyTable(labels, index, values)
+    truth = ContingencyTable(labels, index, values * rng.uniform(0.2, 5.0, size=values.shape))
     targets = MarginSet.from_table(truth)
     result = rake(base, targets)
     monkeypatch.setattr(raking, "_laplacian_solve", lstsq_solve)

@@ -13,7 +13,6 @@ from raketab import (
 )
 from raketab.ingest import parse_predictions, write_predictions
 from raketab.table import compact_labels, index_cells, row_sums
-import raketab.table as table_module
 
 from conftest import race6
 
@@ -291,32 +290,44 @@ class TestConstructor:
         with pytest.raises(ValueError, match="need labels"):
             MarginSet(None, None, [[0, 1]], [1.0])
 
-    def test_an_index_a_table_holds_is_not_checked_again(self, monkeypatch):
-        # a table or MarginSet on another table's own cell_index, with the
-        # same labels object, takes it as it is and shares the table's
-        # codes; a copy, a view or equal labels are checked, and so are values
+    def test_building_leaves_the_labels_unchanged(self):
+        # tables and MarginSets, on their own index or on another table's,
+        # keep no state in the labels object they are given
+        labels = AxisLabels(["a", "b"], ["x", "y"])
+        state = [getattr(labels, name) for name in AxisLabels.__slots__]
+        table = ContingencyTable(labels, [[0, 1], [1, 0]], [race6(1), race6(0, 2)])
+        ContingencyTable(labels, table.cell_index, [race6(2), race6(0, 1)])
+        MarginSet(None, labels, table.cell_index, [1.0, 2.0])
+        MarginSet.from_table(table)
+        assert [getattr(labels, name) for name in AxisLabels.__slots__] == state
+
+    def test_a_table_on_another_tables_index_shares_it_and_builds_codes_on_locate(self):
+        truth = ContingencyTable(AxisLabels(["a", "b"], ["x", "y"]), [[0, 1], [1, 0]],
+                                 [race6(1), race6(0, 2)])
+        pred = ContingencyTable(truth.labels, truth.cell_index, [race6(2), race6(0, 1)])
+        assert np.shares_memory(pred.cell_index, truth.cell_index)
+        assert truth._codes is None and pred._codes is None
+        assert pred.locate(truth).tolist() == [0, 1]  # the same cells: no search
+        assert pred._codes is None
+        assert pred.locate([("b", "x"), ("a", "x")]).tolist() == [1, -1]
+        assert pred._codes.tolist() == [1, 2] and not pred._codes.flags.writeable
+
+    def test_locate_finds_the_same_rows_before_and_after_its_codes_are_built(self):
+        labels = AxisLabels(["a", "b", "c"], ["x", "y"])
+        table = ContingencyTable(labels, [[0, 1], [1, 0], [2, 0], [2, 1]], np.ones((4, 6)))
+        queries = [("c", "x"), ("a", "x"), ("zz", "y"), ("a", "y"), ("c", "y"), ("b", "x")]
+        assert table._codes is None
+        rows = table.locate(queries)
+        codes = table._codes
+        assert rows.tolist() == [2, -1, -1, 0, 3, 1]
+        assert table.locate(queries).tolist() == rows.tolist() and table._codes is codes
+
+    def test_values_on_a_shared_index_are_checked(self):
         table = ContingencyTable(self.LABELS, [[0, 1], [1, 0]], [race6(1), race6(0, 2)])
-        checked = []
-        check = table_module._check_index
-        monkeypatch.setattr(table_module, "_check_index", lambda *a: checked.append(a) or check(*a))
-        pred = ContingencyTable(table.labels, table.cell_index, [race6(2), race6(0, 1)])
-        targets = MarginSet(None, table.labels, table.cell_index, [1.0, 2.0])
-        assert not checked
-        assert pred.cell_index is table.cell_index and pred._codes is table._codes
-        assert targets.cell_index is table.cell_index
         with pytest.raises(ValueError, match=r"negative count in cell \('b', 'x'\)"):
             ContingencyTable(table.labels, table.cell_index, [race6(1), race6(-1)])
         with pytest.raises(ValueError, match=r"negative cell-margin target at \('b', 'x'\)"):
             MarginSet(None, table.labels, table.cell_index, [1.0, -1.0])
-        labels = AxisLabels(self.LABELS.surnames, self.LABELS.geolocations)
-        for other_labels, index in (
-            (table.labels, table.cell_index.copy()),
-            (table.labels, table.cell_index[:]),
-            (labels, table.cell_index),
-        ):
-            checked.clear()
-            other = ContingencyTable(other_labels, index, [race6(1), race6(1)])
-            assert len(checked) == 1 and other._codes is not table._codes
         with pytest.raises(ValueError, match="sorted and unique"):
             ContingencyTable(table.labels, table.cell_index[::-1], [race6(1), race6(1)])
         with pytest.raises(ValueError, match="outside label ranges"):
