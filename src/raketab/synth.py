@@ -46,6 +46,9 @@ class SynthConfig:
             raise ValueError("total_population must be finite")
         if self.total_population < 1:
             raise ValueError("total_population must be at least 1")
+        total = float(self.total_population)
+        if self.multinomial and (not total.is_integer() or total > 2**63 - 1):
+            raise ValueError("a multinomial total_population must be a whole number <= 2**63 - 1")
 
 
 def _labels(prefix, n):
@@ -75,26 +78,33 @@ def generate(config: SynthConfig) -> ContingencyTable:
     p_g = rng.dirichlet(np.ones(n_g), size=N_RACES)
 
     d = config.dependence
-    probs = np.zeros((n_s, n_g, N_RACES))
+    # the table's one buffer, filled a race at a time through one (s, g)
+    # scratch; multinomial mode fills it with the probabilities (a scale of
+    # 1.0 is exact) and then overwrites them with the draws
+    cube = np.zeros((n_s, n_g, N_RACES))
+    scratch = np.empty((n_s, n_g))
+    scale = 1.0 if config.multinomial else config.total_population
     s_idx = np.arange(n_s)
     for r in range(N_RACES):
         share = config.race_mix[r]
         if share == 0:
             continue
-        probs[:, :, r] = (1.0 - d) * share * np.outer(p_s[r], p_g[r])
+        np.multiply.outer(p_s[r], p_g[r], out=scratch)
+        scratch *= (1.0 - d) * share
         if d > 0:
-            pair = (s_idx + r) % n_g
-            probs[s_idx, pair, r] += d * share * p_s[r]
+            scratch[s_idx, (s_idx + r) % n_g] += d * share * p_s[r]
+        np.multiply(scratch, scale, out=cube[:, :, r])
+    del scratch
 
     if config.multinomial:
-        total = int(config.total_population)
-        flat = probs.ravel()
-        draws = rng.multinomial(total, flat / flat.sum())
-        cube = draws.reshape(probs.shape).astype(np.float64)
-    else:
-        cube = probs * config.total_population
-
+        flat = cube.ravel()
+        flat /= flat.sum()
+        flat[:] = rng.multinomial(int(config.total_population), flat)
+    values = cube.reshape(-1, N_RACES)
+    grid = np.meshgrid(s_idx, np.arange(n_g), indexing="ij", copy=False)
+    index = np.stack(grid, axis=-1).reshape(-1, 2)
+    occupied = (values > 0).any(axis=1)
+    if not occupied.all():
+        index, values = index[occupied], values[occupied]
     labels = AxisLabels(_labels("S", n_s), _labels("g", n_g))
-    si, gi = np.nonzero(cube.sum(axis=2) > 0)
-    return ContingencyTable(labels, np.column_stack([si, gi]), cube[si, gi])
-
+    return ContingencyTable(labels, index, values)

@@ -183,10 +183,16 @@ def compact_labels(labels: AxisLabels, index):
     )
 
 
-def _check_index(labels: AxisLabels, index) -> np.ndarray:
-    """`index` as a contiguous (n, 2) int64 array, checked against its
-    labels (in range, sorted, unique) and marked read-only."""
-    index = np.ascontiguousarray(index, dtype=np.int64).reshape(-1, 2)
+def _read_only(*arrays):
+    """Mark each array read-only; None is skipped."""
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+
+
+def _check_index(labels: AxisLabels, index):
+    """Raise ValueError unless an (n, 2) int64 cell index lies in its
+    labels' ranges and is sorted and unique."""
     if len(index) and (
         index.min() < 0
         or index[:, 0].max() >= labels.n_s
@@ -196,8 +202,6 @@ def _check_index(labels: AxisLabels, index) -> np.ndarray:
     codes = index[:, 0] * labels.n_g + index[:, 1]
     if np.any(codes[1:] <= codes[:-1]):
         raise ValueError("cell index must be sorted and unique")
-    index.flags.writeable = False
-    return index
 
 
 def check_cell_values(labels: AxisLabels, index, values, what):
@@ -220,15 +224,19 @@ class ContingencyTable:
     the label ranges; `values` must be finite and nonnegative, one row per
     cell. Counts may be fractional. Instances are immutable: the backing
     arrays are marked read-only. An argument that already is a contiguous
-    int64 index or float64 values array is kept, not copied: the table
-    holds a read-only view of it, so the caller must not write to it after.
+    int64 index or float64 values array is kept, not copied, and the array
+    object handed in is itself marked read-only, so the table cannot be
+    written through it. When that object is a view, a base array that the
+    caller keeps stays writable, and the caller must not write to it after.
     """
 
     def __init__(self, labels: AxisLabels, index, values):
-        index = _check_index(labels, index)
-        values = np.ascontiguousarray(values, dtype=np.float64).reshape(len(index), N_RACES)
+        given = np.ascontiguousarray(index, np.int64), np.ascontiguousarray(values, np.float64)
+        index = given[0].reshape(-1, 2)
+        values = given[1].reshape(len(index), N_RACES)
+        _check_index(labels, index)
         check_cell_values(labels, index, values, "count in cell")
-        values.flags.writeable = False
+        _read_only(*given, index, values)
         self.labels = labels
         self._index = index
         self._values = values
@@ -386,7 +394,8 @@ class MarginSet:
 
     The cell totals are a table with one column: `labels`, a sorted unique
     (n, 2) `cell_index` and the float `totals` aligned with it, checked as
-    a ContingencyTable checks its cells and marked read-only. When both
+    a ContingencyTable checks its cells. The race vector, index and totals
+    are kept and marked read-only as a ContingencyTable's arrays are. When both
     families are given they must sum to the same grand total (relative
     tolerance 1e-9). Either may be absent (race None; labels None and no
     cells) for partial target sets, e.g. when only measuring margin gaps.
@@ -397,8 +406,9 @@ class MarginSet:
     def __init__(self, race, labels: AxisLabels | None = None, index=(), totals=()):
         self.race = None if race is None else _as_race_vector(race, name="race margin")
         self.labels = labels
-        self.cell_index = index = np.ascontiguousarray(index, dtype=np.int64).reshape(-1, 2)
-        self.totals = totals = np.ascontiguousarray(totals, dtype=np.float64).reshape(len(index))
+        given = np.ascontiguousarray(index, np.int64), np.ascontiguousarray(totals, np.float64)
+        self.cell_index = index = given[0].reshape(-1, 2)
+        self.totals = totals = given[1].reshape(len(index))
         if self.race is not None:
             _check_finite_nonnegative(self.race, "race-margin target")
         if len(index):
@@ -413,7 +423,7 @@ class MarginSet:
                     "inconsistent targets: race margin sums to "
                     f"{race_total!r} but cell margins sum to {cell_total!r}"
                 )
-        index.flags.writeable = totals.flags.writeable = False
+        _read_only(*given, index, totals, self.race)
 
     @classmethod
     def from_table(cls, table: ContingencyTable) -> "MarginSet":

@@ -896,6 +896,16 @@ class TestNonFiniteInput:
         assert err["error"] == "ValueError" and err["message"] == message
         assert not (tmp_path / "fix" / "table.csv").exists()
 
+    @pytest.mark.parametrize("total", ["10.9", "1e20"])
+    def test_multinomial_total_it_cannot_draw_exits_2(self, tmp_path, capsys, total):
+        # a fraction would be truncated, and 1e20 overflows the draw's int64
+        err = exits_2_with_json_error(
+            capsys, "synth", "--surnames", 4, "--geos", 3, "--seed", 1, "--multinomial",
+            "--total", total, "--out-dir", tmp_path / "fix",
+        )
+        assert err["error"] == "ValueError" and "whole number" in err["message"]
+        assert not (tmp_path / "fix" / "table.csv").exists()
+
     def test_predictions_with_no_positive_count_exit_2(self, tmp_path, capsys):
         base = tmp_path / "base.csv"
         base.write_text(

@@ -1,7 +1,12 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from raketab import (
+    AxisLabels,
+    ContingencyTable,
     MarginSet,
     SynthConfig,
     bisg_counts,
@@ -11,6 +16,7 @@ from raketab import (
     subpop_report,
     weighted_counts,
 )
+from raketab.synth import _labels
 
 from conftest import race6
 
@@ -99,6 +105,75 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SynthConfig(n_s=4, n_g=4, race_mix=race6(0.5, 0.4), dependence=0.5,
                         total_population=10, seed=0)
+
+
+def reference_generate(config):
+    """`generate` as one `probs` cube scaled or drawn into a second and
+    gathered into a third: the reference that the one-buffer version must
+    match byte for byte."""
+    n_s, n_g = config.n_s, config.n_g
+    rng = np.random.default_rng(config.seed)
+    p_s = rng.dirichlet(np.ones(n_s), size=6)
+    p_g = rng.dirichlet(np.ones(n_g), size=6)
+    d = config.dependence
+    probs = np.zeros((n_s, n_g, 6))
+    s_idx = np.arange(n_s)
+    for r in range(6):
+        share = config.race_mix[r]
+        if share == 0:
+            continue
+        probs[:, :, r] = (1.0 - d) * share * np.outer(p_s[r], p_g[r])
+        if d > 0:
+            probs[s_idx, (s_idx + r) % n_g, r] += d * share * p_s[r]
+    if config.multinomial:
+        flat = probs.ravel()
+        draws = rng.multinomial(int(config.total_population), flat / flat.sum())
+        cube = draws.reshape(probs.shape).astype(np.float64)
+    else:
+        cube = probs * config.total_population
+    labels = AxisLabels(_labels("S", n_s), _labels("g", n_g))
+    si, gi = np.nonzero(cube.sum(axis=2) > 0)
+    return ContingencyTable(labels, np.column_stack([si, gi]), cube[si, gi])
+
+
+class TestOneBuffer:
+    MIXES = (
+        np.full(6, 1 / 6),
+        MIX4,
+        race6(0, 0, 0, 1),
+        race6(0, 0.2, 0, 0.5, 0, 0.3),
+        race6(0.5, 0.5),
+        race6(0, 0, 0, 0, 0.9, 0.1),
+    )
+
+    def test_matches_the_reference_byte_for_byte(self):
+        sizes = (2, 7, 40, 160)
+        grid = itertools.product(sizes, sizes, (0.0, 0.3, 0.5, 1.0), (False, True), self.MIXES)
+        for n_s, n_g, d, multinomial, mix in grid:
+            config = SynthConfig(
+                n_s=n_s, n_g=n_g, race_mix=mix, dependence=d, total_population=5000,
+                seed=1000 * n_s + n_g, multinomial=multinomial,
+            )
+            table, ref = generate(config), reference_generate(config)
+            assert table.labels == ref.labels, config
+            assert table.cell_index.tobytes() == ref.cell_index.tobytes(), config
+            assert table.cell_values.tobytes() == ref.cell_values.tobytes(), config
+
+    def test_peak_is_about_one_and_a_half_cubes_plus_the_index(self):
+        n_s, n_g = 300, 200
+        config = SynthConfig(
+            n_s=n_s, n_g=n_g, race_mix=MIX4, dependence=0.5, total_population=1e6, seed=4
+        )
+        cube_bytes, index_bytes = n_s * n_g * 6 * 8, n_s * n_g * 2 * 8
+        tracemalloc.start()
+        try:
+            table = generate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.n_cells == n_s * n_g  # expected counts fill every cell
+        # the reference holds about 3.7 cubes at once
+        assert peak <= 1.6 * cube_bytes + index_bytes
 
 
 class TestSplit:

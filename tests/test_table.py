@@ -216,6 +216,31 @@ class TestImmutability:
         with pytest.raises(ValueError):
             f1_table.cell_sums[0] = 99.0
 
+    def test_table_cannot_be_written_through_the_callers_arrays(self):
+        labels = AxisLabels(["a", "b"], ["x", "y"])
+        index, values = np.array([[0, 1], [1, 0]]), np.ones((2, 6))
+        table = ContingencyTable(labels, index, values)
+        assert table.cell_index.base is index and table.cell_values.base is values  # no copy
+        for given in (index, values):
+            with pytest.raises(ValueError, match="read-only"):
+                given[0, 0] = -5
+        assert table.cell_values.min() == 1.0 and table.cell_index.tolist() == [[0, 1], [1, 0]]
+        # arrays a failed construction was handed stay writable
+        bad_index, bad_values = np.array([[0, 1], [1, 0]]), -np.ones((2, 6))
+        with pytest.raises(ValueError, match="negative"):
+            ContingencyTable(labels, bad_index, bad_values)
+        assert bad_index.flags.writeable and bad_values.flags.writeable
+
+    def test_margins_cannot_be_written_through_the_callers_arrays(self):
+        labels = AxisLabels(["a", "b"], ["x", "y"])
+        race, index, totals = np.full(6, 0.5), np.array([[0, 1], [1, 0]]), np.array([1.0, 2.0])
+        ms = MarginSet(race, labels, index, totals)
+        assert ms.race is race and ms.totals.base is totals  # no copy
+        for given in (race, index, totals):
+            with pytest.raises(ValueError, match="read-only"):
+                given[0] = 0
+        assert ms.race.tolist() == [0.5] * 6 and ms.totals.tolist() == [1.0, 2.0]
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             AxisLabels(["a", "a"], ["x"])
