@@ -81,8 +81,8 @@ class BisgFactors:
             object.__setattr__(self, name, arr)
 
     def total(self) -> float:
-        """Population total recovered from the geolocation counts."""
-        return float(sum(self.geo_counts.tolist()))
+        """Population total of the geolocation counts, added in order (Python 3.12's sum is not)."""
+        return float(np.cumsum(np.r_[0.0, self.geo_counts])[-1])
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ class _Run:
         self.out_dir = out_dir
         self.inputs = []
         self.outputs = []
-        self.info = {}
+        self.info = {"inputs": {}}  # flag: {"form", "parse_s"} of each input read
         self.timings = {"parse_s": 0.0, "write_s": 0.0, "digest_s": 0.0}
         os.makedirs(out_dir, exist_ok=True)
 
@@ -145,17 +145,33 @@ class _Run:
         self.timings[key] += time.perf_counter() - start
         return result
 
-    def read(self, path, parse_fn, *args):
-        """Digest input `path` and return parse_fn(path, *args)."""
-        self.inputs.append({"path": str(path), "blake2b": self._timed("digest_s", _digest, path)})
-        return self._timed("parse_s", parse_fn, path, *args)
+    def read(self, flag, parse_fn, *args):
+        """Digest the input named by `flag` and return parse_fn(path, *args), for a table or
+        predictions file from its twin, listed and digested too, if that records the digest
+        (`ingest.open_twin`). info.inputs[flag] gives the form read and its seconds."""
+        path = self.flags[flag]
+        digest = self._timed("digest_s", _digest, path)
+        self.inputs.append({"path": str(path), "blake2b": digest})
+        start, cells = time.perf_counter(), parse_fn in (ingest.parse_table, ingest.parse_predictions)
+        twin = ingest.open_twin(path, digest) if cells else None
+        with twin or contextlib.nullcontext():
+            result = parse_fn(path, *args, twin) if cells else parse_fn(path, *args)
+        self.timings["parse_s"] += (parse_s := time.perf_counter() - start)
+        form = "npz" if twin else "json" if parse_fn is ingest.parse_race_margin else "csv"
+        self.info["inputs"][flag] = {"form": form, "parse_s": parse_s}
+        if twin:
+            twin_digest = self._timed("digest_s", _digest, twin.filename)
+            self.inputs.append({"path": twin.filename, "blake2b": twin_digest})
+        return result
 
-    def write(self, name, write_fn, *args):
-        """Write output `name` atomically with write_fn(path, *args) and
-        return what write_fn returns."""
+    def write(self, name, write_fn, *args, twin=False):
+        """Write output `name` atomically with write_fn(path, *args) and return what it returns;
+        with `twin`, also the file's twin, write_fn(twin, *args, digest), where twinnable."""
         path = os.path.join(self.out_dir, name)
         result = self._timed("write_s", _atomic, path, write_fn, *args)
         self.outputs.append({"path": str(path), "blake2b": self._timed("digest_s", _digest, path)})
+        if twin and ingest.twinnable(args[0]):
+            self.write(os.path.basename(ingest.twin_path(path)), write_fn, *args, self.outputs[-1]["blake2b"])
         return result
 
     def finish(self):
@@ -190,11 +206,10 @@ def _raketab_modules():
 
 
 def _load_truth(args, run) -> ContingencyTable:
-    if getattr(args, "table", None) or getattr(args, "truth_table", None):
-        path = getattr(args, "table", None) or args.truth_table
-        return run.read(path, ingest.parse_table)
-    path = getattr(args, "voters", None) or args.truth_voters
-    voters = run.read(path, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
+    flag = next(f for f in ("table", "truth_table", "voters", "truth_voters") if f in run.flags)
+    if flag.endswith("table"):
+        return run.read(flag, ingest.parse_table)
+    voters = run.read(flag, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
     table, _ = ingest.aggregate_voters(voters, require_race=True)
     if table is None:
         raise ValueError("no labeled records in voter file")
@@ -203,19 +218,19 @@ def _load_truth(args, run) -> ContingencyTable:
 
 def _load_occupancy(args, run):
     """Cell totals to predict for: from a table CSV or a voter file."""
-    if getattr(args, "table", None):
-        table = run.read(args.table, ingest.parse_table)
+    if "table" in run.flags:
+        table = run.read("table", ingest.parse_table)
         return MarginSet(None, table.labels, table.cell_index, table.cell_sums)
-    voters = run.read(args.voters, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
+    voters = run.read("voters", ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
     _, occupancy = ingest.aggregate_voters(voters, require_race=False)
     return occupancy
 
 
 def _load_factors(args, run):
     """The factors, and each factor file's rejected rows by kind."""
-    surnames, s_values, s_rejects = run.read(args.surname_factors, ingest.parse_surname_factors)
-    geoids, g_values, g_rejects = run.read(args.geo_factors, ingest.parse_geo_factors)
-    prior = run.read(args.prior, ingest.parse_race_margin)
+    surnames, s_values, s_rejects = run.read("surname_factors", ingest.parse_surname_factors)
+    geoids, g_values, g_rejects = run.read("geo_factors", ingest.parse_geo_factors)
+    prior = run.read("prior", ingest.parse_race_margin)
     # values hold each label's count, then P(r | label)
     factors = raketab.BisgFactors(
         AxisLabels(surnames, geoids), s_values[:, 1:], g_values[:, 1:], prior,
@@ -261,14 +276,14 @@ def cmd_predict(args):
     occupancy = _load_occupancy(args, run)
     adjustment = None
     if args.adjust_cps:
-        cps = run.read(args.adjust_cps, ingest.parse_race_margin)
+        cps = run.read("adjust_cps", ingest.parse_race_margin)
         adjustment = raketab.voter_adjustment(cps, factors.race_prior)
     table, rejects = raketab.weighted_counts(
         factors, occupancy, adjustment=adjustment, method=args.method
     )
     # nothing is written until every input is read and checked
     _write_factor_rejects(run, factor_rejects)
-    run.write("predictions.csv", ingest.write_predictions, table)
+    run.write("predictions.csv", ingest.write_predictions, table, twin=True)
     if rejects:
         rows = [(i + 1, f"{s},{g}: {reason}") for i, (s, g, reason) in enumerate(rejects)]
         run.write("rejects.csv", ingest.write_rejects, rows)
@@ -283,8 +298,8 @@ def cmd_predict(args):
 
 def cmd_rake(args):
     run = _Run("rake", args, args.out_dir)
-    labels, index, counts, conds = run.read(args.base, ingest.parse_predictions)
-    distribution = run.read(args.race_margin, ingest.parse_race_margin)
+    labels, index, counts, conds = run.read("base", ingest.parse_predictions)
+    distribution = run.read("race_margin", ingest.parse_race_margin)
 
     # counts and conds are views of the parsed (n, 7) rows: keep only the
     # cell targets, their total (added in row order), the row count and the
@@ -305,7 +320,7 @@ def cmd_rake(args):
     config = raketab.RakingConfig(tolerance=args.tol, max_iterations=args.max_iters)
     result = raketab.raking.rake_in_place(values, targets, targets, config)
 
-    run.write("raked.csv", ingest.write_predictions, result.table)
+    run.write("raked.csv", ingest.write_predictions, result.table, twin=True)
     run.write("theta.json", ingest.write_theta, result)
     run.write("theta_sg.csv", ingest.write_theta_sg, result)
     run.info["iterations"] = result.iterations
@@ -321,8 +336,8 @@ def cmd_rake(args):
 
 def cmd_calib_map(args):
     run = _Run("calib-map", args, args.out_dir)
-    u = run.read(args.source, ingest.parse_race_margin)
-    v = run.read(args.target, ingest.parse_race_margin)
+    u = run.read("source", ingest.parse_race_margin)
+    v = run.read("target", ingest.parse_race_margin)
     cmap = raketab.solve_calibration_map(u, v)
 
     run.write("calibration_map.csv", ingest.write_calibration_map, cmap.matrix)
@@ -334,8 +349,8 @@ def cmd_calib_map(args):
 
 def cmd_subsample(args):
     run = _Run("subsample", args, args.out_dir)
-    voters = run.read(args.voters, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
-    target = run.read(args.target, ingest.parse_race_margin)
+    voters = run.read("voters", ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
+    target = run.read("target", ingest.parse_race_margin)
     # the test-set convention: drop inactive and unanswered records first
     labeled = voters.take(voters.active & (voters.race >= 0))
     sample = ingest.subsample_to_margin(labeled, target, seed=args.seed)
@@ -350,12 +365,12 @@ def cmd_subsample(args):
 def cmd_evaluate(args):
     run = _Run("evaluate", args, args.out_dir)
     truth = _load_truth(args, run)
-    labels, index, counts, conds = run.read(args.preds, ingest.parse_predictions)
+    labels, index, counts, conds = run.read("preds", ingest.parse_predictions)
     run.info["cells_in"] = {"truth": truth.n_cells, "preds": len(index)}
 
     matrix = None
     if args.calib_map:
-        matrix = run.read(args.calib_map, ingest.parse_calibration_map)
+        matrix = run.read("calib_map", ingest.parse_calibration_map)
 
     occupied = truth.cell_sums > 0
     rows = np.full(truth.n_cells + 1, -1)  # each truth cell's prediction row; the last takes -1s
@@ -379,7 +394,7 @@ def cmd_evaluate(args):
 
     region_map = None
     if args.region_map:
-        region_map = run.read(args.region_map, ingest.parse_region_map)
+        region_map = run.read("region_map", ingest.parse_region_map)
 
     sub = raketab.subpop_report(truth, pred)
     cell = raketab.cellwise_report(truth, pred, region_map=region_map)
@@ -420,7 +435,7 @@ def cmd_synth(args):
     )
     table = raketab.generate(config)
     factors = raketab.fit_factors(table)
-    run.write("table.csv", ingest.write_table, table)
+    run.write("table.csv", ingest.write_table, table, twin=True)
     _write_factors(run, factors)
     run.write("race_margin.json", ingest.write_race_margin, table.margin("r") / table.total())
     run.finish()

@@ -48,16 +48,25 @@ an excessive reject rate) would corrupt results; calibration maps check
 theirs in file order once read. A surname that uppercasing takes over csv's
 limit is an input error too, so that every label written to a factor file
 can be read back.
+
+A table or predictions CSV that one command writes for another gets a binary
+twin (`twin_path`), an .npz of its labels as UTF-8 bytes with int64 offsets,
+index, float64 rows and BLAKE2b digest, where parsing the CSV gives back the
+writer's arrays (`twinnable`). A reader trusts a twin that records the CSV's
+digest (`open_twin`) and runs on it every check that follows a parse of text.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import re
 import warnings
+import zipfile
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import count, filterfalse, islice
 from types import SimpleNamespace
@@ -325,13 +334,14 @@ def _label_cells(path, raw, codes):
     return labels, codes
 
 
-def _read_cells(path, header):
+def _read_cells(path, header, twin=None):
     """Read a cell file (surname, geoid, numbers...) onto a sorted cell index:
     (labels, index, values, rows), the numbers of each cell in index order and
     the cell of each data row. A non-finite or negative number or a repeated
-    cell is a ParseError naming the file and line.
+    cell is a ParseError naming the file and line. With `twin`, the file's
+    open twin, its arrays stand in for the text's and pass the same checks.
     """
-    raw, codes, values = _read_rows(path, header, 2)
+    raw, codes, values = _read_rows(path, header, 2) if twin is None else _twin_rows(twin, len(header) - 2)
     labels, cells = _label_cells(path, raw, codes)
     for bad, what in (
         (~np.isfinite(values).all(axis=1), "non-finite value"),
@@ -345,6 +355,65 @@ def _read_cells(path, header):
     if not np.all(rows[1:] > rows[:-1]):  # rows out of index order
         values = values[np.argsort(rows)]
     return labels, index, values, rows
+
+
+# what a twin that cannot be read raises, zipfile's and numpy's .npy reader's errors included
+_TWIN_ERRORS = (OSError, EOFError, LookupError, ValueError, RuntimeError, zipfile.BadZipFile)
+
+
+def twin_path(path):
+    """The binary twin of cell file `path`: its name with the suffix .npz."""
+    return os.path.splitext(path)[0] + ".npz"
+
+
+def open_twin(path, blake2b):
+    """The twin of cell file `path`, open, if it records `blake2b`, the file's
+    digest; else None: a twin missing, unreadable or of other bytes is ignored."""
+    try:
+        zf = zipfile.ZipFile(twin_path(path))
+    except _TWIN_ERRORS:
+        return None
+    with suppress(*_TWIN_ERRORS):
+        if _member(zf, "blake2b", np.uint8).tobytes().hex() == blake2b:
+            return zf
+    zf.close()
+    return None
+
+
+def _member(zf, name, dtype, width=None):
+    """Member `name`.npy of twin `zf`, a C-ordered array of `dtype`, 1-D or of
+    `width` columns, read by numpy a block at a time once its header is checked:
+    another header, or one whose data the member and file do not hold, raises."""
+    columns, size = () if width is None else (width,), zf.getinfo(f"{name}.npy").file_size
+    with zf.open(f"{name}.npy") as fh:
+        read = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
+        shape, fortran, got = read[np.lib.format.read_magic(fh)](fh)
+        if (got, fortran, len(shape), shape[1:]) != (np.dtype(dtype), False, 1 + len(columns), columns) or not (
+                math.prod(shape) * got.itemsize == size - fh.tell() <= os.path.getsize(zf.filename)):
+            raise ValueError(f"{name}: {got} array of shape {shape} in {size} bytes")
+    with zf.open(f"{name}.npy") as fh:
+        return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+def _twin_rows(zf, k):
+    """`_read_rows`'s (raw, codes, values) from open twin `zf` of `k` numbers a row. A
+    member missing or extra, of another dtype or shape, offsets out of order,
+    labels not UTF-8 or an index outside them is a ParseError naming the twin."""
+    try:
+        if len(zf.namelist()) != 7:  # and a missing one is a KeyError
+            raise ValueError(f"members {zf.namelist()}")
+        raw = []
+        for axis in ("surnames", "geoids"):
+            data, ends = _member(zf, axis, np.uint8).tobytes(), _member(zf, f"{axis}_offsets", np.int64)
+            if not (len(ends) and ends[0] == 0 and ends[-1] == len(data) and np.all(ends[1:] >= ends[:-1])):
+                raise ValueError(f"{axis}: offsets out of order")
+            raw.append([data[a:b].decode() for a, b in zip(ends[:-1].tolist(), ends[1:].tolist())])
+        codes, values = _member(zf, "index", np.int64, 2), _member(zf, "values", np.float64, k)
+        if len(codes) != len(values) or np.any(codes < 0) or np.any(codes >= [len(r) for r in raw]):
+            raise ValueError(f"index of {len(codes)} cells on {len(values)} rows or outside the labels")
+    except _TWIN_ERRORS as exc:
+        raise ParseError(f"{zf.filename}: bad twin: {exc}") from None
+    return raw, codes, values
 
 
 def _plain_floats(fields):
@@ -579,24 +648,24 @@ def _largest_remainder(quotas_float):
 # cell, margin, map and matrix readers -------------------------------------
 
 
-def parse_table(path) -> ContingencyTable:
-    """Read a labeled table CSV back into a ContingencyTable.
+def parse_table(path, twin=None) -> ContingencyTable:
+    """Read a labeled table CSV, or its open `twin`, into a ContingencyTable.
 
     Surnames are uppercased, matching the other canonical formats.
     """
-    labels, index, values, _ = _read_cells(path, TABLE_HEADER)
+    labels, index, values, _ = _read_cells(path, TABLE_HEADER, twin)
     return ContingencyTable(labels, index, values)
 
 
-def parse_predictions(path):
-    """A predictions or raked CSV on a sorted cell index: (labels, index,
-    counts, conds). counts and conds are columns 0 and 1-6 of one C-ordered
-    (n, 7) array, their `base`.
+def parse_predictions(path, twin=None):
+    """A predictions or raked CSV on a sorted cell index, read from its open
+    `twin` if given: (labels, index, counts, conds). counts and conds are
+    columns 0 and 1-6 of C-ordered (n, 7) rows, whose memory is their `base`.
 
     Each row's conditionals must sum to 1 (within 1e-6), or be all zero
     when its count is zero.
     """
-    labels, index, values, rows = _read_cells(path, PREDICTIONS_HEADER)
+    labels, index, values, rows = _read_cells(path, PREDICTIONS_HEADER, twin)
     counts, conds = values[:, 0], values[:, 1:]
     sums = row_sums(conds)
     bad = ~((np.abs(sums - 1.0) <= 1e-6) | ((counts == 0) & (sums == 0)))
@@ -789,11 +858,47 @@ def write_voter_file(path, voters):
     _write_csv(path, VOTER_FILE_HEADER, [_columns(columns)])
 
 
-def write_table(path, table: ContingencyTable):
-    _write_csv(path, TABLE_HEADER, [_cells(table, table.cell_values.__getitem__)])
+def twinnable(table: ContingencyTable):
+    """Whether parsing the CSV of `table`'s cells gives back its own arrays, so that a
+    twin may stand in for it: some cells, no value that a cell total could take past
+    the float range, and labels sorted, each in a cell, within csv's limit and clean."""
+    s, g = table.labels.surnames, table.labels.geolocations
+    return bool(table.n_cells and table.cell_values.max() <= np.finfo(float).max / N_RACES
+                and compact_labels(table.labels, table.cell_index)[0] is table.labels
+                and list(s) == sorted(s) == [x.strip().upper() for x in s]
+                and list(g) == sorted(g) == [x.strip() for x in g]
+                and max(map(len, s + g)) <= csv.field_size_limit())
 
 
-def write_predictions(path, table: ContingencyTable):
+def _write_cells(path, header, table, values, blake2b):
+    """`_write_csv` of `table`'s cells and `values(rows)`; with `blake2b`, the
+    digest of that CSV, its twin instead, the values a block at a time and each
+    member dated as ZipInfo dates it, 1980-01-01, so that equal CSVs give equal twins."""
+    if blake2b is None:
+        return _write_csv(path, header, [_cells(table, values)])
+    npy = dict(descr=np.dtype(float).str, fortran_order=False, shape=(table.n_cells, len(header) - 2))
+    with zipfile.ZipFile(path, "w") as zf:
+        def member(name, array=None):
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+                if array is not None:
+                    return np.lib.format.write_array(fh, array, allow_pickle=False)
+                np.lib.format.write_array_header_1_0(fh, npy)  # the values' header, then their blocks
+                for lo in range(0, table.n_cells, _CSV_BLOCK):
+                    fh.write(values(slice(lo, lo + _CSV_BLOCK)).tobytes())
+        for axis, labels in (("surnames", table.labels.surnames), ("geoids", table.labels.geolocations)):
+            data = [label.encode() for label in labels]
+            member(axis, np.frombuffer(b"".join(data), np.uint8))
+            member(f"{axis}_offsets", np.cumsum([0, *map(len, data)], dtype=np.int64))
+        member("index", table.cell_index)
+        member("values")
+        member("blake2b", np.frombuffer(bytes.fromhex(blake2b), np.uint8))
+
+
+def write_table(path, table: ContingencyTable, blake2b=None):
+    _write_cells(path, TABLE_HEADER, table, table.cell_values.__getitem__, blake2b)
+
+
+def write_predictions(path, table: ContingencyTable, blake2b=None):
     """Each cell's total and race conditionals (all zero for an empty cell)."""
     values, sums = table.cell_values, table.cell_sums[:, None]
 
@@ -801,7 +906,7 @@ def write_predictions(path, table: ContingencyTable):
         v, s = values[block], sums[block]
         return np.column_stack([s, np.divide(v, s, out=np.zeros_like(v), where=s > 0)])
 
-    _write_csv(path, PREDICTIONS_HEADER, [_cells(table, rows)])
+    _write_cells(path, PREDICTIONS_HEADER, table, rows, blake2b)
 
 
 def write_theta(path, result):

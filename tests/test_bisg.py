@@ -51,6 +51,15 @@ class TestFitFactors:
         assert factors.geo_counts.tolist() == [20.0, 20.0]
         assert factors.total() == 40.0
 
+    def test_total_adds_in_order(self):
+        # 1e16 + 1 rounds back to 1e16, twice; Python 3.12's compensated
+        # sum would give 1e16 + 2 and move every prediction that divides by it
+        factors = BisgFactors(
+            AxisLabels(["s"], ["g1", "g2", "g3"]), [race6(1)], [race6(1)] * 3, race6(1),
+            [1.0], [1e16, 1.0, 1.0],
+        )
+        assert factors.total() == 1e16
+
 
 class TestBisgCounts:
     def test_f1_cell_values(self, f1_table):

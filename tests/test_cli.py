@@ -11,7 +11,7 @@ import pytest
 
 from raketab import RACE_NAMES, MarginSet, calibmap, cli
 from raketab.cli import main
-from test_golden import voter_outputs
+from test_golden import golden_outputs, voter_outputs
 from test_package import fresh_env
 
 
@@ -478,7 +478,7 @@ class TestDeterminism:
         fix = synth_fixture(tmp_path, seed=2)
         manifest = read_json(fix / "manifest.json")
         assert {o["path"].split("/")[-1] for o in manifest["outputs"]} == {
-            "table.csv", "surname_factors.csv", "geo_factors.csv",
+            "table.csv", "table.npz", "surname_factors.csv", "geo_factors.csv",
             "prior.json", "race_margin.json",
         }
         for entry in manifest["outputs"]:
@@ -510,11 +510,12 @@ class TestDeterminism:
                     data = Path(entry["path"]).read_bytes()
                     assert entry["blake2b"] == hashlib.blake2b(data).hexdigest(), entry
                 counts[out.name, kind] = len(manifest[kind])
+        # each table and predictions file read or written comes with its twin
         assert counts == {
-            ("fix", "inputs"): 0, ("fix", "outputs"): 5, ("fit", "inputs"): 1,
-            ("fit", "outputs"): 3, ("pred", "inputs"): 4, ("pred", "outputs"): 1,
-            ("raked", "inputs"): 2, ("raked", "outputs"): 3, ("cm", "inputs"): 2,
-            ("cm", "outputs"): 1, ("ev", "inputs"): 3, ("ev", "outputs"): 4,
+            ("fix", "inputs"): 0, ("fix", "outputs"): 6, ("fit", "inputs"): 2,
+            ("fit", "outputs"): 3, ("pred", "inputs"): 5, ("pred", "outputs"): 2,
+            ("raked", "inputs"): 3, ("raked", "outputs"): 4, ("cm", "inputs"): 2,
+            ("cm", "outputs"): 1, ("ev", "inputs"): 5, ("ev", "outputs"): 4,
         }
 
     def test_manifest_layer_split_and_versions(self, tmp_path):
@@ -526,7 +527,7 @@ class TestDeterminism:
         pred = predict_dir(tmp_path, fix)
         manifest = read_json(pred / "manifest.json")
         assert [i["path"].rsplit("/", 1)[-1] for i in manifest["inputs"]] == [
-            "surname_factors.csv", "geo_factors.csv", "prior.json", "table.csv",
+            "surname_factors.csv", "geo_factors.csv", "prior.json", "table.csv", "table.npz",
         ]
         timings = manifest["timings"]
         assert set(timings) == {"parse_s", "write_s", "digest_s", "compute_s"}
@@ -539,6 +540,34 @@ class TestDeterminism:
             "raketab": raketab.__version__, "numpy": np.__version__,
             "python": platform.python_version(),
         }
+
+
+# the flags whose file is a table or predictions CSV, and those whose file is JSON
+CELL_FLAGS = {"table", "truth_table", "base", "preds"}
+JSON_FLAGS = {"prior", "race_margin", "adjust_cps", "source", "target"}
+
+
+@pytest.mark.parametrize("drop_twins", [False, True])
+def test_manifest_times_each_input_and_names_its_form(tmp_path, drop_twins):
+    """Every command's manifest gives, per input flag, the form read and its
+    parse seconds, which add up to timings.parse_s: a table or predictions
+    file is read from its twin ("npz"), or as text ("csv") once its twin is
+    deleted."""
+    golden_outputs(tmp_path, drop_twins=drop_twins)
+    commands = set()
+    for path in sorted(tmp_path.glob("*/manifest.json")):
+        manifest = read_json(path)
+        commands.add(manifest["command"])
+        inputs = manifest["info"]["inputs"]
+        paths = {entry["path"] for entry in manifest["inputs"]}
+        assert {manifest["flags"][flag] for flag in inputs} == {p for p in paths if not p.endswith(".npz")}
+        assert sum(entry["parse_s"] for entry in inputs.values()) == pytest.approx(
+            manifest["timings"]["parse_s"], rel=1e-9)
+        for flag, entry in inputs.items():
+            cells = "csv" if drop_twins else "npz"
+            assert entry["form"] == (cells if flag in CELL_FLAGS else "json" if flag in JSON_FLAGS else "csv")
+            assert entry["parse_s"] > 0
+    assert commands == {"synth", "fit-factors", "predict", "rake", "calib-map", "evaluate", "subsample"}
 
 
 def vmhwm_mb(status):

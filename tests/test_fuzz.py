@@ -5,24 +5,31 @@ non-finite or overflowing number, a negative zero, a BOM, a toggled line
 ending, a quoted comma, a duplicated row, a short or long row, a blank
 line, or a number respelled: quoted, padded with spaces or signed with +)
 and runs every subcommand that reads that file. The only allowed outcomes
-are exit 0 with finite numbers in every CSV and strict JSON, or exit 2 with
-a single JSON error object on stderr; a ParseError names the mutated file,
-and the mutated line where a cell file, voter file or region map has a
-short, long or blank row. A CSV input that only respells (a BOM, a line
-ending, a number), and a JSON input with a BOM, gives the unmutated input's
-outputs, byte for byte.
+are exit 0 with finite numbers in every CSV, strict JSON and each binary
+twin recording its CSV's digest, or exit 2 with a single JSON error object
+on stderr; a ParseError names the mutated file, and the mutated line where
+a cell file, voter file or region map has a short, long or blank row. A
+CSV input that only respells (a BOM, a line ending, a number), and a JSON
+input with a BOM, gives the unmutated input's outputs, byte for byte.
+
+The binary twin beside a table or predictions file is fuzzed the same
+way: a trusted twin that is malformed is an input error naming the twin,
+and an untrusted or damaged one gives the outputs of the CSV alone.
 """
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import re
 import shutil
 import tempfile
+import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -154,6 +161,11 @@ def _check_outputs(out):
         raise AssertionError(f"non-standard JSON constant {name}")
 
     for path in sorted(out.iterdir()):
+        if path.suffix == ".npz":  # a cell file's twin records that file's digest
+            digest = hashlib.blake2b(path.with_suffix(".csv").read_bytes()).digest()
+            with np.load(path, allow_pickle=False) as twin:
+                assert twin["blake2b"].tobytes() == digest, path.name
+            continue
         text = path.read_text(encoding="utf-8")
         if path.suffix == ".json":
             json.loads(text, parse_constant=no_constant)
@@ -260,3 +272,164 @@ def test_mutations_change_the_file():
     assert mutate(text, "padded", 0, 1) == "surname,geoid,a\r\nS1,g1, 1.5 \r\nS2,g2,2.5\r\n"
     assert mutate(text, "plus", 0, 0) == "surname,geoid,a\r\nS1,g1,+1.5\r\nS2,g2,2.5\r\n"
     assert mutate('{\n  "a": 0.5\n}\n', "quoted", 0, 0, is_json=True) == '{\n  "a": "0.5"\n}\n'
+
+
+# A binary twin beside a cell file (see test_twin.py) -------------------------
+
+
+def npy(array, allow_pickle=False):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _array(data):
+    return np.lib.format.read_array(io.BytesIO(data))
+
+
+def _huge_header(data):
+    """The .npy `data` with a header claiming 2**40 rows the member cannot hold."""
+    array = _array(data)
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": "<f8", "fortran_order": False, "shape": (2**40, array.shape[1])})
+    return buf.getvalue() + array.tobytes()
+
+
+def _with(name, change):
+    return lambda members: {**members, name: change(members[name])}
+
+
+def _reindexed(change):
+    def reindex(data):
+        index = _array(data).copy()
+        change(index)
+        return npy(index)
+    return _with("index.npy", reindex)
+
+
+# defects of a trusted twin: each is an input error naming the twin
+TWIN_DEFECTS = {
+    "truncated member": _with("values.npy", lambda data: data[:-8]),
+    "missing member": lambda m: {k: v for k, v in m.items() if k != "index.npy"},
+    "extra member": lambda m: {**m, "extra.npy": npy(np.zeros(3))},
+    "wrong dtype": _with("index.npy", lambda data: npy(_array(data).astype(np.int32))),
+    "wrong width": _with("values.npy", lambda data: npy(_array(data)[:, 1:])),
+    "wrong rank": _with("index.npy", lambda data: npy(_array(data).ravel())),
+    "fortran order": _with("values.npy", lambda data: npy(np.asfortranarray(_array(data)))),
+    "object array": _with("surnames.npy", lambda data: npy(np.array(["A"], dtype=object), True)),
+    "offsets out of order": _with("surnames_offsets.npy", lambda data: npy(_array(data)[::-1].copy())),
+    "offsets past the bytes": _with("geoids_offsets.npy", lambda data: npy(_array(data) + 1)),
+    "invalid UTF-8": _with("surnames.npy", lambda data: npy(np.frombuffer(
+        b"\xff" + _array(data).tobytes()[1:], np.uint8))),
+    "header the member cannot hold": _with("values.npy", _huge_header),
+    "not an npy member": _with("index.npy", lambda data: b"PK" + data[2:]),
+    "index outside the labels": _reindexed(lambda index: index.__setitem__((0, 1), 10**6)),
+    "negative index": _reindexed(lambda index: index.__setitem__((0, 0), -1)),
+    "fewer cells than rows": _with("index.npy", lambda data: npy(_array(data)[:-1])),
+}
+# twins that are not trusted: the CSV is read as if there were none
+UNTRUSTED_TWINS = {
+    "no digest": lambda m: {k: v for k, v in m.items() if k != "blake2b.npy"},
+    "another digest": _with("blake2b.npy", lambda data: npy(np.zeros(64, np.uint8))),
+    "digest of another dtype": _with("blake2b.npy", lambda data: npy(_array(data).astype(np.int64))),
+}
+
+
+def _rewrite_twin(path, change):
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in change(members).items():
+            zf.writestr(name, data)
+
+
+def _twin_commands(golden_dir, source, tmp):
+    """Copies of the golden `source` and its twin in `tmp`, and the
+    commands that read `source` with the copy in its place; the twin is
+    tmp/<stem>.npz."""
+    csv_path = tmp / Path(source).name
+    shutil.copy(golden_dir / source, csv_path)
+    shutil.copy((golden_dir / source).with_suffix(".npz"), csv_path.with_suffix(".npz"))
+    return csv_path, _commands(golden_dir, csv_path, tmp / "out")
+
+
+def _run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def check_twin(golden_dir, source, change, trusted):
+    """Every command reading `source` with its twin changed by `change`:
+    exit 2 with one JSON error naming the twin (unless `trusted` is False),
+    or exit 0 with the outputs of the CSV alone (unless `trusted` is True:
+    a change that leaves the twin readable, such as a byte of a member's
+    date, may give either)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        csv_path, cmds = _twin_commands(golden_dir, source, tmp)
+        twin = csv_path.with_suffix(".npz")
+        change(twin)
+        plain = [argv[:-1] + [argv[-1] + "_plain"] for argv in cmds]
+        for argv, plain_argv in zip(cmds, plain):
+            code, err = _run_quietly(argv)
+            if code == 2 and trusted is not False:
+                payload = json.loads(err)
+                assert payload["error"] == "ParseError", payload
+                assert payload["message"].startswith(f"{twin}: bad twin: "), payload["message"]
+                continue
+            assert code == 0 and trusted is not True, (argv[0], err)
+            if trusted is False:  # an untrusted twin is not read
+                manifest = json.loads((Path(argv[-1]) / "manifest.json").read_text())
+                assert str(twin) not in {entry["path"] for entry in manifest["inputs"]}
+            twin.rename(twin.with_suffix(".off"))
+            assert _run_quietly(plain_argv)[0] == 0
+            twin.with_suffix(".off").rename(twin)
+            assert _outputs(Path(argv[-1])) == _outputs(Path(plain_argv[-1])), argv[0]
+
+
+TWIN_SOURCES = ["fixture/table.csv", "preds/predictions.csv"]
+
+
+@pytest.mark.parametrize("defect", sorted(TWIN_DEFECTS))
+@pytest.mark.parametrize("source", TWIN_SOURCES)
+def test_a_malformed_trusted_twin_is_an_input_error(golden_dir, source, defect):
+    """Truncated, missing or extra members, a wrong dtype or shape, an
+    object array, offsets out of order, invalid UTF-8, a header the file
+    cannot hold: exit 2 with a JSON error naming the twin, never a
+    traceback or a MemoryError."""
+    check_twin(golden_dir, source, lambda twin: _rewrite_twin(twin, TWIN_DEFECTS[defect]), True)
+
+
+@pytest.mark.parametrize("case", [*sorted(UNTRUSTED_TWINS), "cut short", "not a zip"])
+@pytest.mark.parametrize("source", TWIN_SOURCES)
+def test_an_untrusted_twin_is_ignored(golden_dir, source, case):
+    """A twin whose digest is missing, cannot be read or does not match
+    the CSV's: the CSV is read, and the outputs are those of the CSV alone."""
+    def change(twin):
+        if case == "cut short":  # its directory, and the digest with it, are gone
+            twin.write_bytes(twin.read_bytes()[: twin.stat().st_size // 2])
+        elif case == "not a zip":
+            twin.write_bytes(b"surname,geoid\r\n")
+        else:
+            _rewrite_twin(twin, UNTRUSTED_TWINS[case])
+    check_twin(golden_dir, source, change, False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(source=st.sampled_from(TWIN_SOURCES), at=st.floats(0, 1, exclude_max=True),
+       flip=st.integers(1, 255), cut=st.booleans())
+def test_a_damaged_twin_is_read_or_refused_cleanly(golden_dir, source, at, flip, cut):
+    """A twin cut short or with one byte changed anywhere: the outputs of
+    the CSV alone, or exit 2 naming the twin."""
+    def change(twin):
+        data = bytearray(twin.read_bytes())
+        i = int(at * len(data))
+        if cut:
+            del data[i:]
+        else:
+            data[i] ^= flip
+        twin.write_bytes(bytes(data))
+    check_twin(golden_dir, source, change, None)

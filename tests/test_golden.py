@@ -4,7 +4,9 @@ The rerun test in test_cli.py compares two runs of the same code, so it
 cannot notice a change that alters output bytes. This test pins the
 SHA-256 of every CSV and JSON output (manifests excepted, since they carry
 absolute paths) of the README round trip, a calibration-map evaluation and
-a voter-file path whose labels hold commas, quotes and non-ASCII letters.
+a voter-file path whose labels hold commas, quotes and non-ASCII letters,
+and of the binary twins beside their cell files; the outputs hold when
+every twin is deleted before each command, which then reads the text.
 A change that moves any output byte must update GOLDEN deliberately and
 say why.
 """
@@ -89,24 +91,24 @@ def _csv_line(fields):
     return ",".join(quote(f) for f in fields) + "\r\n"
 
 
-def table_outputs(root):
+def table_outputs(root, run=_run):
     """The README round trip plus a calibration-map evaluation under `root`."""
     fix, pred, raked, report = (root / n for n in ("fixture", "preds", "raked", "report"))
-    _run(
+    run(
         "synth", "--surnames", 20, "--geos", 6, "--dependence", 0.7,
         "--total", 5000, "--seed", 1, "--out-dir", fix,
     )
-    _run("fit-factors", "--table", fix / "table.csv", "--out-dir", root / "fitted")
-    _run(
+    run("fit-factors", "--table", fix / "table.csv", "--out-dir", root / "fitted")
+    run(
         "predict", "--surname-factors", fix / "surname_factors.csv",
         "--geo-factors", fix / "geo_factors.csv", "--prior", fix / "prior.json",
         "--table", fix / "table.csv", "--out-dir", pred,
     )
-    _run(
+    run(
         "rake", "--base", pred / "predictions.csv",
         "--race-margin", fix / "race_margin.json", "--out-dir", raked,
     )
-    _run(
+    run(
         "evaluate", "--truth-table", fix / "table.csv",
         "--preds", raked / "raked.csv", "--out-dir", report,
     )
@@ -115,7 +117,7 @@ def table_outputs(root):
     _write(target, json.dumps({"race_distribution": {
         "aian": 0.02, "api": 0.08, "black": 0.25, "hispanic": 0.2,
         "white": 0.4, "other": 0.05}}))
-    _run(
+    run(
         "calib-map", "--source", fix / "race_margin.json", "--target", target,
         "--out-dir", root / "cmap",
     )
@@ -123,7 +125,7 @@ def table_outputs(root):
                     (fix / "geo_factors.csv").read_text(encoding="utf-8").splitlines()[1:])
     regions = root / "regions.csv"
     _write(regions, "geoid,region\n" + "".join(f"{g},R{i % 2}\n" for i, g in enumerate(geoids)))
-    _run(
+    run(
         "evaluate", "--truth-table", fix / "table.csv",
         "--preds", pred / "predictions.csv",
         "--calib-map", root / "cmap" / "calibration_map.csv",
@@ -131,7 +133,7 @@ def table_outputs(root):
     )
 
 
-def voter_outputs(root):
+def voter_outputs(root, run=_run):
     """The voter-file path under `root`: fit, predict with factor rejects
     and a missing surname, evaluate with a region map, and subsample."""
     voters = root / "voters.csv"
@@ -144,7 +146,7 @@ def voter_outputs(root):
         ))
     _write(voters, "".join(lines))
     fit, pred = root / "voters_fit", root / "voters_pred"
-    _run("fit-factors", "--voters", voters, "--out-dir", fit)
+    run("fit-factors", "--voters", voters, "--out-dir", fit)
 
     # KIM is dropped and LOPEZ's probabilities sum to 0.6: one factor-file
     # reject, and two surnames predicted from their geolocation alone
@@ -155,7 +157,7 @@ def voter_outputs(root):
     ]
     factors = root / "surname_factors_bad.csv"
     _write(factors, "".join(kept))
-    _run(
+    run(
         "predict", "--surname-factors", factors,
         "--geo-factors", fit / "geo_factors.csv", "--prior", fit / "prior.json",
         "--voters", voters, "--out-dir", pred,
@@ -166,7 +168,7 @@ def voter_outputs(root):
         ["geoid", "region"], ["g1", 'Nord, "A"'], ['g"2,b', "Süd"],
         ["g3", "Süd"], ["gé4", 'Nord, "A"'],
     ]))
-    _run(
+    run(
         "evaluate", "--truth-voters", voters, "--preds", pred / "predictions.csv",
         "--region-map", regions, "--out-dir", root / "voters_eval",
     )
@@ -175,26 +177,54 @@ def voter_outputs(root):
     _write(target, json.dumps({"race_distribution": {
         "aian": 0.1, "api": 0.1, "black": 0.2, "hispanic": 0.2,
         "white": 0.3, "other": 0.1}}))
-    _run(
+    run(
         "subsample", "--voters", voters, "--target", target, "--seed", 5,
         "--out-dir", root / "voters_sub",
     )
 
 
-def golden_outputs(root):
-    """Run every pinned pipeline under `root`; return {relative path: sha256}."""
-    table_outputs(root)
-    voter_outputs(root)
-    digests = {}
-    for path in sorted(root.glob("*/*")):
-        if path.suffix in (".csv", ".json") and path.name != "manifest.json":
-            rel = f"{path.parent.name}/{path.name}"
-            digests[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digests
+def _digests(root, suffixes):
+    """{relative path: sha256} of the files with `suffixes` one level under `root`, manifests aside."""
+    return {
+        f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.glob("*/*"))
+        if path.suffix in suffixes and path.name != "manifest.json"
+    }
+
+
+def golden_outputs(root, drop_twins=False):
+    """Run every pinned pipeline under `root`; return {relative path: sha256}
+    of its CSV and JSON outputs. With `drop_twins`, every binary twin is
+    deleted before each command, so that each cell file is read as text."""
+    def run(*args):
+        for twin in root.glob("*/*.npz") if drop_twins else ():
+            twin.unlink()
+        _run(*args)
+
+    table_outputs(root, run)
+    voter_outputs(root, run)
+    return _digests(root, (".csv", ".json"))
+
+
+# SHA-256 of the binary twin written beside each table and predictions file
+# (ingest.twin_path): a change to their bytes must be made on purpose
+TWINS = {
+    "fixture/table.npz": "e466c07565e22915502581c789dadc85c5e4aeab76564184704267e687b98597",
+    "preds/predictions.npz": "9ceae9d6b6bd4e41756d365692da9a3794c6ed767fc216acecdcee25c85c0dfd",
+    "raked/raked.npz": "83288e945e4fe40b569232f3043ca8363d6df9ab8f1c3d7471e0bc6c0a683e5a",
+    "voters_pred/predictions.npz": "805b9e75fb521243bd09e7757de8ea003b3cc6c96ab39319d2b604f7f5ce5c42",
+}
 
 
 def test_outputs_match_recorded_digests(tmp_path):
     assert golden_outputs(tmp_path) == GOLDEN
+    assert _digests(tmp_path, (".npz",)) == TWINS
+
+
+def test_outputs_read_without_twins_match_recorded_digests(tmp_path):
+    """With every twin deleted before each command that could read one,
+    the commands read each cell file's CSV and give the same outputs."""
+    assert golden_outputs(tmp_path, drop_twins=True) == GOLDEN
 
 
 def golden_in_subprocess(root, *flags, **env):
