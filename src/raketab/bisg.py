@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .table import N_RACES, AxisLabels, ContingencyTable, MarginSet, compact_labels
-from .table import _as_race_vector, _check_finite_nonnegative, row_sums
+from .table import _as_race_vector, _check_finite_nonnegative, probability_vector, row_sums
 
 
 class MissingFactorError(LookupError):
@@ -35,7 +35,7 @@ class BisgFactors:
     race_given_surname, race_given_geo : numpy array
         (n_s, 6) and (n_g, 6): row i is P(r | the i-th label), summing to 1.
     race_prior : numpy array
-        P(r), a 6-vector summing to 1.
+        P(r), a 6-vector summing to 1 within 1e-6 (`probability_vector`).
     surname_counts, geo_counts : numpy array
         Axis populations x_{s++} (n_s,) and x_{+g+} (n_g,), which recover
         count-scale margins for `bisg_counts`.
@@ -53,10 +53,7 @@ class BisgFactors:
     geo_counts: np.ndarray
 
     def __post_init__(self):
-        prior = _as_race_vector(self.race_prior, name="race_prior")
-        _check_finite_nonnegative(prior, "race_prior entry")
-        if abs(prior.sum() - 1.0) > 1e-9:
-            raise ValueError(f"race_prior sums to {prior.sum()!r}, expected 1")
+        probability_vector(self.race_prior, "race_prior")
         n_s, n_g = self.labels.n_s, self.labels.n_g
         for name, shape in (
             ("race_prior", (N_RACES,)), ("race_given_geo", (n_g, N_RACES)),
@@ -76,7 +73,7 @@ class BisgFactors:
                     i = int(np.argmax(bad))
                     names = self.labels.surnames if "surname" in name else self.labels.geolocations
                     _check_finite_nonnegative(arr[i], f"entries in {name}[{names[i]!r}]")
-                    raise ValueError(f"{name}[{names[i]!r}] sums to {sums[i]!r}, expected 1")
+                    raise ValueError(f"{name}[{names[i]!r}] sums to {float(sums[i])!r}, expected 1")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -220,17 +217,12 @@ def bisg_probability(
 def voter_adjustment(cps_race_given_voter, census_race_prior_18plus) -> VoterAdjustment:
     """Entrywise ratio of the voter race distribution to the census prior.
 
-    Both inputs must be probability vectors (sum 1 within 1e-6). Races that
-    are zero in both get weight 0; a voter race unsupported by the census
-    prior is an error.
+    Both inputs must pass `probability_vector`. Races that are zero in
+    both get weight 0; a voter race unsupported by the census prior is an
+    error.
     """
-    cps = _as_race_vector(cps_race_given_voter, name="cps_race_given_voter")
-    prior = _as_race_vector(census_race_prior_18plus, name="census_race_prior_18plus")
-    for name, v in (("cps distribution", cps), ("census prior", prior)):
-        if np.any(v < 0):
-            raise ValueError(f"{name} has negative entries")
-        if not abs(v.sum() - 1.0) <= 1e-6:
-            raise ValueError(f"{name} sums to {v.sum()!r}, expected 1")
+    cps = probability_vector(cps_race_given_voter, "cps distribution")
+    prior = probability_vector(census_race_prior_18plus, "census prior")
     bad = (cps > 0) & (prior == 0)
     if np.any(bad):
         idx = int(np.nonzero(bad)[0][0])

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .table import probability_vector
 
 # the optimality certificate a solution must pass
 KKT_TOL = 1e-6
@@ -65,19 +66,6 @@ class CalibrationMap:
 
     def __post_init__(self):
         self.matrix.flags.writeable = False
-
-
-def _check_probability(name, vec, tol=1e-6):
-    v = np.asarray(vec, dtype=np.float64)
-    if v.ndim != 1 or len(v) < 2:
-        raise ValueError(f"{name} must be a vector of length >= 2")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} has non-finite entries")
-    if np.any(v < 0):
-        raise ValueError(f"{name} has negative entries")
-    if abs(v.sum() - 1.0) > tol:
-        raise ValueError(f"{name} sums to {v.sum()!r}, expected 1")
-    return v
 
 
 def _affine_system(u, v):
@@ -290,10 +278,10 @@ def solve_calibration_map(u_source, u_target) -> CalibrationMap:
     """Find the column-stochastic matrix nearest the identity mapping
     `u_source` to `u_target`.
 
-    Both inputs must be probability vectors of equal length (finite,
-    nonnegative, summing to 1 within 1e-6). The rank-one matrix with every
-    column equal to `u_target` is always feasible, so a solution exists; the
-    returned objective never exceeds that benchmark.
+    Both inputs must pass `probability_vector`, at one length; a target
+    whose sum is further from 1 than `FEAS_TOL` is divided by it. The
+    rank-one matrix with every column equal to the target is feasible, so a
+    solution exists; the returned objective never exceeds that benchmark.
 
     Source shares below 1e-5 of the largest share are snapped to exact
     zero (and the source renormalized): such columns constrain the map
@@ -310,12 +298,16 @@ def solve_calibration_map(u_source, u_target) -> CalibrationMap:
     all n * n entries, within `KKT_TOL`; otherwise `CalibrationSolveError`
     names the failing stage.
     """
-    u = _check_probability("u_source", u_source)
-    v = _check_probability("u_target", u_target)
+    u = probability_vector(u_source, "u_source", length=None)
+    v = probability_vector(u_target, "u_target", length=None)
     if len(u) != len(v):
         raise ValueError("source and target lengths differ")
     u = np.where(u < 1e-5 * u.max(), 0.0, u)
     u = u / u.sum()
+    # A @ u sums to 1 for every column-stochastic A, so a target off by more
+    # than FEAS_TOL may fail every map's certificate; a nearer one is kept
+    if abs(v.sum() - 1.0) > FEAS_TOL:
+        v = v / v.sum()
     n = len(u)
 
     m, b = _affine_system(u, v)
@@ -351,7 +343,7 @@ def apply_calibration_map(cmap: CalibrationMap, p) -> np.ndarray:
     The output is again a probability vector: column sums of 1 preserve
     total mass and nonnegativity preserves signs.
     """
-    vec = _check_probability("p", p)
+    vec = probability_vector(p, "p", length=None)
     if len(vec) != len(cmap.source):
         raise ValueError("vector length does not match the map")
     return cmap.matrix @ vec

@@ -75,7 +75,7 @@ from typing import Mapping, NamedTuple, Optional
 import numpy as np
 
 from .table import N_RACES, RACE_NAMES, AxisLabels, ContingencyTable, MarginSet, RaceCategory
-from .table import compact_labels, row_sums, sorted_index
+from .table import compact_labels, probability_vector, row_sums, sorted_index
 
 SURNAME_FACTORS_HEADER = [
     "surname", "count",
@@ -610,9 +610,7 @@ def subsample_to_margin(voters: Voters, target, seed: int) -> Voters:
     without replacement with a seeded generator from each race's records
     in file order. The sample is shuffled. Deterministic for a fixed seed.
     """
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != (N_RACES,) or not (target.min() >= 0 and abs(target.sum() - 1.0) <= 1e-6):
-        raise ValueError("target must be a probability 6-vector")
+    target = probability_vector(target, "target")
     if np.any(voters.race < 0):
         raise ValueError(f"record {voters.voter_id[np.argmax(voters.race < 0)]!r} has no race label")
     by_race = [np.flatnonzero(voters.race == r) for r in range(N_RACES)]
@@ -676,7 +674,7 @@ def parse_predictions(path, twin=None):
 
 
 def parse_race_margin(path) -> np.ndarray:
-    """Read a race-distribution JSON object into a probability 6-vector;
+    """Read a race-distribution JSON object into a `probability_vector`;
     each share is a JSON number (not a boolean), an absent race's is 0. A
     key repeated in any object is a ParseError: json keeps only the last.
     A leading byte-order mark is ignored, as in a CSV input."""
@@ -703,18 +701,10 @@ def parse_race_margin(path) -> np.ndarray:
     for name, share in dist.items():
         if type(share) is not float:
             raise ParseError(f"{path}: race share {name!r} is not a number")
-    vec = np.array([dist.get(name, 0.0) for name in RACE_NAMES])
-    if not np.all(np.isfinite(vec)):
-        raise ParseError(f"{path}: non-finite race share")
-    if np.any(vec < 0):
-        raise ParseError(f"{path}: negative race share")
-    with np.errstate(over="ignore"):  # a sum past the float range fails the test
-        total = float(vec.sum())
-    if total <= 0:
-        raise ParseError(f"{path}: race distribution sums to zero")
-    if abs(total - 1.0) > 1e-6:
-        raise ParseError(f"{path}: race distribution sums to {total!r}")
-    return vec
+    try:
+        return probability_vector([dist.get(name, 0.0) for name in RACE_NAMES], "race distribution")
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def parse_region_map(path) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import AxisLabels, N_RACES, ContingencyTable, _as_race_vector
+from .table import AxisLabels, N_RACES, ContingencyTable, probability_vector
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,7 @@ class SynthConfig:
     multinomial: bool = False
 
     def __post_init__(self):
-        mix = _as_race_vector(self.race_mix, name="race_mix")
-        if not np.all(np.isfinite(mix)):
-            raise ValueError("race_mix shares must be finite")
-        if np.any(mix < 0) or abs(mix.sum() - 1.0) > 1e-9:
-            raise ValueError("race_mix must be a probability vector")
-        object.__setattr__(self, "race_mix", mix)
+        object.__setattr__(self, "race_mix", probability_vector(self.race_mix, "race_mix"))
         if self.n_s < 2 or self.n_g < 2:
             raise ValueError("need at least 2 surnames and 2 geolocations")
         if not 0.0 <= self.dependence <= 1.0:

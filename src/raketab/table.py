@@ -51,6 +51,20 @@ def _as_race_vector(values, name="values"):
     return vec
 
 
+def probability_vector(values, what, length=N_RACES):
+    """`values` as float64 `length` shares (two or more if None), finite, nonnegative
+    and summing to 1 within 1e-6 (the race-margin file's rule), or a ValueError."""
+    vec = np.asarray(values, dtype=np.float64)
+    if (vec.shape != (length,)) if length else (vec.ndim != 1 or len(vec) < 2):
+        raise ValueError(f"{what} must hold {length or 'two or more'} shares, got shape {vec.shape}")
+    _check_finite_nonnegative(vec, what)
+    with np.errstate(over="ignore"):  # a sum past the float range fails the test
+        total = float(vec.sum())
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"{what} sums to {total!r}")
+    return vec
+
+
 class AxisLabels:
     """Ordered surname and geolocation labels, unique within each axis."""
 
@@ -383,9 +397,11 @@ class ContingencyTable:
         return self._values.sum(axis=0)  # ("r",)
 
     def __repr__(self):
+        with np.errstate(over="ignore"):  # a total past the float range prints as inf
+            total = self.total()
         return (
             f"{type(self).__name__}(n_s={self.labels.n_s}, n_g={self.labels.n_g}, "
-            f"cells={self.n_cells}, total={self.total():.6g})"
+            f"cells={self.n_cells}, total={total:.6g})"
         )
 
 

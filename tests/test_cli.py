@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from raketab import RACE_NAMES, MarginSet, calibmap, cli
+from raketab import RACE_NAMES, MarginSet, calibmap, cli, ingest
 from raketab.cli import main
 from test_golden import golden_outputs, voter_outputs
 from test_package import fresh_env
@@ -304,6 +304,14 @@ def test_golden_voter_run_counts_rejects_by_reason(tmp_path):
     }
 
 
+def prior_off_by(path, delta, out):
+    """Write the race-margin file at `path` with `delta` added to its white share."""
+    payload = read_json(path)
+    payload["race_distribution"]["white"] += delta
+    out.write_text(json.dumps(payload))
+    return out
+
+
 class TestCalibMapCli:
     def test_identity_map(self, tmp_path):
         margin = tmp_path / "m.json"
@@ -369,6 +377,22 @@ class TestCalibMapCli:
         assert 0 <= err["feasibility"] <= calibmap.FEAS_TOL
         assert 0 <= err["kkt_residual"] <= 1e-6
         assert not (tmp_path / "cm" / "calibration_map.csv").exists()
+
+    def test_target_off_by_5e_7_gets_a_map(self, tmp_path):
+        # shares rounded to 7 decimals: the file rule accepts the target, so
+        # the map carries the source onto the target divided by its sum
+        fix = synth_fixture(tmp_path, seed=17)
+        target = prior_off_by(fix / "prior.json", 5e-7, tmp_path / "prior_off.json")
+        out = tmp_path / "cm"
+        assert run_cli(
+            "calib-map", "--source", fix / "prior.json", "--target", target, "--out-dir", out
+        ) == 0
+        rows = read_csv(out / "calibration_map.csv")[1:]
+        matrix = np.array([[float(x) for x in row[1:]] for row in rows])
+        source = ingest.parse_race_margin(fix / "prior.json")
+        v = ingest.parse_race_margin(target)
+        np.testing.assert_allclose(matrix @ source, v / v.sum(), atol=1e-9)
+        assert read_json(out / "manifest.json")["info"]["feasibility"] <= calibmap.FEAS_TOL
 
     def test_evaluate_applies_calibration_map(self, tmp_path):
         fix = synth_fixture(tmp_path, seed=13)
@@ -838,6 +862,18 @@ class TestFailedRunWritesNothing:
 
 
 class TestAdjustment:
+    def test_prior_off_by_5e_7_predicts(self, tmp_path):
+        # the prior is read by the race-margin file rule and checked by the same rule
+        fix = synth_fixture(tmp_path, seed=19, dependence=0.4)
+        prior = prior_off_by(fix / "prior.json", 5e-7, tmp_path / "prior_off.json")
+        out = tmp_path / "pred"
+        assert run_cli(
+            "predict", "--surname-factors", fix / "surname_factors.csv",
+            "--geo-factors", fix / "geo_factors.csv", "--prior", prior,
+            "--table", fix / "table.csv", "--out-dir", out,
+        ) == 0
+        assert len(read_csv(out / "predictions.csv")) > 1
+
     def test_adjust_cps_changes_predictions(self, tmp_path):
         fix = synth_fixture(tmp_path, seed=19, dependence=0.4)
         plain = predict_dir(tmp_path, fix, name="plain")
@@ -915,7 +951,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("option, value, message", [
         ("--total", "nan", "total_population must be finite"),
         ("--total", "inf", "total_population must be finite"),
-        ("--race-mix", "nan,0.2,0.2,0.2,0.2,0.2", "race_mix shares must be finite"),
+        ("--race-mix", "nan,0.2,0.2,0.2,0.2,0.2", "non-finite race_mix"),
     ])
     def test_non_finite_synth_setting_exits_2(self, tmp_path, capsys, option, value, message):
         err = exits_2_with_json_error(

@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import json
 import math
 import re
 import tempfile
@@ -18,6 +19,7 @@ import raketab
 from raketab import RACE_NAMES, ContingencyTable, RaceCategory, SynthConfig, generate, ingest
 from raketab import MarginSet, fit_factors, rake, weighted_counts
 from raketab import calibration_curve, cellwise_report, cli, subpop_report
+from raketab import CalibrationSolveError, solve_calibration_map, voter_adjustment
 from raketab.table import N_RACES, index_cells
 from raketab.ingest import (
     CANONICAL_MAPPING,
@@ -45,7 +47,7 @@ from raketab.ingest import (
     _largest_remainder,
 )
 
-from conftest import race6
+from conftest import one_cell_factors, race6
 
 
 def write_lines(path, lines):
@@ -550,7 +552,7 @@ class TestSubsample:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_target_rejected(self, bad):
         records = make_records([5, 5])
-        with pytest.raises(ValueError, match="target must be a probability 6-vector"):
+        with pytest.raises(ValueError, match="^non-finite target$"):
             subsample_to_margin(records, race6(0.5, 0.5, bad), seed=0)
 
     def test_unlabeled_record_rejected(self):
@@ -579,6 +581,54 @@ class TestSubsample:
         quotas = _largest_remainder(n * target)
         assert quotas.sum() == n
         assert np.all(quotas <= counts + 1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6).filter(lambda w: sum(w) > 0),
+    at=st.integers(0, 5),
+    off=st.floats(-1e-5, 1e-5),
+    kind=st.sampled_from(["as drawn", "rounded to 7 decimals", "nan", "inf", "-inf", "negative"]),
+)
+def test_every_distribution_entry_point_accepts_what_the_file_reader_accepts(weights, at, off, kind):
+    # shares of at least 1e-4 before the sum is moved by off, so that no
+    # solve is refused for a tiny share; a vector the reader accepts must
+    # be accepted everywhere else, and one it rejects rejected everywhere
+    w = np.array(weights)
+    vec = 1e-4 + (1 - 6e-4) * w / w.sum()
+    vec[at] += off
+    if kind == "rounded to 7 decimals":
+        vec = np.round(vec, 7)
+    elif kind == "negative":
+        vec[at] = -vec[at]
+    elif kind != "as drawn":
+        vec[at] = float(kind)
+    uniform = np.full(N_RACES, 1 / N_RACES)
+    entry_points = {
+        "BisgFactors race_prior": lambda: one_cell_factors(race6(1), race6(1), vec),
+        "voter_adjustment cps": lambda: voter_adjustment(vec, uniform),
+        "voter_adjustment census prior": lambda: voter_adjustment(uniform, vec),
+        "SynthConfig race_mix": lambda: SynthConfig(
+            n_s=2, n_g=2, race_mix=vec, dependence=0.5, total_population=10, seed=0),
+        "subsample_to_margin": lambda: subsample_to_margin(make_records([3] * N_RACES), vec, seed=0),
+        "calibration source": lambda: solve_calibration_map(vec, uniform),
+        "calibration target": lambda: solve_calibration_map(uniform, vec),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "margin.json"
+        path.write_text(json.dumps({"race_distribution": dict(zip(RACE_NAMES, vec.tolist()))}))
+        try:
+            np.testing.assert_array_equal(parse_race_margin(path), vec)
+            read = True
+        except ParseError:
+            read = False
+    for name, call in entry_points.items():
+        try:
+            call()
+            accepted = True
+        except (ValueError, CalibrationSolveError):
+            accepted = False
+        assert accepted == read, (name, vec.tolist())
 
 
 class TestRoundTrips:

@@ -12,7 +12,7 @@ from raketab import (
     build_table,
 )
 from raketab.ingest import parse_predictions, write_predictions
-from raketab.table import compact_labels, index_cells, row_sums
+from raketab.table import compact_labels, index_cells, probability_vector, row_sums
 
 from conftest import race6
 
@@ -275,8 +275,44 @@ def test_index_cells_and_locate_match_dict_reference(pairs, queries):
         np.testing.assert_array_equal(table.cell(*key), expected)
 
 
+class TestProbabilityVector:
+    def test_accepts_shares_within_1e_6_of_one(self):
+        for vec in (race6(1), race6(0.5, 0.5 + 5e-7), race6(0.5, 0.5 - 9.9e-7)):
+            out = probability_vector(vec, "prior")
+            assert out.dtype == np.float64
+            np.testing.assert_array_equal(out, vec)
+        np.testing.assert_array_equal(probability_vector([0.25, 0.75], "p", length=None), [0.25, 0.75])
+
+    @pytest.mark.parametrize("vec, message", [
+        (race6(0.5, 0.4), "prior sums to 0.9"),
+        (race6(0.5, 0.5, 2e-6), "prior sums to 1.000002"),
+        (race6(), "prior sums to 0.0"),
+        (race6(1e308, 1e308), "prior sums to inf"),
+        (race6(np.nan, 1), "non-finite prior"),
+        (race6(-np.inf, 1), "non-finite prior"),
+        (race6(-0.5, 1.5), "negative prior"),
+        (np.ones(5) / 5, "prior must hold 6 shares, got shape (5,)"),
+        (0.5, "prior must hold 6 shares, got shape ()"),
+    ])
+    def test_message_names_what_and_prints_plain_floats(self, vec, message):
+        # an overflowing sum is rejected without a RuntimeWarning
+        with pytest.raises(ValueError) as exc:
+            probability_vector(vec, "prior")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("vec", [[1.0], [[0.5, 0.5]], 1.0])
+    def test_any_length_still_needs_two_shares_in_one_dimension(self, vec):
+        with pytest.raises(ValueError, match="p must hold two or more shares"):
+            probability_vector(vec, "p", length=None)
+
+
 class TestConstructor:
     LABELS = AxisLabels(["a", "b"], ["x", "y"])
+
+    def test_repr_of_a_total_past_the_float_range(self):
+        # under the suite's error::RuntimeWarning filter an overflow warning would raise
+        table = ContingencyTable(self.LABELS, [[0, 1], [1, 0]], [race6(1e308), race6(1e308)])
+        assert repr(table) == "ContingencyTable(n_s=2, n_g=2, cells=2, total=inf)"
 
     def test_arrays_aligned_to_index(self):
         table = ContingencyTable(self.LABELS, [[0, 1], [1, 0]], [race6(1), race6(0, 2)])
