@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--race-mix",
         default=",".join([f"{1 / N_RACES:.17g}"] * N_RACES),
-        help="six comma-separated shares summing to 1",
+        help="six comma-separated shares summing to 1 within 1e-6, divided by their sum",
     )
     p.add_argument("--multinomial", action="store_true", help="draw integer counts")
     add_out(p)

@@ -49,11 +49,10 @@ theirs in file order once read. A surname that uppercasing takes over csv's
 limit is an input error too, so that every label written to a factor file
 can be read back.
 
-A table or predictions CSV that one command writes for another gets a binary
-twin (`twin_path`), an .npz of its labels as UTF-8 bytes with int64 offsets,
-index, float64 rows and BLAKE2b digest, where parsing the CSV gives back the
-writer's arrays (`twinnable`). A reader trusts a twin that records the CSV's
-digest (`open_twin`) and runs on it every check that follows a parse of text.
+A table or predictions CSV that one command writes for another gets a binary twin
+(`twin_path`, where every cell total is finite: `twinnable`), an .npz of its cells'
+labels as UTF-8 bytes with int64 offsets, index, float64 rows and BLAKE2b digest. A
+twin that records the CSV's digest (`open_twin`) reads exactly as the CSV reads.
 """
 
 from __future__ import annotations
@@ -103,6 +102,8 @@ _OPENED = rf'(?:(?:"{_QUOTED}"[^,]*+|[^",][^,]*+)?,)*+"{_QUOTED}'  # whole field
 _ENDS_QUOTED = (re.compile(rf'{_OPENED}\Z'), re.compile(rf'{_QUOTED}(?:"[^,]*+,{_OPENED})?\Z'))
 # np.loadtxt reading a block as csv splits it
 _LOADTXT = dict(delimiter=",", quotechar='"', comments=None)
+# the label rules of every reader: a surname is stripped, then uppercased; a geoid (or region) stripped
+clean_surname, clean_geoid = (lambda text: text.strip().upper()), str.strip
 
 # a row whose probabilities sum inside this window is renormalized;
 # anything further off is rejected
@@ -319,15 +320,14 @@ def _raise_repeat(path, keys, what):
 
 
 def _label_cells(path, raw, codes):
-    """(labels, cells) of the (surname, geoid) `raw` and `codes` of
-    `_read_rows`: each distinct surname uppercased and stripped and geoid
-    stripped once, and `codes` overwritten by the positions in the labels.
-    No rows, or a surname that uppercasing takes past csv's limit, is a ParseError."""
+    """(labels, cells) of the (surname, geoid) `raw` and `codes` of `_read_rows` or `_twin_rows`:
+    each distinct label cleaned once by its rule, `codes` overwritten by positions in the labels.
+    No rows, or a label past csv's limit as read (csv refuses it in a text) or cleaned, is a ParseError."""
     if not len(codes):
         raise ParseError(f"{path}: no data rows")
-    clean = [[s.strip().upper() for s in raw[0]], [g.strip() for g in raw[1]]]
-    limit = csv.field_size_limit()
-    _raise_first(path, codes, clean[:1], lambda n: n > limit, f"field larger than field limit ({limit})")
+    clean, limit = [list(map(clean_surname, raw[0])), list(map(clean_geoid, raw[1]))], csv.field_size_limit()
+    for texts in (raw, clean[:1]):
+        _raise_first(path, codes, texts, lambda n: n > limit, f"field larger than field limit ({limit})")
     labels = AxisLabels(sorted(set(clean[0])), sorted(set(clean[1])))
     for j, axis in enumerate("sg"):
         codes[:, j] = labels.positions(axis, clean[j])[codes[:, j]]
@@ -381,9 +381,9 @@ def open_twin(path, blake2b):
 
 
 def _member(zf, name, dtype, width=None):
-    """Member `name`.npy of twin `zf`, a C-ordered array of `dtype`, 1-D or of
-    `width` columns, read by numpy a block at a time once its header is checked:
-    another header, or one whose data the member and file do not hold, raises."""
+    """Member `name`.npy of twin `zf`, a C-ordered array of `dtype`, 1-D or of `width`
+    columns, read into one array a 256 KiB block at a time once its header is checked:
+    another header, one whose data the member and file do not hold, or a short read raises."""
     columns, size = () if width is None else (width,), zf.getinfo(f"{name}.npy").file_size
     with zf.open(f"{name}.npy") as fh:
         read = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
@@ -391,8 +391,10 @@ def _member(zf, name, dtype, width=None):
         if (got, fortran, len(shape), shape[1:]) != (np.dtype(dtype), False, 1 + len(columns), columns) or not (
                 math.prod(shape) * got.itemsize == size - fh.tell() <= os.path.getsize(zf.filename)):
             raise ValueError(f"{name}: {got} array of shape {shape} in {size} bytes")
-    with zf.open(f"{name}.npy") as fh:
-        return np.lib.format.read_array(fh, allow_pickle=False)
+        data = (array := np.empty(shape, got)).reshape(-1).view(np.uint8)
+        if sum(fh.readinto(data[lo:lo + 2**18]) for lo in range(0, len(data), 2**18)) < len(data):
+            raise ValueError(f"{name}: fewer bytes than its header says")
+    return array
 
 
 def _twin_rows(zf, k):
@@ -490,7 +492,7 @@ def parse_surname_factors(path):
     """
     lo, hi = PROB_SUM_WINDOW
     return _parse_factors(
-        path, SURNAME_FACTORS_HEADER, "surname", lambda label: label.strip().upper(),
+        path, SURNAME_FACTORS_HEADER, "surname", clean_surname,
         lambda s: (lo <= s) & (s <= hi), lambda _, s: f"probabilities sum to {s:.6g}",
     )
 
@@ -504,7 +506,7 @@ def parse_geo_factors(path):
     than 10% rejected rows is a hard error, as is a duplicate geoid.
     """
     return _parse_factors(
-        path, GEO_FACTORS_HEADER, "geolocation", str.strip,
+        path, GEO_FACTORS_HEADER, "geolocation", clean_geoid,
         lambda s: s > 0, lambda geoid, _: f"zero-total row for geoid {geoid}",
     )
 
@@ -636,10 +638,7 @@ def _largest_remainder(quotas_float):
     """Round nonnegative quotas to integers preserving their (integer) sum."""
     base = np.floor(quotas_float)
     remainder = int(round(quotas_float.sum() - base.sum()))
-    frac = quotas_float - base
-    order = sorted(range(len(frac)), key=lambda i: (-frac[i], i))
-    for i in order[:remainder]:
-        base[i] += 1
+    base[np.argsort(base - quotas_float, kind="stable")[:remainder]] += 1  # largest first, ties in order
     return base.astype(np.int64)
 
 
@@ -708,10 +707,10 @@ def parse_race_margin(path) -> np.ndarray:
 
 
 def parse_region_map(path) -> dict:
-    """Read geoid -> region, in file order. Both fields are stripped; a
-    geoid repeated after stripping is a ParseError naming its line."""
+    """Read geoid -> region, in file order. Both fields are cleaned by the geoid
+    rule; a geoid repeated once cleaned is a ParseError naming its line."""
     raw, codes, _ = _read_rows(path, REGION_MAP_HEADER, 2)
-    geoids, regions = (np.array([text.strip() for text in texts], dtype=object) for texts in raw)
+    geoids, regions = (np.array(list(map(clean_geoid, texts)), dtype=object) for texts in raw)
     keys = np.unique(geoids, return_inverse=True)[1][codes[:, 0]]
     _raise_repeat(path, keys, lambda i: f"duplicate geoid {geoids[codes[i, 0]]!r}")
     return dict(zip(geoids[codes[:, 0]].tolist(), regions[codes[:, 1]].tolist()))
@@ -849,23 +848,17 @@ def write_voter_file(path, voters):
 
 
 def twinnable(table: ContingencyTable):
-    """Whether parsing the CSV of `table`'s cells gives back its own arrays, so that a
-    twin may stand in for it: some cells, no value that a cell total could take past
-    the float range, and labels sorted, each in a cell, within csv's limit and clean."""
-    s, g = table.labels.surnames, table.labels.geolocations
-    return bool(table.n_cells and table.cell_values.max() <= np.finfo(float).max / N_RACES
-                and compact_labels(table.labels, table.cell_index)[0] is table.labels
-                and list(s) == sorted(s) == [x.strip().upper() for x in s]
-                and list(g) == sorted(g) == [x.strip() for x in g]
-                and max(map(len, s + g)) <= csv.field_size_limit())
+    """Whether a twin may stand in for the CSV of `table`'s cells: some cells, each total finite."""
+    return bool(table.n_cells and table.cell_values.max() <= np.finfo(float).max / N_RACES)
 
 
 def _write_cells(path, header, table, values, blake2b):
     """`_write_csv` of `table`'s cells and `values(rows)`; with `blake2b`, the
-    digest of that CSV, its twin instead, the values a block at a time and each
-    member dated as ZipInfo dates it, 1980-01-01, so that equal CSVs give equal twins."""
+    digest of that CSV, its twin instead: its cells' labels, the values a block at a time,
+    each member dated as ZipInfo dates it, 1980-01-01, so equal CSVs give equal twins."""
     if blake2b is None:
         return _write_csv(path, header, [_cells(table, values)])
+    labels, index = compact_labels(table.labels, table.cell_index)
     npy = dict(descr=np.dtype(float).str, fortran_order=False, shape=(table.n_cells, len(header) - 2))
     with zipfile.ZipFile(path, "w") as zf:
         def member(name, array=None):
@@ -875,11 +868,11 @@ def _write_cells(path, header, table, values, blake2b):
                 np.lib.format.write_array_header_1_0(fh, npy)  # the values' header, then their blocks
                 for lo in range(0, table.n_cells, _CSV_BLOCK):
                     fh.write(values(slice(lo, lo + _CSV_BLOCK)).tobytes())
-        for axis, labels in (("surnames", table.labels.surnames), ("geoids", table.labels.geolocations)):
-            data = [label.encode() for label in labels]
+        for axis, texts in (("surnames", labels.surnames), ("geoids", labels.geolocations)):
+            data = [label.encode() for label in texts]
             member(axis, np.frombuffer(b"".join(data), np.uint8))
             member(f"{axis}_offsets", np.cumsum([0, *map(len, data)], dtype=np.int64))
-        member("index", table.cell_index)
+        member("index", index)
         member("values")
         member("blake2b", np.frombuffer(bytes.fromhex(blake2b), np.uint8))
 

@@ -86,6 +86,20 @@ class TestGenerate:
         )
         assert generate(config).total() == pytest.approx(777.0, rel=1e-9)
 
+    def test_a_mix_off_by_rounding_is_divided_by_its_sum(self):
+        """Shares summing to 1 + 5e-7, as shares rounded to 7 decimals may, are
+        divided by their sum, so expected counts still total the population;
+        the CLI's default sixths (summing to 1 - 1.1e-16) are used as given."""
+        mix = np.array(MIX4)
+        mix[4] += 5e-7
+        config = SynthConfig(n_s=5, n_g=4, race_mix=mix, dependence=0.0, total_population=1e6, seed=3)
+        assert config.race_mix.tolist() == (mix / mix.sum()).tolist()
+        assert generate(config).total() == pytest.approx(1e6, rel=1e-12)
+        sixths = np.array([float(f"{1 / 6:.17g}")] * 6)
+        assert sixths.sum() != 1.0
+        same = SynthConfig(n_s=5, n_g=4, race_mix=sixths, dependence=0.0, total_population=1e6, seed=3)
+        assert same.race_mix.tobytes() == sixths.tobytes()
+
     def test_multinomial_mode_draws_integers(self):
         config = SynthConfig(
             n_s=10, n_g=4, race_mix=MIX4, dependence=0.3,

@@ -1,11 +1,12 @@
 """The binary twin of a table or predictions CSV (`ingest.twin_path`).
 
-A twin is written only where parsing the CSV back gives the writer's own
-arrays, is trusted only when it records the CSV's digest, and read through
-it a file gives the arrays the text gives, byte for byte. Malformed
-trusted twins are fuzzed in test_fuzz.py.
+A twin is written wherever every cell total is finite, whatever the labels,
+is trusted only when it records the CSV's digest, and read through it a file
+gives what the text gives: the arrays byte for byte, or the same ParseError.
+Malformed trusted twins are fuzzed in test_fuzz.py.
 """
 
+import csv
 import hashlib
 import json
 import tracemalloc
@@ -67,7 +68,7 @@ VALUE = st.one_of(
 def tables(draw):
     """A table on labels that are drawn raw, or sorted and cleaned as the
     reader cleans them, on a subset of the cells that may leave a label in
-    no cell or hold one for each (so that many examples can have a twin)."""
+    no cell or hold one for each."""
     surnames = draw(st.lists(LABEL, min_size=1, max_size=5, unique=True))
     geoids = draw(st.lists(LABEL, min_size=1, max_size=4, unique=True))
     if draw(st.booleans()):
@@ -86,37 +87,75 @@ def tables(draw):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=tables(), kind=st.sampled_from(sorted(WRITERS)))
 def test_a_twin_reads_as_its_csv(tmp_path, table, kind):
-    """Whenever a twin is written, reading through it gives labels, index,
+    """A twin is written whenever no value is past a sixth of the float
+    range, whatever the labels, and reading through it gives labels, index,
     counts and conditionals byte-equal to reading the CSV, or the same
-    ParseError; and a twin is written whenever the labels are sorted,
-    clean and used and no value is past a sixth of the float range."""
+    ParseError."""
     path = tmp_path / f"{kind}.csv"
     twin_of(path).unlink(missing_ok=True)
-    s, g = table.labels.surnames, table.labels.geolocations
-    clean = (list(s) == sorted(s) and list(g) == sorted(g)
-             and all(x == x.strip().upper() for x in s) and all(x == x.strip() for x in g)
-             and ingest.compact_labels(table.labels, table.cell_index)[0] is table.labels)
     with np.errstate(over="ignore", invalid="ignore"):  # cell sums past the float range
         written = write_with_twin(path, table, kind)
-    assert written == (clean and table.cell_values.max() <= np.finfo(float).max / 6)
+    assert written == (table.cell_values.max() <= np.finfo(float).max / 6)
     parse = WRITERS[kind][1]
     text = read(parse, path)
     if written:
         with open_twin(path, blake2b(path)) as twin:
             assert read(parse, path, twin) == text
-        if not isinstance(text, str) and kind == "table":  # the writer's own arrays
-            assert text[1][1][2] == table.cell_values.tobytes()
+    s, g = table.labels.surnames, table.labels.geolocations
+    clean = (list(s) == sorted(s) and list(g) == sorted(g)
+             and all(x == x.strip().upper() for x in s) and all(x == x.strip() for x in g)
+             and ingest.compact_labels(table.labels, table.cell_index)[0] is table.labels)
+    if clean and not isinstance(text, str) and kind == "table":  # the writer's own arrays
+        assert text[1][1][2] == table.cell_values.tobytes()
 
 
-def test_labels_that_parse_otherwise_get_no_twin():
-    index, values = [[0, 0], [1, 0]], np.ones((2, 6))
-    for surnames, geoids in ((["B", "A"], ["g"]), (["a", "B"], ["g"]), (["A", " B"], ["g"]),
-                             (["A", "B"], [" g"]), (["ß", "X"], ["g"])):
-        assert not twinnable(ContingencyTable(AxisLabels(surnames, geoids), index, values))
-    # a label in no cell, and a value that a cell total could take past the float range
-    assert not twinnable(ContingencyTable(AxisLabels(["A", "B"], ["g", "h"]), index, values))
-    assert not twinnable(ContingencyTable(AxisLabels(["A", "B"], ["g"]), index, np.full((2, 6), 1e308)))
-    assert twinnable(ContingencyTable(AxisLabels(["A", "B"], ["g"]), index, values))
+@pytest.mark.parametrize("surnames, geoids", [
+    (["B", "A"], ["g"]), (["a", "B"], ["g"]), (["A", " B"], ["g"]), (["A", "B"], [" g"]),
+    (["ß", "X"], ["g"]), (["A", "B"], ["g", "h"]),
+    (["a", "A"], ["g"]),  # both readers refuse the cell these repeat once uppercased
+], ids=["unsorted", "lowercase", "padded surname", "padded geoid", "sharp s", "unused geoid", "repeat once cleaned"])
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_labels_the_reader_cleans_get_a_twin(tmp_path, surnames, geoids, kind):
+    """Unsorted, lowercase, padded, `ß` and unused labels: the twin holds the
+    labels its cells use, as written, and reads as the CSV reads."""
+    table = ContingencyTable(AxisLabels(surnames, geoids), [[0, 0], [1, 0]], np.ones((2, 6)))
+    assert twinnable(table)
+    path = tmp_path / f"{kind}.csv"
+    assert write_with_twin(path, table, kind)
+    with np.load(twin_of(path)) as twin:
+        assert twin["geoids"].tobytes() == geoids[0].encode()  # the only geoid in a cell
+    parse = WRITERS[kind][1]
+    with open_twin(path, blake2b(path)) as twin:
+        assert read(parse, path, twin) == read(parse, path)
+
+
+def test_only_empty_tables_and_values_near_the_float_range_get_no_twin():
+    labels, index = AxisLabels(["A", "B"], ["g"]), [[0, 0], [1, 0]]
+    assert not twinnable(ContingencyTable(labels, index, np.full((2, 6), 1e308)))
+    assert not twinnable(ContingencyTable(labels, np.empty((0, 2), np.int64), np.empty((0, 6))))
+    assert twinnable(ContingencyTable(labels, index, np.full((2, 6), np.finfo(float).max / 6)))
+
+
+LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize("surnames, geoids", [
+    (["A", "B"], ["g", "x" * (LIMIT + 1)]),
+    (["A", " " + "X" * LIMIT], ["g", "h"]),  # within the limit once stripped
+    (["A", "ß" * (LIMIT // 2 + 1)], ["g", "h"]),
+], ids=["geoid as written", "surname as written", "surname once uppercased"])
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_a_label_past_the_field_limit_reads_from_its_twin_as_from_its_csv(tmp_path, surnames, geoids, kind):
+    """A label past csv's field-size limit in the second row: through the
+    twin, the CSV's own ParseError, text and line."""
+    table = ContingencyTable(AxisLabels(surnames, geoids), [[0, 0], [1, 1]], np.ones((2, 6)))
+    path = tmp_path / f"{kind}.csv"
+    assert write_with_twin(path, table, kind)
+    parse = WRITERS[kind][1]
+    expected = f"{path}:3: field larger than field limit ({LIMIT})"
+    assert read(parse, path) == expected
+    with open_twin(path, blake2b(path)) as twin:
+        assert read(parse, path, twin) == expected
 
 
 def synth(out, seed=4):
