@@ -205,25 +205,30 @@ def _raketab_modules():
 # shared input loading -----------------------------------------------------
 
 
-def _load_truth(args, run) -> ContingencyTable:
+def _read_source(run, flag):
+    """The table CSV or voter file named by `flag`. Only a voter file takes --mapping: the
+    run's flags record the one applied, canonical unless given."""
+    if not flag.endswith("table"):
+        mapping = run.flags.setdefault("mapping", "canonical")
+        return run.read(flag, ingest.parse_voter_file, ingest.MAPPINGS[mapping])
+    if "mapping" in run.flags:
+        raise ValueError(f"--mapping applies only to a voter file, not to --{flag.replace('_', '-')}")
+    return run.read(flag, ingest.parse_table)
+
+
+def _load_truth(run) -> ContingencyTable:
+    """The labeled table: a table CSV, or a voter file's labeled records."""
     flag = next(f for f in ("table", "truth_table", "voters", "truth_voters") if f in run.flags)
-    if flag.endswith("table"):
-        return run.read(flag, ingest.parse_table)
-    voters = run.read(flag, ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
-    table, _ = ingest.aggregate_voters(voters, require_race=True)
-    if table is None:
-        raise ValueError("no labeled records in voter file")
-    return table
+    source = _read_source(run, flag)
+    return source if flag.endswith("table") else ingest.aggregate_voters(source)
 
 
-def _load_occupancy(args, run):
-    """Cell totals to predict for: from a table CSV or a voter file."""
-    if "table" in run.flags:
-        table = run.read("table", ingest.parse_table)
-        return MarginSet(None, table.labels, table.cell_index, table.cell_sums)
-    voters = run.read("voters", ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
-    _, occupancy = ingest.aggregate_voters(voters, require_race=False)
-    return occupancy
+def _load_occupancy(run) -> MarginSet:
+    """Cell totals to predict for: a table CSV's, or those of every record of a voter file."""
+    if "voters" in run.flags:
+        return ingest.occupancy(_read_source(run, "voters"))
+    table = _read_source(run, "table")
+    return MarginSet(None, table.labels, table.cell_index, table.cell_sums)
 
 
 def _load_factors(args, run):
@@ -261,7 +266,7 @@ def _write_factors(run, factors):
 
 def cmd_fit_factors(args):
     run = _Run("fit-factors", args, args.out_dir)
-    table = _load_truth(args, run)
+    table = _load_truth(run)
     factors = raketab.fit_factors(table)
     _write_factors(run, factors)
     run.info["cells_in"] = table.n_cells
@@ -273,7 +278,7 @@ def cmd_fit_factors(args):
 def cmd_predict(args):
     run = _Run("predict", args, args.out_dir)
     factors, factor_rejects = _load_factors(args, run)
-    occupancy = _load_occupancy(args, run)
+    occupancy = _load_occupancy(run)
     adjustment = None
     if args.adjust_cps:
         cps = run.read("adjust_cps", ingest.parse_race_margin)
@@ -349,10 +354,9 @@ def cmd_calib_map(args):
 
 def cmd_subsample(args):
     run = _Run("subsample", args, args.out_dir)
-    voters = run.read("voters", ingest.parse_voter_file, ingest.MAPPINGS[args.mapping])
+    voters = _read_source(run, "voters")
     target = run.read("target", ingest.parse_race_margin)
-    # the test-set convention: drop inactive and unanswered records first
-    labeled = voters.take(voters.active & (voters.race >= 0))
+    labeled = voters.labeled()
     sample = ingest.subsample_to_margin(labeled, target, seed=args.seed)
     run.write("subsampled.csv", ingest.write_voter_file, sample)
     run.info["records_in"] = len(voters.race)
@@ -364,7 +368,7 @@ def cmd_subsample(args):
 
 def cmd_evaluate(args):
     run = _Run("evaluate", args, args.out_dir)
-    truth = _load_truth(args, run)
+    truth = _load_truth(run)
     labels, index, counts, conds = run.read("preds", ingest.parse_predictions)
     run.info["cells_in"] = {"truth": truth.n_cells, "preds": len(index)}
 
@@ -459,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--voters", help="labeled voter file CSV")
     src.add_argument("--table", help="labeled table CSV")
-    p.add_argument("--mapping", default="canonical", choices=sorted(ingest.MAPPINGS))
+    p.add_argument("--mapping", choices=sorted(ingest.MAPPINGS), help="voter file race mapping")
     add_out(p)
     p.set_defaults(func=cmd_fit_factors)
 
@@ -470,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--voters", help="voter file CSV to predict for")
     src.add_argument("--table", help="labeled table CSV to predict for")
-    p.add_argument("--mapping", default="canonical", choices=sorted(ingest.MAPPINGS))
+    p.add_argument("--mapping", choices=sorted(ingest.MAPPINGS), help="voter file race mapping")
     p.add_argument("--method", default="bisg", choices=["bisg", "geo-only", "surname-only"])
     p.add_argument("--adjust-cps", help="voter race distribution JSON for registered-voter adjustment")
     add_out(p)
@@ -492,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subsample", help="subsample a voter file to a race distribution")
     p.add_argument("--voters", required=True)
-    p.add_argument("--mapping", default="canonical", choices=sorted(ingest.MAPPINGS))
+    p.add_argument("--mapping", choices=sorted(ingest.MAPPINGS), help="voter file race mapping")
     p.add_argument("--target", required=True, help="target race distribution JSON")
     p.add_argument("--seed", type=int, required=True)
     add_out(p)
@@ -502,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--truth-voters", help="labeled voter file CSV")
     src.add_argument("--truth-table", help="labeled table CSV")
-    p.add_argument("--mapping", default="canonical", choices=sorted(ingest.MAPPINGS))
+    p.add_argument("--mapping", choices=sorted(ingest.MAPPINGS), help="voter file race mapping")
     p.add_argument("--preds", required=True, help="predictions CSV")
     p.add_argument("--region-map", help="geoid,region CSV for region aggregates")
     p.add_argument("--calib-map", help="calibration matrix CSV applied to each conditional")

@@ -74,7 +74,7 @@ from typing import Mapping, NamedTuple, Optional
 import numpy as np
 
 from .table import N_RACES, RACE_NAMES, AxisLabels, ContingencyTable, MarginSet, RaceCategory
-from .table import compact_labels, probability_vector, row_sums, sorted_index
+from .table import compact_labels, probability_vector, row_sums, sorted_index, unit_sum
 
 SURNAME_FACTORS_HEADER = [
     "surname", "count",
@@ -524,6 +524,10 @@ class Voters(NamedTuple):
         """The records at `rows` (a mask or positions), in that order."""
         return Voters(self.labels, *(column[rows] for column in self[1:]))
 
+    def labeled(self):
+        """The labeled records, in file order: active, with an answered race."""
+        return self.take(self.active & (self.race >= 0))
+
 
 def _active_flag(text):
     flag = text.strip().lower()
@@ -548,10 +552,9 @@ def _map_distinct(path, texts, codes, convert):
 def parse_voter_file(path, mapping: CategoryMapping) -> Voters:
     """Read a voter file as columns, applying a source-specific race mapping.
 
-    Inactive records and records with an unanswered race are kept but
-    flagged; excluding them is a separate, explicit step (see
-    `aggregate_voters`). Each distinct surname, geoid, race and active
-    string is read once. Besides the errors of `_read_rows` and
+    Every record is kept: `occupancy` counts them all, and `Voters.labeled`
+    picks those `aggregate_voters` and a subsample use. Each distinct
+    surname, geoid, race and active string is read once. Besides the errors of `_read_rows` and
     `_label_cells`, an empty surname or geoid, a repeated voter id, a bad
     active flag and a race outside `mapping` (a KeyError) are errors naming
     the file and line.
@@ -572,35 +575,23 @@ def parse_voter_file(path, mapping: CategoryMapping) -> Voters:
     return Voters(labels, cells, np.array(raw[0], dtype=object)[codes[:, 0]], race, active)
 
 
-def aggregate_voters(voters: Voters, require_race: bool):
-    """Accumulate voter records into a labeled table and cell totals.
-
-    With `require_race`, inactive records and records with an unanswered
-    race are excluded first, and every remaining record adds one unit to
-    its (surname, geolocation, race) cell. Without it, all records count
-    toward the (surname, geolocation) occupancy totals and only labeled
-    ones contribute race mass.
-
-    Returns
-    -------
-    (ContingencyTable or None, MarginSet)
-        The labeled table (None when nothing is labeled) and the
-        occupancy count of each (surname, geolocation) cell, with no race part.
-    """
-    if require_race:
-        voters = voters.take(voters.active & (voters.race >= 0))
+def aggregate_voters(voters: Voters) -> ContingencyTable:
+    """The labeled table of a voter file: each labeled record (`Voters.labeled`)
+    adds one unit to its (surname, geolocation, race) cell, and only their
+    labels are kept. A file with no labeled record is a ValueError."""
+    voters = voters.labeled()
     if not len(voters.race):
-        raise ValueError("no records to aggregate")
+        raise ValueError("no labeled records in voter file")
     index, rows = sorted_index(voters.cells, voters.labels.n_g)
-    labels, index = compact_labels(voters.labels, index)  # labels of excluded records go
-    occupancy = MarginSet(None, labels, index, np.bincount(rows, minlength=len(index)))
-    labeled = voters.race >= 0
-    if not labeled.any():
-        return None, occupancy
-    codes = rows[labeled] * N_RACES + voters.race[labeled]
-    values = np.bincount(codes, minlength=len(index) * N_RACES).reshape(-1, N_RACES)
-    keep = row_sums(values) > 0
-    return ContingencyTable(*compact_labels(labels, index[keep]), values[keep]), occupancy
+    values = np.bincount(rows * N_RACES + voters.race, minlength=len(index) * N_RACES)
+    return ContingencyTable(*compact_labels(voters.labels, index), values.reshape(-1, N_RACES))
+
+
+def occupancy(voters: Voters) -> MarginSet:
+    """The number of records, labeled or not, in each (surname, geolocation)
+    cell of a voter file: the cell totals to predict for, with no race part."""
+    index, rows = sorted_index(voters.cells, voters.labels.n_g)
+    return MarginSet(None, *compact_labels(voters.labels, index), np.bincount(rows, minlength=len(index)))
 
 
 def subsample_to_margin(voters: Voters, target, seed: int) -> Voters:
@@ -608,11 +599,11 @@ def subsample_to_margin(voters: Voters, target, seed: int) -> Voters:
 
     The sample size is the largest N such that every race with a positive
     target share has enough records for its quota; per-race quotas come
-    from largest-remainder rounding of N * target, and records are drawn
-    without replacement with a seeded generator from each race's records
-    in file order. The sample is shuffled. Deterministic for a fixed seed.
+    from largest-remainder rounding of N * `unit_sum`(target), so they add
+    up to N. Records are drawn without replacement with a seeded generator
+    from each race's records in file order, and the sample is shuffled.
     """
-    target = probability_vector(target, "target")
+    target = unit_sum(probability_vector(target, "target"))
     if np.any(voters.race < 0):
         raise ValueError(f"record {voters.voter_id[np.argmax(voters.race < 0)]!r} has no race label")
     by_race = [np.flatnonzero(voters.race == r) for r in range(N_RACES)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import AxisLabels, N_RACES, ContingencyTable, probability_vector
+from .table import AxisLabels, N_RACES, ContingencyTable, probability_vector, unit_sum
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,8 @@ class SynthConfig:
     multinomial: bool = False
 
     def __post_init__(self):
-        mix = probability_vector(self.race_mix, "race_mix")
-        # shares summing to 1 only within the rule's 1e-6 are divided by their sum: counts total total_population
-        object.__setattr__(self, "race_mix", mix if abs(mix.sum() - 1.0) <= 1e-12 else mix / mix.sum())
+        # divided by their sum, so that the counts total total_population
+        object.__setattr__(self, "race_mix", unit_sum(probability_vector(self.race_mix, "race_mix")))
         if self.n_s < 2 or self.n_g < 2:
             raise ValueError("need at least 2 surnames and 2 geolocations")
         if not 0.0 <= self.dependence <= 1.0:

@@ -65,6 +65,11 @@ def probability_vector(values, what, length=N_RACES):
     return vec
 
 
+def unit_sum(shares):
+    """`probability_vector` shares, divided by their sum unless it is within 1e-12 of 1."""
+    return shares if abs(shares.sum() - 1.0) <= 1e-12 else shares / shares.sum()
+
+
 class AxisLabels:
     """Ordered surname and geolocation labels, unique within each axis."""
 

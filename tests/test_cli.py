@@ -465,6 +465,74 @@ class TestSubsampleCli:
         assert info["sample_size"] == 40
 
 
+class TestVoterPopulations:
+    """One cell holding one record of each kind. Fitting, evaluating and
+    subsampling read the labeled records (active, with an answered race);
+    predicting reads every record."""
+
+    RECORDS = "1,A,g,white,true\n2,A,g,white,false\n3,A,g,,true\n4,A,g,,false\n"
+
+    def voter_file(self, tmp_path, records=RECORDS):
+        voters = tmp_path / "v.csv"
+        voters.write_text("voter_id,surname,geoid,race,active\n" + records)
+        return voters
+
+    def test_each_command_reads_its_population(self, tmp_path):
+        voters, fit, pred = self.voter_file(tmp_path), tmp_path / "fit", tmp_path / "pred"
+        assert run_cli("fit-factors", "--voters", voters, "--out-dir", fit) == 0
+        # surname A's count and P(white | A) = 1
+        assert read_csv(fit / "surname_factors.csv")[1] == ["A", "1.0", *["0.0"] * 4, "1.0", "0.0"]
+        assert read_json(fit / "manifest.json")["info"]["cells_in"] == 1
+        assert run_cli(
+            "predict", "--surname-factors", fit / "surname_factors.csv",
+            "--geo-factors", fit / "geo_factors.csv", "--prior", fit / "prior.json",
+            "--voters", voters, "--out-dir", pred,
+        ) == 0
+        assert read_csv(pred / "predictions.csv")[1][:3] == ["A", "g", "4.0"]
+        ev = tmp_path / "ev"
+        assert run_cli(
+            "evaluate", "--truth-voters", voters, "--preds", pred / "predictions.csv", "--out-dir", ev,
+        ) == 0
+        white = next(row for row in read_csv(ev / "subpop.csv") if row[1] == "white")
+        assert white[2:4] == ["1.0", "1.0"]  # the truth and the estimate scaled to it
+        target = tmp_path / "t.json"
+        target.write_text(json.dumps({"race_distribution": dict.fromkeys(RACE_NAMES, 0) | {"white": 1}}))
+        sub = tmp_path / "sub"
+        assert run_cli("subsample", "--voters", voters, "--target", target, "--seed", 0, "--out-dir", sub) == 0
+        info = read_json(sub / "manifest.json")["info"]
+        assert (info["records_in"], info["records_labeled"], info["sample_size"]) == (4, 1, 1)
+        # a voter file is read with the canonical mapping unless --mapping names another
+        for out in (fit, pred, ev, sub):
+            assert read_json(out / "manifest.json")["flags"]["mapping"] == "canonical"
+
+    @pytest.mark.parametrize("command", ["fit-factors", "evaluate"])
+    def test_no_labeled_record_is_an_input_error(self, tmp_path, capsys, command):
+        voters = self.voter_file(tmp_path, "1,A,g,white,false\n2,A,g,,true\n")
+        args = (["fit-factors", "--voters", voters] if command == "fit-factors" else
+                ["evaluate", "--truth-voters", voters, "--preds", tmp_path / "p.csv"])
+        err = exits_2_with_json_error(capsys, *args, "--out-dir", tmp_path / "out")
+        assert (err["error"], err["message"]) == ("ValueError", "no labeled records in voter file")
+
+    def test_mapping_beside_a_table_is_an_input_error(self, tmp_path, capsys):
+        fix = synth_fixture(tmp_path)
+        preds = predict_dir(tmp_path, fix) / "predictions.csv"
+        runs = [
+            ("table", ["fit-factors", "--table", fix / "table.csv"]),
+            ("table", ["predict", "--surname-factors", fix / "surname_factors.csv",
+                       "--geo-factors", fix / "geo_factors.csv", "--prior", fix / "prior.json",
+                       "--table", fix / "table.csv"]),
+            ("truth-table", ["evaluate", "--truth-table", fix / "table.csv", "--preds", preds]),
+        ]
+        for flag, args in runs:
+            out = tmp_path / args[0]
+            err = exits_2_with_json_error(capsys, *args, "--mapping", "florida", "--out-dir", out)
+            assert err["message"] == f"--mapping applies only to a voter file, not to --{flag}"
+            assert not (out / "manifest.json").exists()
+            # without it the run takes no mapping and records none
+            assert run_cli(*args, "--out-dir", out) == 0
+            assert "mapping" not in read_json(out / "manifest.json")["flags"]
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
         outputs = {}

@@ -29,6 +29,7 @@ from raketab.ingest import (
     VoterRecord,
     Voters,
     aggregate_voters,
+    occupancy,
     parse_calibration_map,
     parse_geo_factors,
     parse_predictions,
@@ -469,21 +470,39 @@ class TestVoterFile:
 class TestAggregate:
     def test_three_identical_records(self):
         voters = voters_of([(str(i), "A", "g", RaceCategory.WHITE, True) for i in (1, 2, 3)])
-        table, occupancy = aggregate_voters(voters, require_race=True)
-        assert table.cell("A", "g")[RaceCategory.WHITE] == 3
-        assert occupancy.cell[("A", "g")] == 3
+        assert aggregate_voters(voters).cell("A", "g")[RaceCategory.WHITE] == 3
+        assert occupancy(voters).cell[("A", "g")] == 3
 
-    def test_require_race_filters(self):
+    def test_labeled_records_and_every_record(self):
+        # one record of each kind in one cell: only the active, answered one is labeled
         voters = voters_of([
             ("1", "A", "g", RaceCategory.WHITE, True),
             ("2", "A", "g", RaceCategory.WHITE, False),
             ("3", "A", "g", None, True),
+            ("4", "A", "g", None, False),
         ])
-        table, occupancy = aggregate_voters(voters, require_race=True)
-        assert occupancy.cell[("A", "g")] == 1
-        table2, occupancy2 = aggregate_voters(voters, require_race=False)
-        assert occupancy2.cell[("A", "g")] == 3
-        assert table2.cell("A", "g").sum() == 2  # the race-missing one has no race mass
+        assert voters.labeled().voter_id.tolist() == ["1"]
+        table = aggregate_voters(voters)
+        assert table.cell("A", "g").sum() == 1 and table.cell("A", "g")[RaceCategory.WHITE] == 1
+        assert occupancy(voters).cell[("A", "g")] == 4
+
+    def test_labels_are_those_of_each_population(self):
+        voters = voters_of([
+            ("1", "A", "g", RaceCategory.WHITE, True),
+            ("2", "B", "h", RaceCategory.WHITE, False),
+            ("3", "C", "g", None, True),
+        ])
+        table = aggregate_voters(voters)
+        assert (table.labels.surnames, table.labels.geolocations) == (("A",), ("g",))
+        totals = occupancy(voters)
+        assert (totals.labels.surnames, totals.labels.geolocations) == (("A", "B", "C"), ("g", "h"))
+        assert totals.cell == {("A", "g"): 1, ("B", "h"): 1, ("C", "g"): 1}
+
+    def test_no_labeled_record_is_an_error(self):
+        voters = voters_of([("1", "A", "g", RaceCategory.WHITE, False), ("2", "A", "g", None, True)])
+        with pytest.raises(ValueError, match="^no labeled records in voter file$"):
+            aggregate_voters(voters)
+        assert occupancy(voters).cell[("A", "g")] == 2
 
     def test_f1_multiset(self, f1_records, f1_table):
         records = []
@@ -493,13 +512,12 @@ class TestAggregate:
             for _ in range(int(weights[r])):
                 records.append((str(i), s, g, RaceCategory(r), True))
                 i += 1
-        table, _ = aggregate_voters(voters_of(records), require_race=True)
+        table = aggregate_voters(voters_of(records))
         np.testing.assert_array_equal(table.cell_values, f1_table.cell_values)
 
     def test_total_matches_contributing_records(self):
         voters = voters_of([(str(i), "A", "g", RaceCategory.BLACK, True) for i in range(7)])
-        table, _ = aggregate_voters(voters, require_race=True)
-        assert table.total() == 7.0
+        assert aggregate_voters(voters).total() == 7.0
 
 
 def make_records(counts):
@@ -554,6 +572,20 @@ class TestSubsample:
         records = make_records([5, 5])
         with pytest.raises(ValueError, match="^non-finite target$"):
             subsample_to_margin(records, race6(0.5, 0.5, bad), seed=0)
+
+    def test_target_off_one_within_the_rule_is_divided_by_its_sum(self):
+        # 300,001 white and 300,000 black records, a target summing to
+        # 1 + 9e-7: N is 600,000, and quotas of N times the undivided target
+        # would add up to 600,001
+        races = [RaceCategory.WHITE, RaceCategory.BLACK]
+        race = np.repeat(races, [300_001, 300_000])
+        voters = Voters(ingest.AxisLabels(["A"], ["g"]), np.zeros((len(race), 2), dtype=np.int64),
+                        np.arange(len(race)), race, np.ones(len(race), dtype=bool))
+        target = np.zeros(N_RACES)
+        target[races] = [0.5 + 9e-7, 0.5]
+        out = subsample_to_margin(voters, target, seed=0)
+        assert len(out.race) == 600_000
+        assert np.bincount(out.race, minlength=N_RACES)[races].tolist() == [300_000, 300_000]
 
     def test_unlabeled_record_rejected(self):
         records = voters_of([("1", "A", "g", None, True)])
